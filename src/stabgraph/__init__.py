@@ -32,6 +32,7 @@ from .equivalence import (
     to_reduced,
 )
 from .graph import (
+    InvariantError,
     StabilizerGraph,
     advance_loop,
     flip_fill,
@@ -112,6 +113,7 @@ __all__ = [
     "graphs_equivalent",
     "simplify_pair",
     "to_reduced",
+    "InvariantError",
     "StabilizerGraph",
     "advance_loop",
     "flip_fill",

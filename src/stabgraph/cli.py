@@ -15,8 +15,10 @@ Subcommands:
   against the dense simulator on random graphs and print a pass table.
 
 Exit codes: 0 success (and "equivalent" for equiv), 1 not equivalent or a
-failed verify, 2 unreadable or malformed input, 3 violated semantic
-invariant, 4 malformed gate script.
+failed verify, 2 unreadable or malformed input (including bytes that are
+not UTF-8, and bad command-line arguments), 3 violated semantic invariant
+(invalid input, or an internal ``InvariantError``), 4 malformed gate
+script.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .audit import audit_rules, format_report
 from .circuit import circuit_from_graph, graph_from_circuit
 from .convert import generator_matrix_from_graph, graph_from_generator_matrix
 from .equivalence import graphs_equivalent, to_reduced
-from .graph import StabilizerGraph
+from .graph import InvariantError, StabilizerGraph
 from .textio import (
     ParseError,
     format_circuit,
@@ -156,6 +158,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="stabgraph",
@@ -188,9 +200,9 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("verify", help="audit the rules against the simulator")
-    p.add_argument("--n", type=int, default=6, help="largest graph size")
+    p.add_argument("--n", type=_positive_int, default=6, help="largest graph size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200, help="graphs per family")
+    p.add_argument("--cases", type=_positive_int, default=200, help="graphs per family")
     p.set_defaults(func=_cmd_verify)
     return top
 
@@ -208,8 +220,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        # A ValueError subclass, but the input is unreadable, not invalid.
+        print(f"unreadable input: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 3
+    except InvariantError as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
 
 

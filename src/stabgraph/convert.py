@@ -23,7 +23,7 @@ generators off the graph's preparation circuit.
 from __future__ import annotations
 
 from .circuit import circuit_from_graph, generators_from_circuit
-from .graph import StabilizerGraph, is_reduced
+from .graph import InvariantError, StabilizerGraph, is_reduced
 from .pauli import GeneratorMatrix, PauliString, conjugate, to_canonical_form
 
 
@@ -38,17 +38,17 @@ def graph_from_generator_matrix(mat: GeneratorMatrix) -> StabilizerGraph:
         rows = [conjugate(r, "H", c) for r in rows]
     for q, r in enumerate(rows):
         if r.x != 1 << q:
-            raise AssertionError("x block is not the identity after Hadamards")
+            raise InvariantError("x block is not the identity after Hadamards")
     loops = [bool((rows[q].z >> q) & 1) for q in range(n)]
     for q, has_loop in enumerate(loops):
         if has_loop:
             if q >= rank:
-                raise AssertionError("hollow column acquired a loop")
+                raise InvariantError("hollow column acquired a loop")
             rows = [conjugate(r, "S", q) for r in rows]
     adj = []
     for q, r in enumerate(rows):
         if (r.z >> q) & 1:
-            raise AssertionError("adjacency diagonal not cleared")
+            raise InvariantError("adjacency diagonal not cleared")
         adj.append(r.z)
 
     hollow = tuple(q >= rank for q in range(n))
@@ -59,12 +59,12 @@ def graph_from_generator_matrix(mat: GeneratorMatrix) -> StabilizerGraph:
         want = canon.rows[q]
         got = base_gens[q]
         if (got.x, got.z) != (want.x, want.z):
-            raise AssertionError("closed-form generator mismatch in sign solve")
+            raise InvariantError("closed-form generator mismatch in sign solve")
         neg.append(got.sign != want.sign)
     colgraph = StabilizerGraph(n, hollow, tuple(loops), tuple(neg), tuple(adj))
     check = generators_from_circuit(circuit_from_graph(colgraph))
     if check != canon.rows:
-        raise AssertionError("sign solve failed to reproduce the canonical rows")
+        raise InvariantError("sign solve failed to reproduce the canonical rows")
 
     # Undo the column permutation: column c describes original qubit
     # qubit_of_column[c].
@@ -86,7 +86,8 @@ def graph_from_generator_matrix(mat: GeneratorMatrix) -> StabilizerGraph:
     out = StabilizerGraph(
         n, tuple(out_hollow), tuple(out_loop), tuple(out_neg), tuple(out_adj)
     )
-    assert is_reduced(out)
+    if not is_reduced(out):
+        raise InvariantError("matrix-to-graph result is not reduced")
     return out
 
 

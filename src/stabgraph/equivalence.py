@@ -23,7 +23,19 @@ dense-simulation oracle.
 
 from __future__ import annotations
 
-from .graph import StabilizerGraph, _Mutable, _bits, is_reduced
+from .graph import (
+    InvariantError,
+    StabilizerGraph,
+    _Mutable,
+    _bits,
+    _hollow_clashes,
+    _mask,
+    is_reduced,
+)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def _e1_core(m: _Mutable, j: int) -> None:
@@ -155,38 +167,56 @@ def to_reduced(g: StabilizerGraph) -> StabilizerGraph:
     """Rewrite into reduced form without changing the described state.
 
     First every hollow node with a loop is made solid with E1 (lowest
-    index first; advancing may mint new loops on hollow neighbors, so the
-    scan restarts).  Then every hollow-hollow edge is cleared with E2 on
-    the lexicographically smallest such pair.  Each step fills at least
-    one hollow node, so the hollow count never increases and the loop
-    terminates within n steps per phase.
+    index first; advancing may mint new loops on hollow neighbors).  Then
+    every hollow-hollow edge is cleared with E2 on the lexicographically
+    smallest such pair.  Each step fills at least one hollow node, so the
+    hollow count never increases and the loop terminates within n steps
+    per phase.
+
+    Each phase keeps a worklist bitmask of the nodes it still has to fix
+    and, after a move, re-examines only the nodes that move touched, so a
+    step costs about the degree of its nodes rather than a rescan.
     """
     m = _Mutable(g)
+    # E1 at j fills j and advances its neighbors' loops: only j and its
+    # neighbors (unchanged by complementing on j) can change status.
+    todo = _mask(m.hollow) & _mask(m.loop)
     for _ in range(g.n + 1):
-        j = next((i for i in range(g.n) if m.hollow[i] and m.loop[i]), None)
-        if j is None:
+        if not todo:
             break
+        j = _lowest(todo)
         _e1_core(m, j)
+        for l in _bits(m.adj[j] | (1 << j)):
+            if m.hollow[l] and m.loop[l]:
+                todo |= 1 << l
+            else:
+                todo &= ~(1 << l)
     else:
-        raise AssertionError("loop-clearing phase failed to terminate")
+        raise InvariantError("loop-clearing phase failed to terminate")
+    # A hollow node is on the list when it has a hollow neighbor.  The
+    # lowest such i has only hollow neighbors above it, so (i, lowest
+    # hollow neighbor of i) is the lexicographically smallest pair.  E2
+    # fills i and k and rewrites only the rows of their neighborhoods.
+    hollow = _mask(m.hollow)
+    todo = _hollow_clashes(m.hollow, m.adj, hollow)
     for _ in range(g.n + 1):
-        pair = next(
-            (
-                (i, k)
-                for i in range(g.n)
-                if m.hollow[i]
-                for k in sorted(m.neighbors(i))
-                if k > i and m.hollow[k]
-            ),
-            None,
-        )
-        if pair is None:
+        if not todo:
             break
-        _e2_core(m, *pair)
+        i = _lowest(todo)
+        k = _lowest(m.adj[i] & hollow)
+        touched = m.adj[i] | m.adj[k]
+        _e2_core(m, i, k)
+        hollow &= ~((1 << i) | (1 << k))
+        for l in _bits(touched):
+            if (hollow >> l) & 1 and m.adj[l] & hollow:
+                todo |= 1 << l
+            else:
+                todo &= ~(1 << l)
     else:
-        raise AssertionError("edge-clearing phase failed to terminate")
+        raise InvariantError("edge-clearing phase failed to terminate")
     out = m.freeze()
-    assert is_reduced(out)
+    if not is_reduced(out):
+        raise InvariantError("to_reduced left a graph that is not reduced")
     return out
 
 
@@ -207,27 +237,22 @@ def simplify_pair(
         if not is_reduced(g):
             raise ValueError("inputs must be reduced")
     for _ in range(g1.n + 1):
-        only1 = [j for j in range(g1.n) if g1.hollow[j] and not g2.hollow[j]]
-        only2 = [j for j in range(g2.n) if g2.hollow[j] and not g1.hollow[j]]
-        hit = next(
-            (
-                (a, b)
-                for a in only1
-                for b in only2
-                if g1.has_edge(a, b) or g2.has_edge(a, b)
-            ),
-            None,
-        )
-        if hit is None:
+        h1, h2 = _mask(g1.hollow), _mask(g2.hollow)
+        only1, only2 = h1 & ~h2, h2 & ~h1
+        for a in _bits(only1):
+            reach = (g1.adj[a] | g2.adj[a]) & only2
+            if reach:
+                break
+        else:
             return g1, g2
-        a, b = hit
+        b = _lowest(reach)
         if g1.has_edge(a, b):
             rule = apply_Ei if g1.loop[b] else apply_Eii
             g1 = rule(g1, a, b)
         else:
             rule = apply_Ei if g2.loop[a] else apply_Eii
             g2 = rule(g2, b, a)
-    raise AssertionError("pair simplification failed to terminate")
+    raise InvariantError("pair simplification failed to terminate")
 
 
 def graphs_equivalent(g1: StabilizerGraph, g2: StabilizerGraph) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .equivalence import to_reduced
-from .graph import StabilizerGraph, _Mutable, is_reduced
+from .graph import InvariantError, StabilizerGraph, _Mutable, _bits, is_reduced
 from .pauli import GATE_ARITY
 
 LOCAL_GATES = ("H", "S", "Z")
@@ -82,7 +82,14 @@ def classify_cz_reduced(g: StabilizerGraph, j: int, k: int) -> str:
 
 
 def _neighbor_list(g: StabilizerGraph, j: int) -> list[int]:
-    return [k for k in range(g.n) if g.has_edge(j, k)]
+    return list(_bits(g.adj[j]))
+
+
+def _check_reduced(out: StabilizerGraph, rule: str) -> StabilizerGraph:
+    # An explicit raise rather than an assert, so the check survives -O.
+    if not is_reduced(out):
+        raise InvariantError(f"rule {rule} broke the reduced invariant")
+    return out
 
 
 def _pick_hollow_neighbor(
@@ -250,9 +257,7 @@ def apply_local_reduced(
         m.flip_sign(j)
     else:  # T6
         _t6(m, j)
-    out = m.freeze()
-    assert is_reduced(out), f"rule {rule} broke the reduced invariant"
-    return out
+    return _check_reduced(m.freeze(), rule)
 
 
 def apply_cz_reduced(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
@@ -282,9 +287,7 @@ def apply_cz_reduced(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
         if k_neg:
             for l in m.neighbors(j):
                 m.flip_sign(l)
-    out = m.freeze()
-    assert is_reduced(out), f"rule {rule} broke the reduced invariant"
-    return out
+    return _check_reduced(m.freeze(), rule)
 
 
 def apply_cz(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
@@ -309,6 +312,9 @@ def apply_sequence(
     accepted as shorthand for a single target.  With ``reduced=True`` the
     input must be reduced and the reduced rules are used throughout, so
     every intermediate graph is reduced too.
+
+    Each rule builds its result unchecked; the graph returned here gets
+    the full structural validation once.
     """
     for gate, targets in gates:
         arity = GATE_ARITY.get(gate)
@@ -324,6 +330,7 @@ def apply_sequence(
         else:
             apply = apply_local_reduced if reduced else apply_local
             g = apply(g, gate, *targets)
+    g._validate()
     return g
 
 

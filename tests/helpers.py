@@ -110,3 +110,76 @@ def scrambled_group(n: int, seed: int):
             rows[i] = multiply(rows[i], rows[j])
     rng.shuffle(rows)
     return GeneratorMatrix(n, tuple(rows))
+
+
+def is_reduced_per_node(g: StabilizerGraph) -> bool:
+    """Reference for ``is_reduced``: look at every node and every edge."""
+    for j in range(g.n):
+        if g.hollow[j] and g.loop[j]:
+            return False
+        for k in range(g.n):
+            if g.hollow[j] and g.hollow[k] and g.has_edge(j, k):
+                return False
+    return True
+
+
+def to_reduced_restart_scan(g: StabilizerGraph) -> StabilizerGraph:
+    """Reference for ``to_reduced``: after every move, rescan from node 0.
+
+    E1 on the lowest hollow node with a loop until none is left, then E2
+    on the lexicographically smallest hollow-hollow edge until none is
+    left.  ``to_reduced`` must make the same moves in the same order.
+    """
+    from stabgraph.equivalence import _e1_core, _e2_core
+    from stabgraph.graph import _Mutable
+
+    m = _Mutable(g)
+    for _ in range(g.n + 1):
+        j = next((i for i in range(g.n) if m.hollow[i] and m.loop[i]), None)
+        if j is None:
+            break
+        _e1_core(m, j)
+    else:
+        raise RuntimeError("loop-clearing phase failed to terminate")
+    for _ in range(g.n + 1):
+        pair = next(
+            (
+                (i, k)
+                for i in range(g.n)
+                if m.hollow[i]
+                for k in sorted(m.neighbors(i))
+                if k > i and m.hollow[k]
+            ),
+            None,
+        )
+        if pair is None:
+            break
+        _e2_core(m, *pair)
+    else:
+        raise RuntimeError("edge-clearing phase failed to terminate")
+    return m.freeze()
+
+
+def sparse_graph(n: int, seed: int, p: float, *, reduced: bool = False) -> StabilizerGraph:
+    """Decorations are fair coins and each edge is present with chance p.
+
+    With ``reduced=True`` hollow nodes get no loop and no hollow-hollow
+    edge is drawn.
+    """
+    rng = random.Random(seed)
+    hollow = [rng.random() < 0.5 for _ in range(n)]
+    loops = [rng.random() < 0.5 and not (reduced and hollow[j]) for j in range(n)]
+    neg = [rng.random() < 0.5 for _ in range(n)]
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < p and not (reduced and hollow[i] and hollow[j])
+    ]
+    return StabilizerGraph.build(
+        n,
+        edges=edges,
+        hollow=[j for j in range(n) if hollow[j]],
+        loops=[j for j in range(n) if loops[j]],
+        neg=[j for j in range(n) if neg[j]],
+    )

@@ -6,7 +6,8 @@ cold interpreter.  Exit codes are part of the contract:
 
     0  success / graphs equivalent
     1  graphs not equivalent, or a rule audit failure
-    2  unreadable input (parse error, missing file)
+    2  unreadable input (parse error, missing file, bytes that are not
+       UTF-8) or bad command-line arguments
     3  semantically invalid input (bad group, unreduced graph, ...)
     4  malformed gate script
 """
@@ -107,6 +108,13 @@ class TestConvert:
             ["convert", "--from", "matrix", "--to", "graph", "-i", "/nonexistent.mat"]
         ) == 2
 
+    def test_undecodable_bytes_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "bin.graph"
+        src.write_bytes(b"nodes 1\nnode 0 \xff\xfe solid\n")
+        assert main(["reduce", "-i", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert "unreadable input" in err and "Traceback" not in err
+
     def test_invalid_group_exits_3(self, tmp_path, capsys):
         src = tmp_path / "anti.mat"
         src.write_text("+XI\n+ZI\n")
@@ -186,6 +194,19 @@ class TestVerify:
         for tag in ("T1", "T(iv)", "T(x)", "E1", "E(ii)"):
             assert tag in out
         assert "FAIL" not in out
+
+
+    def test_cases_below_one_is_rejected_with_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "4", "--cases", "-5"])
+        assert exc.value.code == 2
+        assert "--cases" in capsys.readouterr().err
+
+    def test_n_below_one_is_rejected_with_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "0", "--cases", "4"])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
 
 
 class TestScriptParsing:

@@ -1,0 +1,294 @@
+"""Structural validity and the reduced invariant along the trusted path.
+
+Rewrites build their results with the unchecked ``StabilizerGraph._trusted``
+constructor, so these tests stand in for the validation that used to run
+on every internal step: every public rewrite must return a graph that
+passes the full ``_validate()``.  They also pin the bitmask ``is_reduced``
+and the worklist ``to_reduced`` to per-node and restart-scan references,
+and check that a broken rule raises ``InvariantError`` even under
+``python -O`` and maps to exit code 3 on the command line.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stabgraph
+from helpers import is_reduced_per_node, sparse_graph, to_reduced_restart_scan
+from stabgraph import (
+    InvariantError,
+    StabilizerGraph,
+    advance_loop,
+    apply_cz,
+    apply_cz_reduced,
+    apply_E1,
+    apply_E2,
+    apply_Ei,
+    apply_Eii,
+    apply_local,
+    apply_local_reduced,
+    classify_cz_reduced,
+    classify_local,
+    classify_local_reduced,
+    flip_fill,
+    flip_sign,
+    is_reduced,
+    local_complement,
+    local_complement_edge,
+    local_complement_edge_step3,
+    random_graph,
+    simplify_pair,
+    to_reduced,
+)
+from stabgraph import equivalence, transforms
+from stabgraph.cli import main
+
+GATE_TAGS = {
+    "T1", "T2", "T3", "T4", "T5", "T6",
+    "T(i)", "T(ii)", "T(iii)", "T(iv)", "T(v)", "T(vi)", "T(vii)",
+    "T(viii)", "T(ix)", "T(x)",
+}
+OTHER_REWRITES = {
+    "E1", "E2", "E(i)", "E(ii)",
+    "local_complement", "local_complement_edge", "local_complement_edge_step3",
+    "advance_loop", "flip_fill", "flip_sign", "to_reduced", "simplify_pair",
+}
+
+
+def _rewrites(g: StabilizerGraph, r: StabilizerGraph, rng: random.Random):
+    """(name, output) for one application of every rewrite that applies.
+
+    ``g`` is any graph and ``r`` a reduced graph of the same size.  Each
+    gate tag is applied at a node (or pair) chosen by ``rng`` among those
+    where it applies.
+    """
+    n = g.n
+    for gate in transforms.LOCAL_GATES:
+        by_tag: dict = {}
+        for j in range(n):
+            by_tag.setdefault(classify_local(g, gate, j), []).append(j)
+        for tag, nodes in by_tag.items():
+            yield tag, apply_local(g, gate, rng.choice(nodes))
+        by_tag = {}
+        for j in range(n):
+            by_tag.setdefault(classify_local_reduced(r, gate, j), []).append(j)
+        for tag, nodes in by_tag.items():
+            yield tag, apply_local_reduced(r, gate, rng.choice(nodes))
+    if n >= 2:
+        solid = [j for j in range(n) if not r.hollow[j]]
+        hollow = [j for j in range(n) if r.hollow[j]]
+        for group_a, group_b in ((solid, solid), (solid, hollow), (hollow, hollow)):
+            pairs = [(a, b) for a in group_a for b in group_b if a < b or group_a is not group_b]
+            if pairs:
+                j, k = rng.choice(pairs)
+                yield classify_cz_reduced(r, j, k), apply_cz_reduced(r, j, k)
+        j, k = rng.sample(range(n), 2)
+        yield "apply_cz", apply_cz(g, j, k)
+        yield "local_complement_edge", local_complement_edge(g, j, k)
+        yield "local_complement_edge_step3", local_complement_edge_step3(g, j, k)
+    loops = [j for j in range(n) if g.loop[j]]
+    if loops:
+        yield "E1", apply_E1(g, rng.choice(loops))
+    e2 = [(j, k) for j, k in g.edges() if not g.loop[j] and not g.loop[k]]
+    if e2:
+        yield "E2", apply_E2(g, *rng.choice(e2))
+    for name, rule, want_loop in (("E(i)", apply_Ei, True), ("E(ii)", apply_Eii, False)):
+        pairs = [
+            (h, s)
+            for h, s in (p for e in r.edges() for p in (e, e[::-1]))
+            if r.hollow[h] and not r.hollow[s] and r.loop[s] == want_loop
+        ]
+        if pairs:
+            yield name, rule(r, *rng.choice(pairs))
+    j = rng.randrange(n)
+    yield "local_complement", local_complement(g, j)
+    yield "advance_loop", advance_loop(g, j)
+    yield "flip_fill", flip_fill(g, j)
+    yield "flip_sign", flip_sign(g, j)
+    reduced = to_reduced(g)
+    yield "to_reduced", reduced
+    yield from zip(("simplify_pair",) * 2, simplify_pair(reduced, r))
+
+
+@st.composite
+def graph_pairs(draw, max_n=64):
+    n = draw(st.integers(1, max_n))
+    seed = draw(st.integers(0, 2**32))
+    p = draw(st.sampled_from((0.05, 0.15, 0.5)))
+    return (
+        sparse_graph(n, seed, p),
+        sparse_graph(n, seed + 1, p, reduced=True),
+        random.Random(seed),
+    )
+
+
+class TestTrustedRewritesStayValid:
+    @settings(max_examples=60, deadline=None)
+    @given(graph_pairs())
+    def test_every_public_rewrite_passes_full_validation(self, drawn):
+        g, r, rng = drawn
+        for name, out in _rewrites(g, r, rng):
+            assert out.n == g.n, name
+            out._validate()
+
+    def test_the_rewrite_list_reaches_every_rule(self):
+        # The property above is only as strong as its coverage.
+        seen = set()
+        for seed in range(12):
+            n = 6 + seed % 5
+            g = sparse_graph(n, seed, 0.4)
+            r = sparse_graph(n, seed + 100, 0.4, reduced=True)
+            seen |= {name for name, _ in _rewrites(g, r, random.Random(seed))}
+        assert seen >= GATE_TAGS | OTHER_REWRITES
+
+    def test_apply_sequence_validates_its_result(self, monkeypatch):
+        # A rule that corrupts the adjacency is caught once, at the end.
+        def asymmetric(m, j):
+            m.adj[j] ^= 1 << ((j + 1) % m.n)
+
+        monkeypatch.setattr(transforms, "_t2", asymmetric)
+        g = StabilizerGraph.empty(3)
+        with pytest.raises(ValueError, match="not symmetric"):
+            transforms.apply_sequence(g, [("S", (0,)), ("H", (1,))])
+
+    def test_trusted_graphs_compare_and_hash_like_checked_ones(self):
+        g = StabilizerGraph.build(3, edges=[(0, 1)], hollow=[2], loops=[0])
+        t = StabilizerGraph._trusted(g.n, g.hollow, g.loop, g.neg, g.adj)
+        assert t == g and hash(t) == hash(g) and repr(t) == repr(g)
+
+
+def _perturbed(n: int, seed: int, kind: str) -> StabilizerGraph:
+    """A reduced graph, then (maybe) one change that can break reducedness.
+
+    The change lands on the last nodes, where a mask built in the wrong
+    bit order or of the wrong width goes wrong first.
+    """
+    g = sparse_graph(n, seed, 0.3, reduced=True)
+    hollow, loops = list(g.hollow), list(g.loop)
+    edges = set(g.edges())
+    last = n - 1
+    if kind == "hollow_loop":
+        hollow[last] = loops[last] = True
+    elif kind == "hollow_edge" and n >= 2:
+        hollow[last] = hollow[last - 1] = True
+        edges.add((last - 1, last))
+    elif kind == "flip_fill":
+        hollow[last] = not hollow[last]
+    return StabilizerGraph.build(
+        n,
+        edges=edges,
+        hollow=[j for j in range(n) if hollow[j]],
+        loops=[j for j in range(n) if loops[j]],
+        neg=[j for j in range(n) if g.neg[j]],
+    )
+
+
+class TestBitmaskIsReduced:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 70),
+        st.integers(0, 2**32),
+        st.sampled_from(("none", "hollow_loop", "hollow_edge", "flip_fill")),
+    )
+    def test_agrees_with_per_node_reference(self, n, seed, kind):
+        g = _perturbed(n, seed, kind)
+        assert is_reduced(g) == is_reduced_per_node(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 17, 63, 65])
+    @pytest.mark.parametrize("kind", ["none", "hollow_loop", "hollow_edge"])
+    def test_byte_boundaries(self, n, kind):
+        g = _perturbed(n, 7 * n, kind)
+        assert is_reduced(g) == is_reduced_per_node(g)
+        if kind == "hollow_loop" or (kind == "hollow_edge" and n >= 2):
+            assert not is_reduced(g)
+
+
+class TestWorklistToReduced:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_restart_scan_on_dense_graphs(self, n, seed):
+        g = random_graph(n, 1000 * n + seed)
+        assert to_reduced(g) == to_reduced_restart_scan(g)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("p", [0.02, 0.1])
+    def test_matches_restart_scan_on_sparse_graphs(self, n, p):
+        g = sparse_graph(n, n, p)
+        assert to_reduced(g) == to_reduced_restart_scan(g)
+
+
+def _break_t2(m, j):
+    # S on a solid node that leaves it hollow with a loop: not reduced.
+    m.hollow[j] = True
+    m.loop[j] = True
+
+
+class TestInvariantError:
+    def test_reduced_rule_post_check_raises(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_t2", _break_t2)
+        with pytest.raises(InvariantError, match=r"T\(vi\)"):
+            apply_local_reduced(StabilizerGraph.empty(2), "S", 0)
+
+    def test_to_reduced_check_raises(self, monkeypatch):
+        # An E2 that does nothing leaves the hollow-hollow edge in place.
+        monkeypatch.setattr(equivalence, "_e2_core", lambda m, j, k: None)
+        g = StabilizerGraph.build(2, edges=[(0, 1)], hollow=[0, 1])
+        with pytest.raises(InvariantError):
+            to_reduced(g)
+
+    def test_simplify_pair_termination_guard_raises(self, monkeypatch):
+        monkeypatch.setattr(equivalence, "apply_Eii", lambda g, h, s: g)
+        a = StabilizerGraph.build(2, edges=[(0, 1)], hollow=[0])
+        b = StabilizerGraph.build(2, edges=[(0, 1)], hollow=[1])
+        with pytest.raises(InvariantError, match="terminate"):
+            simplify_pair(a, b)
+
+    def test_cli_maps_it_to_exit_3_without_traceback(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(transforms, "_t2", _break_t2)
+        src = tmp_path / "g.graph"
+        src.write_text("nodes 2\nnode 0 solid\nnode 1 solid\n")
+        assert main(["apply", "-i", str(src), "--script", "S:0", "--reduced"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "invariant" in err
+
+    def test_check_survives_python_O(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            from stabgraph import InvariantError, StabilizerGraph, transforms
+            def broken(m, j):
+                m.hollow[j] = True
+                m.loop[j] = True
+            transforms._t2 = broken
+            if sys.flags.optimize < 1:
+                sys.exit("not running under -O")
+            try:
+                transforms.apply_local_reduced(StabilizerGraph.empty(2), "S", 0)
+            except InvariantError as exc:
+                print("raised:", exc)
+            else:
+                sys.exit("the post-check did not fire")
+            """
+        )
+        src = str(Path(stabgraph.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: rule T(vi) broke the reduced invariant" in proc.stdout
