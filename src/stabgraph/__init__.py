@@ -87,69 +87,12 @@ from .transforms import (
     expand_gate,
 )
 
+# Every name the imports above bind, except the submodules themselves.
 __all__ = [
-    "RuleReport",
-    "audit_rules",
-    "format_report",
-    "ParseError",
-    "format_circuit",
-    "format_generator_matrix",
-    "format_graph",
-    "graph_to_dot",
-    "parse_circuit",
-    "parse_generator_matrix",
-    "parse_graph",
-    "GraphFormCircuit",
-    "circuit_from_graph",
-    "generators_by_conjugation",
-    "generators_from_circuit",
-    "graph_from_circuit",
-    "generator_matrix_from_graph",
-    "graph_from_generator_matrix",
-    "apply_E1",
-    "apply_E2",
-    "apply_Ei",
-    "apply_Eii",
-    "graphs_equivalent",
-    "simplify_pair",
-    "to_reduced",
-    "InvariantError",
-    "StabilizerGraph",
-    "advance_loop",
-    "flip_fill",
-    "flip_sign",
-    "is_reduced",
-    "local_complement",
-    "local_complement_edge",
-    "local_complement_edge_step3",
-    "neighbors",
-    "Statevector",
-    "apply_gate_dense",
-    "apply_pauli",
-    "random_graph",
-    "random_reduced_graph",
-    "stabilizer_check",
-    "statevector_from_circuit",
-    "statevector_from_graph",
-    "states_equal_up_to_global_phase",
-    "GeneratorMatrix",
-    "PauliString",
-    "canonical_blocks",
-    "conjugate",
-    "left_rank",
-    "multiply",
-    "permute_qubits",
-    "skew_product",
-    "to_canonical_form",
-    "apply_cz",
-    "apply_cz_reduced",
-    "apply_local",
-    "apply_local_reduced",
-    "apply_sequence",
-    "classify_cz_reduced",
-    "classify_local",
-    "classify_local_reduced",
-    "expand_gate",
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_")
+    and getattr(value, "__module__", "").startswith(__name__ + ".")
 ]
 
 __version__ = "0.1.0"

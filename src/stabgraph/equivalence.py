@@ -175,8 +175,17 @@ def to_reduced(g: StabilizerGraph) -> StabilizerGraph:
 
     Each phase keeps a worklist bitmask of the nodes it still has to fix
     and, after a move, re-examines only the nodes that move touched, so a
-    step costs about the degree of its nodes rather than a rescan.
+    step costs about the degree of its nodes rather than a rescan.  A graph
+    already known to be reduced is returned as it is.
     """
+    out = g if g._reduced else _reduce_moves(g)
+    if not is_reduced(out):
+        raise InvariantError("to_reduced left a graph that is not reduced")
+    return out
+
+
+def _reduce_moves(g: StabilizerGraph) -> StabilizerGraph:
+    """The E1 and E2 worklist phases of ``to_reduced``."""
     m = _Mutable(g)
     # E1 at j fills j and advances its neighbors' loops: only j and its
     # neighbors (unchanged by complementing on j) can change status.
@@ -214,10 +223,7 @@ def to_reduced(g: StabilizerGraph) -> StabilizerGraph:
                 todo &= ~(1 << l)
     else:
         raise InvariantError("edge-clearing phase failed to terminate")
-    out = m.freeze()
-    if not is_reduced(out):
-        raise InvariantError("to_reduced left a graph that is not reduced")
-    return out
+    return m.freeze()
 
 
 def simplify_pair(

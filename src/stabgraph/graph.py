@@ -15,15 +15,27 @@ drawing, which is what the reduced rewrite rules operate on.
 All operations return new graphs; instances are frozen and hashable.
 
 Validation happens at the trust boundary.  The public constructor (and so
-``build``, ``empty`` and the text parsers, which go through it) checks the
+``build``, ``empty`` and the text parsers, which go through it) stores the
+flags as Python bools (accepting only entries equal to 0 or 1), checks the
 lengths, the adjacency range, the zero diagonal and symmetry, and raises
 ``ValueError`` on bad input.  Rewrites of an already-valid graph go through
 ``_Mutable.freeze()``, which uses the unchecked ``StabilizerGraph._trusted``
 constructor, so a gate costs about the degree of its target rather than a
 full O(n*deg) symmetry check; ``apply_sequence`` runs one ``_validate()`` on
-the graph it returns.  The reduced invariant is different: it is checked
-after every reduced rule and after ``to_reduced``, with an explicit
-``InvariantError`` that survives ``python -O``.
+the graph it returns.
+
+The reduced invariant is checked after every reduced rule and after
+``to_reduced``, with an explicit ``InvariantError`` that survives
+``python -O``.  ``is_reduced`` caches its verdict on the (frozen) graph,
+outside the dataclass fields, so a graph from the constructor or a parser
+pays one full scan on its first check.  When the source graph is known
+to be reduced, ``_Mutable`` records every node whose fill, loop or
+adjacency row a rewrite writes, and ``freeze()`` looks only at those
+nodes (a hollow one must have no loop and no hollow neighbor) and stores
+that verdict on the result.  A reduced output can only break at a written node, so the
+check costs the degree of the written nodes, not n.  ``apply_sequence``
+backs this up with one full scan, ignoring the cache, of the graph it
+returns.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 
 class InvariantError(RuntimeError):
@@ -53,6 +65,19 @@ _FLAG_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
 def _mask(flags: Sequence[bool]) -> int:
     """Bitmask with bit j set where ``flags[j]`` is true; needs len >= 1."""
     return int(bytes(flags).translate(_FLAG_DIGITS)[::-1], 2)
+
+
+def _bool_flags(name: str, flags: Iterable[object]) -> Tuple[bool, ...]:
+    """``flags`` as a tuple of Python bools; each entry must equal 0 or 1."""
+    flags = tuple(flags)
+    if set(map(type, flags)) <= {bool}:
+        return flags
+    out = []
+    for j, f in enumerate(flags):
+        if not (f == 0 or f == 1):
+            raise ValueError(f"{name}[{j}] must be 0 or 1, got {f!r}")
+        out.append(bool(f))
+    return tuple(out)
 
 
 def _hollow_clashes(
@@ -76,7 +101,13 @@ class StabilizerGraph:
     neg: Tuple[bool, ...]
     adj: Tuple[int, ...]
 
+    # Cached ``is_reduced`` verdict (None: not known yet).  Not annotated,
+    # so it is no dataclass field and leaves ==, hash and repr alone.
+    _reduced = None
+
     def __post_init__(self) -> None:
+        for name in ("hollow", "loop", "neg"):
+            object.__setattr__(self, name, _bool_flags(name, getattr(self, name)))
         self._validate()
 
     def _validate(self) -> None:
@@ -104,10 +135,16 @@ class StabilizerGraph:
         loop: Tuple[bool, ...],
         neg: Tuple[bool, ...],
         adj: Tuple[int, ...],
+        reduced: Optional[bool] = None,
     ) -> "StabilizerGraph":
-        """Build without validation, for rewrites of a graph already valid."""
+        """Build without validation, for rewrites of a graph already valid.
+
+        ``reduced`` is the ``is_reduced`` verdict, when the caller knows it.
+        """
         g = object.__new__(cls)
         g.__dict__.update(n=n, hollow=hollow, loop=loop, neg=neg, adj=adj)
+        if reduced is not None:
+            g.__dict__["_reduced"] = reduced
         return g
 
     @classmethod
@@ -156,25 +193,67 @@ class StabilizerGraph:
         return bool((self.adj[i] >> j) & 1)
 
 
-class _Mutable:
-    """Scratch copy used internally while applying a rewrite."""
+class _Tracked(list):
+    """A list that records, as the bitmask ``written``, every index written
+    to it.  The owner sets ``written = 0`` after construction (cheaper than
+    an ``__init__`` override on this per-gate path).  Rewrites index nodes
+    directly; a negative index or a slice fails loudly in the shift rather
+    than going unrecorded."""
 
-    __slots__ = ("n", "hollow", "loop", "neg", "adj")
+    __slots__ = ("written",)
+
+    def __setitem__(self, i: int, value: object) -> None:
+        list.__setitem__(self, i, value)
+        self.written |= 1 << i
+
+
+def _clean_at(
+    hollow: Sequence[bool], loop: Sequence[bool], adj: Sequence[int], nodes: int
+) -> bool:
+    """True when no node in the mask ``nodes`` is hollow with a loop or a
+    hollow neighbor; costs the degree of the hollow nodes in the mask."""
+    for j in _bits(nodes):
+        if hollow[j] and (loop[j] or any(hollow[k] for k in _bits(adj[j]))):
+            return False
+    return True
+
+
+class _Mutable:
+    """Scratch copy used internally while applying a rewrite.
+
+    When the source graph is known to be reduced, writes to ``hollow``,
+    ``loop`` and ``adj`` are recorded, so that ``freeze()`` can settle the
+    reduced verdict of the result by looking only at the written nodes.
+    Otherwise there is no verdict to carry over and plain lists are used,
+    which keeps ``to_reduced``'s many row writes at list speed.
+    """
+
+    __slots__ = ("n", "hollow", "loop", "neg", "adj", "source_reduced")
 
     def __init__(self, g: StabilizerGraph) -> None:
         self.n = g.n
-        self.hollow = list(g.hollow)
-        self.loop = list(g.loop)
+        self.source_reduced = g._reduced is True
+        store = _Tracked if self.source_reduced else list
+        self.hollow = store(g.hollow)
+        self.loop = store(g.loop)
         self.neg = list(g.neg)
-        self.adj = list(g.adj)
+        self.adj = store(g.adj)
+        if self.source_reduced:
+            self.hollow.written = self.loop.written = self.adj.written = 0
 
     def freeze(self) -> StabilizerGraph:
+        reduced = None
+        if self.source_reduced:
+            # A graph that was reduced can only break at a written node.
+            written = self.hollow.written | self.loop.written | self.adj.written
+            reduced = _clean_at(self.hollow, self.loop, self.adj, written)
         return StabilizerGraph._trusted(
             self.n,
             tuple(self.hollow),
             tuple(self.loop),
             tuple(self.neg),
             tuple(self.adj),
+            reduced,
         )
 
     def neighbors(self, j: int) -> set[int]:
@@ -246,7 +325,21 @@ def _check_node(g: StabilizerGraph, j: int) -> None:
 
 
 def is_reduced(g: StabilizerGraph) -> bool:
-    """True when no hollow node has a loop or a hollow neighbor."""
+    """True when no hollow node has a loop or a hollow neighbor.
+
+    The verdict is cached on ``g``: the first call on a graph from the
+    constructor or a parser scans it, and rewrites of a reduced graph
+    arrive with the verdict already set by ``_Mutable.freeze()``.
+    """
+    verdict = g._reduced
+    if verdict is None:
+        verdict = _scan_reduced(g)
+        g.__dict__["_reduced"] = verdict
+    return verdict
+
+
+def _scan_reduced(g: StabilizerGraph) -> bool:
+    """The full O(n) ``is_reduced`` check, ignoring any cached verdict."""
     hollow = _mask(g.hollow)
     if hollow & _mask(g.loop):
         return False

@@ -39,6 +39,10 @@ from .graph import StabilizerGraph
 from .pauli import GeneratorMatrix, PauliString
 
 _SIGN_CHARS = {"+": 1, "-": -1, "−": -1}
+# Every character at which ``str.splitlines`` ends a line.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# How many missing node ids a ParseError names before it only counts.
+_MISSING_SHOWN = 10
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
@@ -68,9 +72,13 @@ def _tokens(raw: str) -> list[tuple[str, int]]:
 
 
 def _int_token(tok: str, col: int, lineno: int, what: str) -> int:
-    if not tok.isdigit():
+    # isdigit alone admits characters such as '²' that int() rejects.
+    if not (tok.isascii() and tok.isdigit()):
         raise ParseError(f"{what} must be a non-negative integer, got {tok!r}", lineno, col)
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{what} has too many digits ({len(tok)})", lineno, col) from None
 
 
 # --- generator matrices -----------------------------------------------------
@@ -126,6 +134,12 @@ def parse_graph(text: str) -> StabilizerGraph:
     n = _int_token(toks[1][0], toks[1][1], lineno, "node count")
     if n < 1:
         raise ParseError("node count must be positive", lineno, toks[1][1])
+    # Each node needs a line of its own: reject a count above the number of
+    # lines (bounded from above without splitting) before allocating n slots.
+    if n > 1 + sum(map(text.count, _LINE_BREAKS)):
+        raise ParseError(
+            f"node count {n} is larger than the number of lines", lineno, toks[1][1]
+        )
 
     seen: dict[int, bool] = {}
     hollow = [False] * n
@@ -176,7 +190,11 @@ def parse_graph(text: str) -> StabilizerGraph:
 
     missing = [j for j in range(n) if j not in seen]
     if missing:
-        raise ParseError(f"missing node line(s) for id(s) {missing}", 1, 1)
+        shown = ", ".join(map(str, missing[:_MISSING_SHOWN]))
+        more = len(missing) - _MISSING_SHOWN
+        if more > 0:
+            shown += f" and {more} more"
+        raise ParseError(f"missing node line(s) for {len(missing)} id(s): {shown}", 1, 1)
     return StabilizerGraph(n, tuple(hollow), tuple(loop), tuple(neg), tuple(adj))
 
 

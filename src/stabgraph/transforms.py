@@ -27,7 +27,14 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .equivalence import to_reduced
-from .graph import InvariantError, StabilizerGraph, _Mutable, _bits, is_reduced
+from .graph import (
+    InvariantError,
+    StabilizerGraph,
+    _Mutable,
+    _bits,
+    _scan_reduced,
+    is_reduced,
+)
 from .pauli import GATE_ARITY
 
 LOCAL_GATES = ("H", "S", "Z")
@@ -87,6 +94,10 @@ def _neighbor_list(g: StabilizerGraph, j: int) -> list[int]:
 
 def _check_reduced(out: StabilizerGraph, rule: str) -> StabilizerGraph:
     # An explicit raise rather than an assert, so the check survives -O.
+    # The input passed the reduced pre-check, so freeze() has already
+    # settled the verdict from the nodes the rule wrote (a hollow written
+    # node must have no loop and no hollow neighbor): this costs their
+    # degree, not n.  apply_sequence rescans its result in full.
     if not is_reduced(out):
         raise InvariantError(f"rule {rule} broke the reduced invariant")
     return out
@@ -314,7 +325,8 @@ def apply_sequence(
     every intermediate graph is reduced too.
 
     Each rule builds its result unchecked; the graph returned here gets
-    the full structural validation once.
+    the full structural validation once, and one full reduced scan that
+    ignores the verdict cached by the per-gate checks.
     """
     for gate, targets in gates:
         arity = GATE_ARITY.get(gate)
@@ -331,6 +343,11 @@ def apply_sequence(
             apply = apply_local_reduced if reduced else apply_local
             g = apply(g, gate, *targets)
     g._validate()
+    scanned = _scan_reduced(g)
+    if g._reduced not in (None, scanned):
+        raise InvariantError("a rule cached a wrong reduced verdict")
+    if reduced and not scanned:  # only an empty word gets here
+        raise ValueError("graph is not reduced")
     return g
 
 

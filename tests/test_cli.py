@@ -115,6 +115,13 @@ class TestConvert:
         err = capsys.readouterr().err
         assert "unreadable input" in err and "Traceback" not in err
 
+    def test_huge_node_count_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "huge.graph"
+        src.write_text("nodes 100000000")
+        assert main(["reduce", "-i", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert "larger than the number of lines" in err and len(err) < 200
+
     def test_invalid_group_exits_3(self, tmp_path, capsys):
         src = tmp_path / "anti.mat"
         src.write_text("+XI\n+ZI\n")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +66,36 @@ class TestConstruction:
     def test_rejects_out_of_range_edges(self):
         with pytest.raises((ValueError, IndexError)):
             StabilizerGraph.build(2, edges=[(0, 2)])
+
+    def test_numpy_bool_flags_are_stored_as_bool(self):
+        g = StabilizerGraph(
+            2, (np.True_, np.False_), (np.False_, np.True_), (np.False_,) * 2, (2, 1)
+        )
+        assert g == StabilizerGraph.build(2, edges=[(0, 1)], hollow=[0], loops=[1])
+        for flags in (g.hollow, g.loop, g.neg):
+            assert all(type(f) is bool for f in flags)
+        assert is_reduced(g)
+
+    def test_int_flags_are_stored_as_bool(self):
+        g = StabilizerGraph(2, [1, 0], (0, 0), (0, 1), (0, 0))
+        assert g.hollow == (True, False) and g.neg == (False, True)
+        assert all(type(f) is bool for f in g.hollow + g.loop + g.neg)
+        assert hash(g) == hash(StabilizerGraph.build(2, hollow=[0], neg=[1]))
+
+    @pytest.mark.parametrize("bad", ["1", "solid", 2, -1, None, 0.5])
+    @pytest.mark.parametrize("field", ["hollow", "loop", "neg"])
+    def test_rejects_flags_that_are_not_0_or_1(self, field, bad):
+        flags = {"hollow": (False,) * 2, "loop": (False,) * 2, "neg": (False,) * 2}
+        flags[field] = (False, bad)
+        with pytest.raises(ValueError, match=rf"{field}\[1\] must be 0 or 1"):
+            StabilizerGraph(2, flags["hollow"], flags["loop"], flags["neg"], (0, 0))
+
+    def test_trusted_constructor_stays_unchecked(self):
+        # Rewrites only ever write Python bools; the private constructor
+        # takes the tuples as they are.
+        flags = (np.True_, 1)
+        g = StabilizerGraph._trusted(2, flags, flags, flags, (0, 0))
+        assert g.hollow is flags
 
     def test_graphs_hash_and_compare(self):
         a = StabilizerGraph.build(2, edges=[(0, 1)])

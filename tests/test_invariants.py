@@ -5,12 +5,15 @@ constructor, so these tests stand in for the validation that used to run
 on every internal step: every public rewrite must return a graph that
 passes the full ``_validate()``.  They also pin the bitmask ``is_reduced``
 and the worklist ``to_reduced`` to per-node and restart-scan references,
-and check that a broken rule raises ``InvariantError`` even under
-``python -O`` and maps to exit code 3 on the command line.
+pin the ``is_reduced`` verdict that ``_Mutable.freeze()`` derives from the
+written nodes to the per-node reference, and check that a broken rule
+raises ``InvariantError`` even under ``python -O`` and maps to exit code 3
+on the command line.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -49,8 +52,9 @@ from stabgraph import (
     simplify_pair,
     to_reduced,
 )
-from stabgraph import equivalence, transforms
+from stabgraph import equivalence, graph, transforms
 from stabgraph.cli import main
+from stabgraph.graph import _Mutable
 
 GATE_TAGS = {
     "T1", "T2", "T3", "T4", "T5", "T6",
@@ -166,6 +170,81 @@ class TestTrustedRewritesStayValid:
         assert t == g and hash(t) == hash(g) and repr(t) == repr(g)
 
 
+class TestReducedVerdictCache:
+    @settings(max_examples=60, deadline=None)
+    @given(graph_pairs())
+    def test_cached_verdicts_match_the_per_node_reference(self, drawn):
+        g, r, rng = drawn
+        # Settle the sources' verdicts first, as the reduced rules'
+        # pre-checks do; rewrites of a source known to be reduced then
+        # arrive with the verdict freeze() took from the written nodes.
+        is_reduced(g)
+        is_reduced(r)
+        for src in (g, r):
+            for name, out in _rewrites(src, r, rng):
+                if out._reduced is not None:
+                    assert out._reduced == is_reduced_per_node(out), name
+                assert is_reduced(out) == is_reduced_per_node(out), name
+
+    def test_rewrites_of_a_reduced_graph_carry_both_verdicts(self):
+        # The property above only compares verdicts that are there: make
+        # sure every rewrite of a reduced source leaves one, of both kinds.
+        verdicts: dict = {}
+        for seed in range(12):
+            n = 6 + seed % 5
+            r = sparse_graph(n, seed + 100, 0.4, reduced=True)
+            assert is_reduced(r)
+            for name, out in _rewrites(r, r, random.Random(seed)):
+                assert out._reduced is not None, name
+                verdicts.setdefault(name, set()).add(out._reduced)
+        # T4 needs a hollow node with a loop, which no reduced graph has.
+        assert set(verdicts) >= (GATE_TAGS - {"T4"}) | OTHER_REWRITES
+        assert {True, False} <= set().union(*verdicts.values())
+
+    def test_to_reduced_returns_a_graph_known_to_be_reduced_as_is(self):
+        r = sparse_graph(40, 3, 0.1, reduced=True)
+        assert is_reduced(r)
+        assert to_reduced(r) is r
+
+    def test_cached_verdict_leaves_eq_hash_and_repr_alone(self):
+        g = StabilizerGraph.build(3, edges=[(0, 1)], hollow=[2], loops=[0])
+        assert is_reduced(g)
+        out = apply_local_reduced(g, "H", 1)
+        assert out._reduced is True
+        for cached in (g, out):
+            fresh = StabilizerGraph(cached.n, cached.hollow, cached.loop, cached.neg, cached.adj)
+            assert fresh._reduced is None
+            assert cached == fresh and hash(cached) == hash(fresh)
+            assert repr(cached) == repr(fresh)
+        assert "_reduced" not in {f.name for f in dataclasses.fields(StabilizerGraph)}
+
+    def test_writes_the_mask_cannot_record_fail_loudly(self):
+        g = StabilizerGraph.empty(3)
+        assert is_reduced(g)
+        m = _Mutable(g)
+        with pytest.raises(ValueError):
+            m.loop[-1] = True
+        with pytest.raises(TypeError):
+            m.adj[0:1] = [0]
+
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_apply_sequence_rescans_its_result(self, monkeypatch, reduced):
+        # A written-node check that sees nothing lets a broken rule past
+        # the per-gate post-check; the final full scan still catches it.
+        monkeypatch.setattr(graph, "_clean_at", lambda *args: True)
+        monkeypatch.setattr(transforms, "_t2", _break_t2)
+        g = StabilizerGraph.empty(2)
+        assert is_reduced(g)  # so that the general rule also derives a verdict
+        with pytest.raises(InvariantError, match="wrong reduced verdict"):
+            transforms.apply_sequence(g, [("S", (0,))], reduced=reduced)
+
+    def test_apply_sequence_rejects_unreduced_input_with_an_empty_word(self):
+        g = StabilizerGraph.build(1, hollow=[0], loops=[0])
+        with pytest.raises(ValueError, match="not reduced"):
+            transforms.apply_sequence(g, [], reduced=True)
+        assert transforms.apply_sequence(g, []) is g
+
+
 def _perturbed(n: int, seed: int, kind: str) -> StabilizerGraph:
     """A reduced graph, then (maybe) one change that can break reducedness.
 
@@ -232,6 +311,25 @@ def _break_t2(m, j):
     m.loop[j] = True
 
 
+def _break_t2_edge(m, j):
+    # S on a solid node that joins hollow nodes 1 and 2 by item writes
+    # into their adjacency rows, leaving j itself alone: not reduced.
+    m.adj[1] = m.adj[1] | 1 << 2
+    m.adj[2] = m.adj[2] | 1 << 1
+
+
+def _run_under_python_O(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(stabgraph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
 class TestInvariantError:
     def test_reduced_rule_post_check_raises(self, monkeypatch):
         monkeypatch.setattr(transforms, "_t2", _break_t2)
@@ -262,8 +360,14 @@ class TestInvariantError:
         assert len(err.strip().splitlines()) == 1
         assert "invariant" in err
 
+    def test_adj_write_post_check_raises(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_t2", _break_t2_edge)
+        g = StabilizerGraph.build(3, hollow=[1, 2])
+        with pytest.raises(InvariantError, match=r"T\(vi\)"):
+            apply_local_reduced(g, "S", 0)
+
     def test_check_survives_python_O(self):
-        code = textwrap.dedent(
+        proc = _run_under_python_O(
             """
             import sys
             from stabgraph import InvariantError, StabilizerGraph, transforms
@@ -281,14 +385,27 @@ class TestInvariantError:
                 sys.exit("the post-check did not fire")
             """
         )
-        src = str(Path(stabgraph.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: rule T(vi) broke the reduced invariant" in proc.stdout
+
+    def test_adj_write_check_survives_python_O(self):
+        proc = _run_under_python_O(
+            """
+            import sys
+            from stabgraph import InvariantError, StabilizerGraph, transforms
+            def broken(m, j):
+                m.adj[1] = m.adj[1] | 1 << 2
+                m.adj[2] = m.adj[2] | 1 << 1
+            transforms._t2 = broken
+            if sys.flags.optimize < 1:
+                sys.exit("not running under -O")
+            try:
+                transforms.apply_local_reduced(StabilizerGraph.build(3, hollow=[1, 2]), "S", 0)
+            except InvariantError as exc:
+                print("raised:", exc)
+            else:
+                sys.exit("the post-check did not fire")
+            """
         )
         assert proc.returncode == 0, proc.stderr
         assert "raised: rule T(vi) broke the reduced invariant" in proc.stdout

@@ -7,6 +7,8 @@ diagnostics are part of the interface.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +130,56 @@ class TestGraphFormat:
         with pytest.raises(ParseError) as err:
             parse_graph(text)
         assert fragment in str(err.value)
+
+
+class TestHostileGraphText:
+    """Inputs whose cost would otherwise grow with a number they declare."""
+
+    def test_node_count_above_line_count_is_rejected_before_allocating(self):
+        # Each node needs its own line, so 15 bytes cannot declare 10^8
+        # nodes; the parser must say so without building n-length lists.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="larger than the number of lines") as err:
+                parse_graph("nodes 100000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert err.value.line == 1 and err.value.column == 7
+
+    @pytest.mark.parametrize("sep", ["\n", "\r", "\r\n", "\u2028", "\x1c"])
+    def test_every_line_ending_counts_toward_the_bound(self, sep):
+        text = sep.join(["nodes 2", "node 0 solid", "node 1 hollow"])
+        assert parse_graph(text) == G(2, hollow=[1])
+
+    def test_tightest_text_still_parses(self):
+        # n node lines, a header and no final newline: n + 1 lines.
+        text = "nodes 3\n" + "".join(f"node {j} solid\n" for j in range(3))
+        assert parse_graph(text.rstrip("\n")) == G(3)
+
+    def test_missing_ids_are_capped_in_the_message(self):
+        n = 5000
+        with pytest.raises(ParseError) as err:
+            parse_graph(f"nodes {n}" + "\n" * n)
+        msg = str(err.value)
+        assert "missing node line(s) for 5000 id(s): 0, 1, 2" in msg
+        assert msg.endswith("8, 9 and 4990 more")
+        assert len(msg) < 200
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("nodes \u00b2\n", "must be a non-negative integer"),  # a digit int() rejects
+            ("nodes " + "9" * 5000 + "\n", "node count"),
+            ("nodes 1\nnode " + "1" * 5000 + " solid\n", "node id"),
+        ],
+    )
+    def test_odd_integer_tokens_are_parse_errors(self, text, fragment):
+        # 5000 digits is beyond int()'s default conversion limit on the
+        # Pythons that have one; either way the token is a ParseError.
+        with pytest.raises(ParseError, match=fragment):
+            parse_graph(text)
 
 
 class TestCircuitFormat:
