@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import equivalence, transforms
 from .graph import StabilizerGraph, is_reduced, neighbors
 from .oracle import (
+    Statevector,
     apply_gate_dense,
     random_graph,
     random_reduced_graph,
@@ -47,27 +48,36 @@ class RuleReport:
 def check_local(g: StabilizerGraph, gate: str, j: int, reduced: bool) -> bool:
     """Oracle check of one single-node rewrite."""
     apply = transforms.apply_local_reduced if reduced else transforms.apply_local
-    before = statevector_from_graph(g)
-    after = statevector_from_graph(apply(g, gate, j))
-    return states_equal_up_to_global_phase(
-        after, apply_gate_dense(before, gate, j), DEFAULT_TOL
-    )
+    return _acts_as(statevector_from_graph(g), apply(g, gate, j), gate, j)
 
 
 def check_cz(g: StabilizerGraph, j: int, k: int, reduced: bool) -> bool:
     """Oracle check of one CZ rewrite."""
     apply = transforms.apply_cz_reduced if reduced else transforms.apply_cz
-    before = statevector_from_graph(g)
-    after = statevector_from_graph(apply(g, j, k))
-    return states_equal_up_to_global_phase(
-        after, apply_gate_dense(before, "CZ", j, k), DEFAULT_TOL
-    )
+    return _acts_as(statevector_from_graph(g), apply(g, j, k), "CZ", j, k)
 
 
 def check_state_preserved(g: StabilizerGraph, out: StabilizerGraph) -> bool:
     """Oracle check that a rewrite left the state exactly alone."""
+    return _preserves(statevector_from_graph(g), out)
+
+
+# ``before`` is the state of the graph that was rewritten into ``out``; the
+# audit computes it once per graph and shares it among that graph's checks.
+
+
+def _acts_as(
+    before: Statevector, out: StabilizerGraph, gate: str, *targets: int
+) -> bool:
+    after = statevector_from_graph(out)
     return states_equal_up_to_global_phase(
-        statevector_from_graph(g), statevector_from_graph(out), DEFAULT_TOL
+        after, apply_gate_dense(before, gate, *targets), DEFAULT_TOL
+    )
+
+
+def _preserves(before: Statevector, out: StabilizerGraph) -> bool:
+    return states_equal_up_to_global_phase(
+        before, statevector_from_graph(out), DEFAULT_TOL
     )
 
 
@@ -77,28 +87,33 @@ def _tally(counts: dict, rule: str, ok: bool) -> None:
 
 
 def _audit_general_graph(g: StabilizerGraph, counts: dict) -> None:
+    before = statevector_from_graph(g)
     for j in range(g.n):
         for gate in transforms.LOCAL_GATES:
             rule = transforms.classify_local(g, gate, j)
-            _tally(counts, rule, check_local(g, gate, j, reduced=False))
+            out = transforms.apply_local(g, gate, j)
+            _tally(counts, rule, _acts_as(before, out, gate, j))
         if g.loop[j]:
-            _tally(counts, "E1", check_state_preserved(g, equivalence.apply_E1(g, j)))
+            _tally(counts, "E1", _preserves(before, equivalence.apply_E1(g, j)))
     for j in range(g.n):
         for k in range(j + 1, g.n):
             if g.has_edge(j, k) and not g.loop[j] and not g.loop[k]:
                 out = equivalence.apply_E2(g, j, k)
-                _tally(counts, "E2", check_state_preserved(g, out))
+                _tally(counts, "E2", _preserves(before, out))
 
 
 def _audit_reduced_graph(g: StabilizerGraph, counts: dict) -> None:
+    before = statevector_from_graph(g)
     for j in range(g.n):
         for gate in transforms.LOCAL_GATES:
             rule = transforms.classify_local_reduced(g, gate, j)
-            _tally(counts, rule, check_local(g, gate, j, reduced=True))
+            out = transforms.apply_local_reduced(g, gate, j)
+            _tally(counts, rule, _acts_as(before, out, gate, j))
     for j in range(g.n):
         for k in range(j + 1, g.n):
             rule = transforms.classify_cz_reduced(g, j, k)
-            _tally(counts, rule, check_cz(g, j, k, reduced=True))
+            out = transforms.apply_cz_reduced(g, j, k)
+            _tally(counts, rule, _acts_as(before, out, "CZ", j, k))
     for h in range(g.n):
         if not g.hollow[h]:
             continue
@@ -107,11 +122,11 @@ def _audit_reduced_graph(g: StabilizerGraph, counts: dict) -> None:
                 continue
             if g.loop[s]:
                 out = equivalence.apply_Ei(g, h, s)
-                ok = check_state_preserved(g, out) and is_reduced(out)
+                ok = _preserves(before, out) and is_reduced(out)
                 _tally(counts, "E(i)", ok)
             else:
                 out = equivalence.apply_Eii(g, h, s)
-                ok = check_state_preserved(g, out) and is_reduced(out)
+                ok = _preserves(before, out) and is_reduced(out)
                 _tally(counts, "E(ii)", ok)
 
 

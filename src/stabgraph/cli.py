@@ -12,7 +12,8 @@ Subcommands:
 * ``equiv FILE1 FILE2``: decide whether two graphs describe the same
   state up to global phase.
 * ``verify [--n N] [--seed S] [--cases C]``: audit every rewrite rule
-  against the dense simulator on random graphs and print a pass table.
+  against the dense simulator on random graphs of up to N nodes (at most
+  the simulator's cap, 12) and print a pass table.
 
 Exit codes: 0 success (and "equivalent" for equiv), 1 not equivalent or a
 failed verify, 2 unreadable or malformed input (including bytes that are
@@ -33,6 +34,7 @@ from .circuit import circuit_from_graph, graph_from_circuit
 from .convert import generator_matrix_from_graph, graph_from_generator_matrix
 from .equivalence import graphs_equivalent, to_reduced
 from .graph import InvariantError, StabilizerGraph
+from .oracle import MAX_QUBITS
 from .textio import (
     ParseError,
     format_circuit,
@@ -168,6 +170,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _audit_size(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_QUBITS:
+        raise argparse.ArgumentTypeError(
+            f"{value} exceeds the dense-simulation cap of {MAX_QUBITS}"
+        )
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="stabgraph",
@@ -200,7 +211,10 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("verify", help="audit the rules against the simulator")
-    p.add_argument("--n", type=_positive_int, default=6, help="largest graph size")
+    p.add_argument(
+        "--n", type=_audit_size, default=6,
+        help=f"largest graph size, at most {MAX_QUBITS}",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=_positive_int, default=200, help="graphs per family")
     p.set_defaults(func=_cmd_verify)

@@ -16,13 +16,14 @@ All operations return new graphs; instances are frozen and hashable.
 
 Validation happens at the trust boundary.  The public constructor (and so
 ``build``, ``empty`` and the text parsers, which go through it) stores the
-flags as Python bools (accepting only entries equal to 0 or 1), checks the
-lengths, the adjacency range, the zero diagonal and symmetry, and raises
-``ValueError`` on bad input.  Rewrites of an already-valid graph go through
-``_Mutable.freeze()``, which uses the unchecked ``StabilizerGraph._trusted``
-constructor, so a gate costs about the degree of its target rather than a
-full O(n*deg) symmetry check; ``apply_sequence`` runs one ``_validate()`` on
-the graph it returns.
+flags as Python bools (accepting only entries equal to 0 or 1) and ``n``
+and the adjacency rows as Python ints (accepting anything
+``operator.index`` takes), checks the lengths, the adjacency range, the
+zero diagonal and symmetry, and raises ``ValueError`` on bad input.
+Rewrites of an already-valid graph go through ``_Mutable.freeze()``, which
+uses the unchecked ``StabilizerGraph._trusted`` constructor, so a gate
+costs about the degree of its target rather than a full O(n*deg) symmetry
+check; ``apply_sequence`` runs one ``_validate()`` on the graph it returns.
 
 The reduced invariant is checked after every reduced rule and after
 ``to_reduced``, with an explicit ``InvariantError`` that survives
@@ -80,6 +81,22 @@ def _bool_flags(name: str, flags: Iterable[object]) -> Tuple[bool, ...]:
     return tuple(out)
 
 
+def _index_rows(adj: Iterable[object]) -> Tuple[int, ...]:
+    """``adj`` as a tuple of Python ints; each row must be an integer."""
+    adj = tuple(adj)
+    if set(map(type, adj)) <= {int}:
+        return adj
+    out = []
+    for j, row in enumerate(adj):
+        try:
+            out.append(operator.index(row))
+        except TypeError:
+            raise ValueError(
+                f"adjacency row {j} must be an integer, got {row!r}"
+            ) from None
+    return tuple(out)
+
+
 def _hollow_clashes(
     hollow_flags: Sequence[bool], adj: Sequence[int], hollow: int
 ) -> int:
@@ -106,8 +123,13 @@ class StabilizerGraph:
     _reduced = None
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {self.n!r}") from None
         for name in ("hollow", "loop", "neg"):
             object.__setattr__(self, name, _bool_flags(name, getattr(self, name)))
+        object.__setattr__(self, "adj", _index_rows(self.adj))
         self._validate()
 
     def _validate(self) -> None:

@@ -7,13 +7,17 @@ amplitude index, i.e. basis state |q0 q1 ... q_{n-1}> sits at index
 q0*2^(n-1) + ... + q_{n-1}.
 
 Simulation is deliberately independent of the rewrite rules: circuits are
-executed gate by gate and nothing in this module consults the closed-form
-generator formulas.  Sizes are capped (default 12 qubits) because vectors
-grow as 2^n.
+executed layer by layer, with one vectorized pass for the diagonal CZ/Z/S
+phase, an in-place butterfly for each terminal Hadamard and a single
+normalization check, and nothing in this module consults the rewrite
+rules or the closed-form generator formulas.  Sizes are capped (default
+12 qubits) because vectors grow as 2^n.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -27,6 +31,7 @@ from .pauli import GATE_ARITY, PauliString
 MAX_QUBITS = 12
 DEFAULT_TOL = 1e-9
 _INV_SQRT2 = 2.0**-0.5
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +45,7 @@ class Statevector:
         object.__setattr__(self, "amps", amps)
         if amps.ndim != 1 or amps.size == 0 or amps.size & (amps.size - 1):
             raise ValueError("amplitude count must be a power of two")
-        if abs(np.linalg.norm(amps) - 1.0) > DEFAULT_TOL:
+        if abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > DEFAULT_TOL:
             raise ValueError("state is not normalized")
 
     @property
@@ -48,9 +53,23 @@ class Statevector:
         return self.amps.size.bit_length() - 1
 
 
-def _qubit_bit(n: int, q: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    return (idx >> (n - 1 - q)) & 1
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _index_bits(n: int) -> np.ndarray:
+    """Read-only (2^n, n) float table: entry [i, q] is qubit q's bit of i."""
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits = bits.astype(float)
+    bits.flags.writeable = False
+    return bits
+
+
+def _butterfly(amps: np.ndarray, q: int) -> None:
+    """In place: Hadamard on qubit q of ``amps``, without its 1/sqrt(2)."""
+    n = amps.size.bit_length() - 1
+    view = amps.reshape(1 << q, 2, 1 << (n - 1 - q))
+    lo, hi = view[:, 0], view[:, 1]
+    diff = lo - hi
+    lo += hi
+    hi[...] = diff
 
 
 def apply_gate_dense(v: Statevector, gate: str, *targets: int) -> Statevector:
@@ -64,48 +83,46 @@ def apply_gate_dense(v: Statevector, gate: str, *targets: int) -> Statevector:
     for t in targets:
         if not 0 <= t < n:
             raise ValueError(f"target {t} out of range for n={n}")
-    amps = v.amps.copy()
+    if gate == "CZ" and targets[0] == targets[1]:
+        raise ValueError("CZ targets must differ")
     if gate == "H":
-        (t,) = targets
-        tens = amps.reshape([2] * n)
-        lo = tens.take(0, axis=t)
-        hi = tens.take(1, axis=t)
-        tens = np.stack(((lo + hi) * _INV_SQRT2, (lo - hi) * _INV_SQRT2), axis=t)
-        amps = tens.reshape(-1)
-    elif gate == "S":
-        (t,) = targets
-        amps[_qubit_bit(n, t) == 1] *= 1j
-    elif gate == "Z":
-        (t,) = targets
-        amps[_qubit_bit(n, t) == 1] *= -1
-    else:  # CZ
-        a, b = targets
-        if a == b:
-            raise ValueError("CZ targets must differ")
-        amps[(_qubit_bit(n, a) & _qubit_bit(n, b)) == 1] *= -1
+        amps = v.amps * _INV_SQRT2
+        _butterfly(amps, targets[0])
+    else:
+        bits = _index_bits(n)
+        hit = bits[:, targets[0]]
+        if gate == "CZ":
+            hit = hit * bits[:, targets[1]]
+        amps = v.amps.copy()
+        amps[hit != 0] *= 1j if gate == "S" else -1
     return Statevector(amps)
 
 
 def statevector_from_circuit(
     c: GraphFormCircuit, max_qubits: int = MAX_QUBITS
 ) -> Statevector:
-    """Execute the three-layer circuit on |0...0>."""
+    """Run the three-layer circuit on |0...0>, layer by layer."""
     n = c.n
     if n > max_qubits:
         raise ValueError(f"n={n} exceeds the dense-simulation cap of {max_qubits}")
-    # Layer 1 analytically: uniform superposition.
-    amps = np.full(1 << n, _INV_SQRT2**n, dtype=complex)
-    # Layers 2 and 3 up to the terminal Hadamards are diagonal.
-    for a, b in sorted(c.cz):
-        amps[(_qubit_bit(n, a) & _qubit_bit(n, b)) == 1] *= -1
-    for q in sorted(c.z_set):
-        amps[_qubit_bit(n, q) == 1] *= -1
-    for q in sorted(c.s_set):
-        amps[_qubit_bit(n, q) == 1] *= 1j
-    v = Statevector(amps)
-    for q in sorted(c.h_set):
-        v = apply_gate_dense(v, "H", q)
-    return v
+    # Layers 1-3 up to the terminal Hadamards in one pass: basis state b
+    # gets i^(b.M.b), where M holds 2 on each CZ pair (upper triangle) and
+    # 2z + s on the diagonal, scaled by 1/sqrt(2) per layer-1 and terminal
+    # Hadamard so that the butterflies below need no scaling.
+    m = [0.0] * (n * n)
+    for a, b in c.cz:
+        m[a * n + b] = 2.0
+    for q in c.z_set:
+        m[q * (n + 1)] += 2.0
+    for q in c.s_set:
+        m[q * (n + 1)] += 1.0
+    bits = _index_bits(n)
+    quad = np.einsum("ij,ij->i", bits @ np.array(m).reshape(n, n), bits)
+    phase = quad.astype(np.intp) & 3
+    amps = (_I_POWERS * _INV_SQRT2 ** (n + len(c.h_set)))[phase]
+    for q in c.h_set:
+        _butterfly(amps, q)
+    return Statevector(amps)
 
 
 def statevector_from_graph(
@@ -119,18 +136,12 @@ def apply_pauli(v: Statevector, p: PauliString) -> Statevector:
     n = v.n
     if p.n != n:
         raise ValueError(f"size mismatch: state has {n} qubits, operator {p.n}")
-    idx = np.arange(1 << n)
-    parity = np.zeros(1 << n, dtype=np.int64)
-    x_idx = 0
-    for q in range(n):
-        pos = n - 1 - q
-        if (p.z >> q) & 1:
-            parity ^= (idx >> pos) & 1
-        if (p.x >> q) & 1:
-            x_idx |= 1 << pos
-    overall = p.sign * (1, 1j, -1, -1j)[(p.x & p.z).bit_count() % 4]
-    out = np.empty_like(v.amps)
-    out[idx ^ x_idx] = overall * np.where(parity, -1.0, 1.0) * v.amps
+    z = [(p.z >> q) & 1 for q in range(n)]
+    signs = 1.0 - 2.0 * ((_index_bits(n) @ z) % 2)
+    overall = p.sign * _I_POWERS[(p.x & p.z).bit_count() % 4]
+    # X on qubit q maps index i to i ^ bit(q): reverse that tensor axis.
+    flip = tuple(slice(None, None, -1 if (p.x >> q) & 1 else 1) for q in range(n))
+    out = (overall * signs * v.amps).reshape((2,) * n)[flip].reshape(-1)
     return Statevector(out)
 
 

@@ -183,3 +183,58 @@ def sparse_graph(n: int, seed: int, p: float, *, reduced: bool = False) -> Stabi
         loops=[j for j in range(n) if loops[j]],
         neg=[j for j in range(n) if neg[j]],
     )
+
+
+def _qubit_bit(n: int, q: int) -> np.ndarray:
+    idx = np.arange(1 << n)
+    return (idx >> (n - 1 - q)) & 1
+
+
+def statevector_gate_by_gate(c) -> np.ndarray:
+    """Reference for ``statevector_from_circuit``: the circuit's amplitudes
+    built one gate at a time, each diagonal gate as a masked multiply and
+    each terminal Hadamard as a stack of the two halves of its axis."""
+    n = c.n
+    amps = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
+    for a, b in sorted(c.cz):
+        amps[(_qubit_bit(n, a) & _qubit_bit(n, b)) == 1] *= -1
+    for q in sorted(c.z_set):
+        amps[_qubit_bit(n, q) == 1] *= -1
+    for q in sorted(c.s_set):
+        amps[_qubit_bit(n, q) == 1] *= 1j
+    for q in sorted(c.h_set):
+        tens = amps.reshape([2] * n)
+        lo, hi = tens.take(0, axis=q), tens.take(1, axis=q)
+        amps = np.stack((lo + hi, lo - hi), axis=q).reshape(-1) / np.sqrt(2.0)
+    return amps
+
+
+def statevector_by_unitaries(c) -> np.ndarray:
+    """The circuit's amplitudes as the product of full ``gate_unitary``
+    matrices applied to |0...0>; memory grows as 4^n, so keep n small."""
+    amps = np.zeros(1 << c.n, dtype=complex)
+    amps[0] = 1.0
+    gates = [("H", q) for q in range(c.n)]
+    gates += [("CZ", a, b) for a, b in sorted(c.cz)]
+    gates += [("Z", q) for q in sorted(c.z_set)]
+    gates += [("S", q) for q in sorted(c.s_set)]
+    gates += [("H", q) for q in sorted(c.h_set)]
+    for gate, *targets in gates:
+        amps = gate_unitary(c.n, gate, *targets) @ amps
+    return amps
+
+
+def random_circuit(n: int, seed: int):
+    """A three-layer circuit whose every CZ pair and local gate is a coin."""
+    from stabgraph import GraphFormCircuit
+
+    rng = random.Random(seed)
+
+    def coins(items):
+        return frozenset(x for x in items if rng.random() < 0.5)
+
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return GraphFormCircuit(
+        n, cz=coins(pairs), z_set=coins(range(n)), s_set=coins(range(n)),
+        h_set=coins(range(n)),
+    )

@@ -2,8 +2,99 @@
 
 from __future__ import annotations
 
-from stabgraph import audit_rules, format_report
-from stabgraph.audit import ALL_RULES, EQUIV_RULES, GATE_RULES, RuleReport
+import pytest
+
+import stabgraph.audit as audit
+from stabgraph import (
+    audit_rules,
+    flip_sign,
+    format_report,
+    random_graph,
+    random_reduced_graph,
+)
+from stabgraph.audit import (
+    ALL_RULES,
+    EQUIV_RULES,
+    GATE_RULES,
+    RuleReport,
+    check_cz,
+    check_local,
+    check_state_preserved,
+)
+
+# Reports of the gate-by-gate oracle that preceded the layer-by-layer one;
+# the audit's tallies must not move when the oracle gets faster.
+PINNED_REPORTS = {
+    (4, 24, 0): """\
+rule       cases  failures  status
+T1            60         0  PASS
+T2            32         0  PASS
+T3            12         0  PASS
+T4            16         0  PASS
+T5            62         0  PASS
+T6            58         0  PASS
+T(i)           7         0  PASS
+T(ii)         12         0  PASS
+T(iii)         4         0  PASS
+T(iv)          7         0  PASS
+T(v)          30         0  PASS
+T(vi)         30         0  PASS
+T(vii)        30         0  PASS
+T(viii)       20         0  PASS
+T(ix)         19         0  PASS
+T(x)          21         0  PASS
+E1            36         0  PASS
+E2             4         0  PASS
+E(i)           8         0  PASS
+E(ii)          4         0  PASS
+""",
+    (5, 30, 11): """\
+rule       cases  failures  status
+T1            90         0  PASS
+T2            39         0  PASS
+T3            26         0  PASS
+T4            25         0  PASS
+T5            82         0  PASS
+T6            98         0  PASS
+T(i)          11         0  PASS
+T(ii)          6         0  PASS
+T(iii)        13         0  PASS
+T(iv)         13         0  PASS
+T(v)          47         0  PASS
+T(vi)         43         0  PASS
+T(vii)        47         0  PASS
+T(viii)       22         0  PASS
+T(ix)         68         0  PASS
+T(x)          30         0  PASS
+E1            42         0  PASS
+E2            15         0  PASS
+E(i)          19         0  PASS
+E(ii)         15         0  PASS
+""",
+    (6, 12, 2024): """\
+rule       cases  failures  status
+T1            42         0  PASS
+T2            18         0  PASS
+T3            14         0  PASS
+T4            10         0  PASS
+T5            43         0  PASS
+T6            41         0  PASS
+T(i)           4         0  PASS
+T(ii)         11         0  PASS
+T(iii)         6         0  PASS
+T(iv)          4         0  PASS
+T(v)          17         0  PASS
+T(vi)         25         0  PASS
+T(vii)        17         0  PASS
+T(viii)       25         0  PASS
+T(ix)         34         0  PASS
+T(x)          11         0  PASS
+E1            19         0  PASS
+E2             9         0  PASS
+E(i)           5         0  PASS
+E(ii)          7         0  PASS
+""",
+}
 
 
 def test_rule_inventory():
@@ -44,3 +135,46 @@ def test_format_report_is_a_table():
     assert all("FAIL" not in line for line in lines)
     for tag in ("T1", "T(x)", "E(i)"):
         assert any(tag in line for line in lines)
+
+
+@pytest.mark.parametrize("budget", sorted(PINNED_REPORTS))
+def test_report_text_is_pinned(budget):
+    max_n, graphs, seed = budget
+    text = format_report(audit_rules(max_n=max_n, graphs=graphs, seed=seed))
+    assert text == PINNED_REPORTS[budget]
+
+
+def test_public_checks_compute_their_own_reference():
+    g = random_graph(4, 5)
+    r = random_reduced_graph(4, 5)
+    for j in range(4):
+        for gate in ("H", "S", "Z"):
+            assert check_local(g, gate, j, reduced=False)
+            assert check_local(r, gate, j, reduced=True)
+        for k in range(j + 1, 4):
+            assert check_cz(r, j, k, reduced=True)
+    assert check_state_preserved(g, g)
+    assert not check_state_preserved(g, flip_sign(g, 0))
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_each_audited_graph_state_is_computed_once(monkeypatch, reduced):
+    # Every oracle call but one is the state of a rewritten graph; the
+    # audited graph's own state is computed once and shared by its checks.
+    seen = []
+    real = audit.statevector_from_graph
+
+    def spy(g):
+        seen.append(g)
+        return real(g)
+
+    monkeypatch.setattr(audit, "statevector_from_graph", spy)
+    sample = random_reduced_graph if reduced else random_graph
+    run = audit._audit_reduced_graph if reduced else audit._audit_general_graph
+    g = sample(5, 8)
+    counts = {rule: (0, 0) for rule in ALL_RULES}
+    run(g, counts)
+    checks = sum(c for c, _ in counts.values())
+    assert checks > 0 and len(seen) == checks + 1
+    assert seen[0] is g
+    assert all(f == 0 for _, f in counts.values())

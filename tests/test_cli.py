@@ -30,7 +30,9 @@ from stabgraph import (
     statevector_from_graph,
     states_equal_up_to_global_phase,
 )
+from stabgraph import cli
 from stabgraph.cli import main, parse_script, ScriptError
+from stabgraph.oracle import MAX_QUBITS
 
 G = StabilizerGraph.build
 
@@ -214,6 +216,17 @@ class TestVerify:
             main(["verify", "--n", "0", "--cases", "4"])
         assert exc.value.code == 2
         assert "--n" in capsys.readouterr().err
+
+    def test_n_above_the_oracle_cap_exits_2_before_any_audit(self, capsys, monkeypatch):
+        def no_audit(**kwargs):
+            raise AssertionError("the audit must not start")
+
+        monkeypatch.setattr(cli, "audit_rules", no_audit)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", str(MAX_QUBITS + 1), "--cases", str(MAX_QUBITS + 1)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n" in err and f"dense-simulation cap of {MAX_QUBITS}" in err
 
 
 class TestScriptParsing:

@@ -90,12 +90,39 @@ class TestConstruction:
         with pytest.raises(ValueError, match=rf"{field}\[1\] must be 0 or 1"):
             StabilizerGraph(2, flags["hollow"], flags["loop"], flags["neg"], (0, 0))
 
+    def test_numpy_int_rows_and_n_are_stored_as_int(self):
+        g = StabilizerGraph(
+            np.int64(2), (False,) * 2, (False,) * 2, (False,) * 2,
+            (np.int64(2), np.uint8(1)),
+        )
+        assert g == StabilizerGraph.build(2, edges=[(0, 1)])
+        assert type(g.n) is int and all(type(row) is int for row in g.adj)
+        assert hash(g) == hash(StabilizerGraph.build(2, edges=[(0, 1)]))
+        assert is_reduced(g)
+
+    def test_adjacency_list_is_stored_as_tuple(self):
+        g = StabilizerGraph(2, (False,) * 2, (False,) * 2, (False,) * 2, [2, 1])
+        assert g.adj == (2, 1)
+
+    @pytest.mark.parametrize("bad", [2.0, "2", None, 1.5])
+    def test_rejects_rows_that_are_not_integers(self, bad):
+        f = (False,) * 2
+        with pytest.raises(ValueError, match=r"adjacency row 0 must be an integer"):
+            StabilizerGraph(2, f, f, f, (bad, 1))
+
+    @pytest.mark.parametrize("bad", [2.0, "2", None])
+    def test_rejects_n_that_is_not_an_integer(self, bad):
+        f = (False,) * 2
+        with pytest.raises(ValueError, match=r"n must be an integer"):
+            StabilizerGraph(bad, f, f, f, (2, 1))
+
     def test_trusted_constructor_stays_unchecked(self):
         # Rewrites only ever write Python bools; the private constructor
         # takes the tuples as they are.
         flags = (np.True_, 1)
-        g = StabilizerGraph._trusted(2, flags, flags, flags, (0, 0))
-        assert g.hollow is flags
+        rows = (np.int64(0), np.int64(0))
+        g = StabilizerGraph._trusted(2, flags, flags, flags, rows)
+        assert g.hollow is flags and g.adj is rows
 
     def test_graphs_hash_and_compare(self):
         a = StabilizerGraph.build(2, edges=[(0, 1)])

@@ -1,8 +1,10 @@
 """Tests for the dense statevector reference implementation.
 
 The oracle must itself be trustworthy, so it is pinned here against
-hand-written amplitudes and against the kron-built unitaries from
-``tests/helpers.py`` — a third, entirely independent construction.
+hand-written amplitudes, against the kron-built unitaries from
+``tests/helpers.py`` — a third, entirely independent construction — and,
+amplitude by amplitude, against the gate-by-gate circuit run kept there
+as the reference for the layer-by-layer one.
 """
 
 from __future__ import annotations
@@ -12,8 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gate_unitary, pauli_matrix
+from helpers import (
+    gate_unitary,
+    pauli_matrix,
+    random_circuit,
+    statevector_by_unitaries,
+    statevector_gate_by_gate,
+)
 from stabgraph import (
+    GraphFormCircuit,
     PauliString,
     StabilizerGraph,
     Statevector,
@@ -28,9 +37,17 @@ from stabgraph import (
     statevector_from_graph,
     states_equal_up_to_global_phase,
 )
+from stabgraph.oracle import _index_bits
 
 G = StabilizerGraph.build
 INV_SQRT2 = 1 / np.sqrt(2.0)
+TOL = 1e-9
+
+
+def max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest amplitude-wise distance: an exact comparison, no phase freedom."""
+    assert a.shape == b.shape
+    return float(np.max(np.abs(a - b)))
 
 
 class TestStatevectorType:
@@ -87,7 +104,82 @@ class TestGraphStates:
             )
 
 
+class TestLayerByLayerCircuit:
+    """``statevector_from_circuit`` runs the diagonal layers in one pass and
+    the Hadamards as butterflies; it must agree amplitude by amplitude,
+    global phase included, with a gate-by-gate run and with the product of
+    kron-built unitaries."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(0, 2**32))
+    def test_matches_gate_by_gate_and_kron_product(self, n, seed):
+        c = random_circuit(n, seed)
+        amps = statevector_from_circuit(c).amps
+        assert max_gap(amps, statevector_gate_by_gate(c)) <= TOL
+        assert max_gap(amps, statevector_by_unitaries(c)) <= TOL
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_gate_by_gate_at_the_cap(self, seed):
+        # A 2^12-square complex matrix is 256 MB, so at the cap the
+        # gate-by-gate run is the only reference.
+        c = random_circuit(12, seed)
+        assert max_gap(statevector_from_circuit(c).amps, statevector_gate_by_gate(c)) <= TOL
+
+    def test_every_hadamard_and_phase_layer_counts(self):
+        # All Hadamards and no phase, then each single layer on its own.
+        n = 5
+        full = frozenset(range(n))
+        empty = frozenset()
+        pairs = frozenset((a, b) for a in range(n) for b in range(a + 1, n))
+        for cz, z, s, h in (
+            (empty, empty, empty, full),
+            (pairs, empty, empty, empty),
+            (empty, full, empty, empty),
+            (empty, empty, full, empty),
+            (pairs, full, full, full),
+        ):
+            c = GraphFormCircuit(n, cz=cz, z_set=z, s_set=s, h_set=h)
+            assert max_gap(statevector_from_circuit(c).amps, statevector_by_unitaries(c)) <= TOL
+
+    def test_index_bit_table_is_read_only_and_shared(self):
+        bits = _index_bits(3)
+        assert bits is _index_bits(3)
+        assert bits.shape == (8, 3) and not bits.flags.writeable
+        # Qubit 0 is the most significant bit of the index.
+        assert bits[0b110].tolist() == [1, 1, 0]
+        assert bits[0b001].tolist() == [0, 0, 1]
+        with pytest.raises(ValueError):
+            bits[0, 0] = 1
+
+
 class TestApplyGateDense:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_gate_and_target_entrywise(self, n):
+        for seed in range(3):
+            v = statevector_from_graph(random_graph(n, seed))
+            for gate in ("H", "S", "Z"):
+                for q in range(n):
+                    expect = gate_unitary(n, gate, q) @ v.amps
+                    assert max_gap(apply_gate_dense(v, gate, q).amps, expect) <= TOL
+            for a in range(n):
+                for b in range(n):
+                    if a != b:
+                        expect = gate_unitary(n, "CZ", a, b) @ v.amps
+                        got = apply_gate_dense(v, "CZ", a, b).amps
+                        assert max_gap(got, expect) <= TOL
+
+    def test_input_state_is_left_alone(self):
+        v = statevector_from_graph(random_graph(4, 3))
+        before = v.amps.copy()
+        for gate, targets in (("H", (1,)), ("S", (2,)), ("Z", (0,)), ("CZ", (1, 3))):
+            apply_gate_dense(v, gate, *targets)
+        assert np.array_equal(v.amps, before)
+
+    def test_rejects_equal_cz_targets(self):
+        v = statevector_from_graph(G(2))
+        with pytest.raises(ValueError, match="must differ"):
+            apply_gate_dense(v, "CZ", 1, 1)
+
     @pytest.mark.parametrize("gate", ["H", "S", "Z"])
     def test_single_qubit_against_kron(self, gate):
         for seed in range(10):
