@@ -25,10 +25,10 @@ they can be checked against each other and against the dense simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Sequence, Tuple
 
-from .graph import StabilizerGraph, _bits
-from .pauli import PauliString, conjugate
+from .graph import StabilizerGraph, _mask
+from .pauli import PauliString, Row, conjugate
 
 
 @dataclass(frozen=True)
@@ -71,26 +71,30 @@ def circuit_from_graph(g: StabilizerGraph) -> GraphFormCircuit:
     )
 
 
+def _closed_form_rows(
+    hollow: Sequence[bool], loop: Sequence[bool], neg: Sequence[bool], adj: Sequence[int]
+) -> list[Row]:
+    """Packed closed-form generators (x, z, sign) of a decorated graph."""
+    hollow_mask = _mask(hollow)
+    rows = []
+    for j, nbrs in enumerate(adj):
+        a, b, cc = neg[j], loop[j], hollow[j]
+        x, z = nbrs & hollow_mask, nbrs & ~hollow_mask
+        if b:
+            x, z = x | 1 << j, z | 1 << j
+        elif cc:
+            z |= 1 << j
+        else:
+            x |= 1 << j
+        rows.append((x, z, -1 if (a + (b and cc)) % 2 else 1))
+    return rows
+
+
 def generators_from_circuit(c: GraphFormCircuit) -> tuple[PauliString, ...]:
     """Closed-form stabilizer generators, one per qubit."""
     g = graph_from_circuit(c)
-    gens = []
-    for j in range(g.n):
-        a, b, cc = g.neg[j], g.loop[j], g.hollow[j]
-        if b:
-            x, z = 1 << j, 1 << j
-        elif cc:
-            x, z = 0, 1 << j
-        else:
-            x, z = 1 << j, 0
-        for k in _bits(g.adj[j]):
-            if g.hollow[k]:
-                x |= 1 << k
-            else:
-                z |= 1 << k
-        sign = -1 if (a + (b and cc)) % 2 else 1
-        gens.append(PauliString(g.n, x, z, sign))
-    return tuple(gens)
+    rows = _closed_form_rows(g.hollow, g.loop, g.neg, g.adj)
+    return tuple(PauliString(g.n, x, z, sign) for x, z, sign in rows)
 
 
 def generators_by_conjugation(c: GraphFormCircuit) -> tuple[PauliString, ...]:

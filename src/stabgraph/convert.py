@@ -12,79 +12,77 @@ signs recovers the sign-free behavior.  The diagonal strip uses S itself
 (not its inverse); the leftover Z this leaves behind is exactly what the
 sign solve absorbs into the node signs.
 
+All of this runs on packed ``(x, z, sign)`` rows.  A conjugation touches
+only the rows it changes: H on column c the rows with x or z set there,
+S on column q (the x block being the identity by then) only row q.  The
+sign solve and its reproduction check read the graph's generators from
+``circuit._closed_form_rows``, the closed form ``generators_from_circuit`` uses.
+
 The result is always reduced: hollow columns have no loops (their diagonal
 block is zero) and no edges among each other.  Node indices follow
 ``qubit_of_column`` back to the original qubit labels.
 
 ``generator_matrix_from_graph`` is the reverse direction, reading the
-generators off the graph's preparation circuit.
+generators off the same closed form.
 """
 
 from __future__ import annotations
 
-from .circuit import circuit_from_graph, generators_from_circuit
-from .graph import InvariantError, StabilizerGraph, is_reduced
-from .pauli import GeneratorMatrix, PauliString, conjugate, to_canonical_form
+from .circuit import _closed_form_rows
+from .graph import InvariantError, StabilizerGraph, _bits, is_reduced
+from .pauli import GeneratorMatrix, PauliString, _conjugate, to_canonical_form
 
 
 def graph_from_generator_matrix(mat: GeneratorMatrix) -> StabilizerGraph:
     """Draw the stabilizer state fixed by ``mat`` as a reduced graph."""
     canon, rank = to_canonical_form(mat)
     n = mat.n
+    want = [(r.x, r.z, r.sign) for r in canon.rows]
 
-    # Work in column space first; relabel at the very end.
-    rows = list(canon.rows)
-    for c in range(rank, n):
-        rows = [conjugate(r, "H", c) for r in rows]
-    for q, r in enumerate(rows):
-        if r.x != 1 << q:
+    # Work in column space first; relabel at the very end.  Hadamards on
+    # the columns rank..n-1 commute, so each row takes those it touches.
+    hollow_cols = (1 << n) - (1 << rank)
+    rows = []
+    for row in want:
+        for c in _bits((row[0] | row[1]) & hollow_cols):
+            row = _conjugate(row, "H", c)
+        rows.append(row)
+    for q, (x, _, _) in enumerate(rows):
+        if x != 1 << q:
             raise InvariantError("x block is not the identity after Hadamards")
-    loops = [bool((rows[q].z >> q) & 1) for q in range(n)]
+    loops = tuple(bool((z >> q) & 1) for q, (_, z, _) in enumerate(rows))
     for q, has_loop in enumerate(loops):
         if has_loop:
             if q >= rank:
                 raise InvariantError("hollow column acquired a loop")
-            rows = [conjugate(r, "S", q) for r in rows]
+            rows[q] = _conjugate(rows[q], "S", q)
     adj = []
-    for q, r in enumerate(rows):
-        if (r.z >> q) & 1:
+    for q, (_, z, _) in enumerate(rows):
+        if (z >> q) & 1:
             raise InvariantError("adjacency diagonal not cleared")
-        adj.append(r.z)
+        adj.append(z)
 
     hollow = tuple(q >= rank for q in range(n))
-    unsigned = StabilizerGraph(n, hollow, tuple(loops), (False,) * n, tuple(adj))
-    base_gens = generators_from_circuit(circuit_from_graph(unsigned))
     neg = []
-    for q in range(n):
-        want = canon.rows[q]
-        got = base_gens[q]
-        if (got.x, got.z) != (want.x, want.z):
+    for (x, z, sign), (wx, wz, wsign) in zip(
+        _closed_form_rows(hollow, loops, (False,) * n, adj), want
+    ):
+        if (x, z) != (wx, wz):
             raise InvariantError("closed-form generator mismatch in sign solve")
-        neg.append(got.sign != want.sign)
-    colgraph = StabilizerGraph(n, hollow, tuple(loops), tuple(neg), tuple(adj))
-    check = generators_from_circuit(circuit_from_graph(colgraph))
-    if check != canon.rows:
+        neg.append(sign != wsign)
+    if _closed_form_rows(hollow, loops, neg, adj) != want:
         raise InvariantError("sign solve failed to reproduce the canonical rows")
 
     # Undo the column permutation: column c describes original qubit
-    # qubit_of_column[c].
+    # qubit_of_column[c], so qubit q reads column at[q].
     perm = canon.qubit_of_column
-    out_hollow = [False] * n
-    out_loop = [False] * n
-    out_neg = [False] * n
-    out_adj = [0] * n
-    for c in range(n):
-        q = perm[c]
-        out_hollow[q] = colgraph.hollow[c]
-        out_loop[q] = colgraph.loop[c]
-        out_neg[q] = colgraph.neg[c]
-        row = 0
-        for c2 in range(n):
-            if (colgraph.adj[c] >> c2) & 1:
-                row |= 1 << perm[c2]
-        out_adj[q] = row
+    at = sorted(range(n), key=perm.__getitem__)
     out = StabilizerGraph(
-        n, tuple(out_hollow), tuple(out_loop), tuple(out_neg), tuple(out_adj)
+        n,
+        tuple(hollow[c] for c in at),
+        tuple(loops[c] for c in at),
+        tuple(neg[c] for c in at),
+        tuple(sum(1 << perm[c2] for c2 in _bits(adj[c])) for c in at),
     )
     if not is_reduced(out):
         raise InvariantError("matrix-to-graph result is not reduced")
@@ -93,5 +91,5 @@ def graph_from_generator_matrix(mat: GeneratorMatrix) -> StabilizerGraph:
 
 def generator_matrix_from_graph(g: StabilizerGraph) -> GeneratorMatrix:
     """Generators of the state a graph describes, one per node."""
-    gens = generators_from_circuit(circuit_from_graph(g))
-    return GeneratorMatrix(g.n, gens)
+    rows = _closed_form_rows(g.hollow, g.loop, g.neg, g.adj)
+    return GeneratorMatrix(g.n, tuple(PauliString(g.n, *row) for row in rows))

@@ -45,7 +45,8 @@ class Statevector:
         object.__setattr__(self, "amps", amps)
         if amps.ndim != 1 or amps.size == 0 or amps.size & (amps.size - 1):
             raise ValueError("amplitude count must be a power of two")
-        if abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > DEFAULT_TOL:
+        # Written so that a NaN norm fails the test too.
+        if not abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) <= DEFAULT_TOL:
             raise ValueError("state is not normalized")
 
     @property
@@ -159,7 +160,7 @@ def stabilizer_check(
 ) -> bool:
     """True when every generator fixes the state: g|v> == |v> within tol."""
     for g in gens:
-        if np.max(np.abs(apply_pauli(v, g).amps - v.amps)) > tol:
+        if not np.max(np.abs(apply_pauli(v, g).amps - v.amps)) <= tol:  # NaN fails
             return False
     return True
 

@@ -20,17 +20,29 @@ generator matrix over GF(2) into the block pattern
 (x parts left of the bar, z parts right, B symmetric), recording any qubit
 swaps in ``qubit_of_column``.  This shape is the entry point for turning a
 generator matrix into a decorated graph.
+
+``PauliString`` is the public type.  Internally, products, conjugations
+and the canonical form run on packed ``(x, z, sign)`` integer rows, with
+``multiply`` and ``conjugate`` as thin wrappers, and the ``GeneratorMatrix``
+checks read the bit matrix through its column masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import reduce
+from itertools import compress
+from operator import or_, xor
+from typing import Iterable, Optional, Sequence, Tuple
+
+from .graph import _bits, _mask
 
 GATE_ARITY = {"H": 1, "S": 1, "Z": 1, "CZ": 2}
 
 _LETTER_OF_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS_OF_LETTER = {v: k for k, v in _LETTER_OF_BITS.items()}
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII digits to bytes 0/1
+Row = Tuple[int, int, int]  # a packed PauliString: (x, z, sign)
 
 
 @dataclass(frozen=True)
@@ -94,6 +106,24 @@ def skew_product(p: PauliString, q: PauliString) -> int:
     return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) & 1
 
 
+def _multiply(p: Row, q: Row) -> Row:
+    """Packed product p*q of two commuting rows (see ``multiply``)."""
+    px, pz, ps = p
+    qx, qz, qs = q
+    x = px ^ qx
+    z = pz ^ qz
+    # Phase of the bitwise product, as a power of i mod 4.
+    t = (
+        (px & pz).bit_count()
+        + (qx & qz).bit_count()
+        + 2 * (pz & qx).bit_count()
+        - (x & z).bit_count()
+    ) % 4
+    if t % 2:
+        raise ValueError("operands anticommute; product phase is imaginary")
+    return x, z, ps * qs * (1 if t == 0 else -1)
+
+
 def multiply(p: PauliString, q: PauliString) -> PauliString:
     """Product p*q of two commuting Pauli operators.
 
@@ -102,37 +132,12 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     """
     if p.n != q.n:
         raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    x = p.x ^ q.x
-    z = p.z ^ q.z
-    # Phase of the bitwise product, as a power of i mod 4.
-    t = (
-        (p.x & p.z).bit_count()
-        + (q.x & q.z).bit_count()
-        + 2 * (p.z & q.x).bit_count()
-        - (x & z).bit_count()
-    ) % 4
-    if t % 2:
-        raise ValueError("operands anticommute; product phase is imaginary")
-    sign = p.sign * q.sign * (1 if t == 0 else -1)
-    return PauliString(p.n, x, z, sign)
+    return PauliString(p.n, *_multiply((p.x, p.z, p.sign), (q.x, q.z, q.sign)))
 
 
-def conjugate(p: PauliString, gate: str, *targets: int) -> PauliString:
-    """Image of p under conjugation by a Clifford gate, U p U^dagger.
-
-    Supported gates: H, S, Z on one target and CZ on two.  Note that Z and
-    CZ are self-inverse and S only ever appears here through rules that fix
-    the direction, so no dagger variants are needed.
-    """
-    arity = GATE_ARITY.get(gate)
-    if arity is None:
-        raise ValueError(f"unknown gate {gate!r}")
-    if len(targets) != arity:
-        raise ValueError(f"{gate} takes {arity} target(s), got {len(targets)}")
-    for t in targets:
-        if not 0 <= t < p.n:
-            raise ValueError(f"target {t} out of range for n={p.n}")
-    x, z, sign = p.x, p.z, p.sign
+def _conjugate(row: Row, gate: str, *targets: int) -> Row:
+    """Packed image of a row under a gate; targets are not checked."""
+    x, z, sign = row
     if gate == "H":
         (t,) = targets
         xb = (x >> t) & 1
@@ -154,8 +159,6 @@ def conjugate(p: PauliString, gate: str, *targets: int) -> PauliString:
             sign = -sign
     else:  # CZ
         a, b = targets
-        if a == b:
-            raise ValueError("CZ targets must differ")
         xa = (x >> a) & 1
         za = (z >> a) & 1
         xb = (x >> b) & 1
@@ -163,7 +166,27 @@ def conjugate(p: PauliString, gate: str, *targets: int) -> PauliString:
         if xa and xb and (za ^ zb):
             sign = -sign
         z ^= (xb << a) | (xa << b)
-    return PauliString(p.n, x, z, sign)
+    return x, z, sign
+
+
+def conjugate(p: PauliString, gate: str, *targets: int) -> PauliString:
+    """Image of p under conjugation by a Clifford gate, U p U^dagger.
+
+    Supported gates: H, S, Z on one target and CZ on two.  Note that Z and
+    CZ are self-inverse and S only ever appears here through rules that fix
+    the direction, so no dagger variants are needed.
+    """
+    arity = GATE_ARITY.get(gate)
+    if arity is None:
+        raise ValueError(f"unknown gate {gate!r}")
+    if len(targets) != arity:
+        raise ValueError(f"{gate} takes {arity} target(s), got {len(targets)}")
+    for t in targets:
+        if not 0 <= t < p.n:
+            raise ValueError(f"target {t} out of range for n={p.n}")
+    if gate == "CZ" and targets[0] == targets[1]:
+        raise ValueError("CZ targets must differ")
+    return PauliString(p.n, *_conjugate((p.x, p.z, p.sign), gate, *targets))
 
 
 def permute_qubits(p: PauliString, perm: Sequence[int]) -> PauliString:
@@ -177,13 +200,27 @@ def permute_qubits(p: PauliString, perm: Sequence[int]) -> PauliString:
     return PauliString(p.n, x, z, p.sign)
 
 
+def _flags(mask: int, width: int) -> bytes:
+    """Byte k is bit k of ``mask`` (0 or 1); ``mask`` must fit in width >= 1."""
+    return format(mask, f"0{width}b")[::-1].encode().translate(_DIGIT_FLAGS)
+
+
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Column masks of a bit matrix: bit i of entry k is bit k of rows[i]."""
+    if not rows or not width:
+        return [0] * width
+    return [_mask(col) for col in zip(*(_flags(r, width) for r in rows))]
+
+
 def _gf2_rank(rows: Iterable[int]) -> int:
-    pivots: list[int] = []
+    pivots: dict[int, int] = {}  # leading bit -> the pivot row that has it
     for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
+        while row:
+            pivot = pivots.get(row.bit_length())
+            if pivot is None:
+                pivots[row.bit_length()] = row
+                break
+            row ^= pivot
     return len(pivots)
 
 
@@ -211,10 +248,18 @@ class GeneratorMatrix:
             object.__setattr__(self, "qubit_of_column", tuple(range(self.n)))
         if sorted(self.qubit_of_column) != list(range(self.n)):
             raise ValueError("qubit_of_column is not a permutation")
+        # Bit j of row i's mask is skew_product(row i, row j): the XOR of the
+        # z columns at row i's x bits and the x columns at its z bits.
+        xs = [_flags(r.x, self.n) for r in self.rows]
+        zs = [_flags(r.z, self.n) for r in self.rows]
+        xcol = [_mask(col) for col in zip(*xs)]
+        zcol = [_mask(col) for col in zip(*zs)]
         for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if skew_product(self.rows[i], self.rows[j]):
-                    raise ValueError(f"rows {i} and {j} anticommute")
+            hits = reduce(xor, compress(zcol, xs[i]), 0)
+            hits = (hits ^ reduce(xor, compress(xcol, zs[i]), 0)) >> (i + 1)
+            if hits:
+                j = i + (hits & -hits).bit_length()
+                raise ValueError(f"rows {i} and {j} anticommute")
         if _gf2_rank(r.x | (r.z << self.n) for r in self.rows) != self.n:
             raise ValueError("rows are not independent")
 
@@ -233,63 +278,64 @@ def to_canonical_form(mat: GeneratorMatrix) -> tuple[GeneratorMatrix, int]:
     ``qubit_of_column``.  The reduction is deterministic.
     """
     n = mat.n
-    rows = list(mat.rows)
+    rows = [(r.x, r.z, r.sign) for r in mat.rows]
     perm = list(mat.qubit_of_column)
 
     def col_swap(c1: int, c2: int) -> None:
-        for i, r in enumerate(rows):
-            x, z = r.x, r.z
-            x1, x2 = (x >> c1) & 1, (x >> c2) & 1
-            z1, z2 = (z >> c1) & 1, (z >> c2) & 1
-            x ^= ((x1 ^ x2) << c1) | ((x1 ^ x2) << c2)
-            z ^= ((z1 ^ z2) << c1) | ((z1 ^ z2) << c2)
-            rows[i] = PauliString(n, x, z, r.sign)
+        for i, (x, z, sign) in enumerate(rows):
+            dx = ((x >> c1) ^ (x >> c2)) & 1
+            dz = ((z >> c1) ^ (z >> c2)) & 1
+            if dx or dz:
+                rows[i] = (x ^ (dx << c1) ^ (dx << c2), z ^ (dz << c1) ^ (dz << c2), sign)
         perm[c1], perm[c2] = perm[c2], perm[c1]
 
-    def pivot_search(col: int, start: int, part: str) -> Optional[int]:
+    def pivot_search(col: int, start: int, part: int) -> Optional[int]:
+        bit = 1 << col
         for i in range(start, n):
-            bits = rows[i].x if part == "x" else rows[i].z
-            if (bits >> col) & 1:
+            if rows[i][part] & bit:
                 return i
         return None
+
+    def eliminate(col: int, part: int, pivot: int, start: int) -> None:
+        """Multiply the pivot into each other row from start on with col set."""
+        bit = 1 << col
+        p = rows[pivot]
+        for i in range(start, n):
+            if rows[i][part] & bit and i != pivot:
+                rows[i] = _multiply(rows[i], p)
 
     # Left block: bring the x parts to [I A; 0 0] with full row reduction.
     rank = 0
     for col in range(n):
-        hit = pivot_search(col, rank, "x")
+        hit = pivot_search(col, rank, 0)
         if hit is None:
-            swap_with = None
-            for later in range(col + 1, n):
-                if pivot_search(later, rank, "x") is not None:
-                    swap_with = later
-                    break
-            if swap_with is None:
+            # The lowest later column with an x bit in the rows left.
+            later = reduce(or_, (r[0] for r in rows[rank:]), 0) >> (col + 1)
+            if not later:
                 break
-            col_swap(col, swap_with)
-            hit = pivot_search(col, rank, "x")
+            col_swap(col, col + (later & -later).bit_length())
+            hit = pivot_search(col, rank, 0)
         rows[rank], rows[hit] = rows[hit], rows[rank]
-        for i in range(n):
-            if i != rank and (rows[i].x >> col) & 1:
-                rows[i] = multiply(rows[i], rows[rank])
+        eliminate(col, 0, rank, 0)
         rank += 1
 
     # Bottom rows now have zero x part; bring their z tail to [A^T I].
     for col in range(rank, n):
-        pivot = rank + (col - rank)
-        hit = pivot_search(col, pivot, "z")
+        hit = pivot_search(col, col, 1)
         if hit is None:
             raise ValueError("rows are not an independent commuting set")
-        rows[pivot], rows[hit] = rows[hit], rows[pivot]
-        for i in range(rank, n):
-            if i != pivot and (rows[i].z >> col) & 1:
-                rows[i] = multiply(rows[i], rows[pivot])
-    # Clear the top-right z block using the bottom identity rows.
+        rows[col], rows[hit] = rows[hit], rows[col]
+        eliminate(col, 1, col, rank)
+    # Clear the top-right z block using the bottom identity rows; row col
+    # flips only bit col of that block.
+    tail = (1 << n) - (1 << rank)
     for i in range(rank):
-        for col in range(rank, n):
-            if (rows[i].z >> col) & 1:
-                rows[i] = multiply(rows[i], rows[col])
+        for col in _bits(rows[i][1] & tail):
+            rows[i] = _multiply(rows[i], rows[col])
 
-    out = GeneratorMatrix(n, tuple(rows), tuple(perm))
+    out = GeneratorMatrix(
+        n, tuple(PauliString(n, x, z, sign) for x, z, sign in rows), tuple(perm)
+    )
     canonical_blocks(out, rank)  # shape self-check; raises if violated
     return out, rank
 
@@ -317,18 +363,16 @@ def canonical_blocks(
             raise ValueError(f"row {i}: upper-right z block is not zero")
         a_rows.append((row.x & tail_mask) >> r)
         b_rows.append(row.z & top_mask)
+    # Row k of A^T is column k of A.
+    a_cols = _transpose(a_rows, n - r)
     for i in range(r, n):
         row = mat.rows[i]
         if row.x:
             raise ValueError(f"row {i}: lower x block is not zero")
         if row.z & tail_mask != (1 << i):
             raise ValueError(f"row {i}: lower-right z block is not the identity")
-        e = row.z & top_mask
-        for c in range(r):
-            if ((e >> c) & 1) != ((a_rows[c] >> (i - r)) & 1):
-                raise ValueError("lower-left z block is not A^T")
-    for i in range(r):
-        for j in range(r):
-            if ((b_rows[i] >> j) & 1) != ((b_rows[j] >> i) & 1):
-                raise ValueError("B block is not symmetric")
+        if row.z & top_mask != a_cols[i - r]:
+            raise ValueError("lower-left z block is not A^T")
+    if _transpose(b_rows, r) != b_rows:
+        raise ValueError("B block is not symmetric")
     return tuple(a_rows), tuple(b_rows)

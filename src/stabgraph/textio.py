@@ -43,7 +43,10 @@ _SIGN_CHARS = {"+": 1, "-": -1, "−": -1}
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # How many missing node ids a ParseError names before it only counts.
 _MISSING_SHOWN = 10
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_BAD_LETTER = re.compile(r"[^IXYZ]")
+# Map each Pauli letter to its x (or z) bit as an ASCII digit.
+_X_DIGITS = bytes.maketrans(b"IXYZ", b"0110")
+_Z_DIGITS = bytes.maketrans(b"IXYZ", b"0011")
 
 
 class ParseError(ValueError):
@@ -100,13 +103,13 @@ def parse_generator_matrix(text: str) -> GeneratorMatrix:
             width = len(body)
         elif len(body) != width:
             raise ParseError(f"expected {width} letters, got {len(body)}", lineno, col0 + 1)
-        x = z = 0
-        for i, ch in enumerate(body):
-            bits = _LETTER_BITS.get(ch)
-            if bits is None:
-                raise ParseError(f"bad Pauli letter {ch!r}", lineno, col0 + 1 + i)
-            x |= bits[0] << i
-            z |= bits[1] << i
+        bad = _BAD_LETTER.search(body)
+        if bad:
+            raise ParseError(f"bad Pauli letter {bad.group()!r}", lineno, col0 + 1 + bad.start())
+        # Letter i is bit i: decode the whole row at C speed, lowest bit last.
+        digits = body[::-1].encode("ascii")
+        x = int(digits.translate(_X_DIGITS), 2)
+        z = int(digits.translate(_Z_DIGITS), 2)
         rows.append(PauliString(width, x, z, sign))
     if not rows:
         raise ParseError("no generator rows", 1, 1)

@@ -238,3 +238,230 @@ def random_circuit(n: int, seed: int):
         n, cz=coins(pairs), z_set=coins(range(n)), s_set=coins(range(n)),
         h_set=coins(range(n)),
     )
+
+
+# --- PauliString-based references for the packed matrix-to-graph path ------
+#
+# These are the object-per-step versions that the packed rows replaced, kept
+# here verbatim in algorithm (one PauliString per product and conjugation)
+# so that the packed code can be checked against them exactly.  They share
+# no helper with the package's packed path.
+
+
+def multiply_reference(p: PauliString, q: PauliString) -> PauliString:
+    """p*q of two commuting Paulis, phase tracked as a power of i."""
+    if p.n != q.n:
+        raise ValueError(f"size mismatch: {p.n} vs {q.n}")
+    x = p.x ^ q.x
+    z = p.z ^ q.z
+    t = (
+        (p.x & p.z).bit_count()
+        + (q.x & q.z).bit_count()
+        + 2 * (p.z & q.x).bit_count()
+        - (x & z).bit_count()
+    ) % 4
+    if t % 2:
+        raise ValueError("operands anticommute; product phase is imaginary")
+    return PauliString(p.n, x, z, p.sign * q.sign * (1 if t == 0 else -1))
+
+
+def conjugate_reference(p: PauliString, gate: str, *targets: int) -> PauliString:
+    """U p U^dagger for U one of H, S, Z (one target) or CZ (two)."""
+    x, z, sign = p.x, p.z, p.sign
+    if gate in ("H", "S", "Z"):
+        (t,) = targets
+        xb, zb = (x >> t) & 1, (z >> t) & 1
+        if gate == "H":
+            if xb and zb:
+                sign = -sign
+            x ^= (xb ^ zb) << t
+            z ^= (xb ^ zb) << t
+        elif gate == "S":
+            if xb and zb:
+                sign = -sign
+            z ^= xb << t
+        elif xb:
+            sign = -sign
+    elif gate == "CZ":
+        a, b = targets
+        xa, za = (x >> a) & 1, (z >> a) & 1
+        xb, zb = (x >> b) & 1, (z >> b) & 1
+        if xa and xb and (za ^ zb):
+            sign = -sign
+        z ^= (xb << a) | (xa << b)
+    else:
+        raise ValueError(f"unknown gate {gate!r}")
+    return PauliString(p.n, x, z, sign)
+
+
+def closed_form_reference(g: StabilizerGraph) -> Tuple[PauliString, ...]:
+    """The graph's generators, one neighbor bit at a time."""
+    gens = []
+    for j in range(g.n):
+        a, b, cc = g.neg[j], g.loop[j], g.hollow[j]
+        if b:
+            x, z = 1 << j, 1 << j
+        elif cc:
+            x, z = 0, 1 << j
+        else:
+            x, z = 1 << j, 0
+        for k in range(g.n):
+            if (g.adj[j] >> k) & 1:
+                if g.hollow[k]:
+                    x |= 1 << k
+                else:
+                    z |= 1 << k
+        gens.append(PauliString(g.n, x, z, -1 if (a + (b and cc)) % 2 else 1))
+    return tuple(gens)
+
+
+def generator_matrix_error_reference(n: int, rows) -> str | None:
+    """The message ``GeneratorMatrix(n, rows)`` must raise, checked pair by
+    pair and with a min-based GF(2) rank; None when the rows are valid."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            p, q = rows[i], rows[j]
+            if ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) & 1:
+                return f"rows {i} and {j} anticommute"
+    pivots = []
+    for r in rows:
+        v = r.x | (r.z << n)
+        for p in pivots:
+            v = min(v, v ^ p)
+        if v:
+            pivots.append(v)
+    return None if len(pivots) == n else "rows are not independent"
+
+
+def canonical_blocks_reference(mat, rank: int):
+    """(A, B) of a canonical-form matrix, checked one bit at a time."""
+    n, r = mat.n, rank
+    top_mask = (1 << r) - 1
+    tail_mask = ((1 << n) - 1) ^ top_mask
+    a_rows, b_rows = [], []
+    for i in range(r):
+        row = mat.rows[i]
+        if row.x & top_mask != (1 << i):
+            raise ValueError(f"row {i}: left block is not the identity")
+        if row.z & tail_mask:
+            raise ValueError(f"row {i}: upper-right z block is not zero")
+        a_rows.append((row.x & tail_mask) >> r)
+        b_rows.append(row.z & top_mask)
+    for i in range(r, n):
+        row = mat.rows[i]
+        if row.x:
+            raise ValueError(f"row {i}: lower x block is not zero")
+        if row.z & tail_mask != (1 << i):
+            raise ValueError(f"row {i}: lower-right z block is not the identity")
+        e = row.z & top_mask
+        for c in range(r):
+            if ((e >> c) & 1) != ((a_rows[c] >> (i - r)) & 1):
+                raise ValueError("lower-left z block is not A^T")
+    for i in range(r):
+        for j in range(r):
+            if ((b_rows[i] >> j) & 1) != ((b_rows[j] >> i) & 1):
+                raise ValueError("B block is not symmetric")
+    return tuple(a_rows), tuple(b_rows)
+
+
+def to_canonical_form_reference(mat):
+    """Row reduction to [I A | B 0; 0 0 | A^T I], one PauliString per step."""
+    from stabgraph import GeneratorMatrix
+
+    n = mat.n
+    rows = list(mat.rows)
+    perm = list(mat.qubit_of_column)
+
+    def col_swap(c1: int, c2: int) -> None:
+        for i, r in enumerate(rows):
+            x, z = r.x, r.z
+            x1, x2 = (x >> c1) & 1, (x >> c2) & 1
+            z1, z2 = (z >> c1) & 1, (z >> c2) & 1
+            x ^= ((x1 ^ x2) << c1) | ((x1 ^ x2) << c2)
+            z ^= ((z1 ^ z2) << c1) | ((z1 ^ z2) << c2)
+            rows[i] = PauliString(n, x, z, r.sign)
+        perm[c1], perm[c2] = perm[c2], perm[c1]
+
+    def pivot_search(col: int, start: int, part: str):
+        for i in range(start, n):
+            bits = rows[i].x if part == "x" else rows[i].z
+            if (bits >> col) & 1:
+                return i
+        return None
+
+    rank = 0
+    for col in range(n):
+        hit = pivot_search(col, rank, "x")
+        if hit is None:
+            swap_with = None
+            for later in range(col + 1, n):
+                if pivot_search(later, rank, "x") is not None:
+                    swap_with = later
+                    break
+            if swap_with is None:
+                break
+            col_swap(col, swap_with)
+            hit = pivot_search(col, rank, "x")
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        for i in range(n):
+            if i != rank and (rows[i].x >> col) & 1:
+                rows[i] = multiply_reference(rows[i], rows[rank])
+        rank += 1
+    for col in range(rank, n):
+        hit = pivot_search(col, col, "z")
+        if hit is None:
+            raise ValueError("rows are not an independent commuting set")
+        rows[col], rows[hit] = rows[hit], rows[col]
+        for i in range(rank, n):
+            if i != col and (rows[i].z >> col) & 1:
+                rows[i] = multiply_reference(rows[i], rows[col])
+    for i in range(rank):
+        for col in range(rank, n):
+            if (rows[i].z >> col) & 1:
+                rows[i] = multiply_reference(rows[i], rows[col])
+    out = GeneratorMatrix(n, tuple(rows), tuple(perm))
+    canonical_blocks_reference(out, rank)
+    return out, rank
+
+
+def graph_from_generator_matrix_reference(mat) -> StabilizerGraph:
+    """Matrix to reduced graph: conjugate every row by every gate, solve
+    the signs against a fresh closed form, then relabel bit by bit."""
+    canon, rank = to_canonical_form_reference(mat)
+    n = mat.n
+    rows = list(canon.rows)
+    for c in range(rank, n):
+        rows = [conjugate_reference(r, "H", c) for r in rows]
+    for q, r in enumerate(rows):
+        if r.x != 1 << q:
+            raise RuntimeError("x block is not the identity after Hadamards")
+    loops = [bool((rows[q].z >> q) & 1) for q in range(n)]
+    for q, has_loop in enumerate(loops):
+        if has_loop:
+            if q >= rank:
+                raise RuntimeError("hollow column acquired a loop")
+            rows = [conjugate_reference(r, "S", q) for r in rows]
+    adj = []
+    for q, r in enumerate(rows):
+        if (r.z >> q) & 1:
+            raise RuntimeError("adjacency diagonal not cleared")
+        adj.append(r.z)
+    hollow = tuple(q >= rank for q in range(n))
+    unsigned = StabilizerGraph(n, hollow, tuple(loops), (False,) * n, tuple(adj))
+    neg = []
+    for got, want in zip(closed_form_reference(unsigned), canon.rows):
+        if (got.x, got.z) != (want.x, want.z):
+            raise RuntimeError("closed-form generator mismatch in sign solve")
+        neg.append(got.sign != want.sign)
+    colgraph = StabilizerGraph(n, hollow, tuple(loops), tuple(neg), tuple(adj))
+    if closed_form_reference(colgraph) != canon.rows:
+        raise RuntimeError("sign solve failed to reproduce the canonical rows")
+    perm = canon.qubit_of_column
+    out = [[False] * n, [False] * n, [False] * n, [0] * n]
+    for c in range(n):
+        q = perm[c]
+        out[0][q], out[1][q], out[2][q] = colgraph.hollow[c], colgraph.loop[c], colgraph.neg[c]
+        for c2 in range(n):
+            if (colgraph.adj[c] >> c2) & 1:
+                out[3][q] |= 1 << perm[c2]
+    return StabilizerGraph(n, *map(tuple, out))

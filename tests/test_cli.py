@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -128,6 +129,15 @@ class TestConvert:
         src = tmp_path / "anti.mat"
         src.write_text("+XI\n+ZI\n")
         assert main(["convert", "--from", "matrix", "--to", "graph", "-i", str(src)]) == 3
+
+    def test_million_letter_row_exits_3_quickly(self, tmp_path, capsys):
+        src = tmp_path / "wide.mat"
+        src.write_text("+" + "XZ" * 500_000 + "\n")
+        t0 = time.perf_counter()
+        rc = main(["convert", "--from", "matrix", "--to", "graph", "-i", str(src)])
+        assert time.perf_counter() - t0 < 5.0  # linear decode: well under 0.1 s
+        assert rc == 3
+        assert capsys.readouterr().err == "invalid input: expected 1000000 rows, got 1\n"
 
 
 class TestApply:

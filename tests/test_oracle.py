@@ -9,6 +9,8 @@ as the reference for the layer-by-layer one.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from stabgraph import (
     statevector_from_graph,
     states_equal_up_to_global_phase,
 )
+from stabgraph import oracle
 from stabgraph.oracle import _index_bits
 
 G = StabilizerGraph.build
@@ -54,6 +57,14 @@ class TestStatevectorType:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             Statevector(np.array([1.0, 1.0], dtype=complex))
+
+    @pytest.mark.parametrize(
+        "amps",
+        [[np.nan, 0], [1, np.nan], [np.inf, 0], [0, -np.inf], [complex(0, np.nan), 1]],
+    )
+    def test_rejects_nan_and_inf(self, amps):
+        with pytest.raises(ValueError, match="not normalized"):
+            Statevector(np.array(amps, dtype=complex))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -251,6 +262,13 @@ class TestComparisons:
         w = Statevector(np.array([np.sqrt(1 - 1e-4), np.sqrt(1e-4)], dtype=complex))
         assert not states_equal_up_to_global_phase(v, w)
         assert states_equal_up_to_global_phase(v, w, tol=0.5)
+
+    def test_stabilizer_check_rejects_a_nan_difference(self, monkeypatch):
+        v = statevector_from_graph(G(1))
+        # A NaN amplitude never compares greater than the tolerance.
+        nan_image = SimpleNamespace(amps=np.array([np.nan, INV_SQRT2]))
+        monkeypatch.setattr(oracle, "apply_pauli", lambda v, g: nan_image)
+        assert not stabilizer_check(v, [PauliString.from_label("+X")])
 
     def test_stabilizer_check(self):
         v = statevector_from_graph(G(2, edges=[(0, 1)], hollow=[1]))

@@ -1,0 +1,236 @@
+"""Differential tests: the packed (x, z, sign) row path against references.
+
+``pauli`` and ``convert`` run the canonical form, the conjugations and the
+sign solve on packed integer rows.  ``tests/helpers.py`` keeps the
+PauliString-per-step versions they replaced; here both run on the same
+inputs and must agree exactly: rows, signs, ``qubit_of_column``, rank, the
+output graph, and every error message.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    canonical_blocks_reference,
+    closed_form_reference,
+    conjugate_reference,
+    generator_matrix_error_reference,
+    graph_from_generator_matrix_reference,
+    multiply_reference,
+    to_canonical_form_reference,
+)
+from stabgraph import (
+    GeneratorMatrix,
+    PauliString,
+    StabilizerGraph,
+    canonical_blocks,
+    circuit_from_graph,
+    conjugate,
+    generator_matrix_from_graph,
+    generators_from_circuit,
+    graph_from_generator_matrix,
+    left_rank,
+    multiply,
+    random_graph,
+    to_canonical_form,
+)
+
+
+def all_paulis(n: int):
+    for letters in itertools.product("IXYZ", repeat=n):
+        for sign in "+-":
+            yield PauliString.from_label(sign + "".join(letters))
+
+
+def scrambled_matrix(n: int, seed: int, hollow_p: float, reduced: bool) -> GeneratorMatrix:
+    """Generators of a random graph, mixed by row products, with random
+    signs, a random qubit order, shuffled rows and a random column labelling.
+
+    With ``hollow_p`` near 1 and ``reduced`` the x part has low rank (hollow
+    rows of a reduced graph have no x bits); with ``hollow_p == 0`` it is full.
+    """
+    rng = random.Random(seed)
+    hollow = [rng.random() < hollow_p for _ in range(n)]
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.3 and not (reduced and hollow[i] and hollow[j])
+    ]
+    g = StabilizerGraph.build(
+        n,
+        edges=edges,
+        hollow=[j for j in range(n) if hollow[j]],
+        loops=[j for j in range(n) if rng.random() < 0.5 and not (reduced and hollow[j])],
+        neg=[j for j in range(n) if rng.random() < 0.5],
+    )
+    rows = list(closed_form_reference(g))
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            rows[i] = multiply_reference(rows[i], rows[j])
+    order = list(range(n))
+    rng.shuffle(order)
+
+    def moved(mask: int) -> int:
+        return sum(1 << order[c] for c in range(n) if (mask >> c) & 1)
+
+    rows = [PauliString(n, moved(r.x), moved(r.z), rng.choice((1, -1))) for r in rows]
+    rng.shuffle(rows)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return GeneratorMatrix(n, tuple(rows), tuple(labels))
+
+
+def assert_same_as_reference(mat: GeneratorMatrix) -> None:
+    canon, rank = to_canonical_form(mat)
+    ref, ref_rank = to_canonical_form_reference(mat)
+    assert rank == ref_rank == left_rank(mat)
+    assert [r.label() for r in canon.rows] == [r.label() for r in ref.rows]
+    assert canon.qubit_of_column == ref.qubit_of_column
+    assert canon == ref
+    assert graph_from_generator_matrix(mat) == graph_from_generator_matrix_reference(mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.integers(0, 2**32),
+    st.sampled_from([0.0, 0.5, 0.9]),
+    st.booleans(),
+)
+def test_matrix_to_graph_matches_reference(n, seed, hollow_p, reduced):
+    assert_same_as_reference(scrambled_matrix(n, seed, hollow_p, reduced))
+
+
+@pytest.mark.parametrize(
+    "seed, hollow_p, reduced", [(1, 0.0, False), (2, 0.5, False), (3, 0.9, True)]
+)
+def test_matrix_to_graph_matches_reference_at_n256(seed, hollow_p, reduced):
+    mat = scrambled_matrix(256, seed, hollow_p, reduced)
+    assert_same_as_reference(mat)
+
+
+def test_low_and_full_x_rank_are_both_drawn():
+    ranks = {left_rank(scrambled_matrix(40, s, 0.9, True)) for s in range(5)}
+    assert max(ranks) < 20
+    assert left_rank(scrambled_matrix(40, 0, 0.0, False)) == 40
+
+
+class TestProductsAndConjugations:
+    def test_multiply_matches_reference_on_every_small_pair(self):
+        for n in (1, 2):
+            for p, q in itertools.product(all_paulis(n), repeat=2):
+                try:
+                    want = multiply_reference(p, q)
+                except ValueError as err:
+                    with pytest.raises(ValueError) as got:
+                        multiply(p, q)
+                    assert str(got.value) == str(err)
+                else:
+                    assert multiply(p, q) == want
+
+    def test_conjugate_matches_reference_on_every_small_input(self):
+        for n in (1, 2):
+            gates = [(g, (t,)) for g in "HSZ" for t in range(n)]
+            if n == 2:
+                gates += [("CZ", (0, 1)), ("CZ", (1, 0))]
+            for p in all_paulis(n):
+                for gate, targets in gates:
+                    assert conjugate(p, gate, *targets) == conjugate_reference(
+                        p, gate, *targets
+                    )
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(1, 12))
+    def test_closed_form_matches_reference(self, seed, n):
+        g = random_graph(n, seed)
+        want = closed_form_reference(g)
+        assert generators_from_circuit(circuit_from_graph(g)) == want
+        assert generator_matrix_from_graph(g).rows == want
+
+
+def flip_bit(p: PauliString, c: int, in_x: bool) -> PauliString:
+    """p with bit c of its x part (or of its z part) flipped."""
+    if in_x:
+        return PauliString(p.n, p.x ^ (1 << c), p.z, p.sign)
+    return PauliString(p.n, p.x, p.z ^ (1 << c), p.sign)
+
+
+def matrix_error(n: int, rows) -> str | None:
+    try:
+        GeneratorMatrix(n, tuple(rows))
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+class TestMatrixChecks:
+    def test_pinned_messages(self):
+        three = [PauliString.from_label(s) for s in ("+XII", "+IXI", "+ZII")]
+        assert matrix_error(3, three) == "rows 0 and 2 anticommute"
+        last = [PauliString.from_label(s) for s in ("+XXI", "+ZZI", "+XIZ")]
+        assert matrix_error(3, last) == "rows 1 and 2 anticommute"
+        twice = [PauliString.from_label(s) for s in ("+XX", "-XX")]
+        assert matrix_error(2, twice) == "rows are not independent"
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 7), st.integers(0, 2**32))
+    def test_random_rows_get_the_reference_message(self, n, seed):
+        rng = random.Random(seed)
+        rows = [
+            PauliString(n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1)))
+            for _ in range(n)
+        ]
+        assert matrix_error(n, rows) == generator_matrix_error_reference(n, rows)
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 12), st.integers(0, 2**32))
+    def test_one_flipped_bit_gets_the_reference_message(self, n, seed):
+        rng = random.Random(seed)
+        rows = list(generator_matrix_from_graph(random_graph(n, seed)).rows)
+        i, c = rng.randrange(n), rng.randrange(n)
+        rows[i] = flip_bit(rows[i], c, rng.random() < 0.5)
+        assert matrix_error(n, rows) == generator_matrix_error_reference(n, rows)
+
+
+CANONICAL_MESSAGES = {
+    "left block is not the identity",
+    "upper-right z block is not zero",
+    "lower x block is not zero",
+    "lower-right z block is not the identity",
+    "lower-left z block is not A^T",
+    "B block is not symmetric",
+}
+
+
+def test_canonical_shape_messages_match_reference():
+    """Flip one bit of a canonical matrix: the mask-based shape check must
+    give the reference's verdict and message, and every message occurs."""
+    seen = set()
+    rng = random.Random(5)
+    for trial in range(400):
+        n = 2 + trial % 7
+        canon, rank = to_canonical_form(scrambled_matrix(n, trial, 0.5, trial % 2 == 0))
+        rows = list(canon.rows)
+        i, c = rng.randrange(n), rng.randrange(n)
+        rows[i] = flip_bit(rows[i], c, rng.random() < 0.5)
+        # The shape check reads only n and rows, so no group validation here.
+        bent = SimpleNamespace(n=n, rows=tuple(rows))
+        try:
+            want = canonical_blocks_reference(bent, rank)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                canonical_blocks(bent, rank)
+            assert str(got.value) == str(err)
+            seen.add(str(err).partition(": ")[2] or str(err))
+        else:
+            assert canonical_blocks(bent, rank) == want
+    assert seen == CANONICAL_MESSAGES

@@ -7,6 +7,7 @@ diagnostics are part of the interface.
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import pytest
@@ -21,6 +22,7 @@ from stabgraph import (
     format_circuit,
     format_generator_matrix,
     format_graph,
+    generator_matrix_from_graph,
     graph_to_dot,
     parse_circuit,
     parse_generator_matrix,
@@ -80,6 +82,36 @@ class TestGeneratorMatrixFormat:
         with pytest.raises(ValueError) as err2:
             parse_generator_matrix("+XX\n")  # one row on two qubits
         assert not isinstance(err2.value, ParseError)
+
+
+class TestHostileMatrixText:
+    """A matrix row is decoded in time linear in its length."""
+
+    def test_million_letter_row_is_rejected_quickly(self):
+        width = 1_000_000
+        text = "+" + "XYZI" * (width // 4) + "\n"
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            parse_generator_matrix(text)
+        elapsed = time.perf_counter() - t0
+        assert not isinstance(err.value, ParseError)
+        assert str(err.value) == f"expected {width} rows, got 1"
+        # The linear decode takes well under 0.1 s; a per-letter shift
+        # into a growing integer took seconds.
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize("bad", ["q", "é", " ", "x"])
+    def test_bad_letter_deep_in_a_long_row_keeps_its_column(self, bad):
+        text = "\n  +" + "XYZI" * 75_000 + bad + "Q" + "Z" * 10 + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_generator_matrix(text)
+        # Sign at column 3 of line 2, letter i at column 4 + i.
+        assert (err.value.line, err.value.column) == (2, 4 + 300_000)
+        assert f"bad Pauli letter {bad!r}" in str(err.value)
+
+    def test_wide_matrix_round_trips(self):
+        mat = generator_matrix_from_graph(random_graph(300, seed=3))
+        assert parse_generator_matrix(format_generator_matrix(mat)) == mat
 
 
 class TestGraphFormat:
