@@ -19,6 +19,13 @@ graphs bit for bit.  Sign conditions inside a rule are always evaluated on
 the decorations as they stand when the sign stage begins, and both
 conditional flips are then applied; this is the reading certified by the
 dense-simulation oracle.
+
+Every move runs on ``graph._Masks``, where the fills, loops and signs are
+bitmasks: a move costs a complementation (one row operation per neighbor)
+and a few whole-mask operations, however dense its rows.  A move on a
+graph known to be reduced returns a result that carries its own
+``is_reduced`` verdict, settled from the nodes the move wrote; other
+sources leave the verdict to be found by a scan when it is asked for.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 from .graph import (
     InvariantError,
     StabilizerGraph,
-    _Mutable,
+    _Masks,
     _bits,
     _hollow_clashes,
     _mask,
@@ -38,34 +45,32 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _e1_core(m: _Mutable, j: int) -> None:
-    m.flip_fill(j)
+def _e1_core(m: _Masks, j: int) -> None:
+    bit = 1 << j
+    m.hollow ^= bit
     m.local_complement(j)
-    nb = m.neighbors(j)
-    for l in nb:
-        m.advance(l)
-    m.flip_sign(j)
-    if m.neg[j]:
-        for l in nb:
-            m.flip_sign(l)
+    nb = m.adj[j]
+    # Advance the neighbors' loops: a loop becomes a sign flip, none a loop.
+    m.neg ^= m.loop & nb
+    m.loop ^= nb
+    m.neg ^= bit
+    if m.neg & bit:
+        m.neg ^= nb
 
 
-def _e2_core(m: _Mutable, j: int, k: int) -> None:
-    m.flip_fill(j)
-    m.flip_fill(k)
+def _e2_core(m: _Masks, j: int, k: int) -> None:
+    m.hollow ^= (1 << j) | (1 << k)
     m.local_complement_edge(j, k)
-    for l in m.neighbors(j) & m.neighbors(k):
-        m.flip_sign(l)
-    # Both sign conditions are read before either flip is applied.
-    j_neg, k_neg = m.neg[j], m.neg[k]
-    if j_neg:
-        m.flip_sign(j)
-        for l in m.neighbors(j):
-            m.flip_sign(l)
-    if k_neg:
-        m.flip_sign(k)
-        for l in m.neighbors(k):
-            m.flip_sign(l)
+    nb_j, nb_k = m.adj[j], m.adj[k]
+    m.neg ^= nb_j & nb_k
+    # Both sign conditions are read before either flip is applied.  Neither
+    # node is its own neighbor, so each flip covers the node and its row.
+    flips = 0
+    if (m.neg >> j) & 1:
+        flips ^= (1 << j) | nb_j
+    if (m.neg >> k) & 1:
+        flips ^= (1 << k) | nb_k
+    m.neg ^= flips
 
 
 def apply_E1(g: StabilizerGraph, j: int) -> StabilizerGraph:
@@ -79,7 +84,7 @@ def apply_E1(g: StabilizerGraph, j: int) -> StabilizerGraph:
         raise ValueError(f"node {j} out of range for n={g.n}")
     if not g.loop[j]:
         raise ValueError(f"node {j} has no loop")
-    m = _Mutable(g)
+    m = _Masks(g)
     _e1_core(m, j)
     return m.freeze()
 
@@ -98,7 +103,7 @@ def apply_E2(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
             raise ValueError(f"node {node} has a loop")
     if j == k or not g.has_edge(j, k):
         raise ValueError(f"nodes {j} and {k} are not connected")
-    m = _Mutable(g)
+    m = _Masks(g)
     _e2_core(m, j, k)
     return m.freeze()
 
@@ -114,25 +119,22 @@ def apply_Ei(g: StabilizerGraph, hollow: int, solid: int) -> StabilizerGraph:
     only its current neighbors.
     """
     _check_pair(g, hollow, solid, want_loop=True)
-    m = _Mutable(g)
-    common0 = m.neighbors(solid) & m.neighbors(hollow)
-    solid_neg0, hollow_neg0 = m.neg[solid], m.neg[hollow]
+    m = _Masks(g)
+    h, s = 1 << hollow, 1 << solid
+    common0 = m.adj[solid] & m.adj[hollow]
+    solid_neg0, hollow_neg0 = m.neg & s, m.neg & h
     m.local_complement(solid)
     m.local_complement(hollow)
-    m.loop[solid] = False
-    for l in m.neighbors(solid):
-        m.advance(l)
-    m.flip_fill(hollow)
-    m.flip_fill(solid)
-    for l in common0:
-        m.flip_sign(l)
+    m.loop &= ~s
+    nb = m.adj[solid]
+    m.neg ^= m.loop & nb
+    m.loop ^= nb
+    m.hollow ^= h | s
+    m.neg ^= common0
     if solid_neg0:
-        m.flip_sign(solid)
-        for l in m.neighbors(solid):
-            m.flip_sign(l)
+        m.neg ^= s | nb
     if hollow_neg0:
-        for l in m.neighbors(hollow):
-            m.flip_sign(l)
+        m.neg ^= m.adj[hollow]
     return m.freeze()
 
 
@@ -142,7 +144,7 @@ def apply_Eii(g: StabilizerGraph, hollow: int, solid: int) -> StabilizerGraph:
     opposite-fill pair.  The described state is unchanged.
     """
     _check_pair(g, hollow, solid, want_loop=False)
-    m = _Mutable(g)
+    m = _Masks(g)
     _e2_core(m, hollow, solid)
     return m.freeze()
 
@@ -176,9 +178,9 @@ def to_reduced(g: StabilizerGraph) -> StabilizerGraph:
     Each phase keeps a worklist bitmask of the nodes it still has to fix
     and, after a move, re-examines only the nodes that move touched, so a
     step costs about the degree of its nodes rather than a rescan.  A graph
-    already known to be reduced is returned as it is.
+    that is already reduced is returned as it is.
     """
-    out = g if g._reduced else _reduce_moves(g)
+    out = g if is_reduced(g) else _reduce_moves(g)
     if not is_reduced(out):
         raise InvariantError("to_reduced left a graph that is not reduced")
     return out
@@ -186,41 +188,35 @@ def to_reduced(g: StabilizerGraph) -> StabilizerGraph:
 
 def _reduce_moves(g: StabilizerGraph) -> StabilizerGraph:
     """The E1 and E2 worklist phases of ``to_reduced``."""
-    m = _Mutable(g)
+    m = _Masks(g)
     # E1 at j fills j and advances its neighbors' loops: only j and its
     # neighbors (unchanged by complementing on j) can change status.
-    todo = _mask(m.hollow) & _mask(m.loop)
+    todo = m.hollow & m.loop
     for _ in range(g.n + 1):
         if not todo:
             break
         j = _lowest(todo)
         _e1_core(m, j)
-        for l in _bits(m.adj[j] | (1 << j)):
-            if m.hollow[l] and m.loop[l]:
-                todo |= 1 << l
-            else:
-                todo &= ~(1 << l)
+        t = m.adj[j] | (1 << j)
+        todo = (todo & ~t) | (t & m.hollow & m.loop)
     else:
         raise InvariantError("loop-clearing phase failed to terminate")
     # A hollow node is on the list when it has a hollow neighbor.  The
     # lowest such i has only hollow neighbors above it, so (i, lowest
     # hollow neighbor of i) is the lexicographically smallest pair.  E2
     # fills i and k and rewrites only the rows of their neighborhoods.
-    hollow = _mask(m.hollow)
-    todo = _hollow_clashes(m.hollow, m.adj, hollow)
+    todo = _hollow_clashes(map(m.adj.__getitem__, _bits(m.hollow)), m.hollow)
     for _ in range(g.n + 1):
         if not todo:
             break
         i = _lowest(todo)
-        k = _lowest(m.adj[i] & hollow)
+        k = _lowest(m.adj[i] & m.hollow)
         touched = m.adj[i] | m.adj[k]
         _e2_core(m, i, k)
-        hollow &= ~((1 << i) | (1 << k))
-        for l in _bits(touched):
-            if (hollow >> l) & 1 and m.adj[l] & hollow:
+        todo &= ~touched
+        for l in _bits(touched & m.hollow):
+            if m.adj[l] & m.hollow:
                 todo |= 1 << l
-            else:
-                todo &= ~(1 << l)
     else:
         raise InvariantError("edge-clearing phase failed to terminate")
     return m.freeze()

@@ -20,10 +20,22 @@ flags as Python bools (accepting only entries equal to 0 or 1) and ``n``
 and the adjacency rows as Python ints (accepting anything
 ``operator.index`` takes), checks the lengths, the adjacency range, the
 zero diagonal and symmetry, and raises ``ValueError`` on bad input.
-Rewrites of an already-valid graph go through ``_Mutable.freeze()``, which
-uses the unchecked ``StabilizerGraph._trusted`` constructor, so a gate
-costs about the degree of its target rather than a full O(n*deg) symmetry
-check; ``apply_sequence`` runs one ``_validate()`` on the graph it returns.
+A graph whose rows hold ``_UNPACK_AT`` set bits or more on average is first
+checked by comparing its edge list with its transpose at C speed
+(``_symmetric_by_transpose``).  A sparser one, or one that fails that
+check, is checked row by row, and the first defective row names the error.
+Rewrites of an already-valid graph go through ``_Mutable.freeze()`` (or
+``_Masks.freeze()``), which use the unchecked ``StabilizerGraph._trusted``
+constructor, so a gate costs about the degree of its target rather than a
+full symmetry check; ``apply_sequence`` runs one ``_validate()`` on the
+graph it returns.
+
+Rows are walked bit by bit only when they are sparse.  ``_bits`` lists the
+set bits of a mask with a per-bit loop below ``_UNPACK_AT`` set bits and
+by unpacking its bytes with numpy from there on, so the dense rows of a
+reduced graph (reducing a mean-degree-6 graph at n=1024 gives rows of
+hundreds of bits) cost a few C-speed calls each.  ``edges()`` lists each
+row's neighbors above it in one such call.
 
 The reduced invariant is checked after every reduced rule and after
 ``to_reduced``, with an explicit ``InvariantError`` that survives
@@ -37,6 +49,13 @@ that verdict on the result.  A reduced output can only break at a written node, 
 check costs the degree of the written nodes, not n.  ``apply_sequence``
 backs this up with one full scan, ignoring the cache, of the graph it
 returns.
+
+The E moves of ``equivalence`` run on ``_Masks``: the fills, loops and
+signs as three int bitmasks beside the adjacency rows, so advancing or
+flipping a whole neighborhood is one operation on a mask.  Its
+``freeze()`` writes back only the flag positions that changed and, from a
+source known to be reduced, carries the verdict of the result the same way,
+from the nodes whose fill, loop or row the move wrote.
 """
 
 from __future__ import annotations
@@ -44,19 +63,33 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class InvariantError(RuntimeError):
     """An internal invariant failed: a bug in a rewrite, not bad input."""
 
 
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# Masks with at least this many set bits are listed by unpacking their
+# bytes with numpy, which costs a few microseconds whatever the count; below
+# it the per-bit loop, at a fraction of a microsecond per set bit, is faster.
+_UNPACK_AT = 16
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of a non-negative ``mask``, in ascending order."""
+    if mask.bit_count() < _UNPACK_AT:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, bitorder="little").view(bool).nonzero()[0].tolist()
 
 
 # Maps every byte value to ASCII '0' (zero) or '1' (non-zero).
@@ -97,15 +130,59 @@ def _index_rows(adj: Iterable[object]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _hollow_clashes(
-    hollow_flags: Sequence[bool], adj: Sequence[int], hollow: int
-) -> int:
+def _adjacency_error(adj: Sequence[int], n: int) -> Optional[str]:
+    """Why the n rows ``adj`` are no adjacency matrix, or None if they are.
+
+    Rows are checked in order and the first defect names the error: the row
+    out of range, its diagonal entry, or its first neighbor k whose row
+    lacks the node.  When the rows hold ``_UNPACK_AT`` set bits or more on
+    average, a valid matrix is first recognised by ``_symmetric_by_transpose``
+    at C speed, and the row-by-row check runs only to name a defect.  Below
+    that, listing a row's bits costs about as much as checking them, and
+    the fixed cost of the numpy calls would dominate.
+    """
+    full = (1 << n) - 1
+    dense = sum(map(int.bit_count, adj)) >= _UNPACK_AT * n
+    if dense and _symmetric_by_transpose(adj, n):
+        return None
+    for j, row in enumerate(adj):
+        if not 0 <= row <= full:
+            return f"adjacency row {j} out of range"
+        if (row >> j) & 1:
+            return f"node {j} has a diagonal adjacency entry"
+        for k in _bits(row):
+            if not (adj[k] >> j) & 1:
+                return f"adjacency is not symmetric at ({j}, {k})"
+    return None
+
+
+def _symmetric_by_transpose(adj: Sequence[int], n: int) -> bool:
+    """True when the n rows ``adj`` are in range, have a zero diagonal and
+    equal their transpose.
+
+    Set bit k of row j is coded j*n + k; the rows equal their transpose
+    when the codes k*n + j of the transposed pairs, sorted, are the same
+    array.  This costs O(n) Python steps and C-speed work per edge, in
+    memory that grows with the edges, not with n**2.
+    """
+    full = (1 << n) - 1
+    if not (min(adj) >= 0 and max(adj) <= full):
+        return False
+    nbrs = list(map(_bits, adj))
+    src = np.repeat(np.arange(n, dtype=np.int64), list(map(len, nbrs)))
+    dst = np.fromiter(chain.from_iterable(nbrs), np.int64, len(src))
+    codes = src * n + dst  # ascending: rows in order, each row ascending
+    return not (src == dst).any() and bool((codes == np.sort(dst * n + src)).all())
+
+
+def _hollow_clashes(hollow_rows: Iterable[int], hollow: int) -> int:
     """Mask of the hollow nodes that have a hollow neighbor.
 
-    ``hollow`` is ``_mask(hollow_flags)``.  A hollow node clashes exactly
-    when it lies in the united neighborhoods of the hollow nodes.
+    ``hollow`` is the mask of the hollow nodes and ``hollow_rows`` their
+    adjacency rows.  A hollow node clashes exactly when it lies in the
+    united neighborhoods of the hollow nodes.
     """
-    return hollow & reduce(operator.or_, compress(adj, hollow_flags), 0)
+    return hollow & reduce(operator.or_, hollow_rows, 0)
 
 
 @dataclass(frozen=True)
@@ -139,15 +216,9 @@ class StabilizerGraph:
         for name in ("hollow", "loop", "neg", "adj"):
             if len(getattr(self, name)) != self.n:
                 raise ValueError(f"{name} must have length n={self.n}")
-        full = (1 << self.n) - 1
-        for j, row in enumerate(self.adj):
-            if not 0 <= row <= full:
-                raise ValueError(f"adjacency row {j} out of range")
-            if (row >> j) & 1:
-                raise ValueError(f"node {j} has a diagonal adjacency entry")
-            for k in _bits(row):
-                if not (self.adj[k] >> j) & 1:
-                    raise ValueError(f"adjacency is not symmetric at ({j}, {k})")
+        message = _adjacency_error(self.adj, self.n)
+        if message is not None:
+            raise ValueError(message)
 
     @classmethod
     def _trusted(
@@ -209,7 +280,12 @@ class StabilizerGraph:
         return cls(n, tuple(hol), tuple(lp), tuple(ng), tuple(adj))
 
     def edges(self) -> list[Tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in _bits(self.adj[i]) if i < j]
+        """Every edge (i, j) with i < j, in lexicographic order."""
+        return [
+            (i, j)
+            for i, row in enumerate(self.adj)
+            for j in _bits(row >> (i + 1) << (i + 1))
+        ]
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.adj[i] >> j) & 1)
@@ -341,6 +417,76 @@ class _Mutable:
                 self.adj[l] ^= group_a
 
 
+class _Masks:
+    """Scratch state of the E moves: the fills, loops and signs as bitmasks
+    (bit j is node j's flag) and the adjacency rows as a list.
+
+    A move is then a few whole-row operations: advancing the loops of the
+    nodes in ``nb`` is ``neg ^= loop & nb; loop ^= nb``, and flipping their
+    signs is ``neg ^= nb``.  Complementing along an edge is ``_Mutable``'s,
+    which touches only ``adj``; ``rows`` records the rows the
+    complementations wrote.
+
+    ``freeze()`` writes back only the flag positions that changed.  When the
+    source is known to be reduced it also settles the verdict of the result,
+    as ``_Mutable.freeze()`` does: a reduced graph can only break at a node
+    whose fill, loop or row was written, and a hollow one of those must have
+    no loop and no hollow neighbor.
+    """
+
+    __slots__ = ("source", "start", "hollow", "loop", "neg", "adj", "rows")
+
+    def __init__(self, g: StabilizerGraph) -> None:
+        self.source = g
+        self.start = (_mask(g.hollow), _mask(g.loop), _mask(g.neg))
+        self.hollow, self.loop, self.neg = self.start
+        self.adj = list(g.adj)
+        self.rows = 0
+
+    def local_complement(self, j: int) -> None:
+        # E1 and E(i) spend most of their time here on dense rows: one
+        # XOR per neighbor row, with the row's own (diagonal) bit, which
+        # ``nb`` has, left out of the toggle.
+        adj = self.adj
+        nb = adj[j]
+        self.rows |= nb
+        for l in _bits(nb):
+            adj[l] ^= nb ^ (1 << l)
+
+    def local_complement_edge(self, j: int, k: int) -> None:
+        self.rows |= self.adj[j] | self.adj[k] | (1 << j) | (1 << k)
+        _Mutable.local_complement_edge(self, j, k)
+
+    def freeze(self) -> StabilizerGraph:
+        g = self.source
+        hollow0, loop0, neg0 = self.start
+        hollow, loop, adj = self.hollow, self.loop, self.adj
+        reduced = None
+        if g._reduced is True:
+            written = self.rows | (hollow ^ hollow0) | (loop ^ loop0)
+            reduced = not written & hollow & loop and not any(
+                adj[l] & hollow for l in _bits(written & hollow)
+            )
+        return StabilizerGraph._trusted(
+            g.n,
+            _with_flipped(g.hollow, hollow ^ hollow0),
+            _with_flipped(g.loop, loop ^ loop0),
+            _with_flipped(g.neg, self.neg ^ neg0),
+            tuple(adj),
+            reduced,
+        )
+
+
+def _with_flipped(flags: Tuple[bool, ...], changed: int) -> Tuple[bool, ...]:
+    """``flags`` with the entries at the set bits of ``changed`` negated."""
+    if not changed:
+        return flags
+    out = list(flags)
+    for j in _bits(changed):
+        out[j] = not out[j]
+    return tuple(out)
+
+
 def _check_node(g: StabilizerGraph, j: int) -> None:
     if not 0 <= j < g.n:
         raise ValueError(f"node {j} out of range for n={g.n}")
@@ -365,7 +511,7 @@ def _scan_reduced(g: StabilizerGraph) -> bool:
     hollow = _mask(g.hollow)
     if hollow & _mask(g.loop):
         return False
-    return not _hollow_clashes(g.hollow, g.adj, hollow)
+    return not _hollow_clashes(compress(g.adj, g.hollow), hollow)
 
 
 def neighbors(g: StabilizerGraph, j: int) -> set[int]:

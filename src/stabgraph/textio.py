@@ -35,7 +35,7 @@ import re
 from typing import Optional
 
 from .circuit import GraphFormCircuit
-from .graph import StabilizerGraph
+from .graph import StabilizerGraph, _bits
 from .pauli import GeneratorMatrix, PauliString
 
 _SIGN_CHARS = {"+": 1, "-": -1, "−": -1}
@@ -210,8 +210,15 @@ def format_graph(g: StabilizerGraph) -> str:
         if g.neg[j]:
             parts.append("neg")
         out.append(" ".join(parts))
-    for i, j in g.edges():
-        out.append(f"edge {i} {j}")
+    # One string per row: "edge i j" for each neighbor j > i, from a table
+    # of the node ids, so a dense graph costs C-speed joins, not one
+    # f-string per edge.
+    names = list(map(str, range(g.n)))
+    for i, row in enumerate(g.adj):
+        if row >> (i + 1):
+            sep = f"\nedge {i} "
+            upper = _bits(row >> (i + 1) << (i + 1))
+            out.append(sep[1:] + sep.join(map(names.__getitem__, upper)))
     return "\n".join(out) + "\n"
 
 

@@ -123,6 +123,81 @@ def is_reduced_per_node(g: StabilizerGraph) -> bool:
     return True
 
 
+# --- list-based references for the E moves -----------------------------------
+#
+# The engine runs the E moves on flag bitmasks (``graph._Masks``).  These are
+# the per-node versions on ``_Mutable``'s flag lists, one decoration at a time,
+# kept here so that the tests compare the engine against bodies it does not
+# share.
+
+
+def e1_reference(m, j: int) -> None:
+    """E1 at j on a ``_Mutable``: flip j's fill, complement on j, advance
+    the neighbors' loops, flip j's sign and, if j is then negative, the
+    neighbors' signs."""
+    m.flip_fill(j)
+    m.local_complement(j)
+    nb = m.neighbors(j)
+    for l in nb:
+        m.advance(l)
+    m.flip_sign(j)
+    if m.neg[j]:
+        for l in nb:
+            m.flip_sign(l)
+
+
+def e2_reference(m, j: int, k: int) -> None:
+    """E2 on the edge (j, k) of a ``_Mutable``; both sign conditions are
+    read before either flip."""
+    m.flip_fill(j)
+    m.flip_fill(k)
+    m.local_complement_edge(j, k)
+    for l in m.neighbors(j) & m.neighbors(k):
+        m.flip_sign(l)
+    j_neg, k_neg = m.neg[j], m.neg[k]
+    if j_neg:
+        m.flip_sign(j)
+        for l in m.neighbors(j):
+            m.flip_sign(l)
+    if k_neg:
+        m.flip_sign(k)
+        for l in m.neighbors(k):
+            m.flip_sign(l)
+
+
+def ei_reference(m, hollow: int, solid: int) -> None:
+    """E(i) on a ``_Mutable``: swap the fills of a hollow node and its
+    solid neighbor with a loop, one decoration at a time."""
+    common0 = m.neighbors(solid) & m.neighbors(hollow)
+    solid_neg0, hollow_neg0 = m.neg[solid], m.neg[hollow]
+    m.local_complement(solid)
+    m.local_complement(hollow)
+    m.loop[solid] = False
+    for l in m.neighbors(solid):
+        m.advance(l)
+    m.flip_fill(hollow)
+    m.flip_fill(solid)
+    for l in common0:
+        m.flip_sign(l)
+    if solid_neg0:
+        m.flip_sign(solid)
+        for l in m.neighbors(solid):
+            m.flip_sign(l)
+    if hollow_neg0:
+        for l in m.neighbors(hollow):
+            m.flip_sign(l)
+
+
+def e_move_reference(g: StabilizerGraph, body, *nodes: int) -> StabilizerGraph:
+    """One reference E move on a copy of ``g``; the result carries the
+    reduced verdict ``_Mutable.freeze()`` derives from the written nodes."""
+    from stabgraph.graph import _Mutable
+
+    m = _Mutable(g)
+    body(m, *nodes)
+    return m.freeze()
+
+
 def to_reduced_restart_scan(g: StabilizerGraph) -> StabilizerGraph:
     """Reference for ``to_reduced``: after every move, rescan from node 0.
 
@@ -130,7 +205,6 @@ def to_reduced_restart_scan(g: StabilizerGraph) -> StabilizerGraph:
     on the lexicographically smallest hollow-hollow edge until none is
     left.  ``to_reduced`` must make the same moves in the same order.
     """
-    from stabgraph.equivalence import _e1_core, _e2_core
     from stabgraph.graph import _Mutable
 
     m = _Mutable(g)
@@ -138,7 +212,7 @@ def to_reduced_restart_scan(g: StabilizerGraph) -> StabilizerGraph:
         j = next((i for i in range(g.n) if m.hollow[i] and m.loop[i]), None)
         if j is None:
             break
-        _e1_core(m, j)
+        e1_reference(m, j)
     else:
         raise RuntimeError("loop-clearing phase failed to terminate")
     for _ in range(g.n + 1):
@@ -154,10 +228,78 @@ def to_reduced_restart_scan(g: StabilizerGraph) -> StabilizerGraph:
         )
         if pair is None:
             break
-        _e2_core(m, *pair)
+        e2_reference(m, *pair)
     else:
         raise RuntimeError("edge-clearing phase failed to terminate")
     return m.freeze()
+
+
+# --- per-bit references for the row bit lists, formatters and validation ---
+#
+# The engine lists the set bits of a dense row by unpacking its bytes, builds
+# edge lists and graph text from per-row bit lists, and checks symmetry
+# against the transpose.  These are the one-bit-at-a-time versions they
+# replaced, which the tests hold them to exactly.
+
+
+def bits_reference(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first, one at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def edges_reference(g: StabilizerGraph) -> List[Tuple[int, int]]:
+    return [(i, j) for i in range(g.n) for j in bits_reference(g.adj[i]) if i < j]
+
+
+def format_graph_reference(g: StabilizerGraph) -> str:
+    """Graph text with one f-string per node and per edge."""
+    out = [f"nodes {g.n}"]
+    for j in range(g.n):
+        parts = [f"node {j}", "hollow" if g.hollow[j] else "solid"]
+        if g.loop[j]:
+            parts.append("loop")
+        if g.neg[j]:
+            parts.append("neg")
+        out.append(" ".join(parts))
+    for i, j in edges_reference(g):
+        out.append(f"edge {i} {j}")
+    return "\n".join(out) + "\n"
+
+
+def graph_to_dot_reference(g: StabilizerGraph) -> str:
+    out = ["graph stabilizer {", "  node [shape=circle];"]
+    for j in range(g.n):
+        attrs = []
+        if not g.hollow[j]:
+            attrs += ["style=filled", "fillcolor=black", "fontcolor=white"]
+        if g.neg[j]:
+            attrs.append(f'label="{j}−"')
+        out.append(f"  {j} [{', '.join(attrs)}];" if attrs else f"  {j};")
+    for i, j in edges_reference(g):
+        out.append(f"  {i} -- {j};")
+    for j in range(g.n):
+        if g.loop[j]:
+            out.append(f"  {j} -- {j};")
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def adjacency_error_reference(adj, n: int):
+    """The message the constructor raises for the rows ``adj``, checked row
+    by row and edge by edge; None when they form an adjacency matrix."""
+    full = (1 << n) - 1
+    for j, row in enumerate(adj):
+        if not 0 <= row <= full:
+            return f"adjacency row {j} out of range"
+        if (row >> j) & 1:
+            return f"node {j} has a diagonal adjacency entry"
+        for k in bits_reference(row):
+            if not (adj[k] >> j) & 1:
+                return f"adjacency is not symmetric at ({j}, {k})"
+    return None
 
 
 def sparse_graph(n: int, seed: int, p: float, *, reduced: bool = False) -> StabilizerGraph:

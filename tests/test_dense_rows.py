@@ -1,0 +1,282 @@
+"""Whole-row operations on the decide path, held to per-bit references.
+
+``graph._bits`` unpacks a dense row at C speed and loops over a sparse one;
+the E moves run on flag bitmasks (``graph._Masks``); ``edges()`` and
+``format_graph`` list each row's upper neighbors in one go; the constructor
+checks symmetry against the transpose.  Each is compared here, exactly, with
+the one-bit-at-a-time version in ``helpers``, on sparse graphs, on dense
+ones, and on the dense reduced form of a mean-degree-6 graph at n=1024.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    adjacency_error_reference,
+    bits_reference,
+    e1_reference,
+    e2_reference,
+    e_move_reference,
+    edges_reference,
+    ei_reference,
+    format_graph_reference,
+    graph_to_dot_reference,
+    is_reduced_per_node,
+    sparse_graph,
+    to_reduced_restart_scan,
+)
+from stabgraph import (
+    StabilizerGraph,
+    apply_E1,
+    apply_E2,
+    apply_Ei,
+    apply_Eii,
+    is_reduced,
+    random_graph,
+    to_reduced,
+)
+from stabgraph.graph import _UNPACK_AT, _Masks, _bits
+from stabgraph.textio import format_graph, graph_to_dot, parse_graph
+
+SIZES = (1, 7, 8, 9, 63, 64, 65, 1024)
+
+
+def _mean_degree_6(n: int, seed: int) -> StabilizerGraph:
+    return sparse_graph(n, seed, 6 / (n - 1))
+
+
+@pytest.fixture(scope="module")
+def dense_reduced():
+    """The reduced form of a mean-degree-6 graph at n=1024: ~200 times the
+    input's edges, with most rows far above the unpack threshold."""
+    g = _mean_degree_6(1024, 6)
+    r = to_reduced(g)
+    assert len(r.edges()) > 50 * len(g.edges())
+    return g, r
+
+
+def _graphs():
+    """Sparse and dense graphs on both sides of the unpack threshold."""
+    for n in (1, 2, 9, 16, 64, 256):
+        yield sparse_graph(n, n, 0.05)
+        yield random_graph(n, n)
+        yield to_reduced(random_graph(n, n + 1))
+
+
+class TestBits:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_the_per_bit_loop_around_the_switch(self, n):
+        rng = random.Random(n)
+        masks = [0, (1 << n) - 1]
+        for count in (_UNPACK_AT - 1, _UNPACK_AT, _UNPACK_AT + 1):
+            if count <= n:
+                masks.append(sum(1 << b for b in rng.sample(range(n), count)))
+                # The same count packed at the top, where a short byte
+                # string or a wrong bit order goes wrong first.
+                masks.append(sum(1 << (n - 1 - b) for b in range(count)))
+        for mask in masks:
+            got = _bits(mask)
+            assert type(got) is list and all(type(b) is int for b in got)
+            assert got == list(bits_reference(mask)), hex(mask)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**1100))
+    def test_matches_the_per_bit_loop(self, mask):
+        assert _bits(mask) == list(bits_reference(mask))
+
+
+class TestFormatters:
+    def test_edges_and_text_match_the_per_bit_versions(self):
+        for g in _graphs():
+            assert g.edges() == edges_reference(g)
+            assert format_graph(g) == format_graph_reference(g)
+            assert graph_to_dot(g) == graph_to_dot_reference(g)
+
+    def test_dense_reduced_form_at_n_1024(self, dense_reduced):
+        _, r = dense_reduced
+        assert r.edges() == edges_reference(r)
+        text = format_graph(r)
+        assert text == format_graph_reference(r)
+        assert graph_to_dot(r) == graph_to_dot_reference(r)
+        assert parse_graph(text) == r
+
+
+def _corrupt(adj: list, n: int, rng: random.Random, kind: str) -> None:
+    j = rng.randrange(n)
+    if kind == "high":
+        adj[j] |= 1 << (n + rng.randrange(3))
+    elif kind == "negative":
+        # Random low bits: neighbors read a negative row in two's complement.
+        adj[j] = -rng.randrange(1, 2 << n)
+    elif kind == "diagonal":
+        adj[j] |= 1 << j
+    elif n >= 2:  # one-sided: toggle (j, k) in row j only
+        k = rng.choice([k for k in range(n) if k != j])
+        adj[j] ^= 1 << k
+
+
+class TestValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 80),
+        st.integers(0, 2**32),
+        st.sampled_from((0.05, 0.3, 0.7)),
+        st.lists(st.sampled_from(("high", "negative", "diagonal", "one_sided")), max_size=3),
+    )
+    def test_same_error_as_the_edge_by_edge_check(self, n, seed, p, kinds):
+        rng = random.Random(seed)
+        adj = list(sparse_graph(n, seed, p).adj)
+        for kind in kinds:
+            _corrupt(adj, n, rng, kind)
+        want = adjacency_error_reference(adj, n)
+        flags = (False,) * n
+        if want is None:
+            StabilizerGraph(n, flags, flags, flags, tuple(adj))
+        else:
+            with pytest.raises(ValueError) as err:
+                StabilizerGraph(n, flags, flags, flags, tuple(adj))
+            assert str(err.value) == want
+
+    def test_every_kind_of_defect_is_reached(self):
+        # The property above is only as strong as the errors it provokes.
+        seen = set()
+        rng = random.Random(0)
+        for kind in ("high", "negative", "diagonal", "one_sided"):
+            for n in (2, 9, 64):
+                adj = list(random_graph(n, n).adj)
+                _corrupt(adj, n, rng, kind)
+                seen.add(adjacency_error_reference(adj, n).split(" ")[0])
+        assert seen == {"adjacency", "node"}
+
+    def test_one_sided_edges_whose_codes_cancel_in_a_sum(self):
+        # (0, 1) only in row 0 and (3, 2) only in row 3: the codes j*n + k
+        # of the rows and those of their transpose have the same sum.
+        n = 64
+        adj = list(random_graph(n, 5).adj)
+        adj[0] |= 1 << 1
+        adj[1] &= ~1
+        adj[3] |= 1 << 2
+        adj[2] &= ~(1 << 3)
+        flags = (False,) * n
+        with pytest.raises(ValueError) as err:
+            StabilizerGraph(n, flags, flags, flags, tuple(adj))
+        assert str(err.value) == adjacency_error_reference(adj, n)
+        assert str(err.value) == "adjacency is not symmetric at (0, 1)"
+
+    def test_dense_reduced_form_at_n_1024(self, dense_reduced):
+        _, r = dense_reduced
+        flags = (False,) * r.n
+        adj = list(r.adj)
+        StabilizerGraph(r.n, flags, flags, flags, tuple(adj))
+        k = _bits(adj[700])[-1]
+        adj[700] ^= 1 << k
+        with pytest.raises(ValueError) as err:
+            StabilizerGraph(r.n, flags, flags, flags, tuple(adj))
+        assert str(err.value) == adjacency_error_reference(adj, r.n)
+
+
+def _check_move(out: StabilizerGraph, ref: StabilizerGraph) -> None:
+    assert out == ref
+    assert out._reduced == ref._reduced
+    if out._reduced is not None:
+        assert out._reduced == is_reduced_per_node(out)
+
+
+def _e_moves(g: StabilizerGraph, rng: random.Random, count: int):
+    """Up to ``count`` E1 and E2 moves, and E(i)/E(ii) moves when ``g`` is
+    reduced, each with the list-based reference body it must match."""
+    loops = [j for j in range(g.n) if g.loop[j]]
+    for j in rng.sample(loops, min(count, len(loops))):
+        yield apply_E1, e1_reference, (j,)
+    pairs = [(j, k) for j, k in g.edges() if not g.loop[j] and not g.loop[k]]
+    for j, k in rng.sample(pairs, min(count, len(pairs))):
+        yield apply_E2, e2_reference, (j, k)
+    if g._reduced:
+        for rule, body, want_loop in ((apply_Ei, ei_reference, True), (apply_Eii, e2_reference, False)):
+            pairs = [
+                (h, s)
+                for h, s in (p for e in g.edges() for p in (e, e[::-1]))
+                if g.hollow[h] and not g.hollow[s] and g.loop[s] == want_loop
+            ]
+            for h, s in rng.sample(pairs, min(count, len(pairs))):
+                yield rule, body, (h, s)
+
+
+class TestEMoves:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_match_the_list_based_bodies(self, n, dense):
+        p = 0.5 if dense else 6 / (n - 1)
+        g = sparse_graph(n, 7 * n, p)
+        r = to_reduced(g)
+        assert r == to_reduced_restart_scan(g)
+        fresh = StabilizerGraph(n, r.hollow, r.loop, r.neg, r.adj)
+        # Reduced forms of dense graphs keep few hollow nodes, so E(i) and
+        # E(ii) also run on a graph drawn reduced with hollow nodes to spare.
+        drawn = sparse_graph(n, 7 * n + 1, p, reduced=True)
+        assert is_reduced(r) and is_reduced(drawn)
+        rng = random.Random(n)
+        kinds = set()
+        for src in (g, fresh, r, drawn):
+            for rule, body, nodes in _e_moves(src, rng, 4):
+                _check_move(rule(src, *nodes), e_move_reference(src, body, *nodes))
+                kinds.add(rule)
+        assert kinds == {apply_E1, apply_E2, apply_Ei, apply_Eii}
+
+    def test_dense_reduced_form_at_n_1024(self, dense_reduced):
+        g, r = dense_reduced
+        assert r == to_reduced_restart_scan(g)
+        assert r._reduced is True and is_reduced_per_node(r)
+        kinds = set()
+        for rule, body, nodes in _e_moves(r, random.Random(1), 1):
+            _check_move(rule(r, *nodes), e_move_reference(r, body, *nodes))
+            kinds.add(rule)
+        assert kinds == {apply_E1, apply_E2, apply_Ei, apply_Eii}
+
+
+class TestMaskState:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(0, 2**32),
+        st.lists(
+            st.tuples(
+                st.sampled_from(("complement", "complement_edge", "fill", "loop")),
+                st.integers(0, 2**16),
+                st.integers(0, 2**16),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_freeze_carries_the_verdict_of_any_writes(self, n, seed, writes):
+        # The E moves are a few such writes; the verdict freeze() settles
+        # from the written nodes must hold whatever the writes were.
+        r = sparse_graph(n, seed, 0.3, reduced=True)
+        assert is_reduced(r)
+        m = _Masks(r)
+        for kind, a, b in writes:
+            j, k = a % n, b % n
+            if kind == "complement":
+                m.local_complement(j)
+            elif kind == "complement_edge" and j != k:
+                m.local_complement_edge(j, k)
+            elif kind == "fill":
+                m.hollow ^= 1 << j
+            elif kind == "loop":
+                m.loop ^= 1 << j
+        out = m.freeze()
+        out._validate()
+        assert out._reduced == is_reduced_per_node(out)
+
+
+class TestToReducedShortcut:
+    def test_reduced_input_with_unknown_verdict_is_returned_as_is(self):
+        r = sparse_graph(40, 3, 0.1, reduced=True)
+        assert r._reduced is None
+        assert to_reduced(r) is r
+        assert r._reduced is True
