@@ -105,7 +105,15 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-_TOKEN_RE = re.compile(r"(?:(H|S|Z):(\d+)|CZ:(\d+),(\d+))\Z")
+# ASCII digits only: \d would also take digits such as '٣' that int() reads.
+_TOKEN_RE = re.compile(r"(?:(H|S|Z):([0-9]+)|CZ:([0-9]+),([0-9]+))\Z")
+
+
+def _qubit(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ScriptError(f"qubit index has too many digits ({len(digits)})") from None
 
 
 def parse_script(script: str, n: int) -> list[GateApplication]:
@@ -116,12 +124,12 @@ def parse_script(script: str, n: int) -> list[GateApplication]:
         if m is None:
             raise ScriptError(f"bad script token {tok!r}")
         if m.group(1):
-            j = int(m.group(2))
+            j = _qubit(m.group(2))
             if j >= n:
                 raise ScriptError(f"token {tok!r}: qubit {j} out of range for n={n}")
             gates.append((m.group(1), (j,)))
         else:
-            i, j = int(m.group(3)), int(m.group(4))
+            i, j = _qubit(m.group(3)), _qubit(m.group(4))
             if i >= n or j >= n:
                 raise ScriptError(f"token {tok!r}: qubit out of range for n={n}")
             if i == j:

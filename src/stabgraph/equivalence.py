@@ -35,6 +35,7 @@ from .graph import (
     StabilizerGraph,
     _Masks,
     _bits,
+    _check_node,
     _hollow_clashes,
     _mask,
     is_reduced,
@@ -50,9 +51,7 @@ def _e1_core(m: _Masks, j: int) -> None:
     m.hollow ^= bit
     m.local_complement(j)
     nb = m.adj[j]
-    # Advance the neighbors' loops: a loop becomes a sign flip, none a loop.
-    m.neg ^= m.loop & nb
-    m.loop ^= nb
+    m.advance(nb)
     m.neg ^= bit
     if m.neg & bit:
         m.neg ^= nb
@@ -73,6 +72,23 @@ def _e2_core(m: _Masks, j: int, k: int) -> None:
     m.neg ^= flips
 
 
+def _ei_core(m: _Masks, hollow: int, solid: int) -> None:
+    h, s = 1 << hollow, 1 << solid
+    common0 = m.adj[solid] & m.adj[hollow]
+    solid_neg0, hollow_neg0 = m.neg & s, m.neg & h
+    m.local_complement(solid)
+    m.local_complement(hollow)
+    m.loop &= ~s
+    nb = m.adj[solid]
+    m.advance(nb)
+    m.hollow ^= h | s
+    m.neg ^= common0
+    if solid_neg0:
+        m.neg ^= s | nb
+    if hollow_neg0:
+        m.neg ^= m.adj[hollow]
+
+
 def apply_E1(g: StabilizerGraph, j: int) -> StabilizerGraph:
     """Flip the fill of node j, which must carry a loop.
 
@@ -80,8 +96,7 @@ def apply_E1(g: StabilizerGraph, j: int) -> StabilizerGraph:
     and sign, and, when j ends up negative, flips its neighbors' signs.
     j keeps its loop.  The described state is unchanged.
     """
-    if not 0 <= j < g.n:
-        raise ValueError(f"node {j} out of range for n={g.n}")
+    _check_node(g, j)
     if not g.loop[j]:
         raise ValueError(f"node {j} has no loop")
     m = _Masks(g)
@@ -97,8 +112,7 @@ def apply_E2(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
     The described state is unchanged.
     """
     for node in (j, k):
-        if not 0 <= node < g.n:
-            raise ValueError(f"node {node} out of range for n={g.n}")
+        _check_node(g, node)
         if g.loop[node]:
             raise ValueError(f"node {node} has a loop")
     if j == k or not g.has_edge(j, k):
@@ -120,21 +134,7 @@ def apply_Ei(g: StabilizerGraph, hollow: int, solid: int) -> StabilizerGraph:
     """
     _check_pair(g, hollow, solid, want_loop=True)
     m = _Masks(g)
-    h, s = 1 << hollow, 1 << solid
-    common0 = m.adj[solid] & m.adj[hollow]
-    solid_neg0, hollow_neg0 = m.neg & s, m.neg & h
-    m.local_complement(solid)
-    m.local_complement(hollow)
-    m.loop &= ~s
-    nb = m.adj[solid]
-    m.neg ^= m.loop & nb
-    m.loop ^= nb
-    m.hollow ^= h | s
-    m.neg ^= common0
-    if solid_neg0:
-        m.neg ^= s | nb
-    if hollow_neg0:
-        m.neg ^= m.adj[hollow]
+    _ei_core(m, hollow, solid)
     return m.freeze()
 
 
@@ -151,8 +151,7 @@ def apply_Eii(g: StabilizerGraph, hollow: int, solid: int) -> StabilizerGraph:
 
 def _check_pair(g: StabilizerGraph, hollow: int, solid: int, want_loop: bool) -> None:
     for node in (hollow, solid):
-        if not 0 <= node < g.n:
-            raise ValueError(f"node {node} out of range for n={g.n}")
+        _check_node(g, node)
     if not is_reduced(g):
         raise ValueError("graph is not reduced")
     if not g.hollow[hollow] or g.hollow[solid]:

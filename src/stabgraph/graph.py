@@ -24,11 +24,10 @@ A graph whose rows hold ``_UNPACK_AT`` set bits or more on average is first
 checked by comparing its edge list with its transpose at C speed
 (``_symmetric_by_transpose``).  A sparser one, or one that fails that
 check, is checked row by row, and the first defective row names the error.
-Rewrites of an already-valid graph go through ``_Mutable.freeze()`` (or
-``_Masks.freeze()``), which use the unchecked ``StabilizerGraph._trusted``
-constructor, so a gate costs about the degree of its target rather than a
-full symmetry check; ``apply_sequence`` runs one ``_validate()`` on the
-graph it returns.
+Rewrites of an already-valid graph go through ``_Masks.freeze()``, which
+uses the unchecked ``StabilizerGraph._trusted`` constructor, so a gate
+costs about the degree of its target rather than a full symmetry check;
+``apply_sequence`` runs one ``_validate()`` on the graph it returns.
 
 Rows are walked bit by bit only when they are sparse.  ``_bits`` lists the
 set bits of a mask with a per-bit loop below ``_UNPACK_AT`` set bits and
@@ -37,25 +36,28 @@ reduced graph (reducing a mean-degree-6 graph at n=1024 gives rows of
 hundreds of bits) cost a few C-speed calls each.  ``edges()`` lists each
 row's neighbors above it in one such call.
 
+Every rewrite, the gate rules of ``transforms`` and the E moves of
+``equivalence`` alike, runs on one scratch state, ``_Masks``: the fills,
+loops and signs as three int bitmasks beside a list of the adjacency
+rows, so advancing or flipping a whole neighborhood is one operation on a
+mask.  Its ``freeze()`` writes back only the flag positions that changed
+and stores the three masks on the result, outside the dataclass fields,
+so the next rewrite of that graph starts from them instead of rebuilding
+them from the flag tuples.
+
 The reduced invariant is checked after every reduced rule and after
 ``to_reduced``, with an explicit ``InvariantError`` that survives
 ``python -O``.  ``is_reduced`` caches its verdict on the (frozen) graph,
-outside the dataclass fields, so a graph from the constructor or a parser
-pays one full scan on its first check.  When the source graph is known
-to be reduced, ``_Mutable`` records every node whose fill, loop or
-adjacency row a rewrite writes, and ``freeze()`` looks only at those
-nodes (a hollow one must have no loop and no hollow neighbor) and stores
-that verdict on the result.  A reduced output can only break at a written node, so the
-check costs the degree of the written nodes, not n.  ``apply_sequence``
-backs this up with one full scan, ignoring the cache, of the graph it
-returns.
-
-The E moves of ``equivalence`` run on ``_Masks``: the fills, loops and
-signs as three int bitmasks beside the adjacency rows, so advancing or
-flipping a whole neighborhood is one operation on a mask.  Its
-``freeze()`` writes back only the flag positions that changed and, from a
-source known to be reduced, carries the verdict of the result the same way,
-from the nodes whose fill, loop or row the move wrote.
+next to the masks, so a graph from the constructor or a parser pays one
+full scan on its first check.  When the source graph is known to be
+reduced, ``freeze()`` looks only at the nodes whose fill, loop or
+adjacency row the rewrite wrote (the ``_Masks`` methods record the rows
+they write in ``rows``): a hollow one must have no loop and no hollow
+neighbor, and ``freeze()`` stores that verdict on the result.  A reduced
+output can only break at a written node, so the check costs the number
+of written hollow nodes, not n.  ``apply_sequence`` backs this up, on the
+graph it returns, with one full scan that ignores the cached verdict and
+a comparison of the cached masks with the flag tuples.
 """
 
 from __future__ import annotations
@@ -195,9 +197,11 @@ class StabilizerGraph:
     neg: Tuple[bool, ...]
     adj: Tuple[int, ...]
 
-    # Cached ``is_reduced`` verdict (None: not known yet).  Not annotated,
-    # so it is no dataclass field and leaves ==, hash and repr alone.
+    # Cached ``is_reduced`` verdict (None: not known yet) and flag masks
+    # (hollow, loop, neg) of ``_Masks``.  Not annotated, so they are no
+    # dataclass fields and leave ==, hash and repr alone.
     _reduced = None
+    _masks = None
 
     def __post_init__(self) -> None:
         try:
@@ -229,15 +233,17 @@ class StabilizerGraph:
         neg: Tuple[bool, ...],
         adj: Tuple[int, ...],
         reduced: Optional[bool] = None,
+        masks: Optional[Tuple[int, int, int]] = None,
     ) -> "StabilizerGraph":
         """Build without validation, for rewrites of a graph already valid.
 
-        ``reduced`` is the ``is_reduced`` verdict, when the caller knows it.
+        ``reduced`` is the ``is_reduced`` verdict and ``masks`` the flag
+        masks (hollow, loop, neg), when the caller knows them.
         """
         g = object.__new__(cls)
-        g.__dict__.update(n=n, hollow=hollow, loop=loop, neg=neg, adj=adj)
-        if reduced is not None:
-            g.__dict__["_reduced"] = reduced
+        g.__dict__.update(
+            n=n, hollow=hollow, loop=loop, neg=neg, adj=adj, _reduced=reduced, _masks=masks
+        )
         return g
 
     @classmethod
@@ -291,157 +297,59 @@ class StabilizerGraph:
         return bool((self.adj[i] >> j) & 1)
 
 
-class _Tracked(list):
-    """A list that records, as the bitmask ``written``, every index written
-    to it.  The owner sets ``written = 0`` after construction (cheaper than
-    an ``__init__`` override on this per-gate path).  Rewrites index nodes
-    directly; a negative index or a slice fails loudly in the shift rather
-    than going unrecorded."""
-
-    __slots__ = ("written",)
-
-    def __setitem__(self, i: int, value: object) -> None:
-        list.__setitem__(self, i, value)
-        self.written |= 1 << i
-
-
-def _clean_at(
-    hollow: Sequence[bool], loop: Sequence[bool], adj: Sequence[int], nodes: int
-) -> bool:
+def _clean_at(hollow: int, loop: int, adj: Sequence[int], nodes: int) -> bool:
     """True when no node in the mask ``nodes`` is hollow with a loop or a
-    hollow neighbor; costs the degree of the hollow nodes in the mask."""
-    for j in _bits(nodes):
-        if hollow[j] and (loop[j] or any(hollow[k] for k in _bits(adj[j]))):
-            return False
-    return True
+    hollow neighbor; ``hollow`` and ``loop`` are the flag masks.  Costs
+    the number of hollow nodes in the mask."""
+    nodes &= hollow
+    return not nodes & loop and not any(adj[j] & hollow for j in _bits(nodes))
 
 
-class _Mutable:
-    """Scratch copy used internally while applying a rewrite.
+class _Masks:
+    """Scratch state of every rewrite: the fills, loops and signs as bitmasks
+    (bit j is node j's flag) and the adjacency rows as a list.
 
-    When the source graph is known to be reduced, writes to ``hollow``,
-    ``loop`` and ``adj`` are recorded, so that ``freeze()`` can settle the
-    reduced verdict of the result by looking only at the written nodes.
-    Otherwise there is no verdict to carry over and plain lists are used,
-    which keeps ``to_reduced``'s many row writes at list speed.
+    A rule is then a few whole-row operations: advancing the loops of the
+    nodes in a mask is ``advance(mask)``, flipping their signs is
+    ``neg ^= mask``, and the common neighbors of j and k are
+    ``adj[j] & adj[k]``.  The methods that write adjacency rows record them
+    in ``rows``.  The flag masks start from the ones the source carries
+    (see ``freeze()``), or are built from its flag tuples once and stored
+    on it.
+
+    ``freeze()`` writes back only the flag positions that changed, and
+    stores the three masks on the result for the next rewrite.  When the
+    source is known to be reduced it also settles the verdict of the
+    result: a reduced graph can only break at a node whose fill, loop or
+    row was written, and a hollow one of those must have no loop and no
+    hollow neighbor.
     """
 
-    __slots__ = ("n", "hollow", "loop", "neg", "adj", "source_reduced")
+    __slots__ = ("n", "source", "start", "hollow", "loop", "neg", "adj", "rows")
 
     def __init__(self, g: StabilizerGraph) -> None:
+        start = g._masks
+        if start is None:
+            start = g.__dict__["_masks"] = (_mask(g.hollow), _mask(g.loop), _mask(g.neg))
         self.n = g.n
-        self.source_reduced = g._reduced is True
-        store = _Tracked if self.source_reduced else list
-        self.hollow = store(g.hollow)
-        self.loop = store(g.loop)
-        self.neg = list(g.neg)
-        self.adj = store(g.adj)
-        if self.source_reduced:
-            self.hollow.written = self.loop.written = self.adj.written = 0
+        self.source = g
+        self.start = start
+        self.hollow, self.loop, self.neg = start
+        self.adj = list(g.adj)
+        self.rows = 0
 
-    def freeze(self) -> StabilizerGraph:
-        reduced = None
-        if self.source_reduced:
-            # A graph that was reduced can only break at a written node.
-            written = self.hollow.written | self.loop.written | self.adj.written
-            reduced = _clean_at(self.hollow, self.loop, self.adj, written)
-        return StabilizerGraph._trusted(
-            self.n,
-            tuple(self.hollow),
-            tuple(self.loop),
-            tuple(self.neg),
-            tuple(self.adj),
-            reduced,
-        )
-
-    def neighbors(self, j: int) -> set[int]:
-        return set(_bits(self.adj[j]))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.adj[i] >> j) & 1)
+    def advance(self, nodes: int) -> None:
+        # One phase gate on each node in the mask: add a loop, or trade an
+        # existing loop for a sign flip (two loops make a Z).
+        self.neg ^= self.loop & nodes
+        self.loop ^= nodes
 
     def toggle_edge(self, i: int, j: int) -> None:
         if i == j:
             raise ValueError(f"self edge at node {i}")
         self.adj[i] ^= 1 << j
         self.adj[j] ^= 1 << i
-
-    def flip_fill(self, j: int) -> None:
-        self.hollow[j] = not self.hollow[j]
-
-    def flip_sign(self, j: int) -> None:
-        self.neg[j] = not self.neg[j]
-
-    def advance(self, j: int) -> None:
-        # One application of a phase gate: add a loop, or trade an existing
-        # loop for a sign flip (two loops make a Z).
-        if self.loop[j]:
-            self.loop[j] = False
-            self.neg[j] = not self.neg[j]
-        else:
-            self.loop[j] = True
-
-    def local_complement(self, j: int) -> None:
-        nb = self.adj[j]
-        for l in _bits(nb):
-            self.adj[l] ^= nb & ~(1 << l)
-
-    def local_complement_edge(self, j: int, k: int) -> None:
-        # Simultaneous update: entry (l, m) gains a_l*b_m + a_m*b_l, where
-        # a/b are the adjacency rows of the decision pair with the node
-        # itself included.  Diagonal entries are left untouched.  Rows
-        # outside a|b get no delta, and each row's delta depends only on
-        # a and b, so the rows of a|b can be updated in place.
-        a = self.adj[j] | (1 << j)
-        b = self.adj[k] | (1 << k)
-        for l in _bits(a | b):
-            delta = 0
-            if (a >> l) & 1:
-                delta ^= b
-            if (b >> l) & 1:
-                delta ^= a
-            self.adj[l] = (self.adj[l] ^ delta) & ~(1 << l)
-
-    def local_complement_edge_step3(self, j: int, k: int) -> None:
-        # Only the third step of edge complementation: toggle edges between
-        # non-decision nodes whose decision neighborhoods are non-empty and
-        # different (adjacent to j only / to k only / to both).
-        dm = (1 << j) | (1 << k)
-        only_j = self.adj[j] & ~self.adj[k] & ~dm
-        only_k = self.adj[k] & ~self.adj[j] & ~dm
-        both = self.adj[j] & self.adj[k] & ~dm
-        for group_a, group_b in ((only_j, only_k), (only_j, both), (only_k, both)):
-            for l in _bits(group_a):
-                self.adj[l] ^= group_b
-            for l in _bits(group_b):
-                self.adj[l] ^= group_a
-
-
-class _Masks:
-    """Scratch state of the E moves: the fills, loops and signs as bitmasks
-    (bit j is node j's flag) and the adjacency rows as a list.
-
-    A move is then a few whole-row operations: advancing the loops of the
-    nodes in ``nb`` is ``neg ^= loop & nb; loop ^= nb``, and flipping their
-    signs is ``neg ^= nb``.  Complementing along an edge is ``_Mutable``'s,
-    which touches only ``adj``; ``rows`` records the rows the
-    complementations wrote.
-
-    ``freeze()`` writes back only the flag positions that changed.  When the
-    source is known to be reduced it also settles the verdict of the result,
-    as ``_Mutable.freeze()`` does: a reduced graph can only break at a node
-    whose fill, loop or row was written, and a hollow one of those must have
-    no loop and no hollow neighbor.
-    """
-
-    __slots__ = ("source", "start", "hollow", "loop", "neg", "adj", "rows")
-
-    def __init__(self, g: StabilizerGraph) -> None:
-        self.source = g
-        self.start = (_mask(g.hollow), _mask(g.loop), _mask(g.neg))
-        self.hollow, self.loop, self.neg = self.start
-        self.adj = list(g.adj)
-        self.rows = 0
+        self.rows |= (1 << i) | (1 << j)
 
     def local_complement(self, j: int) -> None:
         # E1 and E(i) spend most of their time here on dense rows: one
@@ -454,26 +362,55 @@ class _Masks:
             adj[l] ^= nb ^ (1 << l)
 
     def local_complement_edge(self, j: int, k: int) -> None:
-        self.rows |= self.adj[j] | self.adj[k] | (1 << j) | (1 << k)
-        _Mutable.local_complement_edge(self, j, k)
+        # Simultaneous update: entry (l, m) gains a_l*b_m + a_m*b_l, where
+        # a/b are the adjacency rows of the decision pair with the node
+        # itself included.  Diagonal entries are left untouched.  Rows
+        # outside a|b get no delta, and each row's delta depends only on
+        # a and b, so the rows of a|b can be updated in place.
+        adj = self.adj
+        a = adj[j] | (1 << j)
+        b = adj[k] | (1 << k)
+        self.rows |= a | b
+        for l in _bits(a | b):
+            delta = 0
+            if (a >> l) & 1:
+                delta ^= b
+            if (b >> l) & 1:
+                delta ^= a
+            adj[l] = (adj[l] ^ delta) & ~(1 << l)
+
+    def local_complement_edge_step3(self, j: int, k: int) -> None:
+        # Only the third step of edge complementation: toggle edges between
+        # non-decision nodes whose decision neighborhoods are non-empty and
+        # different (adjacent to j only / to k only / to both).
+        adj = self.adj
+        dm = (1 << j) | (1 << k)
+        only_j = adj[j] & ~adj[k] & ~dm
+        only_k = adj[k] & ~adj[j] & ~dm
+        both = adj[j] & adj[k] & ~dm
+        self.rows |= only_j | only_k | both
+        for group_a, group_b in ((only_j, only_k), (only_j, both), (only_k, both)):
+            for l in _bits(group_a):
+                adj[l] ^= group_b
+            for l in _bits(group_b):
+                adj[l] ^= group_a
 
     def freeze(self) -> StabilizerGraph:
         g = self.source
         hollow0, loop0, neg0 = self.start
-        hollow, loop, adj = self.hollow, self.loop, self.adj
+        hollow, loop, neg = self.hollow, self.loop, self.neg
         reduced = None
         if g._reduced is True:
             written = self.rows | (hollow ^ hollow0) | (loop ^ loop0)
-            reduced = not written & hollow & loop and not any(
-                adj[l] & hollow for l in _bits(written & hollow)
-            )
+            reduced = _clean_at(hollow, loop, self.adj, written)
         return StabilizerGraph._trusted(
-            g.n,
+            self.n,
             _with_flipped(g.hollow, hollow ^ hollow0),
             _with_flipped(g.loop, loop ^ loop0),
-            _with_flipped(g.neg, self.neg ^ neg0),
-            tuple(adj),
+            _with_flipped(g.neg, neg ^ neg0),
+            tuple(self.adj),
             reduced,
+            (hollow, loop, neg),
         )
 
 
@@ -497,19 +434,21 @@ def is_reduced(g: StabilizerGraph) -> bool:
 
     The verdict is cached on ``g``: the first call on a graph from the
     constructor or a parser scans it, and rewrites of a reduced graph
-    arrive with the verdict already set by ``_Mutable.freeze()``.
+    arrive with the verdict already set by ``_Masks.freeze()``.  A scan
+    uses the flag masks ``g`` carries, if any.
     """
     verdict = g._reduced
     if verdict is None:
-        verdict = _scan_reduced(g)
+        verdict = _scan_reduced(g, g._masks)
         g.__dict__["_reduced"] = verdict
     return verdict
 
 
-def _scan_reduced(g: StabilizerGraph) -> bool:
-    """The full O(n) ``is_reduced`` check, ignoring any cached verdict."""
-    hollow = _mask(g.hollow)
-    if hollow & _mask(g.loop):
+def _scan_reduced(g: StabilizerGraph, masks: Optional[Tuple[int, int, int]] = None) -> bool:
+    """The full O(n) ``is_reduced`` check, ignoring any cached verdict; from
+    the flag masks ``masks`` when given, else from the flag tuples."""
+    hollow, loop, _ = masks or (_mask(g.hollow), _mask(g.loop), 0)
+    if hollow & loop:
         return False
     return not _hollow_clashes(compress(g.adj, g.hollow), hollow)
 
@@ -522,9 +461,16 @@ def neighbors(g: StabilizerGraph, j: int) -> set[int]:
 def local_complement(g: StabilizerGraph, j: int) -> StabilizerGraph:
     """Complement the subgraph induced by the neighbors of j."""
     _check_node(g, j)
-    m = _Mutable(g)
+    m = _Masks(g)
     m.local_complement(j)
     return m.freeze()
+
+
+def _check_decision_pair(g: StabilizerGraph, j: int, k: int) -> None:
+    _check_node(g, j)
+    _check_node(g, k)
+    if j == k:
+        raise ValueError("decision nodes must differ")
 
 
 def local_complement_edge(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
@@ -534,11 +480,8 @@ def local_complement_edge(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph
     and complements edges between nodes whose decision neighborhoods are
     non-empty and different; it equals complementing on j, then k, then j.
     """
-    _check_node(g, j)
-    _check_node(g, k)
-    if j == k:
-        raise ValueError("decision nodes must differ")
-    m = _Mutable(g)
+    _check_decision_pair(g, j, k)
+    m = _Masks(g)
     m.local_complement_edge(j, k)
     return m.freeze()
 
@@ -547,11 +490,8 @@ def local_complement_edge_step3(
     g: StabilizerGraph, j: int, k: int
 ) -> StabilizerGraph:
     """Only the cross-neighborhood toggles of edge complementation."""
-    _check_node(g, j)
-    _check_node(g, k)
-    if j == k:
-        raise ValueError("decision nodes must differ")
-    m = _Mutable(g)
+    _check_decision_pair(g, j, k)
+    m = _Masks(g)
     m.local_complement_edge_step3(j, k)
     return m.freeze()
 
@@ -559,20 +499,20 @@ def local_complement_edge_step3(
 def advance_loop(g: StabilizerGraph, j: int) -> StabilizerGraph:
     """Add a loop at j, or trade an existing loop for a sign flip."""
     _check_node(g, j)
-    m = _Mutable(g)
-    m.advance(j)
+    m = _Masks(g)
+    m.advance(1 << j)
     return m.freeze()
 
 
 def flip_fill(g: StabilizerGraph, j: int) -> StabilizerGraph:
     _check_node(g, j)
-    m = _Mutable(g)
-    m.flip_fill(j)
+    m = _Masks(g)
+    m.hollow ^= 1 << j
     return m.freeze()
 
 
 def flip_sign(g: StabilizerGraph, j: int) -> StabilizerGraph:
     _check_node(g, j)
-    m = _Mutable(g)
-    m.flip_sign(j)
+    m = _Masks(g)
+    m.neg ^= 1 << j
     return m.freeze()

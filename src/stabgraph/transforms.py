@@ -14,6 +14,15 @@ drawings.  Two rule families implement this:
 ``apply_cz`` on an arbitrary graph first rewrites into reduced form (a
 state-preserving step) and then applies the reduced CZ rule.
 
+Every rule writes one ``graph._Masks``: flag bitmasks beside the
+adjacency rows, carried from graph to graph by ``freeze()``, so flipping
+the signs of a neighborhood is ``neg ^= adj[j]``.  T1, T2, T3, T6 and the
+three CZ rules have bodies of their own.  The rest are compositions, as
+in the paper, where the reduced rules are general rules after E moves:
+T4 is E1 then T2; T(ii) is E1 then T1; T(iii) and T(iv) are E(ii) and
+E(i) on the consumed hollow neighbor and the target, then T1.  The E
+moves are ``equivalence``'s bodies, and they leave the state fixed.
+
 Sign conditions inside a rule are evaluated on the decorations as they
 stand when the rule's sign stage begins; "originally"/"initially" in a
 docstring means before the rule started.  Rules that consume a solid node
@@ -24,14 +33,16 @@ choice yields the same state.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
-from .equivalence import to_reduced
+from .equivalence import _e1_core, _e2_core, _ei_core, to_reduced
 from .graph import (
     InvariantError,
     StabilizerGraph,
-    _Mutable,
+    _Masks,
     _bits,
+    _check_node,
+    _mask,
     _scan_reduced,
     is_reduced,
 )
@@ -42,14 +53,9 @@ LOCAL_GATES = ("H", "S", "Z")
 GateApplication = Tuple[str, Tuple[int, ...]]
 
 
-def _check_target(g: StabilizerGraph, j: int) -> None:
-    if not 0 <= j < g.n:
-        raise ValueError(f"node {j} out of range for n={g.n}")
-
-
 def classify_local(g: StabilizerGraph, gate: str, j: int) -> str:
     """Name of the general rule that applies: one of T1..T6."""
-    _check_target(g, j)
+    _check_node(g, j)
     if gate == "H":
         return "T1"
     if gate == "S":
@@ -63,7 +69,7 @@ def classify_local(g: StabilizerGraph, gate: str, j: int) -> str:
 
 def classify_local_reduced(g: StabilizerGraph, gate: str, j: int) -> str:
     """Name of the reduced rule that applies to a reduced graph."""
-    _check_target(g, j)
+    _check_node(g, j)
     if gate == "S":
         return "T(vii)" if g.hollow[j] else "T(vi)"
     if gate == "Z":
@@ -80,8 +86,8 @@ def classify_local_reduced(g: StabilizerGraph, gate: str, j: int) -> str:
 
 def classify_cz_reduced(g: StabilizerGraph, j: int, k: int) -> str:
     """Name of the reduced CZ rule: T(viii), T(ix) or T(x)."""
-    _check_target(g, j)
-    _check_target(g, k)
+    _check_node(g, j)
+    _check_node(g, k)
     if j == k:
         raise ValueError("CZ targets must differ")
     hollows = g.hollow[j] + g.hollow[k]
@@ -96,8 +102,8 @@ def _check_reduced(out: StabilizerGraph, rule: str) -> StabilizerGraph:
     # An explicit raise rather than an assert, so the check survives -O.
     # The input passed the reduced pre-check, so freeze() has already
     # settled the verdict from the nodes the rule wrote (a hollow written
-    # node must have no loop and no hollow neighbor): this costs their
-    # degree, not n.  apply_sequence rescans its result in full.
+    # node must have no loop and no hollow neighbor): this costs about
+    # their number, not n.  apply_sequence rescans its result in full.
     if not is_reduced(out):
         raise InvariantError(f"rule {rule} broke the reduced invariant")
     return out
@@ -116,123 +122,48 @@ def _pick_hollow_neighbor(
     return choice
 
 
-# --- general rules ---------------------------------------------------------
+# --- rules -----------------------------------------------------------------
 
 
-def _t2(m: _Mutable, j: int) -> None:
-    m.advance(j)
+def _t2(m: _Masks, j: int) -> None:
+    m.advance(1 << j)
 
 
-def _t3(m: _Mutable, j: int) -> None:
+def _t3(m: _Masks, j: int) -> None:
     # S on a hollow node without a loop.
     m.local_complement(j)
-    nb = m.neighbors(j)
-    for l in nb:
-        m.advance(l)
-    if m.neg[j]:
-        for l in nb:
-            m.flip_sign(l)
+    nb = m.adj[j]
+    m.advance(nb)
+    if (m.neg >> j) & 1:
+        m.neg ^= nb
 
 
-def _t4(m: _Mutable, j: int) -> None:
-    # S on a hollow node with a loop; the node comes out solid, loop-free.
-    was_neg = m.neg[j]
-    m.flip_fill(j)
-    m.loop[j] = False
-    m.local_complement(j)
-    nb = m.neighbors(j)
-    for l in nb:
-        m.advance(l)
-    if not was_neg:
-        for l in nb:
-            m.flip_sign(l)
-
-
-def _t6(m: _Mutable, j: int) -> None:
+def _t6(m: _Masks, j: int) -> None:
     # Z on a hollow node.
-    for l in m.neighbors(j):
-        m.flip_sign(l)
-    if m.loop[j]:
-        m.flip_sign(j)
+    m.neg ^= m.adj[j]
+    if (m.loop >> j) & 1:
+        m.neg ^= 1 << j
 
 
 def apply_local(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
     """Apply H, S or Z at node j of an arbitrary graph (rules T1-T6)."""
     rule = classify_local(g, gate, j)
-    m = _Mutable(g)
+    m = _Masks(g)
     if rule == "T1":
-        m.flip_fill(j)
+        m.hollow ^= 1 << j
     elif rule == "T2":
         _t2(m, j)
     elif rule == "T3":
         _t3(m, j)
     elif rule == "T4":
-        _t4(m, j)
+        # E1 makes the hollow looped node solid; T2 then advances its loop.
+        _e1_core(m, j)
+        _t2(m, j)
     elif rule == "T5":
-        m.flip_sign(j)
+        m.neg ^= 1 << j
     else:  # T6
         _t6(m, j)
     return m.freeze()
-
-
-# --- reduced rules ---------------------------------------------------------
-
-
-def _t_ii(m: _Mutable, j: int) -> None:
-    # H on a solid node with a loop and no hollow neighbors.  The loop
-    # stays; the sign flips, and a now-negative node flips its neighbors.
-    m.local_complement(j)
-    nb = m.neighbors(j)
-    for l in nb:
-        m.advance(l)
-    m.flip_sign(j)
-    if m.neg[j]:
-        for l in nb:
-            m.flip_sign(l)
-
-
-def _t_iii(m: _Mutable, j: int, k: int) -> None:
-    # H on a loop-free solid node j with hollow neighbor k: the hollow
-    # marker is absorbed by complementing along the edge; both end solid.
-    common = m.neighbors(j) & m.neighbors(k)
-    m.flip_fill(k)
-    m.local_complement_edge(j, k)
-    for l in common:
-        m.flip_sign(l)
-    j_neg, k_neg = m.neg[j], m.neg[k]
-    if j_neg:
-        m.flip_sign(j)
-        for l in m.neighbors(j):
-            m.flip_sign(l)
-    if k_neg:
-        m.flip_sign(k)
-        for l in m.neighbors(k):
-            m.flip_sign(l)
-
-
-def _t_iv(m: _Mutable, j: int, k: int) -> None:
-    # H on a looped solid node j with hollow neighbor k: complement on j
-    # then on k, drop j's loop, advance j's current neighbors' loops and
-    # fill k.  Signs: originally-common neighbors flip; a negative j flips
-    # itself and its current neighbors; a negative k flips only its
-    # current neighbors.
-    common0 = m.neighbors(j) & m.neighbors(k)
-    j_neg0, k_neg0 = m.neg[j], m.neg[k]
-    m.local_complement(j)
-    m.local_complement(k)
-    m.loop[j] = False
-    for l in m.neighbors(j):
-        m.advance(l)
-    m.flip_fill(k)
-    for l in common0:
-        m.flip_sign(l)
-    if j_neg0:
-        m.flip_sign(j)
-        for l in m.neighbors(j):
-            m.flip_sign(l)
-    if k_neg0:
-        for l in m.neighbors(k):
-            m.flip_sign(l)
 
 
 def apply_local_reduced(
@@ -251,21 +182,23 @@ def apply_local_reduced(
     rule = classify_local_reduced(g, gate, j)
     if hollow_choice is not None and rule not in ("T(iii)", "T(iv)"):
         raise ValueError(f"rule {rule} does not take a hollow neighbor")
-    m = _Mutable(g)
-    if rule in ("T(i)", "T(v)"):
-        m.flip_fill(j)
-    elif rule == "T(ii)":
-        _t_ii(m, j)
-    elif rule == "T(iii)":
-        _t_iii(m, j, _pick_hollow_neighbor(g, j, hollow_choice))
-    elif rule == "T(iv)":
-        _t_iv(m, j, _pick_hollow_neighbor(g, j, hollow_choice))
+    m = _Masks(g)
+    if gate == "H":
+        # Every reduced H rule is T1 at j.  T(i) and T(v) are T1 alone.
+        # Before it, T(ii) makes j hollow with E1, and T(iii) and T(iv)
+        # move the hollow marker of neighbor k onto j with E(ii) or E(i).
+        if rule == "T(ii)":
+            _e1_core(m, j)
+        elif rule in ("T(iii)", "T(iv)"):
+            k = _pick_hollow_neighbor(g, j, hollow_choice)
+            (_e2_core if rule == "T(iii)" else _ei_core)(m, k, j)
+        m.hollow ^= 1 << j
     elif rule == "T(vi)":
         _t2(m, j)
     elif rule == "T(vii)":
         _t3(m, j)
     elif rule == "T5":
-        m.flip_sign(j)
+        m.neg ^= 1 << j
     else:  # T6
         _t6(m, j)
     return _check_reduced(m.freeze(), rule)
@@ -276,28 +209,26 @@ def apply_cz_reduced(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
     if not is_reduced(g):
         raise ValueError("graph is not reduced")
     rule = classify_cz_reduced(g, j, k)
-    m = _Mutable(g)
+    m = _Masks(g)
     if rule == "T(viii)":
         m.toggle_edge(j, k)
     elif rule == "T(ix)":
         solid, hollow = (j, k) if g.hollow[k] else (k, j)
-        connected = m.has_edge(solid, hollow)
-        hollow_neg = m.neg[hollow]
-        for l in m.neighbors(hollow) - {solid}:
+        connected = (m.adj[solid] >> hollow) & 1
+        hollow_neg = (m.neg >> hollow) & 1
+        for l in _bits(m.adj[hollow] & ~(1 << solid)):
             m.toggle_edge(solid, l)
-        if (connected and not hollow_neg) or (not connected and hollow_neg):
-            m.flip_sign(solid)
+        if connected != hollow_neg:
+            m.neg ^= 1 << solid
     else:  # T(x): both hollow, necessarily disconnected in a reduced graph
-        j_neg, k_neg = m.neg[j], m.neg[k]
+        j_neg, k_neg = (m.neg >> j) & 1, (m.neg >> k) & 1
         m.local_complement_edge_step3(j, k)
-        for l in m.neighbors(j) & m.neighbors(k):
-            m.flip_sign(l)
+        nb_j, nb_k = m.adj[j], m.adj[k]
+        m.neg ^= nb_j & nb_k
         if j_neg:
-            for l in m.neighbors(k):
-                m.flip_sign(l)
+            m.neg ^= nb_k
         if k_neg:
-            for l in m.neighbors(j):
-                m.flip_sign(l)
+            m.neg ^= nb_j
     return _check_reduced(m.freeze(), rule)
 
 
@@ -305,8 +236,8 @@ def apply_cz(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
     """Apply CZ to an arbitrary graph: reduce first, then use the reduced
     rule.  The output is reduced; it describes exactly CZ times the input
     state."""
-    _check_target(g, j)
-    _check_target(g, k)
+    _check_node(g, j)
+    _check_node(g, k)
     if j == k:
         raise ValueError("CZ targets must differ")
     return apply_cz_reduced(to_reduced(g), j, k)
@@ -346,6 +277,8 @@ def apply_sequence(
     scanned = _scan_reduced(g)
     if g._reduced not in (None, scanned):
         raise InvariantError("a rule cached a wrong reduced verdict")
+    if g._masks not in (None, (_mask(g.hollow), _mask(g.loop), _mask(g.neg))):
+        raise InvariantError("a rule cached wrong flag masks")
     if reduced and not scanned:  # only an empty word gets here
         raise ValueError("graph is not reduced")
     return g

@@ -123,18 +123,102 @@ def is_reduced_per_node(g: StabilizerGraph) -> bool:
     return True
 
 
-# --- list-based references for the E moves -----------------------------------
+# --- list-based references for the rewrite rules ----------------------------
 #
-# The engine runs the E moves on flag bitmasks (``graph._Masks``).  These are
-# the per-node versions on ``_Mutable``'s flag lists, one decoration at a time,
-# kept here so that the tests compare the engine against bodies it does not
-# share.
+# The engine runs every rewrite on flag bitmasks (``graph._Masks``), and writes
+# T4 and T(ii)-T(iv) as E moves followed by T1 or T2.  These are the per-node
+# versions on flag lists, one decoration at a time, with every rule written
+# out in full, kept here so that the tests compare the engine against bodies
+# it does not share.
 
 
-def e1_reference(m, j: int) -> None:
-    """E1 at j on a ``_Mutable``: flip j's fill, complement on j, advance
-    the neighbors' loops, flip j's sign and, if j is then negative, the
-    neighbors' signs."""
+class Mutable:
+    """List-based scratch copy of a graph, with per-node moves."""
+
+    def __init__(self, g: StabilizerGraph) -> None:
+        self.n = g.n
+        self.source_reduced = g._reduced is True
+        self.hollow = list(g.hollow)
+        self.loop = list(g.loop)
+        self.neg = list(g.neg)
+        self.adj = list(g.adj)
+
+    def freeze(self) -> StabilizerGraph:
+        """The result.  When the source was known to be reduced it carries
+        the reduced verdict, from a look at every hollow node's row."""
+        reduced = None
+        if self.source_reduced:
+            reduced = not any(
+                self.hollow[j]
+                and (self.loop[j] or any(self.hollow[k] for k in bits_reference(self.adj[j])))
+                for j in range(self.n)
+            )
+        return StabilizerGraph._trusted(
+            self.n, tuple(self.hollow), tuple(self.loop), tuple(self.neg), tuple(self.adj),
+            reduced,
+        )
+
+    def neighbors(self, j: int) -> set:
+        return set(bits_reference(self.adj[j]))
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return bool((self.adj[i] >> j) & 1)
+
+    def toggle_edge(self, i: int, j: int) -> None:
+        self.adj[i] ^= 1 << j
+        self.adj[j] ^= 1 << i
+
+    def flip_fill(self, j: int) -> None:
+        self.hollow[j] = not self.hollow[j]
+
+    def flip_sign(self, j: int) -> None:
+        self.neg[j] = not self.neg[j]
+
+    def advance(self, j: int) -> None:
+        if self.loop[j]:
+            self.loop[j] = False
+            self.neg[j] = not self.neg[j]
+        else:
+            self.loop[j] = True
+
+    def local_complement(self, j: int) -> None:
+        nb = self.adj[j]
+        for l in bits_reference(nb):
+            self.adj[l] ^= nb & ~(1 << l)
+
+    def local_complement_edge(self, j: int, k: int) -> None:
+        a = self.adj[j] | (1 << j)
+        b = self.adj[k] | (1 << k)
+        for l in bits_reference(a | b):
+            delta = 0
+            if (a >> l) & 1:
+                delta ^= b
+            if (b >> l) & 1:
+                delta ^= a
+            self.adj[l] = (self.adj[l] ^ delta) & ~(1 << l)
+
+    def local_complement_edge_step3(self, j: int, k: int) -> None:
+        dm = (1 << j) | (1 << k)
+        only_j = self.adj[j] & ~self.adj[k] & ~dm
+        only_k = self.adj[k] & ~self.adj[j] & ~dm
+        both = self.adj[j] & self.adj[k] & ~dm
+        for group_a, group_b in ((only_j, only_k), (only_j, both), (only_k, both)):
+            for l in bits_reference(group_a):
+                self.adj[l] ^= group_b
+            for l in bits_reference(group_b):
+                self.adj[l] ^= group_a
+
+
+def run_reference(g: StabilizerGraph, body, *nodes: int) -> StabilizerGraph:
+    """One reference rule or move ``body`` on a ``Mutable`` copy of ``g``."""
+    m = Mutable(g)
+    body(m, *nodes)
+    return m.freeze()
+
+
+def e1_reference(m: Mutable, j: int) -> None:
+    """E1 at j: flip j's fill, complement on j, advance the neighbors'
+    loops, flip j's sign and, if j is then negative, the neighbors' signs."""
     m.flip_fill(j)
     m.local_complement(j)
     nb = m.neighbors(j)
@@ -146,9 +230,9 @@ def e1_reference(m, j: int) -> None:
             m.flip_sign(l)
 
 
-def e2_reference(m, j: int, k: int) -> None:
-    """E2 on the edge (j, k) of a ``_Mutable``; both sign conditions are
-    read before either flip."""
+def e2_reference(m: Mutable, j: int, k: int) -> None:
+    """E2 on the edge (j, k); both sign conditions are read before either
+    flip."""
     m.flip_fill(j)
     m.flip_fill(k)
     m.local_complement_edge(j, k)
@@ -165,9 +249,9 @@ def e2_reference(m, j: int, k: int) -> None:
             m.flip_sign(l)
 
 
-def ei_reference(m, hollow: int, solid: int) -> None:
-    """E(i) on a ``_Mutable``: swap the fills of a hollow node and its
-    solid neighbor with a loop, one decoration at a time."""
+def ei_reference(m: Mutable, hollow: int, solid: int) -> None:
+    """E(i): swap the fills of a hollow node and its solid neighbor with a
+    loop, one decoration at a time."""
     common0 = m.neighbors(solid) & m.neighbors(hollow)
     solid_neg0, hollow_neg0 = m.neg[solid], m.neg[hollow]
     m.local_complement(solid)
@@ -188,14 +272,145 @@ def ei_reference(m, hollow: int, solid: int) -> None:
             m.flip_sign(l)
 
 
-def e_move_reference(g: StabilizerGraph, body, *nodes: int) -> StabilizerGraph:
-    """One reference E move on a copy of ``g``; the result carries the
-    reduced verdict ``_Mutable.freeze()`` derives from the written nodes."""
-    from stabgraph.graph import _Mutable
+def t3_reference(m: Mutable, j: int) -> None:
+    """S on a hollow node without a loop (also T(vii))."""
+    m.local_complement(j)
+    nb = m.neighbors(j)
+    for l in nb:
+        m.advance(l)
+    if m.neg[j]:
+        for l in nb:
+            m.flip_sign(l)
 
-    m = _Mutable(g)
-    body(m, *nodes)
-    return m.freeze()
+
+def t4_reference(m: Mutable, j: int) -> None:
+    """S on a hollow node with a loop; the node comes out solid, loop-free."""
+    was_neg = m.neg[j]
+    m.flip_fill(j)
+    m.loop[j] = False
+    m.local_complement(j)
+    nb = m.neighbors(j)
+    for l in nb:
+        m.advance(l)
+    if not was_neg:
+        for l in nb:
+            m.flip_sign(l)
+
+
+def t6_reference(m: Mutable, j: int) -> None:
+    """Z on a hollow node."""
+    for l in m.neighbors(j):
+        m.flip_sign(l)
+    if m.loop[j]:
+        m.flip_sign(j)
+
+
+def t_ii_reference(m: Mutable, j: int) -> None:
+    """H on a solid node with a loop and no hollow neighbors.  The loop
+    stays; the sign flips, and a now-negative node flips its neighbors."""
+    m.local_complement(j)
+    nb = m.neighbors(j)
+    for l in nb:
+        m.advance(l)
+    m.flip_sign(j)
+    if m.neg[j]:
+        for l in nb:
+            m.flip_sign(l)
+
+
+def t_iii_reference(m: Mutable, j: int, k: int) -> None:
+    """H on a loop-free solid node j with hollow neighbor k: the hollow
+    marker is absorbed by complementing along the edge; both end solid."""
+    common = m.neighbors(j) & m.neighbors(k)
+    m.flip_fill(k)
+    m.local_complement_edge(j, k)
+    for l in common:
+        m.flip_sign(l)
+    j_neg, k_neg = m.neg[j], m.neg[k]
+    if j_neg:
+        m.flip_sign(j)
+        for l in m.neighbors(j):
+            m.flip_sign(l)
+    if k_neg:
+        m.flip_sign(k)
+        for l in m.neighbors(k):
+            m.flip_sign(l)
+
+
+def t_iv_reference(m: Mutable, j: int, k: int) -> None:
+    """H on a looped solid node j with hollow neighbor k: complement on j
+    then on k, drop j's loop, advance j's current neighbors' loops and fill
+    k.  Signs: originally-common neighbors flip; a negative j flips itself
+    and its current neighbors; a negative k flips only its current
+    neighbors."""
+    common0 = m.neighbors(j) & m.neighbors(k)
+    j_neg0, k_neg0 = m.neg[j], m.neg[k]
+    m.local_complement(j)
+    m.local_complement(k)
+    m.loop[j] = False
+    for l in m.neighbors(j):
+        m.advance(l)
+    m.flip_fill(k)
+    for l in common0:
+        m.flip_sign(l)
+    if j_neg0:
+        m.flip_sign(j)
+        for l in m.neighbors(j):
+            m.flip_sign(l)
+    if k_neg0:
+        for l in m.neighbors(k):
+            m.flip_sign(l)
+
+
+def t_ix_reference(m: Mutable, j: int, k: int) -> None:
+    """CZ on a solid and a hollow node of a reduced graph."""
+    solid, hollow = (j, k) if m.hollow[k] else (k, j)
+    connected = m.has_edge(solid, hollow)
+    hollow_neg = m.neg[hollow]
+    for l in m.neighbors(hollow) - {solid}:
+        m.toggle_edge(solid, l)
+    if (connected and not hollow_neg) or (not connected and hollow_neg):
+        m.flip_sign(solid)
+
+
+def t_x_reference(m: Mutable, j: int, k: int) -> None:
+    """CZ on two hollow (so disconnected) nodes of a reduced graph."""
+    j_neg, k_neg = m.neg[j], m.neg[k]
+    m.local_complement_edge_step3(j, k)
+    for l in m.neighbors(j) & m.neighbors(k):
+        m.flip_sign(l)
+    if j_neg:
+        for l in m.neighbors(k):
+            m.flip_sign(l)
+    if k_neg:
+        for l in m.neighbors(j):
+            m.flip_sign(l)
+
+
+# The reference body of every gate rule, by tag.  T(iii) and T(iv) take the
+# target and the hollow neighbor it consumes, the CZ rules both targets.
+RULE_REFERENCES = {
+    "T1": Mutable.flip_fill,
+    "T2": Mutable.advance,
+    "T3": t3_reference,
+    "T4": t4_reference,
+    "T5": Mutable.flip_sign,
+    "T6": t6_reference,
+    "T(i)": Mutable.flip_fill,
+    "T(ii)": t_ii_reference,
+    "T(iii)": t_iii_reference,
+    "T(iv)": t_iv_reference,
+    "T(v)": Mutable.flip_fill,
+    "T(vi)": Mutable.advance,
+    "T(vii)": t3_reference,
+    "T(viii)": Mutable.toggle_edge,
+    "T(ix)": t_ix_reference,
+    "T(x)": t_x_reference,
+}
+
+
+def flag_mask_reference(flags) -> int:
+    return sum(1 << j for j, f in enumerate(flags) if f)
 
 
 def to_reduced_restart_scan(g: StabilizerGraph) -> StabilizerGraph:
@@ -205,9 +420,7 @@ def to_reduced_restart_scan(g: StabilizerGraph) -> StabilizerGraph:
     on the lexicographically smallest hollow-hollow edge until none is
     left.  ``to_reduced`` must make the same moves in the same order.
     """
-    from stabgraph.graph import _Mutable
-
-    m = _Mutable(g)
+    m = Mutable(g)
     for _ in range(g.n + 1):
         j = next((i for i in range(g.n) if m.hollow[i] and m.loop[i]), None)
         if j is None:

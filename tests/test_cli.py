@@ -168,6 +168,9 @@ class TestApply:
         assert main(["apply", "-i", bell_graph_file, "--script", "H:0 T:1"]) == 4
         assert main(["apply", "-i", bell_graph_file, "--script", "CZ:1,1"]) == 4
         assert main(["apply", "-i", bell_graph_file, "--script", "H:9"]) == 4
+        assert main(["apply", "-i", bell_graph_file, "--script", "H:\u0661"]) == 4
+        assert main(["apply", "-i", bell_graph_file, "--script", "H:" + "9" * 5000]) == 4
+        assert main(["apply", "-i", bell_graph_file, "--script", "CZ:" + "1" * 5000 + ",0"]) == 4
 
 
 class TestReduce:
@@ -252,7 +255,14 @@ class TestScriptParsing:
         assert parse_script("   ", 2) == []
 
     @pytest.mark.parametrize(
-        "script", ["H:x", "CZ:0", "CZ:1,1", "H:5", "Q:0", "H:0,1"]
+        "script",
+        [
+            "H:x", "CZ:0", "CZ:1,1", "H:5", "Q:0", "H:0,1",
+            # Non-ASCII digits, and indices with more digits than int() reads.
+            "H:\u0661", "CZ:0,\u0661",
+            pytest.param("H:" + "9" * 5000, id="H:9x5000"),
+            pytest.param("CZ:0," + "1" * 5000, id="CZ:0,1x5000"),
+        ],
     )
     def test_rejects(self, script):
         with pytest.raises(ScriptError):

@@ -1,7 +1,8 @@
-"""Whole-row operations on the decide path, held to per-bit references.
+"""Whole-row operations, held to per-bit references.
 
 ``graph._bits`` unpacks a dense row at C speed and loops over a sparse one;
-the E moves run on flag bitmasks (``graph._Masks``); ``edges()`` and
+the E moves and the gate rules run on flag bitmasks (``graph._Masks``), with
+T4 and T(ii)-T(iv) written as E moves followed by T1 or T2; ``edges()`` and
 ``format_graph`` list each row's upper neighbors in one go; the constructor
 checks symmetry against the transpose.  Each is compared here, exactly, with
 the one-bit-at-a-time version in ``helpers``, on sparse graphs, on dense
@@ -17,13 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    RULE_REFERENCES,
     adjacency_error_reference,
     bits_reference,
     e1_reference,
     e2_reference,
-    e_move_reference,
+    run_reference,
     edges_reference,
     ei_reference,
+    flag_mask_reference,
     format_graph_reference,
     graph_to_dot_reference,
     is_reduced_per_node,
@@ -36,6 +39,12 @@ from stabgraph import (
     apply_E2,
     apply_Ei,
     apply_Eii,
+    apply_cz_reduced,
+    apply_local,
+    apply_local_reduced,
+    classify_cz_reduced,
+    classify_local,
+    classify_local_reduced,
     is_reduced,
     random_graph,
     to_reduced,
@@ -224,7 +233,7 @@ class TestEMoves:
         kinds = set()
         for src in (g, fresh, r, drawn):
             for rule, body, nodes in _e_moves(src, rng, 4):
-                _check_move(rule(src, *nodes), e_move_reference(src, body, *nodes))
+                _check_move(rule(src, *nodes), run_reference(src, body, *nodes))
                 kinds.add(rule)
         assert kinds == {apply_E1, apply_E2, apply_Ei, apply_Eii}
 
@@ -234,9 +243,105 @@ class TestEMoves:
         assert r._reduced is True and is_reduced_per_node(r)
         kinds = set()
         for rule, body, nodes in _e_moves(r, random.Random(1), 1):
-            _check_move(rule(r, *nodes), e_move_reference(r, body, *nodes))
+            _check_move(rule(r, *nodes), run_reference(r, body, *nodes))
             kinds.add(rule)
         assert kinds == {apply_E1, apply_E2, apply_Ei, apply_Eii}
+
+
+GATE_TAGS = set(RULE_REFERENCES)
+
+
+def _sample(rng: random.Random, items: list, count: int) -> list:
+    return rng.sample(items, min(count, len(items)))
+
+
+def _gate_rules(g: StabilizerGraph, rng: random.Random, count: int):
+    """(tag, output, reference output) for up to ``count`` targets of each
+    gate rule that applies to ``g``; the reduced rules only when ``g`` is
+    reduced, T(iii) and T(iv) with every hollow neighbor of the target and
+    with the default choice, and the CZ rules on both orders of a pair."""
+    n = g.n
+    for gate in "HSZ":
+        by_tag: dict = {}
+        for j in range(n):
+            by_tag.setdefault(classify_local(g, gate, j), []).append(j)
+        for tag, nodes in by_tag.items():
+            for j in _sample(rng, nodes, count):
+                yield tag, apply_local(g, gate, j), run_reference(g, RULE_REFERENCES[tag], j)
+    if not is_reduced(g):
+        return
+    for gate in "HSZ":
+        by_tag = {}
+        for j in range(n):
+            by_tag.setdefault(classify_local_reduced(g, gate, j), []).append(j)
+        for tag, nodes in by_tag.items():
+            body = RULE_REFERENCES[tag]
+            for j in _sample(rng, nodes, count):
+                if tag not in ("T(iii)", "T(iv)"):
+                    yield tag, apply_local_reduced(g, gate, j), run_reference(g, body, j)
+                    continue
+                choices = [k for k in _bits(g.adj[j]) if g.hollow[k]]
+                yield tag, apply_local_reduced(g, gate, j), run_reference(g, body, j, choices[0])
+                for k in choices:
+                    yield tag, apply_local_reduced(g, gate, j, k), run_reference(g, body, j, k)
+    solid = [j for j in range(n) if not g.hollow[j]]
+    hollow = [j for j in range(n) if g.hollow[j]]
+    for group_a, group_b in ((solid, solid), (solid, hollow), (hollow, solid), (hollow, hollow)):
+        if not (group_a and group_b) or len(set(group_a + group_b)) < 2:
+            continue
+        for _ in range(count):
+            j = rng.choice(group_a)
+            k = rng.choice([b for b in group_b if b != j])
+            tag = classify_cz_reduced(g, j, k)
+            yield tag, apply_cz_reduced(g, j, k), run_reference(g, RULE_REFERENCES[tag], j, k)
+
+
+def _check_rule(tag: str, out: StabilizerGraph, ref: StabilizerGraph) -> None:
+    assert out == ref, tag
+    assert out._reduced == ref._reduced, tag
+    assert out._masks == tuple(map(flag_mask_reference, (out.hollow, out.loop, out.neg))), tag
+
+
+class TestGateRules:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_match_the_list_based_bodies(self, n, dense):
+        p = 0.5 if dense else 6 / (n - 1)
+        g = sparse_graph(n, 11 * n, p)
+        r = to_reduced(g)
+        drawn = sparse_graph(n, 11 * n + 1, p, reduced=True)
+        fresh = StabilizerGraph(n, r.hollow, r.loop, r.neg, r.adj)
+        rng = random.Random(n)
+        tags = set()
+        # ``g`` and ``fresh`` come without a verdict: the general rules on
+        # them must leave none, and on ``r`` and ``drawn`` carry one.
+        for src in (g, fresh, r, drawn):
+            for tag, out, ref in _gate_rules(src, rng, 2):
+                _check_rule(tag, out, ref)
+                tags.add(tag)
+        assert tags == GATE_TAGS
+
+    def test_every_hollow_choice_is_reached(self):
+        # T(iii) and T(iv) are the rules that take a hollow neighbor: the
+        # property above must try more than one for each.
+        r = sparse_graph(16, 5, 0.4, reduced=True)
+        assert is_reduced(r)
+        tags = [tag for tag, _, _ in _gate_rules(r, random.Random(0), 16)]
+        for tag in ("T(iii)", "T(iv)"):
+            targets = [j for j in range(16) if classify_local_reduced(r, "H", j) == tag]
+            choices = [len([k for k in _bits(r.adj[j]) if r.hollow[k]]) for j in targets]
+            # The default choice, then every hollow neighbor of every target.
+            assert tags.count(tag) == sum(1 + c for c in choices)
+            assert max(choices) >= 2
+
+    def test_dense_reduced_form_at_n_1024(self, dense_reduced):
+        _, r = dense_reduced
+        tags = set()
+        for tag, out, ref in _gate_rules(r, random.Random(2), 1):
+            _check_rule(tag, out, ref)
+            tags.add(tag)
+        # T4 needs a hollow node with a loop, which no reduced graph has.
+        assert tags == GATE_TAGS - {"T4"}
 
 
 class TestMaskState:
@@ -246,7 +351,10 @@ class TestMaskState:
         st.integers(0, 2**32),
         st.lists(
             st.tuples(
-                st.sampled_from(("complement", "complement_edge", "fill", "loop")),
+                st.sampled_from((
+                    "complement", "complement_edge", "step3", "toggle_edge",
+                    "fill", "loop", "advance", "sign",
+                )),
                 st.integers(0, 2**16),
                 st.integers(0, 2**16),
             ),
@@ -265,13 +373,24 @@ class TestMaskState:
                 m.local_complement(j)
             elif kind == "complement_edge" and j != k:
                 m.local_complement_edge(j, k)
+            elif kind == "step3" and j != k:
+                m.local_complement_edge_step3(j, k)
+            elif kind == "toggle_edge" and j != k:
+                m.toggle_edge(j, k)
             elif kind == "fill":
                 m.hollow ^= 1 << j
             elif kind == "loop":
                 m.loop ^= 1 << j
+            elif kind == "advance":
+                m.advance(1 << j)
+            elif kind == "sign":
+                m.neg ^= 1 << j
+        changed = sum(1 << l for l in range(n) if m.adj[l] != r.adj[l])
+        assert not changed & ~m.rows
         out = m.freeze()
         out._validate()
         assert out._reduced == is_reduced_per_node(out)
+        assert out._masks == tuple(map(flag_mask_reference, (out.hollow, out.loop, out.neg)))
 
 
 class TestToReducedShortcut:

@@ -5,7 +5,7 @@ constructor, so these tests stand in for the validation that used to run
 on every internal step: every public rewrite must return a graph that
 passes the full ``_validate()``.  They also pin the bitmask ``is_reduced``
 and the worklist ``to_reduced`` to per-node and restart-scan references,
-pin the ``is_reduced`` verdict that ``_Mutable.freeze()`` derives from the
+pin the ``is_reduced`` verdict that ``_Masks.freeze()`` derives from the
 written nodes to the per-node reference, and check that a broken rule
 raises ``InvariantError`` even under ``python -O`` and maps to exit code 3
 on the command line.
@@ -54,7 +54,6 @@ from stabgraph import (
 )
 from stabgraph import equivalence, graph, transforms
 from stabgraph.cli import main
-from stabgraph.graph import _Mutable
 
 GATE_TAGS = {
     "T1", "T2", "T3", "T4", "T5", "T6",
@@ -218,15 +217,6 @@ class TestReducedVerdictCache:
             assert repr(cached) == repr(fresh)
         assert "_reduced" not in {f.name for f in dataclasses.fields(StabilizerGraph)}
 
-    def test_writes_the_mask_cannot_record_fail_loudly(self):
-        g = StabilizerGraph.empty(3)
-        assert is_reduced(g)
-        m = _Mutable(g)
-        with pytest.raises(ValueError):
-            m.loop[-1] = True
-        with pytest.raises(TypeError):
-            m.adj[0:1] = [0]
-
     @pytest.mark.parametrize("reduced", [True, False])
     def test_apply_sequence_rescans_its_result(self, monkeypatch, reduced):
         # A written-node check that sees nothing lets a broken rule past
@@ -237,6 +227,13 @@ class TestReducedVerdictCache:
         assert is_reduced(g)  # so that the general rule also derives a verdict
         with pytest.raises(InvariantError, match="wrong reduced verdict"):
             transforms.apply_sequence(g, [("S", (0,))], reduced=reduced)
+
+    def test_apply_sequence_checks_the_carried_flag_masks(self, monkeypatch):
+        # Flag tuples that miss a write leave the masks the result carries
+        # out of step with them; the final check compares the two.
+        monkeypatch.setattr(graph, "_with_flipped", lambda flags, changed: flags)
+        with pytest.raises(InvariantError, match="flag masks"):
+            transforms.apply_sequence(StabilizerGraph.empty(2), [("Z", (0,))])
 
     def test_apply_sequence_rejects_unreduced_input_with_an_empty_word(self):
         g = StabilizerGraph.build(1, hollow=[0], loops=[0])
@@ -307,15 +304,14 @@ class TestWorklistToReduced:
 
 def _break_t2(m, j):
     # S on a solid node that leaves it hollow with a loop: not reduced.
-    m.hollow[j] = True
-    m.loop[j] = True
+    m.hollow |= 1 << j
+    m.loop |= 1 << j
 
 
 def _break_t2_edge(m, j):
-    # S on a solid node that joins hollow nodes 1 and 2 by item writes
-    # into their adjacency rows, leaving j itself alone: not reduced.
-    m.adj[1] = m.adj[1] | 1 << 2
-    m.adj[2] = m.adj[2] | 1 << 1
+    # S on a solid node that joins hollow nodes 1 and 2, leaving j itself
+    # alone: not reduced.
+    m.toggle_edge(1, 2)
 
 
 def _run_under_python_O(code: str) -> subprocess.CompletedProcess:
@@ -372,8 +368,8 @@ class TestInvariantError:
             import sys
             from stabgraph import InvariantError, StabilizerGraph, transforms
             def broken(m, j):
-                m.hollow[j] = True
-                m.loop[j] = True
+                m.hollow |= 1 << j
+                m.loop |= 1 << j
             transforms._t2 = broken
             if sys.flags.optimize < 1:
                 sys.exit("not running under -O")
@@ -394,8 +390,7 @@ class TestInvariantError:
             import sys
             from stabgraph import InvariantError, StabilizerGraph, transforms
             def broken(m, j):
-                m.adj[1] = m.adj[1] | 1 << 2
-                m.adj[2] = m.adj[2] | 1 << 1
+                m.toggle_edge(1, 2)
             transforms._t2 = broken
             if sys.flags.optimize < 1:
                 sys.exit("not running under -O")
