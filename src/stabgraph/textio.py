@@ -23,6 +23,14 @@ and duplicate gate lines are rejected::
     CZ 0 1
     H 1
 
+Graph and circuit lines are the pieces ``str.splitlines()`` cuts, and a
+line's tokens are ``str.split()`` of it: the runs of characters that are
+not whitespace to ``str.isspace`` (the regex ``\\s``).  Lines without a
+token are skipped, and numbers are ASCII digit strings read by ``int()``.
+Each line costs a few C-speed string operations, so parse time is linear
+in the text.  Columns are not tracked: only when a line is rejected is it
+scanned again to find the offending token's column.
+
 Malformed text raises ``ParseError`` with 1-based line/column positions.
 Semantic problems (anticommuting rows, wrong row count and so on) raise
 ``ValueError`` from the constructors instead.  Formatters emit canonical
@@ -64,24 +72,34 @@ class ParseError(ValueError):
         super().__init__(where + message)
 
 
-def _significant_lines(text: str):
+def _token_lines(text: str):
+    """Yield (line number, line, tokens) for each line that has a token.
+
+    ``str.split()`` splits on exactly the characters the regex ``\\s``
+    matches, so the tokens are those of ``_column``.
+    """
     for lineno, raw in enumerate(text.splitlines(), 1):
-        if raw.strip():
-            yield lineno, raw
+        toks = raw.split()
+        if toks:
+            yield lineno, raw, toks
 
 
-def _tokens(raw: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw)]
+def _column(raw: str, k: int) -> int:
+    """1-based column of token ``k`` of ``raw``; only error paths need it."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", raw)][k]
 
 
-def _int_token(tok: str, col: int, lineno: int, what: str) -> int:
+def _int_token(toks: list[str], k: int, raw: str, lineno: int, what: str) -> int:
+    tok = toks[k]
     # isdigit alone admits characters such as '²' that int() rejects.
     if not (tok.isascii() and tok.isdigit()):
-        raise ParseError(f"{what} must be a non-negative integer, got {tok!r}", lineno, col)
-    try:
-        return int(tok)
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"{what} has too many digits ({len(tok)})", lineno, col) from None
+        msg = f"{what} must be a non-negative integer, got {tok!r}"
+    else:
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            msg = f"{what} has too many digits ({len(tok)})"
+    raise ParseError(msg, lineno, _column(raw, k))
 
 
 # --- generator matrices -----------------------------------------------------
@@ -90,7 +108,7 @@ def _int_token(tok: str, col: int, lineno: int, what: str) -> int:
 def parse_generator_matrix(text: str) -> GeneratorMatrix:
     rows: list[PauliString] = []
     width = None
-    for lineno, raw in _significant_lines(text):
+    for lineno, raw, _ in _token_lines(text):
         line = raw.strip()
         col0 = raw.index(line[0]) + 1
         sign = _SIGN_CHARS.get(line[0])
@@ -124,75 +142,79 @@ def format_generator_matrix(mat: GeneratorMatrix) -> str:
 
 
 def parse_graph(text: str) -> StabilizerGraph:
-    lines = _significant_lines(text)
+    lines = _token_lines(text)
     try:
-        lineno, raw = next(lines)
+        lineno, raw, toks = next(lines)
     except StopIteration:
         raise ParseError("empty graph description", 1, 1) from None
-    toks = _tokens(raw)
-    if toks[0][0] != "nodes":
-        raise ParseError(f"expected 'nodes <n>' header, got {toks[0][0]!r}", lineno, toks[0][1])
+    if toks[0] != "nodes":
+        raise ParseError(f"expected 'nodes <n>' header, got {toks[0]!r}", lineno, _column(raw, 0))
     if len(toks) != 2:
-        raise ParseError("header must be exactly 'nodes <n>'", lineno, toks[-1][1])
-    n = _int_token(toks[1][0], toks[1][1], lineno, "node count")
+        raise ParseError("header must be exactly 'nodes <n>'", lineno, _column(raw, -1))
+    n = _int_token(toks, 1, raw, lineno, "node count")
     if n < 1:
-        raise ParseError("node count must be positive", lineno, toks[1][1])
+        raise ParseError("node count must be positive", lineno, _column(raw, 1))
     # Each node needs a line of its own: reject a count above the number of
     # lines (bounded from above without splitting) before allocating n slots.
     if n > 1 + sum(map(text.count, _LINE_BREAKS)):
         raise ParseError(
-            f"node count {n} is larger than the number of lines", lineno, toks[1][1]
+            f"node count {n} is larger than the number of lines", lineno, _column(raw, 1)
         )
 
-    seen: dict[int, bool] = {}
+    seen = bytearray(n)
     hollow = [False] * n
     loop = [False] * n
     neg = [False] * n
     adj = [0] * n
 
-    def node_id(tok: str, col: int, lineno: int) -> int:
-        j = _int_token(tok, col, lineno, "node id")
+    def node_id(k: int) -> int:
+        """Token k of the line being read, as a node id."""
+        j = _int_token(toks, k, raw, lineno, "node id")
         if j >= n:
-            raise ParseError(f"node id {j} out of range for nodes {n}", lineno, col)
+            raise ParseError(f"node id {j} out of range for nodes {n}", lineno, _column(raw, k))
         return j
 
-    for lineno, raw in lines:
-        toks = _tokens(raw)
-        kind, col = toks[0]
-        if kind == "node":
+    for lineno, raw, toks in lines:
+        kind = toks[0]
+        if kind == "edge":
+            if len(toks) != 3:
+                raise ParseError("edge line must be 'edge <i> <j>'", lineno, _column(raw, 0))
+            i = node_id(1)
+            j = node_id(2)
+            if i >= j:
+                raise ParseError(
+                    f"edge endpoints must satisfy i < j, got {i} {j}", lineno, _column(raw, 1)
+                )
+            if (adj[i] >> j) & 1:
+                raise ParseError(f"duplicate edge {i} {j}", lineno, _column(raw, 1))
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        elif kind == "node":
             if len(toks) < 3:
-                raise ParseError("node line needs an id and a fill", lineno, col)
-            j = node_id(toks[1][0], toks[1][1], lineno)
-            if j in seen:
-                raise ParseError(f"duplicate node line for id {j}", lineno, toks[1][1])
-            seen[j] = True
-            fill, fcol = toks[2]
+                raise ParseError("node line needs an id and a fill", lineno, _column(raw, 0))
+            j = node_id(1)
+            if seen[j]:
+                raise ParseError(f"duplicate node line for id {j}", lineno, _column(raw, 1))
+            seen[j] = 1
+            fill = toks[2]
             if fill not in ("solid", "hollow"):
-                raise ParseError(f"fill must be 'solid' or 'hollow', got {fill!r}", lineno, fcol)
+                raise ParseError(
+                    f"fill must be 'solid' or 'hollow', got {fill!r}", lineno, _column(raw, 2)
+                )
             hollow[j] = fill == "hollow"
-            for flag, col2 in toks[3:]:
+            for k in range(3, len(toks)):
+                flag = toks[k]
                 if flag == "loop" and not loop[j]:
                     loop[j] = True
                 elif flag == "neg" and not neg[j]:
                     neg[j] = True
                 else:
-                    raise ParseError(f"bad or repeated node flag {flag!r}", lineno, col2)
-        elif kind == "edge":
-            if len(toks) != 3:
-                raise ParseError("edge line must be 'edge <i> <j>'", lineno, col)
-            i = node_id(toks[1][0], toks[1][1], lineno)
-            j = node_id(toks[2][0], toks[2][1], lineno)
-            if i >= j:
-                raise ParseError(f"edge endpoints must satisfy i < j, got {i} {j}", lineno, toks[1][1])
-            if (adj[i] >> j) & 1:
-                raise ParseError(f"duplicate edge {i} {j}", lineno, toks[1][1])
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+                    raise ParseError(f"bad or repeated node flag {flag!r}", lineno, _column(raw, k))
         else:
-            raise ParseError(f"expected 'node' or 'edge', got {kind!r}", lineno, col)
+            raise ParseError(f"expected 'node' or 'edge', got {kind!r}", lineno, _column(raw, 0))
 
-    missing = [j for j in range(n) if j not in seen]
-    if missing:
+    if 0 in seen:
+        missing = [j for j in range(n) if not seen[j]]
         shown = ", ".join(map(str, missing[:_MISSING_SHOWN]))
         more = len(missing) - _MISSING_SHOWN
         if more > 0:
@@ -244,52 +266,53 @@ def graph_to_dot(g: StabilizerGraph) -> str:
 
 
 def parse_circuit(text: str) -> GraphFormCircuit:
-    lines = _significant_lines(text)
+    lines = _token_lines(text)
     try:
-        lineno, raw = next(lines)
+        lineno, raw, toks = next(lines)
     except StopIteration:
         raise ParseError("empty circuit description", 1, 1) from None
-    toks = _tokens(raw)
-    if toks[0][0] != "qubits":
-        raise ParseError(f"expected 'qubits <n>' header, got {toks[0][0]!r}", lineno, toks[0][1])
+    if toks[0] != "qubits":
+        raise ParseError(f"expected 'qubits <n>' header, got {toks[0]!r}", lineno, _column(raw, 0))
     if len(toks) != 2:
-        raise ParseError("header must be exactly 'qubits <n>'", lineno, toks[-1][1])
-    n = _int_token(toks[1][0], toks[1][1], lineno, "qubit count")
+        raise ParseError("header must be exactly 'qubits <n>'", lineno, _column(raw, -1))
+    n = _int_token(toks, 1, raw, lineno, "qubit count")
     if n < 1:
-        raise ParseError("qubit count must be positive", lineno, toks[1][1])
+        raise ParseError("qubit count must be positive", lineno, _column(raw, 1))
 
     cz: set[tuple[int, int]] = set()
     singles = {"Z": set(), "S": set(), "H": set()}
 
-    def qubit(tok: str, col: int, lineno: int) -> int:
-        q = _int_token(tok, col, lineno, "qubit")
+    def qubit(k: int) -> int:
+        """Token k of the line being read, as a qubit."""
+        q = _int_token(toks, k, raw, lineno, "qubit")
         if q >= n:
-            raise ParseError(f"qubit {q} out of range for qubits {n}", lineno, col)
+            raise ParseError(f"qubit {q} out of range for qubits {n}", lineno, _column(raw, k))
         return q
 
-    for lineno, raw in lines:
-        toks = _tokens(raw)
-        kind, col = toks[0]
+    for lineno, raw, toks in lines:
+        kind = toks[0]
         if kind == "CZ":
             if len(toks) != 3:
-                raise ParseError("CZ line must be 'CZ <i> <j>'", lineno, col)
-            i = qubit(toks[1][0], toks[1][1], lineno)
-            j = qubit(toks[2][0], toks[2][1], lineno)
+                raise ParseError("CZ line must be 'CZ <i> <j>'", lineno, _column(raw, 0))
+            i = qubit(1)
+            j = qubit(2)
             if i == j:
-                raise ParseError("CZ qubits must differ", lineno, toks[1][1])
+                raise ParseError("CZ qubits must differ", lineno, _column(raw, 1))
             pair = (min(i, j), max(i, j))
             if pair in cz:
-                raise ParseError(f"duplicate gate line CZ {pair[0]} {pair[1]}", lineno, col)
+                raise ParseError(
+                    f"duplicate gate line CZ {pair[0]} {pair[1]}", lineno, _column(raw, 0)
+                )
             cz.add(pair)
         elif kind in singles:
             if len(toks) != 2:
-                raise ParseError(f"{kind} line must be '{kind} <i>'", lineno, col)
-            q = qubit(toks[1][0], toks[1][1], lineno)
+                raise ParseError(f"{kind} line must be '{kind} <i>'", lineno, _column(raw, 0))
+            q = qubit(1)
             if q in singles[kind]:
-                raise ParseError(f"duplicate gate line {kind} {q}", lineno, col)
+                raise ParseError(f"duplicate gate line {kind} {q}", lineno, _column(raw, 0))
             singles[kind].add(q)
         else:
-            raise ParseError(f"unknown gate line {kind!r}", lineno, col)
+            raise ParseError(f"unknown gate line {kind!r}", lineno, _column(raw, 0))
     return GraphFormCircuit(
         n,
         cz=frozenset(cz),

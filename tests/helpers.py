@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from stabgraph import PauliString, StabilizerGraph
+from stabgraph import GraphFormCircuit, ParseError, PauliString, StabilizerGraph
 
 ONE_QUBIT = {
     "I": np.eye(2, dtype=complex),
@@ -820,3 +821,165 @@ def graph_from_generator_matrix_reference(mat) -> StabilizerGraph:
             if (colgraph.adj[c] >> c2) & 1:
                 out[3][q] |= 1 << perm[c2]
     return StabilizerGraph(n, *map(tuple, out))
+
+
+# --- regex-token references for the graph and circuit parsers ---------------
+#
+# The engine tokenizes a line with ``str.split()`` and computes a token's
+# column only for an error.  These are the parsers it replaced, which find
+# every token and its column with a regex; the tests hold the engine to
+# their results, messages and positions exactly.
+
+_LINE_BREAKS_REFERENCE = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _significant_lines_reference(text: str):
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if raw.strip():
+            yield lineno, raw
+
+
+def _tokens_reference(raw: str) -> list[tuple[str, int]]:
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw)]
+
+
+def _int_token_reference(tok: str, col: int, lineno: int, what: str) -> int:
+    # isdigit alone admits characters such as '²' that int() rejects.
+    if not (tok.isascii() and tok.isdigit()):
+        raise ParseError(f"{what} must be a non-negative integer, got {tok!r}", lineno, col)
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{what} has too many digits ({len(tok)})", lineno, col) from None
+
+
+def parse_graph_reference(text: str) -> StabilizerGraph:
+    lines = _significant_lines_reference(text)
+    try:
+        lineno, raw = next(lines)
+    except StopIteration:
+        raise ParseError("empty graph description", 1, 1) from None
+    toks = _tokens_reference(raw)
+    if toks[0][0] != "nodes":
+        raise ParseError(f"expected 'nodes <n>' header, got {toks[0][0]!r}", lineno, toks[0][1])
+    if len(toks) != 2:
+        raise ParseError("header must be exactly 'nodes <n>'", lineno, toks[-1][1])
+    n = _int_token_reference(toks[1][0], toks[1][1], lineno, "node count")
+    if n < 1:
+        raise ParseError("node count must be positive", lineno, toks[1][1])
+    if n > 1 + sum(map(text.count, _LINE_BREAKS_REFERENCE)):
+        raise ParseError(
+            f"node count {n} is larger than the number of lines", lineno, toks[1][1]
+        )
+
+    seen: dict[int, bool] = {}
+    hollow = [False] * n
+    loop = [False] * n
+    neg = [False] * n
+    adj = [0] * n
+
+    def node_id(tok: str, col: int, lineno: int) -> int:
+        j = _int_token_reference(tok, col, lineno, "node id")
+        if j >= n:
+            raise ParseError(f"node id {j} out of range for nodes {n}", lineno, col)
+        return j
+
+    for lineno, raw in lines:
+        toks = _tokens_reference(raw)
+        kind, col = toks[0]
+        if kind == "node":
+            if len(toks) < 3:
+                raise ParseError("node line needs an id and a fill", lineno, col)
+            j = node_id(toks[1][0], toks[1][1], lineno)
+            if j in seen:
+                raise ParseError(f"duplicate node line for id {j}", lineno, toks[1][1])
+            seen[j] = True
+            fill, fcol = toks[2]
+            if fill not in ("solid", "hollow"):
+                raise ParseError(f"fill must be 'solid' or 'hollow', got {fill!r}", lineno, fcol)
+            hollow[j] = fill == "hollow"
+            for flag, col2 in toks[3:]:
+                if flag == "loop" and not loop[j]:
+                    loop[j] = True
+                elif flag == "neg" and not neg[j]:
+                    neg[j] = True
+                else:
+                    raise ParseError(f"bad or repeated node flag {flag!r}", lineno, col2)
+        elif kind == "edge":
+            if len(toks) != 3:
+                raise ParseError("edge line must be 'edge <i> <j>'", lineno, col)
+            i = node_id(toks[1][0], toks[1][1], lineno)
+            j = node_id(toks[2][0], toks[2][1], lineno)
+            if i >= j:
+                raise ParseError(f"edge endpoints must satisfy i < j, got {i} {j}", lineno, toks[1][1])
+            if (adj[i] >> j) & 1:
+                raise ParseError(f"duplicate edge {i} {j}", lineno, toks[1][1])
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        else:
+            raise ParseError(f"expected 'node' or 'edge', got {kind!r}", lineno, col)
+
+    missing = [j for j in range(n) if j not in seen]
+    if missing:
+        shown = ", ".join(map(str, missing[:10]))
+        more = len(missing) - 10
+        if more > 0:
+            shown += f" and {more} more"
+        raise ParseError(f"missing node line(s) for {len(missing)} id(s): {shown}", 1, 1)
+    return StabilizerGraph(n, tuple(hollow), tuple(loop), tuple(neg), tuple(adj))
+
+
+def parse_circuit_reference(text: str) -> GraphFormCircuit:
+    lines = _significant_lines_reference(text)
+    try:
+        lineno, raw = next(lines)
+    except StopIteration:
+        raise ParseError("empty circuit description", 1, 1) from None
+    toks = _tokens_reference(raw)
+    if toks[0][0] != "qubits":
+        raise ParseError(f"expected 'qubits <n>' header, got {toks[0][0]!r}", lineno, toks[0][1])
+    if len(toks) != 2:
+        raise ParseError("header must be exactly 'qubits <n>'", lineno, toks[-1][1])
+    n = _int_token_reference(toks[1][0], toks[1][1], lineno, "qubit count")
+    if n < 1:
+        raise ParseError("qubit count must be positive", lineno, toks[1][1])
+
+    cz: set[tuple[int, int]] = set()
+    singles = {"Z": set(), "S": set(), "H": set()}
+
+    def qubit(tok: str, col: int, lineno: int) -> int:
+        q = _int_token_reference(tok, col, lineno, "qubit")
+        if q >= n:
+            raise ParseError(f"qubit {q} out of range for qubits {n}", lineno, col)
+        return q
+
+    for lineno, raw in lines:
+        toks = _tokens_reference(raw)
+        kind, col = toks[0]
+        if kind == "CZ":
+            if len(toks) != 3:
+                raise ParseError("CZ line must be 'CZ <i> <j>'", lineno, col)
+            i = qubit(toks[1][0], toks[1][1], lineno)
+            j = qubit(toks[2][0], toks[2][1], lineno)
+            if i == j:
+                raise ParseError("CZ qubits must differ", lineno, toks[1][1])
+            pair = (min(i, j), max(i, j))
+            if pair in cz:
+                raise ParseError(f"duplicate gate line CZ {pair[0]} {pair[1]}", lineno, col)
+            cz.add(pair)
+        elif kind in singles:
+            if len(toks) != 2:
+                raise ParseError(f"{kind} line must be '{kind} <i>'", lineno, col)
+            q = qubit(toks[1][0], toks[1][1], lineno)
+            if q in singles[kind]:
+                raise ParseError(f"duplicate gate line {kind} {q}", lineno, col)
+            singles[kind].add(q)
+        else:
+            raise ParseError(f"unknown gate line {kind!r}", lineno, col)
+    return GraphFormCircuit(
+        n,
+        cz=frozenset(cz),
+        z_set=frozenset(singles["Z"]),
+        s_set=frozenset(singles["S"]),
+        h_set=frozenset(singles["H"]),
+    )

@@ -1,0 +1,258 @@
+"""Differential and fuzz tests for the text parsers.
+
+``parse_graph`` and ``parse_circuit`` split a line with ``str.split()`` and
+compute a token's column only when they raise.  They are held to the
+regex-token parsers they replaced (``tests/helpers.py``) on mutated
+formatter output: both must return equal objects, or raise the same
+exception class with the same text, line and column.
+
+``parse_generator_matrix`` and ``cli.parse_script`` are fuzzed with text
+biased towards their own tokens: whatever the text, a parser either returns
+an object whose formatted text parses back to it and is a fixed point, or
+raises one of its documented errors.
+"""
+
+from __future__ import annotations
+
+import re
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import parse_circuit_reference, parse_graph_reference
+from stabgraph import (
+    ParseError,
+    circuit_from_graph,
+    format_circuit,
+    format_generator_matrix,
+    format_graph,
+    generator_matrix_from_graph,
+    parse_circuit,
+    parse_generator_matrix,
+    parse_graph,
+    random_graph,
+)
+from stabgraph.cli import ScriptError, parse_script
+
+# Separators that split a line (str.isspace) and, for all but the tab, the
+# space and U+3000, also end it (str.splitlines).
+WHITESPACE = ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000", "\r\n", " "]
+# Characters that are digits to str.isdigit (or to int()) but not ASCII.
+ODD_DIGITS = ["²", "١", "٣"]
+FLAG_WORDS = ["loop", "neg", "solid", "hollow"]
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except Exception as exc:  # compared, never swallowed: any class must match
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+# --- mutations of formatter output -----------------------------------------
+
+
+def _insert_whitespace(draw, text):
+    pos = draw(st.integers(0, len(text)))
+    return text[:pos] + draw(st.sampled_from(WHITESPACE)) + text[pos:]
+
+
+def _blank_line(draw, text):
+    lines = text.split("\n")
+    lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    return "\n".join(lines)
+
+
+def _reorder_lines(draw, text):
+    return "\n".join(draw(st.permutations(text.split("\n"))))
+
+
+def _duplicate_line(draw, text):
+    lines = text.split("\n")
+    k = draw(st.integers(0, len(lines) - 1))
+    lines.insert(draw(st.integers(0, len(lines))), lines[k])
+    return "\n".join(lines)
+
+
+def _delete_line(draw, text):
+    lines = text.split("\n")
+    del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines)
+
+
+def _leading_zeros(draw, text):
+    runs = [m.start() for m in re.finditer(r"[0-9]+", text)]
+    if not runs:
+        return text
+    pos = draw(st.sampled_from(runs))
+    # 5000 zeros are more digits than int() converts by default.
+    return text[:pos] + "0" * draw(st.sampled_from([1, 3, 5000])) + text[pos:]
+
+
+def _other_number(draw, text):
+    runs = list(re.finditer(r"[0-9]+", text))
+    if not runs:
+        return text
+    run = draw(st.sampled_from(runs))
+    return text[: run.start()] + str(draw(st.integers(0, 50))) + text[run.end() :]
+
+
+def _odd_digit(draw, text):
+    digits = [m.start() for m in re.finditer(r"[0-9]", text)]
+    if not digits:
+        return text
+    pos = draw(st.sampled_from(digits))
+    return text[:pos] + draw(st.sampled_from(ODD_DIGITS)) + text[pos + 1 :]
+
+
+def _line_endings(draw, text):
+    """End every line with the same one of the other line breaks."""
+    return text.replace("\n", draw(st.sampled_from(["\r", "\r\n", "\x0b", "\x1c", "\x85", "\u2028"])))
+
+
+def _flags(draw, text):
+    """Append a flag word, or one of the line's own flags, to a node line, or
+    permute its tokens after the id (the fill and the flags)."""
+    lines = text.split("\n")
+    nodes = [k for k, line in enumerate(lines) if line.startswith("node ")] or [0]
+    k = draw(st.sampled_from(nodes))
+    toks = lines[k].split(" ")
+    if draw(st.booleans()):
+        toks.append(draw(st.sampled_from(FLAG_WORDS + toks[3:])))
+    else:
+        toks[2:] = draw(st.permutations(toks[2:]))
+    lines[k] = " ".join(toks)
+    return "\n".join(lines)
+
+
+def _truncate(draw, text):
+    return text[: draw(st.integers(0, len(text)))]
+
+
+def _junk(draw, text):
+    pos = draw(st.integers(0, len(text)))
+    return text[:pos] + draw(st.text(min_size=1, max_size=3)) + text[pos:]
+
+
+MUTATIONS = [
+    _insert_whitespace,
+    _line_endings,
+    _blank_line,
+    _reorder_lines,
+    _duplicate_line,
+    _delete_line,
+    _leading_zeros,
+    _other_number,
+    _odd_digit,
+    _flags,
+    _truncate,
+    _junk,
+]
+
+
+@st.composite
+def mutated(draw, texts):
+    """A text from ``texts`` after up to four random mutations."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, 4))):
+        text = draw(st.sampled_from(MUTATIONS))(draw, text)
+    return text
+
+
+def _formatted(format_text, max_n):
+    """``format_text`` of a random graph on 1..max_n nodes."""
+    return st.builds(
+        lambda n, seed: format_text(random_graph(n, seed)),
+        st.integers(1, max_n),
+        st.integers(0, 10**6),
+    )
+
+
+GRAPH_TEXT = mutated(_formatted(format_graph, 40))
+CIRCUIT_TEXT = mutated(_formatted(lambda g: format_circuit(circuit_from_graph(g)), 40))
+
+
+class TestAgainstRegexTokenParsers:
+    @settings(max_examples=400, deadline=None)
+    @given(GRAPH_TEXT)
+    def test_parse_graph(self, text):
+        assert _outcome(parse_graph, text) == _outcome(parse_graph_reference, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(CIRCUIT_TEXT)
+    def test_parse_circuit(self, text):
+        assert _outcome(parse_circuit, text) == _outcome(parse_circuit_reference, text)
+
+    def test_pinned_mutations(self):
+        # Mutated texts with known outcomes: the comparison above covers
+        # parsed graphs and errors alike.
+        text = format_graph(random_graph(3, 1))
+        spaced = text.replace(" ", "\u3000\t")
+        assert _outcome(parse_graph, spaced)[0] == "ok"
+        odd = text.replace("node 1", "node ١")
+        want = (ParseError, "line 3, column 6: node id must be a non-negative integer, got '١'", 3, 6)
+        assert _outcome(parse_graph, odd) == _outcome(parse_graph_reference, odd) == want
+        no_first = "".join(line for line in text.splitlines(True) if not line.startswith("node 0 "))
+        want = (ParseError, "line 1, column 1: missing node line(s) for 1 id(s): 0", 1, 1)
+        assert _outcome(parse_graph, no_first) == want
+
+    def test_str_split_and_the_token_regex_agree_on_every_code_point(self):
+        # parse_graph tokenizes with str.split() and finds a token's column
+        # with re.finditer(r"\S+"); the two must cut at the same characters.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert every.split() == [m.group() for m in re.finditer(r"\S+", every)]
+
+
+# --- fuzzing the matrix and script parsers ----------------------------------
+
+
+def _format_script(gates):
+    return " ".join(f"{name}:{','.join(map(str, targets))}" for name, targets in gates)
+
+
+def _random_text(pieces, separators):
+    """Pieces of a format and arbitrary characters, joined by its separators."""
+    item = st.one_of(st.sampled_from(pieces), st.text(max_size=3))
+    parts = st.lists(st.tuples(item, st.sampled_from(separators)), max_size=8)
+    return parts.map(lambda parts: "".join(a + b for a, b in parts))
+
+
+_GATE = st.one_of(
+    st.tuples(st.sampled_from("HSZ"), st.tuples(st.integers(0, 3))),
+    st.tuples(st.just("CZ"), st.tuples(st.integers(0, 3), st.integers(0, 3))),
+)
+MATRIX_TEXT = st.one_of(
+    mutated(
+        _formatted(lambda g: format_generator_matrix(generator_matrix_from_graph(g)), 6)
+    ),
+    _random_text(["+", "-", "−", "X", "Y", "Z", "I", "+XX", "+ZZ", "+Q"], ["", "\n", "\r\n", " "]),
+)
+SCRIPT_TEXT = st.one_of(
+    mutated(st.lists(_GATE, max_size=6).map(_format_script)),
+    _random_text(["H:", "CZ:", "0", "1", ",", ":", "H:0", "CZ:0,1"], ["", " ", "\t", "\u3000"]),
+)
+
+
+class TestFuzzedParsers:
+    @settings(max_examples=200, deadline=None)
+    @given(MATRIX_TEXT)
+    def test_generator_matrix_parses_to_a_fixed_point_or_raises_value_error(self, text):
+        try:
+            mat = parse_generator_matrix(text)
+        except ValueError:  # ParseError is a ValueError
+            return
+        out = format_generator_matrix(mat)
+        assert parse_generator_matrix(out) == mat
+        assert format_generator_matrix(parse_generator_matrix(out)) == out
+
+    @settings(max_examples=200, deadline=None)
+    @given(SCRIPT_TEXT, st.integers(1, 4))
+    def test_script_parses_to_a_fixed_point_or_raises_script_error(self, text, n):
+        try:
+            gates = parse_script(text, n)
+        except ScriptError:
+            return
+        out = _format_script(gates)
+        assert parse_script(out, n) == gates
+        assert _format_script(parse_script(out, n)) == out
