@@ -36,8 +36,8 @@ from .graph import (
     _Masks,
     _bits,
     _check_node,
+    _flag_masks,
     _hollow_clashes,
-    _mask,
     is_reduced,
 )
 
@@ -238,7 +238,7 @@ def simplify_pair(
         if not is_reduced(g):
             raise ValueError("inputs must be reduced")
     for _ in range(g1.n + 1):
-        h1, h2 = _mask(g1.hollow), _mask(g2.hollow)
+        h1, h2 = _flag_masks(g1)[0], _flag_masks(g2)[0]
         only1, only2 = h1 & ~h2, h2 & ~h1
         for a in _bits(only1):
             reach = (g1.adj[a] | g2.adj[a]) & only2

@@ -20,10 +20,9 @@ flags as Python bools (accepting only entries equal to 0 or 1) and ``n``
 and the adjacency rows as Python ints (accepting anything
 ``operator.index`` takes), checks the lengths, the adjacency range, the
 zero diagonal and symmetry, and raises ``ValueError`` on bad input.
-A graph whose rows hold ``_UNPACK_AT`` set bits or more on average is first
-checked by comparing its edge list with its transpose at C speed
-(``_symmetric_by_transpose``).  A sparser one, or one that fails that
-check, is checked row by row, and the first defective row names the error.
+The adjacency is checked by comparing its edge list with its transpose at
+C speed (``_symmetric_by_transpose``); only rows that fail that check are
+walked one by one, and the first defective row names the error.
 Rewrites of an already-valid graph go through ``_Masks.freeze()``, which
 uses the unchecked ``StabilizerGraph._trusted`` constructor, so a gate
 costs about the degree of its target rather than a full symmetry check;
@@ -43,7 +42,9 @@ rows, so advancing or flipping a whole neighborhood is one operation on a
 mask.  Its ``freeze()`` writes back only the flag positions that changed
 and stores the three masks on the result, outside the dataclass fields,
 so the next rewrite of that graph starts from them instead of rebuilding
-them from the flag tuples.
+them from the flag tuples.  ``_flag_masks(g)`` reads them, building and
+storing them on first use; ``is_reduced``, ``simplify_pair`` and the
+reduced H rules take the hollow mask from it.
 
 The reduced invariant is checked after every reduced rule and after
 ``to_reduced``, with an explicit ``InvariantError`` that survives
@@ -135,18 +136,15 @@ def _index_rows(adj: Iterable[object]) -> Tuple[int, ...]:
 def _adjacency_error(adj: Sequence[int], n: int) -> Optional[str]:
     """Why the n rows ``adj`` are no adjacency matrix, or None if they are.
 
-    Rows are checked in order and the first defect names the error: the row
-    out of range, its diagonal entry, or its first neighbor k whose row
-    lacks the node.  When the rows hold ``_UNPACK_AT`` set bits or more on
-    average, a valid matrix is first recognised by ``_symmetric_by_transpose``
-    at C speed, and the row-by-row check runs only to name a defect.  Below
-    that, listing a row's bits costs about as much as checking them, and
-    the fixed cost of the numpy calls would dominate.
+    A valid matrix is recognised by ``_symmetric_by_transpose`` at C speed.
+    Only a rejected one is walked row by row, to name its first defect:
+    the row out of range, its diagonal entry, or its first neighbor k whose
+    row lacks the node.  A rejected matrix in which the walk finds no
+    defect means the two checks disagree, which raises ``InvariantError``.
     """
-    full = (1 << n) - 1
-    dense = sum(map(int.bit_count, adj)) >= _UNPACK_AT * n
-    if dense and _symmetric_by_transpose(adj, n):
+    if _symmetric_by_transpose(adj, n):
         return None
+    full = (1 << n) - 1
     for j, row in enumerate(adj):
         if not 0 <= row <= full:
             return f"adjacency row {j} out of range"
@@ -155,7 +153,7 @@ def _adjacency_error(adj: Sequence[int], n: int) -> Optional[str]:
         for k in _bits(row):
             if not (adj[k] >> j) & 1:
                 return f"adjacency is not symmetric at ({j}, {k})"
-    return None
+    raise InvariantError("transpose check rejected rows the row walk accepts")
 
 
 def _symmetric_by_transpose(adj: Sequence[int], n: int) -> bool:
@@ -297,6 +295,15 @@ class StabilizerGraph:
         return bool((self.adj[i] >> j) & 1)
 
 
+def _flag_masks(g: StabilizerGraph) -> Tuple[int, int, int]:
+    """The flag masks (hollow, loop, neg) of ``g``: the ones it carries, or
+    built from its flag tuples on first use and stored on it."""
+    masks = g._masks
+    if masks is None:
+        masks = g.__dict__["_masks"] = (_mask(g.hollow), _mask(g.loop), _mask(g.neg))
+    return masks
+
+
 def _clean_at(hollow: int, loop: int, adj: Sequence[int], nodes: int) -> bool:
     """True when no node in the mask ``nodes`` is hollow with a loop or a
     hollow neighbor; ``hollow`` and ``loop`` are the flag masks.  Costs
@@ -313,9 +320,7 @@ class _Masks:
     nodes in a mask is ``advance(mask)``, flipping their signs is
     ``neg ^= mask``, and the common neighbors of j and k are
     ``adj[j] & adj[k]``.  The methods that write adjacency rows record them
-    in ``rows``.  The flag masks start from the ones the source carries
-    (see ``freeze()``), or are built from its flag tuples once and stored
-    on it.
+    in ``rows``.  The flag masks start from the source's ``_flag_masks``.
 
     ``freeze()`` writes back only the flag positions that changed, and
     stores the three masks on the result for the next rewrite.  When the
@@ -328,13 +333,10 @@ class _Masks:
     __slots__ = ("n", "source", "start", "hollow", "loop", "neg", "adj", "rows")
 
     def __init__(self, g: StabilizerGraph) -> None:
-        start = g._masks
-        if start is None:
-            start = g.__dict__["_masks"] = (_mask(g.hollow), _mask(g.loop), _mask(g.neg))
         self.n = g.n
         self.source = g
-        self.start = start
-        self.hollow, self.loop, self.neg = start
+        self.start = _flag_masks(g)
+        self.hollow, self.loop, self.neg = self.start
         self.adj = list(g.adj)
         self.rows = 0
 
@@ -435,11 +437,11 @@ def is_reduced(g: StabilizerGraph) -> bool:
     The verdict is cached on ``g``: the first call on a graph from the
     constructor or a parser scans it, and rewrites of a reduced graph
     arrive with the verdict already set by ``_Masks.freeze()``.  A scan
-    uses the flag masks ``g`` carries, if any.
+    reads the flag masks of ``_flag_masks``.
     """
     verdict = g._reduced
     if verdict is None:
-        verdict = _scan_reduced(g, g._masks)
+        verdict = _scan_reduced(g, _flag_masks(g))
         g.__dict__["_reduced"] = verdict
     return verdict
 

@@ -23,8 +23,8 @@ generator matrix into a decorated graph.
 
 ``PauliString`` is the public type.  Internally, products, conjugations
 and the canonical form run on packed ``(x, z, sign)`` integer rows, with
-``multiply`` and ``conjugate`` as thin wrappers, and the ``GeneratorMatrix``
-checks read the bit matrix through its column masks.
+``multiply``, ``conjugate`` and ``to_canonical_form`` as thin wrappers, and
+the ``GeneratorMatrix`` checks read the bit matrix through its column masks.
 """
 
 from __future__ import annotations
@@ -277,6 +277,18 @@ def to_canonical_form(mat: GeneratorMatrix) -> tuple[GeneratorMatrix, int]:
     lowest-index later column that has one, and the swap is recorded in
     ``qubit_of_column``.  The reduction is deterministic.
     """
+    rows, perm, rank = _canonical_rows(mat)
+    out = GeneratorMatrix(mat.n, tuple(PauliString(mat.n, *r) for r in rows), tuple(perm))
+    canonical_blocks(out, rank)  # shape self-check; raises if violated
+    return out, rank
+
+
+def _canonical_rows(mat: GeneratorMatrix) -> tuple[list[Row], list[int], int]:
+    """The reduction of ``to_canonical_form`` on packed rows.
+
+    Returns the canonical rows, ``qubit_of_column`` as a list and the rank,
+    with no check of the result's shape.
+    """
     n = mat.n
     rows = [(r.x, r.z, r.sign) for r in mat.rows]
     perm = list(mat.qubit_of_column)
@@ -332,12 +344,7 @@ def to_canonical_form(mat: GeneratorMatrix) -> tuple[GeneratorMatrix, int]:
     for i in range(rank):
         for col in _bits(rows[i][1] & tail):
             rows[i] = _multiply(rows[i], rows[col])
-
-    out = GeneratorMatrix(
-        n, tuple(PauliString(n, x, z, sign) for x, z, sign in rows), tuple(perm)
-    )
-    canonical_blocks(out, rank)  # shape self-check; raises if violated
-    return out, rank
+    return rows, perm, rank
 
 
 def canonical_blocks(

@@ -23,6 +23,9 @@ and duplicate gate lines are rejected::
     CZ 0 1
     H 1
 
+A circuit needs no line per qubit, so ``parse_circuit`` rejects a qubit
+count above ``_MAX_CIRCUIT_QUBITS`` (2**20) before allocating anything.
+
 Graph and circuit lines are the pieces ``str.splitlines()`` cuts, and a
 line's tokens are ``str.split()`` of it: the runs of characters that are
 not whitespace to ``str.isspace`` (the regex ``\\s``).  Lines without a
@@ -51,6 +54,8 @@ _SIGN_CHARS = {"+": 1, "-": -1, "−": -1}
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # How many missing node ids a ParseError names before it only counts.
 _MISSING_SHOWN = 10
+# The largest qubit count a circuit header may declare.
+_MAX_CIRCUIT_QUBITS = 1 << 20
 _BAD_LETTER = re.compile(r"[^IXYZ]")
 # Map each Pauli letter to its x (or z) bit as an ASCII digit.
 _X_DIGITS = bytes.maketrans(b"IXYZ", b"0110")
@@ -278,6 +283,9 @@ def parse_circuit(text: str) -> GraphFormCircuit:
     n = _int_token(toks, 1, raw, lineno, "qubit count")
     if n < 1:
         raise ParseError("qubit count must be positive", lineno, _column(raw, 1))
+    if n > _MAX_CIRCUIT_QUBITS:
+        msg = f"qubit count {n} is above the limit of {_MAX_CIRCUIT_QUBITS}"
+        raise ParseError(msg, lineno, _column(raw, 1))
 
     cz: set[tuple[int, int]] = set()
     singles = {"Z": set(), "S": set(), "H": set()}

@@ -42,6 +42,7 @@ from .graph import (
     _Masks,
     _bits,
     _check_node,
+    _flag_masks,
     _mask,
     _scan_reduced,
     is_reduced,
@@ -77,7 +78,7 @@ def classify_local_reduced(g: StabilizerGraph, gate: str, j: int) -> str:
     if gate == "H":
         if g.hollow[j]:
             return "T(v)"
-        has_hollow = any(g.hollow[k] for k in _neighbor_list(g, j))
+        has_hollow = g.adj[j] & _flag_masks(g)[0]
         if g.loop[j]:
             return "T(iv)" if has_hollow else "T(ii)"
         return "T(iii)" if has_hollow else "T(i)"
@@ -94,10 +95,6 @@ def classify_cz_reduced(g: StabilizerGraph, j: int, k: int) -> str:
     return ("T(viii)", "T(ix)", "T(x)")[hollows]
 
 
-def _neighbor_list(g: StabilizerGraph, j: int) -> list[int]:
-    return list(_bits(g.adj[j]))
-
-
 def _check_reduced(out: StabilizerGraph, rule: str) -> StabilizerGraph:
     # An explicit raise rather than an assert, so the check survives -O.
     # The input passed the reduced pre-check, so freeze() has already
@@ -112,7 +109,7 @@ def _check_reduced(out: StabilizerGraph, rule: str) -> StabilizerGraph:
 def _pick_hollow_neighbor(
     g: StabilizerGraph, j: int, choice: Optional[int]
 ) -> int:
-    candidates = [k for k in _neighbor_list(g, j) if g.hollow[k]]
+    candidates = _bits(g.adj[j] & _flag_masks(g)[0])
     if not candidates:
         raise ValueError(f"node {j} has no hollow neighbor")
     if choice is None:

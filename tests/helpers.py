@@ -943,6 +943,8 @@ def parse_circuit_reference(text: str) -> GraphFormCircuit:
     n = _int_token_reference(toks[1][0], toks[1][1], lineno, "qubit count")
     if n < 1:
         raise ParseError("qubit count must be positive", lineno, toks[1][1])
+    if n > 1 << 20:
+        raise ParseError(f"qubit count {n} is above the limit of {1 << 20}", lineno, toks[1][1])
 
     cz: set[tuple[int, int]] = set()
     singles = {"Z": set(), "S": set(), "H": set()}

@@ -125,6 +125,20 @@ class TestConvert:
         err = capsys.readouterr().err
         assert "larger than the number of lines" in err and len(err) < 200
 
+    @pytest.mark.parametrize("count", ["1048577", "99999999999999999999"])
+    def test_qubit_count_above_the_cap_exits_2(self, tmp_path, capsys, count):
+        src = tmp_path / "huge.circ"
+        src.write_text(f"qubits {count}\n")
+        assert main(["convert", "--from", "circuit", "--to", "graph", "-i", str(src)]) == 2
+        msg = f"line 1, column 8: qubit count {count} is above the limit of 1048576"
+        assert capsys.readouterr().err == f"parse error: {msg}\n"
+
+    def test_qubit_count_at_the_cap_is_read(self, tmp_path, capsys):
+        src = tmp_path / "cap.circ"
+        src.write_text("qubits 1048576\n")
+        assert main(["convert", "--from", "circuit", "--to", "circuit", "-i", str(src)]) == 0
+        assert capsys.readouterr().out == "qubits 1048576\n"
+
     def test_invalid_group_exits_3(self, tmp_path, capsys):
         src = tmp_path / "anti.mat"
         src.write_text("+XI\n+ZI\n")

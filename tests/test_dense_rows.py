@@ -34,6 +34,7 @@ from helpers import (
     to_reduced_restart_scan,
 )
 from stabgraph import (
+    InvariantError,
     StabilizerGraph,
     apply_E1,
     apply_E2,
@@ -49,6 +50,7 @@ from stabgraph import (
     random_graph,
     to_reduced,
 )
+from stabgraph import graph
 from stabgraph.graph import _UNPACK_AT, _Masks, _bits
 from stabgraph.textio import format_graph, graph_to_dot, parse_graph
 
@@ -176,6 +178,18 @@ class TestValidation:
             StabilizerGraph(n, flags, flags, flags, tuple(adj))
         assert str(err.value) == adjacency_error_reference(adj, n)
         assert str(err.value) == "adjacency is not symmetric at (0, 1)"
+
+    @pytest.mark.parametrize("n", [1, 12, 300])
+    def test_a_rejection_the_row_walk_cannot_name_is_an_invariant_error(
+        self, monkeypatch, n
+    ):
+        # The transpose check is the only verdict on a valid matrix; the
+        # row walk runs only to name a defect, and finding none means the
+        # two checks disagree.
+        g = random_graph(n, n)
+        monkeypatch.setattr(graph, "_symmetric_by_transpose", lambda adj, n: False)
+        with pytest.raises(InvariantError, match="transpose check"):
+            StabilizerGraph(g.n, g.hollow, g.loop, g.neg, g.adj)
 
     def test_dense_reduced_form_at_n_1024(self, dense_reduced):
         _, r = dense_reduced

@@ -1,8 +1,9 @@
 """Differential tests: the packed (x, z, sign) row path against references.
 
-``pauli`` and ``convert`` run the canonical form, the conjugations and the
-sign solve on packed integer rows.  ``tests/helpers.py`` keeps the
-PauliString-per-step versions they replaced; here both run on the same
+``pauli`` runs the canonical form and the conjugations on packed integer
+rows, and ``convert`` reads the graph straight off the canonical rows.
+``tests/helpers.py`` keeps the PauliString-per-step versions they replaced,
+which conjugate every row and solve the signs; here both run on the same
 inputs and must agree exactly: rows, signs, ``qubit_of_column``, rank, the
 output graph, and every error message.
 """
@@ -28,6 +29,7 @@ from helpers import (
 )
 from stabgraph import (
     GeneratorMatrix,
+    InvariantError,
     PauliString,
     StabilizerGraph,
     canonical_blocks,
@@ -41,6 +43,8 @@ from stabgraph import (
     random_graph,
     to_canonical_form,
 )
+from stabgraph import convert, pauli
+from stabgraph.graph import _bits
 
 
 def all_paulis(n: int):
@@ -234,3 +238,47 @@ def test_canonical_shape_messages_match_reference():
         else:
             assert canonical_blocks(bent, rank) == want
     assert seen == CANONICAL_MESSAGES
+
+
+def test_reproduction_check_catches_every_bent_canonical_shape(monkeypatch):
+    """The converter reads the graph off the canonical rows and keeps one
+    check, that the graph's closed form reproduces them.  Bend the rows it
+    reads by one x bit, z bit or sign: a bent set of the wrong shape must
+    raise, and any other must come back as a graph whose generators are the
+    bent rows, relabelled to the original qubits."""
+    rng = random.Random(11)
+    outcomes = {"raised": 0, "reproduced": 0}
+    for trial in range(2000):
+        n = 2 + trial % 9
+        mat = scrambled_matrix(n, trial, 0.5, trial % 2 == 0)
+        rows, perm, rank = pauli._canonical_rows(mat)
+        i, c = rng.randrange(n), rng.randrange(n)
+        x, z, sign = rows[i]
+        kind = rng.randrange(3)
+        if kind == 0:
+            x ^= 1 << c
+        elif kind == 1:
+            z ^= 1 << c
+        else:
+            sign = -sign
+        bent = rows[:i] + [(x, z, sign)] + rows[i + 1 :]
+        monkeypatch.setattr(convert, "_canonical_rows", lambda m, b=bent: (b, perm, rank))
+        shape = SimpleNamespace(n=n, rows=tuple(PauliString(n, *r) for r in bent))
+        try:
+            canonical_blocks_reference(shape, rank)
+        except ValueError:
+            with pytest.raises((InvariantError, ValueError)):
+                graph_from_generator_matrix(mat)
+            outcomes["raised"] += 1
+            continue
+
+        def moved(mask: int) -> int:
+            return sum(1 << perm[b] for b in _bits(mask))
+
+        want = [None] * n
+        for col, (bx, bz, bs) in enumerate(bent):
+            want[perm[col]] = PauliString(n, moved(bx), moved(bz), bs)
+        assert closed_form_reference(graph_from_generator_matrix(mat)) == tuple(want)
+        outcomes["reproduced"] += 1
+    # Both branches are exercised in bulk.
+    assert min(outcomes.values()) >= 500, outcomes

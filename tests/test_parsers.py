@@ -197,6 +197,18 @@ class TestAgainstRegexTokenParsers:
         want = (ParseError, "line 1, column 1: missing node line(s) for 1 id(s): 0", 1, 1)
         assert _outcome(parse_graph, no_first) == want
 
+    def test_qubit_count_cap(self):
+        # A circuit header alone could ask for any number of qubits; the
+        # count is capped at 2**20 before anything is allocated.
+        at_cap = "qubits 1048576\n"
+        assert _outcome(parse_circuit, at_cap) == _outcome(parse_circuit_reference, at_cap)
+        assert parse_circuit(at_cap).n == 1 << 20
+        for count in ("1048577", "99999999999999999999"):
+            text = f"qubits {count}\n"
+            msg = f"line 1, column 8: qubit count {count} is above the limit of 1048576"
+            want = (ParseError, msg, 1, 8)
+            assert _outcome(parse_circuit, text) == _outcome(parse_circuit_reference, text) == want
+
     def test_str_split_and_the_token_regex_agree_on_every_code_point(self):
         # parse_graph tokenizes with str.split() and finds a token's column
         # with re.finditer(r"\S+"); the two must cut at the same characters.
