@@ -6,32 +6,51 @@ against plain linear algebra.  Qubit 0 is the most significant bit of the
 amplitude index, i.e. basis state |q0 q1 ... q_{n-1}> sits at index
 q0*2^(n-1) + ... + q_{n-1}.
 
-Simulation is deliberately independent of the rewrite rules: circuits are
-executed layer by layer, with one vectorized pass for the diagonal CZ/Z/S
-phase, an in-place butterfly for each terminal Hadamard and a single
-normalization check, and nothing in this module consults the rewrite
-rules or the closed-form generator formulas.  Sizes are capped (default
-12 qubits) because vectors grow as 2^n.
+One batched kernel, ``graph_amplitudes``, computes the states of any
+number of graphs that share n, as the rows of one array.  It reads each
+graph's adjacency rows and flag masks directly and prepares the graph's
+three-layer circuit (H on every qubit, CZ on every edge, then Z^neg,
+S^loop and H^hollow per node): one matrix product of per-graph weights
+against a cached table of qubit-pair products gives every amplitude its
+CZ/Z/S phase, each hollow qubit's Hadamard is an in-place butterfly over
+the rows where it is hollow, and one batched norm check ends the pass.
+``statevector_from_graph`` and ``statevector_from_circuit`` are one-row
+calls of it, and ``apply_gate_dense`` is the one-gate case of
+``gate_images``.  Nothing in this module consults the rewrite rules or
+the closed-form generator formulas.  Sizes are capped (default 12 qubits)
+because vectors grow as 2^n.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuit import GraphFormCircuit, circuit_from_graph
-from .graph import StabilizerGraph
+from .circuit import GraphFormCircuit, graph_from_circuit
+from .graph import StabilizerGraph, _bits, _flag_masks
 from .pauli import GATE_ARITY, PauliString
 
 MAX_QUBITS = 12
 DEFAULT_TOL = 1e-9
 _INV_SQRT2 = 2.0**-0.5
 _I_POWERS = np.array([1, 1j, -1, -1j])
+_LOWEST_SQUARE, _HIGHEST_SQUARE = (1.0 - DEFAULT_TOL) ** 2, (1.0 + DEFAULT_TOL) ** 2
+
+
+def _check_normalized(rows: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every row of a 2-D complex array has
+    unit norm.  An explicit raise, so the check survives ``python -O``."""
+    flat = np.ascontiguousarray(rows).view(np.float64)
+    squares = np.einsum("ij,ij->i", flat, flat).tolist()
+    # |norm - 1| <= tol for every row, on the squared norms; written so
+    # that a NaN norm fails the test too.
+    if not all(_LOWEST_SQUARE <= s <= _HIGHEST_SQUARE for s in squares):
+        raise ValueError("state is not normalized")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,13 +64,18 @@ class Statevector:
         object.__setattr__(self, "amps", amps)
         if amps.ndim != 1 or amps.size == 0 or amps.size & (amps.size - 1):
             raise ValueError("amplitude count must be a power of two")
-        # Written so that a NaN norm fails the test too.
-        if not abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) <= DEFAULT_TOL:
-            raise ValueError("state is not normalized")
+        _check_normalized(amps.reshape(1, -1))
 
     @property
     def n(self) -> int:
         return self.amps.size.bit_length() - 1
+
+    @classmethod
+    def _checked(cls, amps: np.ndarray) -> "Statevector":
+        """Wrap one row that a batched norm check has already passed."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "amps", amps)
+        return v
 
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
@@ -63,73 +87,191 @@ def _index_bits(n: int) -> np.ndarray:
     return bits
 
 
-def _butterfly(amps: np.ndarray, q: int) -> None:
-    """In place: Hadamard on qubit q of ``amps``, without its 1/sqrt(2)."""
-    n = amps.size.bit_length() - 1
-    view = amps.reshape(1 << q, 2, 1 << (n - 1 - q))
-    lo, hi = view[:, 0], view[:, 1]
+def _period(n: int) -> int:
+    """A multiple of 4 above every phase exponent b.M.b of an n-node graph
+    (at most n^2 + 2n)."""
+    return 4 * ((n * n + 2 * n) // 4 + 1)
+
+
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _pair_products(n: int) -> np.ndarray:
+    """Read-only (P + 1, 2^n) float32 table, P = n(n+1)/2: row c holds, for
+    every basis index, the product of the bits of qubits a <= b, the c-th
+    pair (a, b) of ``np.triu_indices(n)`` (a diagonal pair's row is qubit
+    a's bit); row P is all ones, the constant term.  A weighted sum of
+    rows with small integer weights is exact in float32.  Rows, not
+    columns, so that the matrix product reads the table in memory order."""
+    bits = np.ascontiguousarray(_index_bits(n).T, dtype=np.float32)
+    pairs = np.transpose(np.triu_indices(n))
+    table = np.ones((len(pairs) + 1, 1 << n), dtype=np.float32)
+    for row, (a, b) in zip(table, pairs):  # row by row: no temporaries
+        np.multiply(bits[a], bits[b], out=row)
+    table.flags.writeable = False
+    return table
+
+
+def _pair_index(n: int, a: int, b: int) -> int:
+    """Index of the pair a <= b among the rows of ``_pair_products(n)``."""
+    return a * n - a * (a - 1) // 2 + (b - a)
+
+
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _pair_weights(n: int) -> np.ndarray:
+    """Read-only ((n + 3) n, P + 1) map from a graph's bits to its weights
+    over the rows of ``_pair_products(n)``.  The bits are ``_index_bits``
+    rows of, in turn, the n adjacency rows and the hollow, loop and neg
+    masks, so node q's bit of word r is entry r n + n - 1 - q.  Pair a < b
+    weighs 2 per edge, pair (a, a) weighs 2 * neg + loop, and the
+    constant term ``_period(n)`` per hollow node, which picks the row's
+    scale in ``_scaled_powers``."""
+    a, b = np.triu_indices(n)
+    select = np.zeros(((n + 3) * n, a.size + 1))
+    column = np.arange(a.size)
+    edge = a < b
+    bit = n - 1 - np.arange(n)
+    select[(a * n + bit[b])[edge], column[edge]] = 2
+    select[((n + 2) * n + bit[a])[~edge], column[~edge]] = 2
+    select[((n + 1) * n + bit[a])[~edge], column[~edge]] = 1
+    select[n * n + bit, a.size] = _period(n)
+    select.flags.writeable = False
+    return select
+
+
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _scaled_powers(n: int) -> np.ndarray:
+    """Read-only: entry e + h * ``_period(n)`` is i^e / sqrt(2)^(n + h), the
+    amplitude of a basis state of phase exponent e in a state with h
+    hollow nodes before their Hadamards."""
+    repeat = _period(n) // 4
+    table = np.concatenate(
+        [np.tile(_I_POWERS * _INV_SQRT2 ** (n + h), repeat) for h in range(n + 1)]
+    )
+    table.flags.writeable = False
+    return table
+
+
+# The factors a gate multiplies a basis state by: i^k at k < 4, and the
+# 1/sqrt(2) of a Hadamard, whose butterfly then needs no scaling.
+_GATE_FACTORS = np.append(_I_POWERS, _INV_SQRT2)
+
+
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _gate_factors(n: int) -> np.ndarray:
+    """Read-only (2P + 1, 2^n) uint8 table of indices into ``_GATE_FACTORS``:
+    what S (row c) or Z and CZ (row P + c) on the c-th pair of
+    ``_pair_products(n)`` multiply each basis state by, and H (row 2P)."""
+    pairs = n * (n + 1) // 2
+    table = np.full((2 * pairs + 1, 1 << n), 4, dtype=np.uint8)
+    np.copyto(table[:pairs], _pair_products(n)[:pairs], casting="unsafe")
+    np.multiply(table[:pairs], 2, out=table[pairs : 2 * pairs])
+    table.flags.writeable = False
+    return table
+
+
+def _butterfly(rows: np.ndarray, q: int) -> None:
+    """In place: Hadamard on qubit q of every row of the 2-D ``rows``,
+    without its 1/sqrt(2)."""
+    n = rows.shape[1].bit_length() - 1
+    view = rows.reshape(rows.shape[0], 1 << q, 2, 1 << (n - 1 - q))
+    lo, hi = view[:, :, 0], view[:, :, 1]
     diff = lo - hi
     lo += hi
     hi[...] = diff
 
 
+def graph_amplitudes(
+    graphs: Sequence[StabilizerGraph], max_qubits: int = MAX_QUBITS
+) -> np.ndarray:
+    """The states of graphs that share n, as the rows of a (G, 2^n) array.
+
+    Each graph's circuit runs layer by layer: basis state b gets
+    i^(b.M.b), where M holds 2 on each edge and 2*neg + loop on the
+    diagonal, scaled by 1/sqrt(2) per layer-1 and hollow-node Hadamard;
+    then each hollow node's Hadamard is a butterfly on the rows where it
+    is hollow.  Raises ``ValueError`` for an empty batch, mixed sizes, a
+    size above ``max_qubits`` (before allocating) or a row that is not
+    normalized.
+    """
+    if not graphs:
+        raise ValueError("need at least one graph")
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("graphs in one batch must share n")
+    if n > max_qubits:
+        raise ValueError(f"n={n} exceeds the dense-simulation cap of {max_qubits}")
+    masks = [_flag_masks(g) for g in graphs]
+    words = np.array([(*g.adj, *m) for g, m in zip(graphs, masks)])
+    weights = _index_bits(n)[words].reshape(len(graphs), -1) @ _pair_weights(n)
+    # Exact integers: b.M.b plus _period(n) per hollow node.
+    exponent = (weights.astype(np.float32) @ _pair_products(n)).astype(np.intp)
+    amps = _scaled_powers(n)[exponent]
+    hollow = [h for h, _, _ in masks]
+    for q in _bits(functools.reduce(operator.or_, hollow)):
+        rows = [k for k, h in enumerate(hollow) if h >> q & 1]
+        if len(rows) == len(graphs):
+            _butterfly(amps, q)
+        elif rows:
+            part = amps[rows]
+            _butterfly(part, q)
+            amps[rows] = part
+    _check_normalized(amps)
+    return amps
+
+
+def gate_images(amps: np.ndarray, gates: Sequence) -> np.ndarray:
+    """The images of the state ``amps`` (2^n amplitudes) under each
+    (gate, targets) of ``gates``, as the rows of a (K, 2^n) array.
+
+    Each basis state is multiplied by its factor from ``_gate_factors``: a
+    power of i for S, Z and CZ, and 1/sqrt(2) for H, whose butterfly
+    follows.  Every gate name, target count and target is checked first.
+    """
+    n = amps.size.bit_length() - 1
+    pairs = n * (n + 1) // 2
+    rows, hadamards = [], []
+    for k, (gate, targets) in enumerate(gates):
+        arity = GATE_ARITY.get(gate)
+        if arity is None:
+            raise ValueError(f"unknown gate {gate!r}")
+        if len(targets) != arity:
+            raise ValueError(f"{gate} takes {arity} target(s), got {len(targets)}")
+        for t in targets:
+            if not 0 <= t < n:
+                raise ValueError(f"target {t} out of range for n={n}")
+        if gate == "CZ" and targets[0] == targets[1]:
+            raise ValueError("CZ targets must differ")
+        if gate == "H":
+            rows.append(2 * pairs)
+            hadamards.append((k, targets[0]))
+        else:
+            a, b = sorted(targets) if gate == "CZ" else (targets[0],) * 2
+            rows.append(_pair_index(n, a, b) + (0 if gate == "S" else pairs))
+    out = _GATE_FACTORS[_gate_factors(n)[rows]]
+    out *= amps
+    for k, q in hadamards:
+        _butterfly(out[k : k + 1], q)
+    _check_normalized(out)
+    return out
+
+
 def apply_gate_dense(v: Statevector, gate: str, *targets: int) -> Statevector:
     """Apply H, S, Z or CZ to a dense state."""
-    arity = GATE_ARITY.get(gate)
-    if arity is None:
-        raise ValueError(f"unknown gate {gate!r}")
-    if len(targets) != arity:
-        raise ValueError(f"{gate} takes {arity} target(s), got {len(targets)}")
-    n = v.n
-    for t in targets:
-        if not 0 <= t < n:
-            raise ValueError(f"target {t} out of range for n={n}")
-    if gate == "CZ" and targets[0] == targets[1]:
-        raise ValueError("CZ targets must differ")
-    if gate == "H":
-        amps = v.amps * _INV_SQRT2
-        _butterfly(amps, targets[0])
-    else:
-        bits = _index_bits(n)
-        hit = bits[:, targets[0]]
-        if gate == "CZ":
-            hit = hit * bits[:, targets[1]]
-        amps = v.amps.copy()
-        amps[hit != 0] *= 1j if gate == "S" else -1
-    return Statevector(amps)
+    return Statevector._checked(gate_images(v.amps, [(gate, targets)])[0])
 
 
 def statevector_from_circuit(
     c: GraphFormCircuit, max_qubits: int = MAX_QUBITS
 ) -> Statevector:
-    """Run the three-layer circuit on |0...0>, layer by layer."""
-    n = c.n
-    if n > max_qubits:
-        raise ValueError(f"n={n} exceeds the dense-simulation cap of {max_qubits}")
-    # Layers 1-3 up to the terminal Hadamards in one pass: basis state b
-    # gets i^(b.M.b), where M holds 2 on each CZ pair (upper triangle) and
-    # 2z + s on the diagonal, scaled by 1/sqrt(2) per layer-1 and terminal
-    # Hadamard so that the butterflies below need no scaling.
-    m = [0.0] * (n * n)
-    for a, b in c.cz:
-        m[a * n + b] = 2.0
-    for q in c.z_set:
-        m[q * (n + 1)] += 2.0
-    for q in c.s_set:
-        m[q * (n + 1)] += 1.0
-    bits = _index_bits(n)
-    quad = np.einsum("ij,ij->i", bits @ np.array(m).reshape(n, n), bits)
-    phase = quad.astype(np.intp) & 3
-    amps = (_I_POWERS * _INV_SQRT2 ** (n + len(c.h_set)))[phase]
-    for q in c.h_set:
-        _butterfly(amps, q)
-    return Statevector(amps)
+    """Run the three-layer circuit on |0...0>: the state of its graph."""
+    if c.n > max_qubits:
+        raise ValueError(f"n={c.n} exceeds the dense-simulation cap of {max_qubits}")
+    return statevector_from_graph(graph_from_circuit(c), max_qubits)
 
 
 def statevector_from_graph(
     g: StabilizerGraph, max_qubits: int = MAX_QUBITS
 ) -> Statevector:
-    return statevector_from_circuit(circuit_from_graph(g), max_qubits)
+    return Statevector._checked(graph_amplitudes([g], max_qubits)[0])
 
 
 def apply_pauli(v: Statevector, p: PauliString) -> Statevector:

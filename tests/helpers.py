@@ -565,6 +565,32 @@ def statevector_gate_by_gate(c) -> np.ndarray:
     return amps
 
 
+def statevector_layer_by_layer(c) -> np.ndarray:
+    """The one-state body that preceded the batched kernel, kept as the
+    bit-for-bit reference for its rows: basis state b gets i^(b.M.b) with
+    M holding 2 on each CZ pair and 2z + s on the diagonal, pre-scaled by
+    1/sqrt(2) per Hadamard, then each terminal Hadamard is an unscaled
+    in-place butterfly, in the circuit's ``h_set`` order."""
+    n = c.n
+    m = np.zeros((n, n))
+    for a, b in c.cz:
+        m[a, b] = 2.0
+    for q in c.z_set:
+        m[q, q] += 2.0
+    for q in c.s_set:
+        m[q, q] += 1.0
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+    phase = np.einsum("ij,ij->i", bits @ m, bits).astype(np.intp) & 3
+    amps = (np.array([1, 1j, -1, -1j]) * (2.0**-0.5) ** (n + len(c.h_set)))[phase]
+    for q in c.h_set:
+        view = amps.reshape(1 << q, 2, 1 << (n - 1 - q))
+        lo, hi = view[:, 0], view[:, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+    return amps
+
+
 def statevector_by_unitaries(c) -> np.ndarray:
     """The circuit's amplitudes as the product of full ``gate_unitary``
     matrices applied to |0...0>; memory grows as 4^n, so keep n small."""

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import stabgraph.audit as audit
+from stabgraph import transforms
+from stabgraph.cli import main
 from stabgraph import (
     audit_rules,
     flip_sign,
@@ -159,22 +162,61 @@ def test_public_checks_compute_their_own_reference():
 
 @pytest.mark.parametrize("reduced", [False, True])
 def test_each_audited_graph_state_is_computed_once(monkeypatch, reduced):
-    # Every oracle call but one is the state of a rewritten graph; the
-    # audited graph's own state is computed once and shared by its checks.
-    seen = []
-    real = audit.statevector_from_graph
-
-    def spy(g):
-        seen.append(g)
-        return real(g)
-
-    monkeypatch.setattr(audit, "statevector_from_graph", spy)
+    # The audited graph's own state is computed once, as the first row of
+    # the first batch, and every check gets exactly one row.  A budget of
+    # 64 amplitudes (two rows at n = 5) splits the checks over batches.
     sample = random_reduced_graph if reduced else random_graph
     run = audit._audit_reduced_graph if reduced else audit._audit_general_graph
     g = sample(5, 8)
-    counts = {rule: (0, 0) for rule in ALL_RULES}
-    run(g, counts)
-    checks = sum(c for c, _ in counts.values())
-    assert checks > 0 and len(seen) == checks + 1
-    assert seen[0] is g
-    assert all(f == 0 for _, f in counts.values())
+    real = audit.graph_amplitudes
+    for budget in (audit._BATCH_AMPLITUDES, 1 << 6):
+        batches = []
+
+        def spy(graphs, *args, **kwargs):
+            batches.append(list(graphs))
+            return real(graphs, *args, **kwargs)
+
+        monkeypatch.setattr(audit, "graph_amplitudes", spy)
+        monkeypatch.setattr(audit, "_BATCH_AMPLITUDES", budget)
+        counts = {rule: (0, 0) for rule in ALL_RULES}
+        run(g, counts)
+        rows = [graph for batch in batches for graph in batch]
+        checks = sum(c for c, _ in counts.values())
+        assert checks > 0 and len(rows) == checks + 1
+        assert rows[0] is g
+        assert len(batches) == -(-len(rows) // (budget >> g.n))
+        assert all(f == 0 for _, f in counts.values())
+
+
+def _failed_rules(capsys, argv) -> tuple:
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()[1:]
+    return code, {line.split()[0] for line in lines if line.endswith("FAIL")}
+
+
+def test_a_broken_t2_fails_exactly_the_rules_built_on_it(monkeypatch, capsys):
+    # S times Z on a solid node: that node's generator holds X or Y, so
+    # the state moves to an orthogonal one and every T2 case fails.
+    def s_then_z(m, j):
+        m.advance(1 << j)
+        m.neg ^= 1 << j
+
+    argv = ["verify", "--n", "5", "--cases", "30", "--seed", "11"]
+    assert _failed_rules(capsys, argv) == (0, set())
+    monkeypatch.setattr(transforms, "_t2", s_then_z)
+    assert _failed_rules(capsys, argv) == (1, {"T2", "T4", "T(vi)"})
+
+
+@pytest.mark.parametrize("permute", ["all", "rewrites"])
+def test_a_batch_with_permuted_rows_is_caught(monkeypatch, permute):
+    real = audit.graph_amplitudes
+
+    def permuted(graphs, *args, **kwargs):
+        rows = real(graphs, *args, **kwargs)
+        if permute == "all":
+            return rows[::-1].copy()
+        return np.concatenate([rows[:1], rows[:0:-1]])
+
+    monkeypatch.setattr(audit, "graph_amplitudes", permuted)
+    reports = audit_rules(max_n=4, graphs=24, seed=0)
+    assert sum(r.failures for r in reports) > 0

@@ -7,7 +7,7 @@ cold interpreter.  Exit codes are part of the contract:
     0  success / graphs equivalent
     1  graphs not equivalent, or a rule audit failure
     2  unreadable input (parse error, missing file, bytes that are not
-       UTF-8) or bad command-line arguments
+       UTF-8), bad command-line arguments, or a refused matrix output
     3  semantically invalid input (bad group, unreduced graph, ...)
     4  malformed gate script
 """
@@ -23,6 +23,9 @@ import pytest
 
 from stabgraph import (
     StabilizerGraph,
+    circuit_from_graph,
+    format_circuit,
+    format_graph,
     parse_circuit,
     parse_generator_matrix,
     parse_graph,
@@ -138,6 +141,39 @@ class TestConvert:
         src.write_text("qubits 1048576\n")
         assert main(["convert", "--from", "circuit", "--to", "circuit", "-i", str(src)]) == 0
         assert capsys.readouterr().out == "qubits 1048576\n"
+
+    @pytest.mark.parametrize("src_fmt", ["circuit", "graph"])
+    def test_matrix_output_above_the_cap_exits_2(self, tmp_path, capsys, src_fmt):
+        n = cli.MAX_MATRIX_QUBITS + 1
+        src = tmp_path / "wide.txt"
+        g = StabilizerGraph.empty(n)
+        src.write_text(format_circuit(circuit_from_graph(g)) if src_fmt == "circuit"
+                       else format_graph(g))
+        out = tmp_path / "wide.mat"
+        argv = ["convert", "--from", src_fmt, "--to", "matrix", "-i", str(src), "-o", str(out)]
+        assert main(argv) == 2
+        err = f"refused: a matrix of {n} qubits is above the limit of {n - 1}\n"
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    def test_the_largest_circuit_is_refused_quickly(self, tmp_path, capsys):
+        src = tmp_path / "huge.circ"
+        src.write_text("qubits 1048576\n")
+        t0 = time.perf_counter()
+        assert main(["convert", "--from", "circuit", "--to", "matrix", "-i", str(src)]) == 2
+        # Refused on the parsed count, before a graph or matrix is built.
+        assert time.perf_counter() - t0 < 5.0
+        assert "above the limit of 4096" in capsys.readouterr().err
+
+    def test_matrix_output_at_the_cap_is_written(self, tmp_path, capsys, monkeypatch):
+        # The real cap (4096 qubits) takes seconds, so a smaller one stands in.
+        monkeypatch.setattr(cli, "MAX_MATRIX_QUBITS", 3)
+        src = tmp_path / "ghz.graph"
+        src.write_text(format_graph(G(3, edges=[(0, 1), (0, 2)], hollow=[1, 2])))
+        assert main(["convert", "--from", "graph", "--to", "matrix", "-i", str(src)]) == 0
+        assert capsys.readouterr().out == "+XXX\n+ZZI\n+ZIZ\n"
+        src.write_text(format_graph(StabilizerGraph.empty(4)))
+        assert main(["convert", "--from", "graph", "--to", "matrix", "-i", str(src)]) == 2
 
     def test_invalid_group_exits_3(self, tmp_path, capsys):
         src = tmp_path / "anti.mat"

@@ -4,11 +4,16 @@ The oracle must itself be trustworthy, so it is pinned here against
 hand-written amplitudes, against the kron-built unitaries from
 ``tests/helpers.py`` — a third, entirely independent construction — and,
 amplitude by amplitude, against the gate-by-gate circuit run kept there
-as the reference for the layer-by-layer one.
+as the reference for the layer-by-layer one.  The batched kernel's rows
+are held, bit for bit, to the one-state body it replaced.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +27,7 @@ from helpers import (
     random_circuit,
     statevector_by_unitaries,
     statevector_gate_by_gate,
+    statevector_layer_by_layer,
 )
 from stabgraph import (
     GraphFormCircuit,
@@ -39,8 +45,9 @@ from stabgraph import (
     statevector_from_graph,
     states_equal_up_to_global_phase,
 )
+import stabgraph
 from stabgraph import oracle
-from stabgraph.oracle import _index_bits
+from stabgraph.oracle import _index_bits, _pair_products, gate_images, graph_amplitudes
 
 G = StabilizerGraph.build
 INV_SQRT2 = 1 / np.sqrt(2.0)
@@ -163,6 +170,132 @@ class TestLayerByLayerCircuit:
             bits[0, 0] = 1
 
 
+def _graph_of(c: GraphFormCircuit) -> StabilizerGraph:
+    return G(c.n, edges=c.cz, hollow=c.h_set, loops=c.s_set, neg=c.z_set)
+
+
+class TestBatchedKernel:
+    """``graph_amplitudes`` computes a whole batch of graph states at once;
+    each row must equal, bit for bit, the one-state layer-by-layer body it
+    replaced (``helpers.statevector_layer_by_layer``), and, to the
+    tolerance, the gate-by-gate run, whose arithmetic differs."""
+
+    @staticmethod
+    def batch(n: int, seed: int) -> list:
+        circuits = [random_circuit(n, seed * 16 + k) for k in range(6)]
+        full, empty = frozenset(range(n)), frozenset()
+        pairs = frozenset((a, b) for a in range(n) for b in range(a + 1, n))
+        # All nodes hollow, no node hollow, and everything at once.
+        circuits.append(GraphFormCircuit(n, cz=empty, z_set=empty, s_set=empty, h_set=full))
+        circuits.append(GraphFormCircuit(n, cz=pairs, z_set=full, s_set=full, h_set=empty))
+        circuits.append(GraphFormCircuit(n, cz=pairs, z_set=full, s_set=full, h_set=full))
+        return circuits
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rows_equal_the_one_state_body_bit_for_bit(self, n):
+        circuits = self.batch(n, n)
+        rows = graph_amplitudes([_graph_of(c) for c in circuits])
+        assert rows.shape == (len(circuits), 1 << n)
+        for c, row in zip(circuits, rows):
+            assert np.array_equal(row, statevector_layer_by_layer(c))
+            assert max_gap(row, statevector_gate_by_gate(c)) <= TOL
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_a_batch_of_one_is_the_one_state_call(self, n):
+        for c in self.batch(n, 0)[-4:]:
+            (row,) = graph_amplitudes([_graph_of(c)])
+            assert np.array_equal(row, statevector_layer_by_layer(c))
+            assert np.array_equal(row, statevector_from_circuit(c).amps)
+            assert np.array_equal(row, statevector_from_graph(_graph_of(c)).amps)
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        graphs = [random_graph(6, s) for s in range(10)]
+        graphs += [random_reduced_graph(6, s) for s in range(10)]
+        rows = graph_amplitudes(graphs)
+        for g, row in zip(graphs, rows):
+            assert np.array_equal(row, graph_amplitudes([g])[0])
+        assert np.array_equal(graph_amplitudes(graphs[::-1]), rows[::-1])
+
+    def test_mixed_sizes_are_rejected(self):
+        with pytest.raises(ValueError, match="share n"):
+            graph_amplitudes([random_graph(3, 0), random_graph(4, 0)])
+
+    def test_an_empty_batch_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one graph"):
+            graph_amplitudes([])
+
+    def test_above_the_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="exceeds the dense-simulation cap"):
+            graph_amplitudes([StabilizerGraph.empty(13)])
+        with pytest.raises(ValueError, match="cap of 4"):
+            graph_amplitudes([StabilizerGraph.empty(5)], max_qubits=4)
+
+    def test_a_corrupted_row_fails_the_norm_check(self, monkeypatch):
+        # A butterfly that bends the last row of every stack it transforms.
+        real = oracle._butterfly
+
+        def bend_last_row(rows, q):
+            real(rows, q)
+            rows[-1] *= 1.001
+
+        v = statevector_from_graph(random_graph(4, 0))
+        hollow = [G(4, edges=[(0, 1)], hollow=[k], neg=[2]) for k in range(4)]
+        monkeypatch.setattr(oracle, "_butterfly", bend_last_row)
+        with pytest.raises(ValueError, match="not normalized"):
+            graph_amplitudes(hollow)
+        with pytest.raises(ValueError, match="not normalized"):
+            gate_images(v.amps, [("S", (0,)), ("H", (1,)), ("CZ", (1, 2))])
+
+    def test_the_norm_check_survives_python_O(self):
+        code = (
+            "import numpy as np\n"
+            "from stabgraph import oracle, StabilizerGraph\n"
+            "real = oracle._butterfly\n"
+            "def bad(rows, q):\n"
+            "    real(rows, q)\n"
+            "    rows[-1, 0] = np.nan\n"
+            "oracle._butterfly = bad\n"
+            "g = StabilizerGraph.build(3, hollow=[1])\n"
+            "try:\n"
+            "    oracle.graph_amplitudes([g, g])\n"
+            "except ValueError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(stabgraph.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "raised: state is not normalized"
+
+    def test_pair_table_is_read_only_and_shared(self):
+        table = _pair_products(3)
+        assert table is _pair_products(3)
+        assert table.shape == (7, 8) and not table.flags.writeable
+        # Rows are the pairs (0,0) (0,1) (0,2) (1,1) (1,2) (2,2), then the
+        # constant term.
+        assert table[:, 0b110].tolist() == [1, 1, 0, 1, 0, 0, 1]
+        assert table[:, 0b101].tolist() == [1, 0, 1, 0, 0, 1, 1]
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_gate_images_are_the_one_gate_calls(self, n):
+        v = statevector_from_graph(random_graph(n, n))
+        gates = [(gate, (q,)) for q in range(n) for gate in ("H", "S", "Z")]
+        gates += [("CZ", (a, b)) for a in range(n) for b in range(n) if a != b]
+        images = gate_images(v.amps, gates)
+        assert images.shape == (len(gates), 1 << n)
+        for (gate, targets), row in zip(gates, images):
+            assert np.array_equal(row, apply_gate_dense(v, gate, *targets).amps)
+            if n <= 4:
+                expect = gate_unitary(n, gate, *targets) @ v.amps
+                assert max_gap(row, expect) <= TOL
+
+
 class TestApplyGateDense:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_gate_and_target_entrywise(self, n):
@@ -210,6 +343,24 @@ class TestApplyGateDense:
                         assert np.allclose(
                             apply_gate_dense(v, "CZ", a, b).amps, expect
                         )
+
+    @pytest.mark.parametrize(
+        "gate, targets, message",
+        [
+            ("T", (0,), "unknown gate"),
+            ("H", (0, 1), "takes 1 target"),
+            ("CZ", (0,), "takes 2 target"),
+            ("S", (2,), "target 2 out of range"),
+            ("CZ", (0, -1), "target -1 out of range"),
+            ("CZ", (1, 1), "must differ"),
+        ],
+    )
+    def test_every_argument_check(self, gate, targets, message):
+        v = statevector_from_graph(G(2))
+        with pytest.raises(ValueError, match=message):
+            apply_gate_dense(v, gate, *targets)
+        with pytest.raises(ValueError, match=message):
+            gate_images(v.amps, [("H", (0,)), (gate, targets)])
 
     def test_rejects_unknown_gate(self):
         v = statevector_from_graph(G(1))
