@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Sequence, Tuple
 
-from .graph import StabilizerGraph, _mask
+from .graph import StabilizerGraph, _bits
 from .pauli import PauliString, Row, conjugate
 
 
@@ -65,35 +65,34 @@ def circuit_from_graph(g: StabilizerGraph) -> GraphFormCircuit:
     return GraphFormCircuit(
         g.n,
         cz=frozenset(g.edges()),
-        z_set=frozenset(j for j in range(g.n) if g.neg[j]),
-        s_set=frozenset(j for j in range(g.n) if g.loop[j]),
-        h_set=frozenset(j for j in range(g.n) if g.hollow[j]),
+        z_set=frozenset(_bits(g.neg_mask)),
+        s_set=frozenset(_bits(g.loop_mask)),
+        h_set=frozenset(_bits(g.hollow_mask)),
     )
 
 
-def _closed_form_rows(
-    hollow: Sequence[bool], loop: Sequence[bool], neg: Sequence[bool], adj: Sequence[int]
-) -> list[Row]:
-    """Packed closed-form generators (x, z, sign) of a decorated graph."""
-    hollow_mask = _mask(hollow)
+def _closed_form_rows(hollow: int, loop: int, neg: int, adj: Sequence[int]) -> list[Row]:
+    """Packed closed-form generators (x, z, sign) of a decorated graph, from
+    its flag masks and adjacency rows."""
+    negative = neg ^ (loop & hollow)  # (-1)^(a + b*c)
     rows = []
     for j, nbrs in enumerate(adj):
-        a, b, cc = neg[j], loop[j], hollow[j]
-        x, z = nbrs & hollow_mask, nbrs & ~hollow_mask
-        if b:
-            x, z = x | 1 << j, z | 1 << j
-        elif cc:
-            z |= 1 << j
+        bit = 1 << j
+        x, z = nbrs & hollow, nbrs & ~hollow
+        if loop & bit:
+            x, z = x | bit, z | bit
+        elif hollow & bit:
+            z |= bit
         else:
-            x |= 1 << j
-        rows.append((x, z, -1 if (a + (b and cc)) % 2 else 1))
+            x |= bit
+        rows.append((x, z, -1 if negative & bit else 1))
     return rows
 
 
 def generators_from_circuit(c: GraphFormCircuit) -> tuple[PauliString, ...]:
     """Closed-form stabilizer generators, one per qubit."""
     g = graph_from_circuit(c)
-    rows = _closed_form_rows(g.hollow, g.loop, g.neg, g.adj)
+    rows = _closed_form_rows(g.hollow_mask, g.loop_mask, g.neg_mask, g.adj)
     return tuple(PauliString(g.n, x, z, sign) for x, z, sign in rows)
 
 

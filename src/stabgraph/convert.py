@@ -27,7 +27,7 @@ generators off the same closed form.
 from __future__ import annotations
 
 from .circuit import _closed_form_rows
-from .graph import InvariantError, StabilizerGraph, _bits, is_reduced
+from .graph import InvariantError, StabilizerGraph, _bits, _flags, is_reduced
 from .pauli import GeneratorMatrix, PauliString, _canonical_rows
 
 
@@ -38,25 +38,24 @@ def graph_from_generator_matrix(mat: GeneratorMatrix) -> StabilizerGraph:
 
     # Work in column space first; relabel at the very end.
     hollow_cols = (1 << n) - (1 << rank)
-    hollow = tuple(q >= rank for q in range(n))
-    loops, neg, adj = [], [], []
+    loops = neg = 0
+    adj = []
     for q, (x, z, sign) in enumerate(want):
         z ^= (x ^ z) & hollow_cols
         loop = (z >> q) & 1
-        loops.append(bool(loop))
-        neg.append(sign < 0)
+        loops |= loop << q
+        neg |= (sign < 0) << q
         adj.append(z ^ (loop << q))
-    if _closed_form_rows(hollow, loops, neg, adj) != want:
+    if _closed_form_rows(hollow_cols, loops, neg, adj) != want:
         raise InvariantError("graph does not reproduce the canonical rows")
 
     # Undo the column permutation: column c describes original qubit
     # perm[c], so qubit q reads column at[q].
     at = sorted(range(n), key=perm.__getitem__)
+    columns = [_flags(mask, n) for mask in (hollow_cols, loops, neg)]
     out = StabilizerGraph(
         n,
-        tuple(hollow[c] for c in at),
-        tuple(loops[c] for c in at),
-        tuple(neg[c] for c in at),
+        *([flags[c] for c in at] for flags in columns),
         tuple(sum(1 << perm[c2] for c2 in _bits(adj[c])) for c in at),
     )
     if not is_reduced(out):
@@ -66,5 +65,5 @@ def graph_from_generator_matrix(mat: GeneratorMatrix) -> StabilizerGraph:
 
 def generator_matrix_from_graph(g: StabilizerGraph) -> GeneratorMatrix:
     """Generators of the state a graph describes, one per node."""
-    rows = _closed_form_rows(g.hollow, g.loop, g.neg, g.adj)
+    rows = _closed_form_rows(g.hollow_mask, g.loop_mask, g.neg_mask, g.adj)
     return GeneratorMatrix(g.n, tuple(PauliString(g.n, *row) for row in rows))

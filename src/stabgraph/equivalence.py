@@ -36,7 +36,6 @@ from .graph import (
     _Masks,
     _bits,
     _check_node,
-    _flag_masks,
     _hollow_clashes,
     is_reduced,
 )
@@ -96,8 +95,8 @@ def apply_E1(g: StabilizerGraph, j: int) -> StabilizerGraph:
     and sign, and, when j ends up negative, flips its neighbors' signs.
     j keeps its loop.  The described state is unchanged.
     """
-    _check_node(g, j)
-    if not g.loop[j]:
+    j = _check_node(g, j)
+    if not g.loop_mask >> j & 1:
         raise ValueError(f"node {j} has no loop")
     m = _Masks(g)
     _e1_core(m, j)
@@ -111,9 +110,9 @@ def apply_E2(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
     each of j, k that was negative flips it and its current neighbors.
     The described state is unchanged.
     """
+    j, k = _check_node(g, j), _check_node(g, k)
     for node in (j, k):
-        _check_node(g, node)
-        if g.loop[node]:
+        if g.loop_mask >> node & 1:
             raise ValueError(f"node {node} has a loop")
     if j == k or not g.has_edge(j, k):
         raise ValueError(f"nodes {j} and {k} are not connected")
@@ -132,7 +131,7 @@ def apply_Ei(g: StabilizerGraph, hollow: int, solid: int) -> StabilizerGraph:
     flips itself and its current neighbors; a negative hollow node flips
     only its current neighbors.
     """
-    _check_pair(g, hollow, solid, want_loop=True)
+    hollow, solid = _check_pair(g, hollow, solid, want_loop=True)
     m = _Masks(g)
     _ei_core(m, hollow, solid)
     return m.freeze()
@@ -143,25 +142,28 @@ def apply_Eii(g: StabilizerGraph, hollow: int, solid: int) -> StabilizerGraph:
     node, in a reduced graph.  This is exactly the E2 action applied to an
     opposite-fill pair.  The described state is unchanged.
     """
-    _check_pair(g, hollow, solid, want_loop=False)
+    hollow, solid = _check_pair(g, hollow, solid, want_loop=False)
     m = _Masks(g)
     _e2_core(m, hollow, solid)
     return m.freeze()
 
 
-def _check_pair(g: StabilizerGraph, hollow: int, solid: int, want_loop: bool) -> None:
-    for node in (hollow, solid):
-        _check_node(g, node)
+def _check_pair(
+    g: StabilizerGraph, hollow: object, solid: object, want_loop: bool
+) -> tuple[int, int]:
+    hollow, solid = _check_node(g, hollow), _check_node(g, solid)
     if not is_reduced(g):
         raise ValueError("graph is not reduced")
-    if not g.hollow[hollow] or g.hollow[solid]:
+    if not g.hollow_mask >> hollow & 1 or g.hollow_mask >> solid & 1:
         raise ValueError(f"expected hollow node {hollow} and solid node {solid}")
     if hollow == solid or not g.has_edge(hollow, solid):
         raise ValueError(f"nodes {hollow} and {solid} are not connected")
-    if g.loop[solid] != want_loop:
-        have = "a loop" if g.loop[solid] else "no loop"
+    has_loop = bool(g.loop_mask >> solid & 1)
+    if has_loop != want_loop:
+        have = "a loop" if has_loop else "no loop"
         need = "a loop" if want_loop else "no loop"
         raise ValueError(f"solid node {solid} has {have}, rule needs {need}")
+    return hollow, solid
 
 
 def to_reduced(g: StabilizerGraph) -> StabilizerGraph:
@@ -238,7 +240,7 @@ def simplify_pair(
         if not is_reduced(g):
             raise ValueError("inputs must be reduced")
     for _ in range(g1.n + 1):
-        h1, h2 = _flag_masks(g1)[0], _flag_masks(g2)[0]
+        h1, h2 = g1.hollow_mask, g2.hollow_mask
         only1, only2 = h1 & ~h2, h2 & ~h1
         for a in _bits(only1):
             reach = (g1.adj[a] | g2.adj[a]) & only2
@@ -248,10 +250,10 @@ def simplify_pair(
             return g1, g2
         b = _lowest(reach)
         if g1.has_edge(a, b):
-            rule = apply_Ei if g1.loop[b] else apply_Eii
+            rule = apply_Ei if g1.loop_mask >> b & 1 else apply_Eii
             g1 = rule(g1, a, b)
         else:
-            rule = apply_Ei if g2.loop[a] else apply_Eii
+            rule = apply_Ei if g2.loop_mask >> a & 1 else apply_Eii
             g2 = rule(g2, b, a)
     raise InvariantError("pair simplification failed to terminate")
 

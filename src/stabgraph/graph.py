@@ -6,27 +6,35 @@ A state is drawn as a simple graph whose nodes carry three decorations:
 * an optional loop (a terminal phase gate),
 * an optional negative sign (a terminal Z).
 
-Edges live in ``adj`` as one bitmask per node (bit k of ``adj[j]`` means an
-edge j-k); the matrix is symmetric with a zero diagonal, and loops are kept
-separately in ``loop``.  A graph is *reduced* when no hollow node has a
-loop and no two hollow nodes are adjacent; every state has a reduced
-drawing, which is what the reduced rewrite rules operate on.
+The three decorations are stored as bitmasks, the graph's own fields:
+bit j of ``hollow_mask``, ``loop_mask`` and ``neg_mask`` is node j's
+fill, loop and sign, so a rule that flips a decoration over a node or a
+neighborhood is one operation on a mask.  ``hollow``, ``loop`` and
+``neg`` are read-only tuple views of the masks, built on first use.
+Edges live in ``adj`` as one bitmask per node (bit k of ``adj[j]`` means
+an edge j-k); the matrix is symmetric with a zero diagonal, and loops are
+kept separately in ``loop_mask``.  A graph is *reduced* when no hollow
+node has a loop and no two hollow nodes are adjacent; every state has a
+reduced drawing, which is what the reduced rewrite rules operate on.
 
-All operations return new graphs; instances are frozen and hashable.
+All operations return new graphs; instances are frozen and hashable, and
+``==`` and ``hash`` run over ``n``, the three masks and ``adj``.
 
 Validation happens at the trust boundary.  The public constructor (and so
-``build``, ``empty`` and the text parsers, which go through it) stores the
-flags as Python bools (accepting only entries equal to 0 or 1) and ``n``
-and the adjacency rows as Python ints (accepting anything
-``operator.index`` takes), checks the lengths, the adjacency range, the
-zero diagonal and symmetry, and raises ``ValueError`` on bad input.
+``build``, ``empty`` and the text parsers, which go through it) takes the
+flags as sequences (accepting only entries equal to 0 or 1) and ``n``
+and the adjacency rows as anything ``operator.index`` takes, checks the
+lengths, the adjacency range, the zero diagonal and symmetry, and raises
+``ValueError`` on bad input.  Node ids passed to the rewrites are checked
+the same way and used as Python ints.
 The adjacency is checked by comparing its edge list with its transpose at
 C speed (``_symmetric_by_transpose``); only rows that fail that check are
 walked one by one, and the first defective row names the error.
 Rewrites of an already-valid graph go through ``_Masks.freeze()``, which
 uses the unchecked ``StabilizerGraph._trusted`` constructor, so a gate
 costs about the degree of its target rather than a full symmetry check;
-``apply_sequence`` runs one ``_validate()`` on the graph it returns.
+``apply_sequence`` runs one ``_validate()`` on the graph it returns,
+which also rejects a flag bit at or above n.
 
 Rows are walked bit by bit only when they are sparse.  ``_bits`` lists the
 set bits of a mask with a per-bit loop below ``_UNPACK_AT`` set bits and
@@ -36,37 +44,30 @@ hundreds of bits) cost a few C-speed calls each.  ``edges()`` lists each
 row's neighbors above it in one such call.
 
 Every rewrite, the gate rules of ``transforms`` and the E moves of
-``equivalence`` alike, runs on one scratch state, ``_Masks``: the fills,
-loops and signs as three int bitmasks beside a list of the adjacency
-rows, so advancing or flipping a whole neighborhood is one operation on a
-mask.  Its ``freeze()`` writes back only the flag positions that changed
-and stores the three masks on the result, outside the dataclass fields,
-so the next rewrite of that graph starts from them instead of rebuilding
-them from the flag tuples.  ``_flag_masks(g)`` reads them, building and
-storing them on first use; ``is_reduced``, ``simplify_pair`` and the
-reduced H rules take the hollow mask from it.
+``equivalence`` alike, runs on one scratch state, ``_Masks``: the source's
+three flag masks beside a list of its adjacency rows.  Its ``freeze()``
+stores the masks as they are as the fields of the result.
 
 The reduced invariant is checked after every reduced rule and after
 ``to_reduced``, with an explicit ``InvariantError`` that survives
 ``python -O``.  ``is_reduced`` caches its verdict on the (frozen) graph,
-next to the masks, so a graph from the constructor or a parser pays one
-full scan on its first check.  When the source graph is known to be
-reduced, ``freeze()`` looks only at the nodes whose fill, loop or
-adjacency row the rewrite wrote (the ``_Masks`` methods record the rows
-they write in ``rows``): a hollow one must have no loop and no hollow
-neighbor, and ``freeze()`` stores that verdict on the result.  A reduced
-output can only break at a written node, so the check costs the number
-of written hollow nodes, not n.  ``apply_sequence`` backs this up, on the
-graph it returns, with one full scan that ignores the cached verdict and
-a comparison of the cached masks with the flag tuples.
+so a graph from the constructor or a parser pays one full scan on its
+first check.  When the source graph is known to be reduced, ``freeze()``
+looks only at the nodes whose fill, loop or adjacency row the rewrite
+wrote (the ``_Masks`` methods record the rows they write in ``rows``): a
+hollow one must have no loop and no hollow neighbor, and ``freeze()``
+stores that verdict on the result.  A reduced output can only break at a
+written node, so the check costs the number of written hollow nodes, not
+n.  ``apply_sequence`` backs this up, on the graph it returns, with one
+full scan that ignores the cached verdict.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, compress
+from functools import cached_property, reduce
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,6 +103,15 @@ _FLAG_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
 def _mask(flags: Sequence[bool]) -> int:
     """Bitmask with bit j set where ``flags[j]`` is true; needs len >= 1."""
     return int(bytes(flags).translate(_FLAG_DIGITS)[::-1], 2)
+
+
+def _flags(mask: int, n: int) -> Tuple[bool, ...]:
+    """The n flags of ``mask`` as Python bools: the inverse of ``_mask``."""
+    return tuple(map("1".__eq__, f"{mask:0{n}b}"[::-1]))
+
+
+# The node decorations; flag ``name`` is stored as the field ``name_mask``.
+_FLAGS = ("hollow", "loop", "neg")
 
 
 def _bool_flags(name: str, flags: Iterable[object]) -> Tuple[bool, ...]:
@@ -185,62 +195,69 @@ def _hollow_clashes(hollow_rows: Iterable[int], hollow: int) -> int:
     return hollow & reduce(operator.or_, hollow_rows, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class StabilizerGraph:
-    """A decorated graph describing a stabilizer state."""
+    """A decorated graph describing a stabilizer state: ``n``, the three flag
+    masks and the adjacency rows."""
 
     n: int
-    hollow: Tuple[bool, ...]
-    loop: Tuple[bool, ...]
-    neg: Tuple[bool, ...]
+    hollow_mask: int
+    loop_mask: int
+    neg_mask: int
     adj: Tuple[int, ...]
 
-    # Cached ``is_reduced`` verdict (None: not known yet) and flag masks
-    # (hollow, loop, neg) of ``_Masks``.  Not annotated, so they are no
-    # dataclass fields and leave ==, hash and repr alone.
+    # Cached ``is_reduced`` verdict (None: not known yet).  Not annotated,
+    # so it is no dataclass field and leaves ==, hash and repr alone.
     _reduced = None
-    _masks = None
 
-    def __post_init__(self) -> None:
+    # Read-only tuple views of the flag masks, built on first use.
+    hollow = cached_property(lambda self: _flags(self.hollow_mask, self.n))
+    loop = cached_property(lambda self: _flags(self.loop_mask, self.n))
+    neg = cached_property(lambda self: _flags(self.neg_mask, self.n))
+
+    def __init__(
+        self, n: int, hollow: Iterable, loop: Iterable, neg: Iterable, adj: Iterable
+    ) -> None:
         try:
-            object.__setattr__(self, "n", operator.index(self.n))
+            n = operator.index(n)
         except TypeError:
-            raise ValueError(f"n must be an integer, got {self.n!r}") from None
-        for name in ("hollow", "loop", "neg"):
-            object.__setattr__(self, name, _bool_flags(name, getattr(self, name)))
-        object.__setattr__(self, "adj", _index_rows(self.adj))
+            raise ValueError(f"n must be an integer, got {n!r}") from None
+        flags = [_bool_flags(name, f) for name, f in zip(_FLAGS, (hollow, loop, neg))]
+        adj = _index_rows(adj)
+        if n < 1:
+            raise ValueError(f"need at least one node, got n={n}")
+        for name, f in zip(_FLAGS, flags):
+            if len(f) != n:
+                raise ValueError(f"{name} must have length n={n}")
+        hollow, loop, neg = map(_mask, flags)
+        self.__dict__.update(n=n, hollow_mask=hollow, loop_mask=loop, neg_mask=neg, adj=adj)
         self._validate()
 
     def _validate(self) -> None:
         """Raise ValueError unless the fields describe a valid graph."""
-        if self.n < 1:
-            raise ValueError(f"need at least one node, got n={self.n}")
-        for name in ("hollow", "loop", "neg", "adj"):
-            if len(getattr(self, name)) != self.n:
-                raise ValueError(f"{name} must have length n={self.n}")
+        for name in _FLAGS:
+            if getattr(self, f"{name}_mask") >> self.n:
+                raise ValueError(f"{name} mask has bits at or above n={self.n}")
+        if len(self.adj) != self.n:
+            raise ValueError(f"adj must have length n={self.n}")
         message = _adjacency_error(self.adj, self.n)
         if message is not None:
             raise ValueError(message)
 
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in ("n", *_FLAGS, "adj"))
+        return f"StabilizerGraph({shown})"
+
     @classmethod
     def _trusted(
-        cls,
-        n: int,
-        hollow: Tuple[bool, ...],
-        loop: Tuple[bool, ...],
-        neg: Tuple[bool, ...],
-        adj: Tuple[int, ...],
-        reduced: Optional[bool] = None,
-        masks: Optional[Tuple[int, int, int]] = None,
+        cls, n: int, hollow: int, loop: int, neg: int, adj: Tuple[int, ...], reduced=None
     ) -> "StabilizerGraph":
-        """Build without validation, for rewrites of a graph already valid.
-
-        ``reduced`` is the ``is_reduced`` verdict and ``masks`` the flag
-        masks (hollow, loop, neg), when the caller knows them.
-        """
+        """Build from flag masks without validation, for rewrites of a graph
+        already valid.  ``reduced`` is the ``is_reduced`` verdict (True or
+        False), when the caller knows it."""
         g = object.__new__(cls)
         g.__dict__.update(
-            n=n, hollow=hollow, loop=loop, neg=neg, adj=adj, _reduced=reduced, _masks=masks
+            n=n, hollow_mask=hollow, loop_mask=loop, neg_mask=neg, adj=adj, _reduced=reduced
         )
         return g
 
@@ -295,15 +312,6 @@ class StabilizerGraph:
         return bool((self.adj[i] >> j) & 1)
 
 
-def _flag_masks(g: StabilizerGraph) -> Tuple[int, int, int]:
-    """The flag masks (hollow, loop, neg) of ``g``: the ones it carries, or
-    built from its flag tuples on first use and stored on it."""
-    masks = g._masks
-    if masks is None:
-        masks = g.__dict__["_masks"] = (_mask(g.hollow), _mask(g.loop), _mask(g.neg))
-    return masks
-
-
 def _clean_at(hollow: int, loop: int, adj: Sequence[int], nodes: int) -> bool:
     """True when no node in the mask ``nodes`` is hollow with a loop or a
     hollow neighbor; ``hollow`` and ``loop`` are the flag masks.  Costs
@@ -320,23 +328,21 @@ class _Masks:
     nodes in a mask is ``advance(mask)``, flipping their signs is
     ``neg ^= mask``, and the common neighbors of j and k are
     ``adj[j] & adj[k]``.  The methods that write adjacency rows record them
-    in ``rows``.  The flag masks start from the source's ``_flag_masks``.
+    in ``rows``.  The flag masks start as the source's fields.
 
-    ``freeze()`` writes back only the flag positions that changed, and
-    stores the three masks on the result for the next rewrite.  When the
+    ``freeze()`` stores the three masks as the result's fields.  When the
     source is known to be reduced it also settles the verdict of the
     result: a reduced graph can only break at a node whose fill, loop or
     row was written, and a hollow one of those must have no loop and no
     hollow neighbor.
     """
 
-    __slots__ = ("n", "source", "start", "hollow", "loop", "neg", "adj", "rows")
+    __slots__ = ("n", "source", "hollow", "loop", "neg", "adj", "rows")
 
     def __init__(self, g: StabilizerGraph) -> None:
         self.n = g.n
         self.source = g
-        self.start = _flag_masks(g)
-        self.hollow, self.loop, self.neg = self.start
+        self.hollow, self.loop, self.neg = g.hollow_mask, g.loop_mask, g.neg_mask
         self.adj = list(g.adj)
         self.rows = 0
 
@@ -399,36 +405,26 @@ class _Masks:
 
     def freeze(self) -> StabilizerGraph:
         g = self.source
-        hollow0, loop0, neg0 = self.start
-        hollow, loop, neg = self.hollow, self.loop, self.neg
+        hollow, loop = self.hollow, self.loop
         reduced = None
         if g._reduced is True:
-            written = self.rows | (hollow ^ hollow0) | (loop ^ loop0)
+            written = self.rows | (hollow ^ g.hollow_mask) | (loop ^ g.loop_mask)
             reduced = _clean_at(hollow, loop, self.adj, written)
         return StabilizerGraph._trusted(
-            self.n,
-            _with_flipped(g.hollow, hollow ^ hollow0),
-            _with_flipped(g.loop, loop ^ loop0),
-            _with_flipped(g.neg, neg ^ neg0),
-            tuple(self.adj),
-            reduced,
-            (hollow, loop, neg),
+            self.n, hollow, loop, self.neg, tuple(self.adj), reduced
         )
 
 
-def _with_flipped(flags: Tuple[bool, ...], changed: int) -> Tuple[bool, ...]:
-    """``flags`` with the entries at the set bits of ``changed`` negated."""
-    if not changed:
-        return flags
-    out = list(flags)
-    for j in _bits(changed):
-        out[j] = not out[j]
-    return tuple(out)
-
-
-def _check_node(g: StabilizerGraph, j: int) -> None:
+def _check_node(g: StabilizerGraph, j: object) -> int:
+    """``j`` as a Python int, checked to be a node of ``g``: any id that
+    ``operator.index`` takes is accepted, any other raises ValueError."""
+    try:
+        j = operator.index(j)
+    except TypeError:
+        raise ValueError(f"node id must be an integer, got {j!r}") from None
     if not 0 <= j < g.n:
         raise ValueError(f"node {j} out of range for n={g.n}")
+    return j
 
 
 def is_reduced(g: StabilizerGraph) -> bool:
@@ -436,43 +432,43 @@ def is_reduced(g: StabilizerGraph) -> bool:
 
     The verdict is cached on ``g``: the first call on a graph from the
     constructor or a parser scans it, and rewrites of a reduced graph
-    arrive with the verdict already set by ``_Masks.freeze()``.  A scan
-    reads the flag masks of ``_flag_masks``.
+    arrive with the verdict already set by ``_Masks.freeze()``.
     """
     verdict = g._reduced
     if verdict is None:
-        verdict = _scan_reduced(g, _flag_masks(g))
-        g.__dict__["_reduced"] = verdict
+        verdict = g.__dict__["_reduced"] = _scan_reduced(g)
     return verdict
 
 
-def _scan_reduced(g: StabilizerGraph, masks: Optional[Tuple[int, int, int]] = None) -> bool:
-    """The full O(n) ``is_reduced`` check, ignoring any cached verdict; from
-    the flag masks ``masks`` when given, else from the flag tuples."""
-    hollow, loop, _ = masks or (_mask(g.hollow), _mask(g.loop), 0)
-    if hollow & loop:
+def _scan_reduced(g: StabilizerGraph) -> bool:
+    """The full O(n) ``is_reduced`` check, ignoring any cached verdict."""
+    hollow = g.hollow_mask
+    if hollow & g.loop_mask:
         return False
-    return not _hollow_clashes(compress(g.adj, g.hollow), hollow)
+    return not _hollow_clashes(map(g.adj.__getitem__, _bits(hollow)), hollow)
 
 
 def neighbors(g: StabilizerGraph, j: int) -> set[int]:
-    _check_node(g, j)
+    j = _check_node(g, j)
     return set(_bits(g.adj[j]))
 
 
 def local_complement(g: StabilizerGraph, j: int) -> StabilizerGraph:
     """Complement the subgraph induced by the neighbors of j."""
-    _check_node(g, j)
+    j = _check_node(g, j)
     m = _Masks(g)
     m.local_complement(j)
     return m.freeze()
 
 
-def _check_decision_pair(g: StabilizerGraph, j: int, k: int) -> None:
-    _check_node(g, j)
-    _check_node(g, k)
+def _check_distinct(
+    g: StabilizerGraph, j: object, k: object, what: str = "decision nodes"
+) -> Tuple[int, int]:
+    """Two distinct nodes of ``g``, as Python ints (see ``_check_node``)."""
+    j, k = _check_node(g, j), _check_node(g, k)
     if j == k:
-        raise ValueError("decision nodes must differ")
+        raise ValueError(f"{what} must differ")
+    return j, k
 
 
 def local_complement_edge(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
@@ -482,7 +478,7 @@ def local_complement_edge(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph
     and complements edges between nodes whose decision neighborhoods are
     non-empty and different; it equals complementing on j, then k, then j.
     """
-    _check_decision_pair(g, j, k)
+    j, k = _check_distinct(g, j, k)
     m = _Masks(g)
     m.local_complement_edge(j, k)
     return m.freeze()
@@ -492,7 +488,7 @@ def local_complement_edge_step3(
     g: StabilizerGraph, j: int, k: int
 ) -> StabilizerGraph:
     """Only the cross-neighborhood toggles of edge complementation."""
-    _check_decision_pair(g, j, k)
+    j, k = _check_distinct(g, j, k)
     m = _Masks(g)
     m.local_complement_edge_step3(j, k)
     return m.freeze()
@@ -500,21 +496,21 @@ def local_complement_edge_step3(
 
 def advance_loop(g: StabilizerGraph, j: int) -> StabilizerGraph:
     """Add a loop at j, or trade an existing loop for a sign flip."""
-    _check_node(g, j)
+    j = _check_node(g, j)
     m = _Masks(g)
     m.advance(1 << j)
     return m.freeze()
 
 
 def flip_fill(g: StabilizerGraph, j: int) -> StabilizerGraph:
-    _check_node(g, j)
+    j = _check_node(g, j)
     m = _Masks(g)
     m.hollow ^= 1 << j
     return m.freeze()
 
 
 def flip_sign(g: StabilizerGraph, j: int) -> StabilizerGraph:
-    _check_node(g, j)
+    j = _check_node(g, j)
     m = _Masks(g)
     m.neg ^= 1 << j
     return m.freeze()

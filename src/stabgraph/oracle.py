@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .circuit import GraphFormCircuit, graph_from_circuit
-from .graph import StabilizerGraph, _bits, _flag_masks
+from .graph import StabilizerGraph, _bits
 from .pauli import GATE_ARITY, PauliString
 
 MAX_QUBITS = 12
@@ -199,13 +199,12 @@ def graph_amplitudes(
         raise ValueError("graphs in one batch must share n")
     if n > max_qubits:
         raise ValueError(f"n={n} exceeds the dense-simulation cap of {max_qubits}")
-    masks = [_flag_masks(g) for g in graphs]
-    words = np.array([(*g.adj, *m) for g, m in zip(graphs, masks)])
+    words = np.array([(*g.adj, g.hollow_mask, g.loop_mask, g.neg_mask) for g in graphs])
     weights = _index_bits(n)[words].reshape(len(graphs), -1) @ _pair_weights(n)
     # Exact integers: b.M.b plus _period(n) per hollow node.
     exponent = (weights.astype(np.float32) @ _pair_products(n)).astype(np.intp)
     amps = _scaled_powers(n)[exponent]
-    hollow = [h for h, _, _ in masks]
+    hollow = [g.hollow_mask for g in graphs]
     for q in _bits(functools.reduce(operator.or_, hollow)):
         rows = [k for k, h in enumerate(hollow) if h >> q & 1]
         if len(rows) == len(graphs):

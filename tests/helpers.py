@@ -155,7 +155,9 @@ class Mutable:
                 for j in range(self.n)
             )
         return StabilizerGraph._trusted(
-            self.n, tuple(self.hollow), tuple(self.loop), tuple(self.neg), tuple(self.adj),
+            self.n,
+            *map(flag_mask_reference, (self.hollow, self.loop, self.neg)),
+            tuple(self.adj),
             reduced,
         )
 

@@ -18,6 +18,7 @@ from collections import Counter
 import numpy as np
 
 from helpers import decorations, random_edge_sets, scrambled_group
+from stabgraph.oracle import DEFAULT_TOL, gate_images, graph_amplitudes
 from stabgraph import (
     GeneratorMatrix,
     StabilizerGraph,
@@ -87,41 +88,38 @@ def test_criterion_1_gate_rule_soundness(capsys):
     cases = Counter()
     failures = []
 
+    def check(g, rewrites, reduced):
+        # One batched pass per graph: the states of all its outputs, and
+        # the images of its own state under every gate, compared row by
+        # row with the overlap of states_equal_up_to_global_phase.
+        outs = graph_amplitudes([out for _, out, _ in rewrites])
+        images = gate_images(statevector_from_graph(g).amps, [gt for _, _, gt in rewrites])
+        overlaps = np.abs(np.einsum("ij,ij->i", outs.conj(), images))
+        for (tag, out, (gate, targets)), overlap in zip(rewrites, overlaps):
+            ok = overlap >= 1.0 - DEFAULT_TOL and (not reduced or is_reduced(out))
+            cases[tag] += 1
+            if not ok:
+                failures.append((tag, g, gate, targets if gate == "CZ" else targets[0]))
+
     def check_general(g):
-        v_in = statevector_from_graph(g)
-        for gate in ("H", "S", "Z"):
-            for j in range(g.n):
-                tag = classify_local(g, gate, j)
-                out = apply_local(g, gate, j)
-                ok = states_equal_up_to_global_phase(
-                    statevector_from_graph(out), apply_gate_dense(v_in, gate, j)
-                )
-                cases[tag] += 1
-                if not ok:
-                    failures.append((tag, g, gate, j))
+        check(g, [
+            (classify_local(g, gate, j), apply_local(g, gate, j), (gate, (j,)))
+            for gate in ("H", "S", "Z")
+            for j in range(g.n)
+        ], reduced=False)
 
     def check_reduced(g):
-        v_in = statevector_from_graph(g)
-        for gate in ("H", "S", "Z"):
-            for j in range(g.n):
-                tag = classify_local_reduced(g, gate, j)
-                out = apply_local_reduced(g, gate, j)
-                ok = is_reduced(out) and states_equal_up_to_global_phase(
-                    statevector_from_graph(out), apply_gate_dense(v_in, gate, j)
-                )
-                cases[tag] += 1
-                if not ok:
-                    failures.append((tag, g, gate, j))
-        for j in range(g.n):
-            for k in range(j + 1, g.n):
-                tag = classify_cz_reduced(g, j, k)
-                out = apply_cz_reduced(g, j, k)
-                ok = is_reduced(out) and states_equal_up_to_global_phase(
-                    statevector_from_graph(out), apply_gate_dense(v_in, "CZ", j, k)
-                )
-                cases[tag] += 1
-                if not ok:
-                    failures.append((tag, g, "CZ", (j, k)))
+        local = [
+            (classify_local_reduced(g, gate, j), apply_local_reduced(g, gate, j), (gate, (j,)))
+            for gate in ("H", "S", "Z")
+            for j in range(g.n)
+        ]
+        cz = [
+            (classify_cz_reduced(g, j, k), apply_cz_reduced(g, j, k), ("CZ", (j, k)))
+            for j in range(g.n)
+            for k in range(j + 1, g.n)
+        ]
+        check(g, local + cz, reduced=True)
 
     for n in range(1, 5):
         for edges in random_edge_sets(n, count=3, seed=n):

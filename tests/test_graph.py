@@ -7,6 +7,7 @@ moves is covered by the rewrite-rule tests and the acceptance suite.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -18,6 +19,18 @@ from helpers import adjacency_masks
 from stabgraph import (
     StabilizerGraph,
     advance_loop,
+    apply_cz,
+    apply_cz_reduced,
+    apply_E1,
+    apply_E2,
+    apply_Ei,
+    apply_Eii,
+    apply_local,
+    apply_local_reduced,
+    apply_sequence,
+    classify_cz_reduced,
+    classify_local,
+    classify_local_reduced,
     flip_fill,
     flip_sign,
     is_reduced,
@@ -117,18 +130,109 @@ class TestConstruction:
             StabilizerGraph(bad, f, f, f, (2, 1))
 
     def test_trusted_constructor_stays_unchecked(self):
-        # Rewrites only ever write Python bools; the private constructor
-        # takes the tuples as they are.
-        flags = (np.True_, 1)
+        # Rewrites only ever write Python ints; the private constructor
+        # takes the masks and rows as they are, even a bit at or above n.
+        hollow = np.int64(1)
         rows = (np.int64(0), np.int64(0))
-        g = StabilizerGraph._trusted(2, flags, flags, flags, rows)
-        assert g.hollow is flags and g.adj is rows
+        g = StabilizerGraph._trusted(2, hollow, 4, 0, rows)
+        assert g.hollow_mask is hollow and g.loop_mask == 4 and g.adj is rows
 
     def test_graphs_hash_and_compare(self):
         a = StabilizerGraph.build(2, edges=[(0, 1)])
         b = StabilizerGraph.build(2, edges=[(0, 1)])
         assert a == b and hash(a) == hash(b)
         assert a != flip_fill(a, 0)
+
+
+class TestFlagMasks:
+    """The three masks are the stored fields; the flag tuples are views."""
+
+    def test_repr_is_pinned(self):
+        g = StabilizerGraph.build(3, edges=[(0, 1)], hollow=[2], loops=[0])
+        assert repr(g) == (
+            "StabilizerGraph(n=3, hollow=(False, False, True), loop=(True, False, False), "
+            "neg=(False, False, False), adj=(2, 1, 0))"
+        )
+
+    def test_fields_are_n_the_three_masks_and_adj(self):
+        names = [f.name for f in dataclasses.fields(StabilizerGraph)]
+        assert names == ["n", "hollow_mask", "loop_mask", "neg_mask", "adj"]
+
+    @pytest.mark.parametrize("name", ["hollow", "loop", "neg"])
+    def test_views_are_cached_read_only_bool_tuples(self, name):
+        built = StabilizerGraph.build(4, edges=[(0, 3)], hollow=[1], loops=[2], neg=[3])
+        for g in (built, local_complement(flip_sign(built, 0), 3)):
+            view = getattr(g, name)
+            assert type(view) is tuple and len(view) == 4
+            assert all(type(f) is bool for f in view)
+            assert getattr(g, name) is view
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, view)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, f"{name}_mask", 0)
+
+    def test_views_at_one_node(self):
+        g = StabilizerGraph.build(1, hollow=[0], neg=[0])
+        assert (g.hollow, g.loop, g.neg) == ((True,), (False,), (True,))
+        assert (g.hollow_mask, g.loop_mask, g.neg_mask) == (1, 0, 1)
+
+    def test_views_at_node_1023(self):
+        g = flip_fill(advance_loop(StabilizerGraph.empty(1024), 1023), 1023)
+        assert g.hollow_mask == g.loop_mask == 1 << 1023 and g.neg_mask == 0
+        assert g.hollow == g.loop == (False,) * 1023 + (True,)
+        assert g.neg == (False,) * 1024
+
+
+def _node_id_calls(n: int, a: int, b: int) -> list:
+    """(name, graph, call, node ids) for every public rewrite or classifier
+    that takes node ids; each call is valid for the ids a and b."""
+    general = StabilizerGraph.build(n, edges=[(a, b)], loops=[a], neg=[b])
+    loop_free = StabilizerGraph.build(n, edges=[(a, b)], neg=[a])
+    looped = StabilizerGraph.build(n, edges=[(a, b)], hollow=[a], loops=[b])
+    plain = StabilizerGraph.build(n, edges=[(a, b)], hollow=[a])
+    return [
+        ("neighbors", general, neighbors, (a,)),
+        ("local_complement", general, local_complement, (a,)),
+        ("local_complement_edge", general, local_complement_edge, (a, b)),
+        ("local_complement_edge_step3", general, local_complement_edge_step3, (a, b)),
+        ("advance_loop", general, advance_loop, (a,)),
+        ("flip_fill", general, flip_fill, (a,)),
+        ("flip_sign", general, flip_sign, (b,)),
+        ("classify_local", general, lambda g, j: classify_local(g, "S", j), (a,)),
+        ("apply_local", general, lambda g, j: apply_local(g, "S", j), (a,)),
+        ("classify_local_reduced", looped,
+         lambda g, j: classify_local_reduced(g, "H", j), (b,)),
+        ("apply_local_reduced", looped,
+         lambda g, j, k: apply_local_reduced(g, "H", j, hollow_choice=k), (b, a)),
+        ("classify_cz_reduced", plain, classify_cz_reduced, (a, b)),
+        ("apply_cz_reduced", plain, apply_cz_reduced, (a, b)),
+        ("apply_cz", general, apply_cz, (a, b)),
+        ("apply_sequence", general,
+         lambda g, j, k: apply_sequence(g, [("S", (j,)), ("CZ", (j, k))]), (a, b)),
+        ("apply_E1", general, apply_E1, (a,)),
+        ("apply_E2", loop_free, apply_E2, (a, b)),
+        ("apply_Ei", looped, apply_Ei, (a, b)),
+        ("apply_Eii", plain, apply_Eii, (a, b)),
+    ]
+
+
+class TestNodeIds:
+    """Node ids are checked once, at the public entry points: anything
+    ``operator.index`` takes is a node id, and nothing else is."""
+
+    @pytest.mark.parametrize("n, a, b", [(3, 1, 2), (128, 5, 100)])
+    def test_numpy_ids_act_like_python_ints(self, n, a, b):
+        for name, g, call, ids in _node_id_calls(n, a, b):
+            for kind in (np.int64, np.uint8, np.intp):
+                assert call(g, *map(kind, ids)) == call(g, *ids), (name, kind)
+
+    @pytest.mark.parametrize("bad", [float, str])
+    def test_other_ids_raise_value_error(self, bad):
+        for name, g, call, ids in _node_id_calls(3, 1, 2):
+            for at in range(len(ids)):
+                wrong = ids[:at] + (bad(ids[at]),) + ids[at + 1 :]
+                with pytest.raises(ValueError, match="node id must be an integer"):
+                    call(g, *wrong)
 
 
 class TestPredicates:

@@ -26,7 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stabgraph
-from helpers import is_reduced_per_node, sparse_graph, to_reduced_restart_scan
+from helpers import (
+    flag_mask_reference,
+    is_reduced_per_node,
+    sparse_graph,
+    to_reduced_restart_scan,
+)
 from stabgraph import (
     InvariantError,
     StabilizerGraph,
@@ -165,7 +170,8 @@ class TestTrustedRewritesStayValid:
 
     def test_trusted_graphs_compare_and_hash_like_checked_ones(self):
         g = StabilizerGraph.build(3, edges=[(0, 1)], hollow=[2], loops=[0])
-        t = StabilizerGraph._trusted(g.n, g.hollow, g.loop, g.neg, g.adj)
+        masks = map(flag_mask_reference, (g.hollow, g.loop, g.neg))
+        t = StabilizerGraph._trusted(g.n, *masks, g.adj)
         assert t == g and hash(t) == hash(g) and repr(t) == repr(g)
 
 
@@ -228,12 +234,14 @@ class TestReducedVerdictCache:
         with pytest.raises(InvariantError, match="wrong reduced verdict"):
             transforms.apply_sequence(g, [("S", (0,))], reduced=reduced)
 
-    def test_apply_sequence_checks_the_carried_flag_masks(self, monkeypatch):
-        # Flag tuples that miss a write leave the masks the result carries
-        # out of step with them; the final check compares the two.
-        monkeypatch.setattr(graph, "_with_flipped", lambda flags, changed: flags)
-        with pytest.raises(InvariantError, match="flag masks"):
-            transforms.apply_sequence(StabilizerGraph.empty(2), [("Z", (0,))])
+    def test_apply_sequence_rejects_a_flag_bit_at_or_above_n(self, monkeypatch):
+        # The per-gate rules never look above n; the final validation does.
+        def sign_past_the_end(m, j):
+            m.neg ^= 1 << m.n
+
+        monkeypatch.setattr(transforms, "_t2", sign_past_the_end)
+        with pytest.raises(ValueError, match=r"neg mask has bits at or above n=2"):
+            transforms.apply_sequence(StabilizerGraph.empty(2), [("S", (0,))])
 
     def test_apply_sequence_rejects_unreduced_input_with_an_empty_word(self):
         g = StabilizerGraph.build(1, hollow=[0], loops=[0])
