@@ -19,7 +19,8 @@ import numpy as np
 
 from . import equivalence, transforms
 from .graph import StabilizerGraph, is_reduced, neighbors
-from .oracle import gate_images, graph_amplitudes, random_graph, random_reduced_graph
+from .oracle import DEFAULT_TOL, gate_images, graph_amplitudes
+from .oracle import random_graph, random_reduced_graph
 
 GATE_RULES = (
     "T1", "T2", "T3", "T4", "T5", "T6",
@@ -28,8 +29,6 @@ GATE_RULES = (
 )
 EQUIV_RULES = ("E1", "E2", "E(i)", "E(ii)")
 ALL_RULES = GATE_RULES + EQUIV_RULES
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass
@@ -65,7 +64,11 @@ def check_state_preserved(g: StabilizerGraph, out: StabilizerGraph) -> bool:
 # 128 KB arrays at every n.  Measured on a 2-core Xeon: `verify --n 8`
 # ran as fast as with 2^14 or 2^15 (arrays that fit in cache), and at
 # n = 12 two rows per chunk keep the pair-table product on one BLAS
-# thread, where 3 to 6 rows had spikes of milliseconds.
+# thread, where 3 to 6 rows had spikes of milliseconds.  The product
+# stays in float32 all the same: an integer one, which no BLAS thread
+# runs, took 20-60x as long (n = 8, 32 graphs: 232-427 us against 7-9
+# us; n = 12, 2 graphs: 847-1065 us against 41-47 us), so this chunk
+# size is the guard against the stalls.
 _BATCH_AMPLITUDES = 1 << 13
 
 

@@ -409,19 +409,25 @@ class _Masks:
         reduced = None
         if g._reduced is True:
             written = self.rows | (hollow ^ g.hollow_mask) | (loop ^ g.loop_mask)
-            reduced = _clean_at(hollow, loop, self.adj, written)
+            # Only nodes: a flag bit at or above n is _validate's to report.
+            reduced = _clean_at(hollow, loop, self.adj, written & ((1 << self.n) - 1))
         return StabilizerGraph._trusted(
             self.n, hollow, loop, self.neg, tuple(self.adj), reduced
         )
 
 
-def _check_node(g: StabilizerGraph, j: object) -> int:
-    """``j`` as a Python int, checked to be a node of ``g``: any id that
-    ``operator.index`` takes is accepted, any other raises ValueError."""
+def _node_id(j: object) -> int:
+    """``j`` as a Python int by ``operator.index``; anything else raises ValueError."""
     try:
-        j = operator.index(j)
+        return operator.index(j)
     except TypeError:
         raise ValueError(f"node id must be an integer, got {j!r}") from None
+
+
+def _check_node(g: StabilizerGraph, j: object) -> int:
+    """``j`` as a Python int (see ``_node_id``) that is a node of ``g``."""
+    if type(j) is not int:
+        j = _node_id(j)
     if not 0 <= j < g.n:
         raise ValueError(f"node {j} out of range for n={g.n}")
     return j

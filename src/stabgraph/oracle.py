@@ -12,13 +12,18 @@ graph's adjacency rows and flag masks directly and prepares the graph's
 three-layer circuit (H on every qubit, CZ on every edge, then Z^neg,
 S^loop and H^hollow per node): one matrix product of per-graph weights
 against a cached table of qubit-pair products gives every amplitude its
-CZ/Z/S phase, each hollow qubit's Hadamard is an in-place butterfly over
-the rows where it is hollow, and one batched norm check ends the pass.
-``statevector_from_graph`` and ``statevector_from_circuit`` are one-row
-calls of it, and ``apply_gate_dense`` is the one-gate case of
-``gate_images``.  Nothing in this module consults the rewrite rules or
-the closed-form generator formulas.  Sizes are capped (default 12 qubits)
-because vectors grow as 2^n.
+CZ/Z/S phase, each row is scaled by 1/sqrt(2) per Hadamard, each hollow
+qubit's Hadamard is an in-place butterfly over the rows where it is
+hollow, and one batched norm check ends the pass.  ``gate_images``
+applies gates to a state, reading the S, Z and CZ phases off the same
+pair table.  Three read-only tables are cached per n: ``_index_bits``
+(the bits of every basis index), ``_pair_products`` (every qubit pair's
+bit product) and ``_pair_weights`` (a graph's bits to its weights over
+the pairs).  ``statevector_from_graph`` and ``statevector_from_circuit``
+are one-row calls of ``graph_amplitudes``, and ``apply_gate_dense`` is
+the one-gate case of ``gate_images``.  Nothing in this module consults
+the rewrite rules or the closed-form generator formulas.  Sizes are
+capped (default 12 qubits) because vectors grow as 2^n.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .circuit import GraphFormCircuit, graph_from_circuit
-from .graph import StabilizerGraph, _bits
-from .pauli import GATE_ARITY, PauliString
+from .graph import StabilizerGraph, _bits, _flags
+from .pauli import PauliString, _gate_targets
 
 MAX_QUBITS = 12
 DEFAULT_TOL = 1e-9
@@ -87,85 +92,40 @@ def _index_bits(n: int) -> np.ndarray:
     return bits
 
 
-def _period(n: int) -> int:
-    """A multiple of 4 above every phase exponent b.M.b of an n-node graph
-    (at most n^2 + 2n)."""
-    return 4 * ((n * n + 2 * n) // 4 + 1)
-
-
 @functools.lru_cache(maxsize=MAX_QUBITS)
 def _pair_products(n: int) -> np.ndarray:
-    """Read-only (P + 1, 2^n) float32 table, P = n(n+1)/2: row c holds, for
+    """Read-only (P, 2^n) float32 table, P = n(n+1)/2: row c holds, for
     every basis index, the product of the bits of qubits a <= b, the c-th
-    pair (a, b) of ``np.triu_indices(n)`` (a diagonal pair's row is qubit
-    a's bit); row P is all ones, the constant term.  A weighted sum of
-    rows with small integer weights is exact in float32.  Rows, not
-    columns, so that the matrix product reads the table in memory order."""
+    pair (a, b) of ``np.triu_indices(n)``, so c = a n - a (a - 1) / 2 + b - a
+    (a diagonal pair's row is qubit a's bit).  A weighted sum of rows with
+    small integer weights is exact in float32.  Rows, not columns, so that
+    the matrix product reads the table in memory order."""
     bits = np.ascontiguousarray(_index_bits(n).T, dtype=np.float32)
     pairs = np.transpose(np.triu_indices(n))
-    table = np.ones((len(pairs) + 1, 1 << n), dtype=np.float32)
+    table = np.empty((len(pairs), 1 << n), dtype=np.float32)
     for row, (a, b) in zip(table, pairs):  # row by row: no temporaries
         np.multiply(bits[a], bits[b], out=row)
     table.flags.writeable = False
     return table
 
 
-def _pair_index(n: int, a: int, b: int) -> int:
-    """Index of the pair a <= b among the rows of ``_pair_products(n)``."""
-    return a * n - a * (a - 1) // 2 + (b - a)
-
-
 @functools.lru_cache(maxsize=MAX_QUBITS)
 def _pair_weights(n: int) -> np.ndarray:
-    """Read-only ((n + 3) n, P + 1) map from a graph's bits to its weights
+    """Read-only ((n + 2) n, P) map from a graph's bits to its weights
     over the rows of ``_pair_products(n)``.  The bits are ``_index_bits``
-    rows of, in turn, the n adjacency rows and the hollow, loop and neg
-    masks, so node q's bit of word r is entry r n + n - 1 - q.  Pair a < b
-    weighs 2 per edge, pair (a, a) weighs 2 * neg + loop, and the
-    constant term ``_period(n)`` per hollow node, which picks the row's
-    scale in ``_scaled_powers``."""
+    rows of, in turn, the n adjacency rows and the loop and neg masks, so
+    node q's bit of word r is entry r n + n - 1 - q.  Pair a < b weighs 2
+    per edge, and pair (a, a) weighs 2 * neg + loop."""
     a, b = np.triu_indices(n)
-    select = np.zeros(((n + 3) * n, a.size + 1))
+    select = np.zeros(((n + 2) * n, a.size))
     column = np.arange(a.size)
     edge = a < b
     bit = n - 1 - np.arange(n)
     select[(a * n + bit[b])[edge], column[edge]] = 2
-    select[((n + 2) * n + bit[a])[~edge], column[~edge]] = 2
-    select[((n + 1) * n + bit[a])[~edge], column[~edge]] = 1
-    select[n * n + bit, a.size] = _period(n)
+    select[((n + 1) * n + bit[a])[~edge], column[~edge]] = 2
+    select[(n * n + bit[a])[~edge], column[~edge]] = 1
     select.flags.writeable = False
     return select
-
-
-@functools.lru_cache(maxsize=MAX_QUBITS)
-def _scaled_powers(n: int) -> np.ndarray:
-    """Read-only: entry e + h * ``_period(n)`` is i^e / sqrt(2)^(n + h), the
-    amplitude of a basis state of phase exponent e in a state with h
-    hollow nodes before their Hadamards."""
-    repeat = _period(n) // 4
-    table = np.concatenate(
-        [np.tile(_I_POWERS * _INV_SQRT2 ** (n + h), repeat) for h in range(n + 1)]
-    )
-    table.flags.writeable = False
-    return table
-
-
-# The factors a gate multiplies a basis state by: i^k at k < 4, and the
-# 1/sqrt(2) of a Hadamard, whose butterfly then needs no scaling.
-_GATE_FACTORS = np.append(_I_POWERS, _INV_SQRT2)
-
-
-@functools.lru_cache(maxsize=MAX_QUBITS)
-def _gate_factors(n: int) -> np.ndarray:
-    """Read-only (2P + 1, 2^n) uint8 table of indices into ``_GATE_FACTORS``:
-    what S (row c) or Z and CZ (row P + c) on the c-th pair of
-    ``_pair_products(n)`` multiply each basis state by, and H (row 2P)."""
-    pairs = n * (n + 1) // 2
-    table = np.full((2 * pairs + 1, 1 << n), 4, dtype=np.uint8)
-    np.copyto(table[:pairs], _pair_products(n)[:pairs], casting="unsafe")
-    np.multiply(table[:pairs], 2, out=table[pairs : 2 * pairs])
-    table.flags.writeable = False
-    return table
 
 
 def _butterfly(rows: np.ndarray, q: int) -> None:
@@ -199,12 +159,13 @@ def graph_amplitudes(
         raise ValueError("graphs in one batch must share n")
     if n > max_qubits:
         raise ValueError(f"n={n} exceeds the dense-simulation cap of {max_qubits}")
-    words = np.array([(*g.adj, g.hollow_mask, g.loop_mask, g.neg_mask) for g in graphs])
+    words = np.array([(*g.adj, g.loop_mask, g.neg_mask) for g in graphs])
     weights = _index_bits(n)[words].reshape(len(graphs), -1) @ _pair_weights(n)
-    # Exact integers: b.M.b plus _period(n) per hollow node.
+    # Exact integers: the phase exponents b.M.b.
     exponent = (weights.astype(np.float32) @ _pair_products(n)).astype(np.intp)
-    amps = _scaled_powers(n)[exponent]
+    amps = _I_POWERS[exponent & 3]
     hollow = [g.hollow_mask for g in graphs]
+    amps *= np.array([_INV_SQRT2 ** (n + h.bit_count()) for h in hollow])[:, None]
     for q in _bits(functools.reduce(operator.or_, hollow)):
         rows = [k for k, h in enumerate(hollow) if h >> q & 1]
         if len(rows) == len(graphs):
@@ -221,31 +182,24 @@ def gate_images(amps: np.ndarray, gates: Sequence) -> np.ndarray:
     """The images of the state ``amps`` (2^n amplitudes) under each
     (gate, targets) of ``gates``, as the rows of a (K, 2^n) array.
 
-    Each basis state is multiplied by its factor from ``_gate_factors``: a
-    power of i for S, Z and CZ, and 1/sqrt(2) for H, whose butterfly
-    follows.  Every gate name, target count and target is checked first.
+    S, Z and CZ multiply each basis state by a power of i whose exponent
+    is the gate's ``_pair_products`` row, times 1 for S and 2 for Z and CZ;
+    H multiplies by 1/sqrt(2), and its butterfly follows.  Every gate
+    name, target count and target is checked first.
     """
     n = amps.size.bit_length() - 1
-    pairs = n * (n + 1) // 2
-    rows, hadamards = [], []
+    rows, powers, hadamards = [], [], []
     for k, (gate, targets) in enumerate(gates):
-        arity = GATE_ARITY.get(gate)
-        if arity is None:
-            raise ValueError(f"unknown gate {gate!r}")
-        if len(targets) != arity:
-            raise ValueError(f"{gate} takes {arity} target(s), got {len(targets)}")
-        for t in targets:
-            if not 0 <= t < n:
-                raise ValueError(f"target {t} out of range for n={n}")
-        if gate == "CZ" and targets[0] == targets[1]:
-            raise ValueError("CZ targets must differ")
+        targets = _gate_targets(gate, targets, n)
         if gate == "H":
-            rows.append(2 * pairs)
             hadamards.append((k, targets[0]))
-        else:
-            a, b = sorted(targets) if gate == "CZ" else (targets[0],) * 2
-            rows.append(_pair_index(n, a, b) + (0 if gate == "S" else pairs))
-    out = _GATE_FACTORS[_gate_factors(n)[rows]]
+        a, b = sorted(targets) if gate == "CZ" else targets * 2
+        rows.append(a * n - a * (a - 1) // 2 + b - a)
+        powers.append(0 if gate == "H" else 1 if gate == "S" else 2)
+    exponent = _pair_products(n)[rows]
+    exponent *= np.array(powers, dtype=np.float32)[:, None]
+    out = _I_POWERS[exponent.astype(np.intp)]
+    out[[k for k, _ in hadamards]] = _INV_SQRT2  # in place of H's unused phase
     out *= amps
     for k, q in hadamards:
         _butterfly(out[k : k + 1], q)
@@ -327,12 +281,7 @@ def random_reduced_graph(n: int, seed: int) -> StabilizerGraph:
     """Like random_graph, then repaired so the reduced invariant holds:
     loops are cleared from hollow nodes and hollow-hollow edges removed."""
     g = random_graph(n, seed)
-    loop = tuple(g.loop[j] and not g.hollow[j] for j in range(n))
-    adj = list(g.adj)
-    for i in range(n):
-        if g.hollow[i]:
-            for j in range(i + 1, n):
-                if g.hollow[j] and (adj[i] >> j) & 1:
-                    adj[i] ^= 1 << j
-                    adj[j] ^= 1 << i
-    return StabilizerGraph(n, g.hollow, loop, g.neg, tuple(adj))
+    hollow = g.hollow_mask
+    loop = _flags(g.loop_mask & ~hollow, n)
+    adj = tuple(row & ~hollow if hollow >> j & 1 else row for j, row in enumerate(g.adj))
+    return StabilizerGraph(n, g.hollow, loop, g.neg, adj)

@@ -35,7 +35,7 @@ from itertools import compress
 from operator import or_, xor
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .graph import _bits, _mask
+from .graph import _bits, _mask, _node_id
 
 GATE_ARITY = {"H": 1, "S": 1, "Z": 1, "CZ": 2}
 
@@ -135,6 +135,27 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     return PauliString(p.n, *_multiply((p.x, p.z, p.sign), (q.x, q.z, q.sign)))
 
 
+def _gate_targets(gate: str, targets: object, n: int) -> Sequence[int]:
+    """A gate's targets on n qubits as Python ints (``graph._node_id``; a
+    bare id is one target), checked: a ``GATE_ARITY`` gate, its number of
+    targets, each below n, and distinct CZ targets, or ValueError."""
+    arity = GATE_ARITY.get(gate)
+    if arity is None:
+        raise ValueError(f"unknown gate {gate!r}")
+    if type(targets) is not tuple and not hasattr(targets, "__len__"):
+        targets = (targets,)
+    if len(targets) != arity:
+        raise ValueError(f"{gate} takes {arity} target(s), got {len(targets)}")
+    for t in targets:
+        if type(t) is not int:  # numpy ids and the like: convert, then check
+            return _gate_targets(gate, tuple(map(_node_id, targets)), n)
+        if not 0 <= t < n:
+            raise ValueError(f"target {t} out of range for n={n}")
+    if arity == 2 and targets[0] == targets[1]:
+        raise ValueError("CZ targets must differ")
+    return targets
+
+
 def _conjugate(row: Row, gate: str, *targets: int) -> Row:
     """Packed image of a row under a gate; targets are not checked."""
     x, z, sign = row
@@ -176,16 +197,7 @@ def conjugate(p: PauliString, gate: str, *targets: int) -> PauliString:
     CZ are self-inverse and S only ever appears here through rules that fix
     the direction, so no dagger variants are needed.
     """
-    arity = GATE_ARITY.get(gate)
-    if arity is None:
-        raise ValueError(f"unknown gate {gate!r}")
-    if len(targets) != arity:
-        raise ValueError(f"{gate} takes {arity} target(s), got {len(targets)}")
-    for t in targets:
-        if not 0 <= t < p.n:
-            raise ValueError(f"target {t} out of range for n={p.n}")
-    if gate == "CZ" and targets[0] == targets[1]:
-        raise ValueError("CZ targets must differ")
+    targets = _gate_targets(gate, targets, p.n)
     return PauliString(p.n, *_conjugate((p.x, p.z, p.sign), gate, *targets))
 
 

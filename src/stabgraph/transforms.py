@@ -46,7 +46,7 @@ from .graph import (
     _scan_reduced,
     is_reduced,
 )
-from .pauli import GATE_ARITY
+from .pauli import GATE_ARITY, _gate_targets
 
 LOCAL_GATES = ("H", "S", "Z")
 
@@ -246,7 +246,7 @@ def apply_sequence(
 ) -> StabilizerGraph:
     """Fold a gate list ``[(name, targets), ...]`` over a graph.
 
-    Each ``targets`` entry is a tuple of qubit indices; a bare int is
+    Each ``targets`` entry is a tuple of qubit indices; a bare node id is
     accepted as shorthand for a single target.  With ``reduced=True`` the
     input must be reduced and the reduced rules are used throughout, so
     every intermediate graph is reduced too.
@@ -256,13 +256,7 @@ def apply_sequence(
     ignores the verdict cached by the per-gate checks.
     """
     for gate, targets in gates:
-        arity = GATE_ARITY.get(gate)
-        if arity is None:
-            raise ValueError(f"unknown gate {gate!r}")
-        if isinstance(targets, int):
-            targets = (targets,)
-        if len(targets) != arity:
-            raise ValueError(f"{gate} takes {arity} target(s), got {len(targets)}")
+        targets = _gate_targets(gate, targets, g.n)
         if gate == "CZ":
             apply = apply_cz_reduced if reduced else apply_cz
             g = apply(g, *targets)

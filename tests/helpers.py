@@ -593,6 +593,42 @@ def statevector_layer_by_layer(c) -> np.ndarray:
     return amps
 
 
+def gate_images_by_table(amps: np.ndarray, gates) -> np.ndarray:
+    """The table-based ``gate_images`` body that preceded reading the gate
+    factors off the pair-product table, kept as the bit-for-bit reference
+    for its rows.  A uint8 table holds, for S (row c) and for Z or CZ (row
+    P + c) on the c-th pair a <= b of ``np.triu_indices(n)``, and for H
+    (row 2P), the index of each basis state's factor in [1, i, -1, -i,
+    1/sqrt(2)]; H's unscaled butterfly follows.  Arguments are not
+    checked."""
+    n = amps.size.bit_length() - 1
+    bits = (np.arange(1 << n)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    first, second = np.triu_indices(n)
+    pairs = first.size
+    table = np.full((2 * pairs + 1, 1 << n), 4, dtype=np.uint8)
+    table[:pairs] = bits[first] * bits[second]
+    table[pairs : 2 * pairs] = 2 * table[:pairs]
+    factors = np.append(np.array([1, 1j, -1, -1j]), 2.0**-0.5)
+    index = {(int(a), int(b)): c for c, (a, b) in enumerate(zip(first, second))}
+    rows, hadamards = [], []
+    for k, (gate, targets) in enumerate(gates):
+        if gate == "H":
+            rows.append(2 * pairs)
+            hadamards.append((k, targets[0]))
+        else:
+            pair = tuple(sorted(targets)) if gate == "CZ" else (targets[0],) * 2
+            rows.append(index[pair] + (0 if gate == "S" else pairs))
+    out = factors[table[rows]]
+    out *= amps
+    for k, q in hadamards:
+        view = out[k].reshape(1 << q, 2, 1 << (n - 1 - q))
+        lo, hi = view[:, 0], view[:, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+    return out
+
+
 def statevector_by_unitaries(c) -> np.ndarray:
     """The circuit's amplitudes as the product of full ``gate_unitary``
     matrices applied to |0...0>; memory grows as 4^n, so keep n small."""

@@ -243,6 +243,22 @@ class TestReducedVerdictCache:
         with pytest.raises(ValueError, match=r"neg mask has bits at or above n=2"):
             transforms.apply_sequence(StabilizerGraph.empty(2), [("S", (0,))])
 
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_a_hollow_bit_at_n_is_reported_by_the_final_validation(
+        self, monkeypatch, reduced
+    ):
+        # freeze() settles the verdict of a rewrite of a reduced graph from
+        # the nodes it wrote; a bit at or above n is no node, so it is left
+        # to the final validation instead of indexing past the rows.
+        def fill_past_the_end(m, j):
+            m.hollow ^= 1 << m.n
+
+        monkeypatch.setattr(transforms, "_t2", fill_past_the_end)
+        g = StabilizerGraph.empty(3)
+        assert is_reduced(g)
+        with pytest.raises(ValueError, match=r"hollow mask has bits at or above n=3"):
+            transforms.apply_sequence(g, [("S", (0,))], reduced=reduced)
+
     def test_apply_sequence_rejects_unreduced_input_with_an_empty_word(self):
         g = StabilizerGraph.build(1, hollow=[0], loops=[0])
         with pytest.raises(ValueError, match="not reduced"):

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    gate_images_by_table,
     gate_unitary,
     pauli_matrix,
     random_circuit,
@@ -274,13 +275,19 @@ class TestBatchedKernel:
     def test_pair_table_is_read_only_and_shared(self):
         table = _pair_products(3)
         assert table is _pair_products(3)
-        assert table.shape == (7, 8) and not table.flags.writeable
-        # Rows are the pairs (0,0) (0,1) (0,2) (1,1) (1,2) (2,2), then the
-        # constant term.
-        assert table[:, 0b110].tolist() == [1, 1, 0, 1, 0, 0, 1]
-        assert table[:, 0b101].tolist() == [1, 0, 1, 0, 0, 1, 1]
+        assert table.shape == (6, 8) and not table.flags.writeable
+        # Rows are the pairs (0,0) (0,1) (0,2) (1,1) (1,2) (2,2).
+        assert table[:, 0b110].tolist() == [1, 1, 0, 1, 0, 0]
+        assert table[:, 0b101].tolist() == [1, 0, 1, 0, 0, 1]
         with pytest.raises(ValueError):
             table[0, 0] = 1
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_gate_images_equal_the_table_body_bit_for_bit(self, n):
+        v = statevector_from_graph(random_graph(n, 100 + n))
+        gates = [(gate, (q,)) for q in range(n) for gate in ("H", "S", "Z")]
+        gates += [("CZ", (a, b)) for a in range(n) for b in range(n) if a != b]
+        assert np.array_equal(gate_images(v.amps, gates), gate_images_by_table(v.amps, gates))
 
     @pytest.mark.parametrize("n", [1, 4, 12])
     def test_gate_images_are_the_one_gate_calls(self, n):
@@ -361,6 +368,14 @@ class TestApplyGateDense:
             apply_gate_dense(v, gate, *targets)
         with pytest.raises(ValueError, match=message):
             gate_images(v.amps, [("H", (0,)), (gate, targets)])
+
+    def test_numpy_targets_act_like_python_ints(self):
+        v = statevector_from_graph(random_graph(3, 7))
+        gates = [("H", (2,)), ("S", (1,)), ("Z", (0,)), ("CZ", (2, 0))]
+        numpy_gates = [(gate, tuple(map(np.uint8, t))) for gate, t in gates]
+        assert np.array_equal(gate_images(v.amps, numpy_gates), gate_images(v.amps, gates))
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            gate_images(v.amps, [("S", ("1",))])
 
     def test_rejects_unknown_gate(self):
         v = statevector_from_graph(G(1))

@@ -148,6 +148,28 @@ class TestConjugate:
         with pytest.raises(ValueError):
             conjugate(PauliString.identity(1), "T", 0)
 
+    @pytest.mark.parametrize(
+        "gate, targets, message",
+        [
+            ("T", (0,), "unknown gate"),
+            ("H", (0, 1), "takes 1 target"),
+            ("CZ", (0,), "takes 2 target"),
+            ("S", (2,), "target 2 out of range"),
+            ("CZ", (0, -1), "target -1 out of range"),
+            ("CZ", (1, 1), "must differ"),
+            ("Z", ("1",), "node id must be an integer"),
+        ],
+    )
+    def test_every_argument_check(self, gate, targets, message):
+        with pytest.raises(ValueError, match=message):
+            conjugate(PauliString.from_label("+XY"), gate, *targets)
+
+    def test_numpy_targets_act_like_python_ints(self):
+        p = PauliString.from_label("-XYZ")
+        for gate, targets in [("H", (2,)), ("S", (1,)), ("Z", (0,)), ("CZ", (2, 0))]:
+            want = conjugate(p, gate, *targets)
+            assert conjugate(p, gate, *map(np.int64, targets)) == want
+
 
 class TestPermuteQubits:
     def test_relabels_letters(self):

@@ -8,6 +8,7 @@ written down here; the oracle checks in this file keep them honest.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -353,6 +354,19 @@ class TestSequences:
         assert apply_sequence(G(1), [("H", 0)]) == apply_sequence(G(1), [("H", (0,))])
         with pytest.raises(ValueError, match="2 target"):
             apply_sequence(G(2), [("CZ", 0)])
+
+    def test_numpy_targets_act_like_python_ints(self):
+        # A bare numpy id is the one-target shorthand too, and a tuple of
+        # numpy ids is a tuple of node ids.
+        g = G(3, edges=[(0, 1)], loops=[0], neg=[2])
+        word = [("S", 1), ("CZ", (0, 2)), ("H", (2,)), ("Z", 0)]
+        want = apply_sequence(g, word)
+        for kind in (np.int64, np.uint8):
+            numpy_word = [("S", kind(1)), ("CZ", (kind(0), kind(2))),
+                          ("H", (kind(2),)), ("Z", kind(0))]
+            assert apply_sequence(g, numpy_word) == want
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            apply_sequence(g, [("S", 1.0)])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 5))
