@@ -1,15 +1,17 @@
 """Conversions between generator matrices and decorated graphs.
 
 ``graph_from_generator_matrix`` reads the graph straight off the packed
-``(x, z, sign)`` rows of the canonical form ``[I A | B 0; 0 0 | A^T I]``
-(``pauli._canonical_rows``), in the paper's three steps.  Hadamards on the
-non-pivot columns rank..n-1 make those nodes hollow; on a row they swap
-the x and z bits of those columns, the mask step
-``z ^= (x ^ z) & hollow_cols``, which leaves the x block the identity.
-Phase gates strip the diagonal of the new z block into loops, and the rest
-of z is the node's adjacency row.  Signs are read directly: the closed
-form of the unsigned graph is all positive, since a reduced graph has no
-hollow node with a loop, so a node is negative exactly when its row is.
+``(x, z, sign)`` rows of the canonical form ``[I A | B 0; 0 0 | A^T I]``,
+in the paper's three steps.  ``pauli._canonical_rows`` moves no column;
+node c reads the row that pivots on column c.  Only ``to_canonical_form``
+applies the column swaps of the public layout.  Hadamards on the
+non-pivot columns make those nodes hollow; on a row they swap the x and z
+bits of those columns, the mask step ``z ^= (x ^ z) & hollow_cols``, which
+leaves the x block the identity.  Phase gates strip the diagonal of the
+new z block into loops, and the rest of z is the node's adjacency row.
+Signs are read directly: the closed form of the unsigned graph is all
+positive, since a reduced graph has no hollow node with a loop, so a node
+is negative exactly when its row is.
 
 One check remains: the graph's closed form (``circuit._closed_form_rows``,
 as in ``generators_from_circuit``) must reproduce the canonical rows.
@@ -17,8 +19,8 @@ Rows of the wrong shape fail it, or give an asymmetric adjacency that the
 public constructor rejects, or a graph that fails ``is_reduced``.
 
 The result is always reduced: hollow columns have no loops (their diagonal
-block is zero) and no edges among each other.  Node indices follow
-``qubit_of_column`` back to the original qubit labels.
+block is zero) and no edges among each other.  The one relabel, by the
+input's own ``qubit_of_column``, costs nothing for identity labels.
 
 ``generator_matrix_from_graph`` is the reverse direction, reading the
 generators off the same closed form.
@@ -27,17 +29,17 @@ generators off the same closed form.
 from __future__ import annotations
 
 from .circuit import _closed_form_rows
-from .graph import InvariantError, StabilizerGraph, _bits, _flags, is_reduced
-from .pauli import GeneratorMatrix, PauliString, _canonical_rows
+from .graph import InvariantError, StabilizerGraph, _flags, is_reduced
+from .pauli import GeneratorMatrix, PauliString, _canonical_rows, _move_bits
 
 
 def graph_from_generator_matrix(mat: GeneratorMatrix) -> StabilizerGraph:
     """Draw the stabilizer state fixed by ``mat`` as a reduced graph."""
-    want, perm, rank = _canonical_rows(mat)
+    want, pivots = _canonical_rows(mat)
     n = mat.n
 
-    # Work in column space first; relabel at the very end.
-    hollow_cols = (1 << n) - (1 << rank)
+    # Node c reads row c; relabel by qubit_of_column at the very end.
+    hollow_cols = ((1 << n) - 1) ^ pivots
     loops = neg = 0
     adj = []
     for q, (x, z, sign) in enumerate(want):
@@ -49,15 +51,11 @@ def graph_from_generator_matrix(mat: GeneratorMatrix) -> StabilizerGraph:
     if _closed_form_rows(hollow_cols, loops, neg, adj) != want:
         raise InvariantError("graph does not reproduce the canonical rows")
 
-    # Undo the column permutation: column c describes original qubit
-    # perm[c], so qubit q reads column at[q].
-    at = sorted(range(n), key=perm.__getitem__)
-    columns = [_flags(mask, n) for mask in (hollow_cols, loops, neg)]
-    out = StabilizerGraph(
-        n,
-        *([flags[c] for c in at] for flags in columns),
-        tuple(sum(1 << perm[c2] for c2 in _bits(adj[c])) for c in at),
-    )
+    # Column c describes the input's qubit qubit_of_column[c].
+    perm = mat.qubit_of_column
+    hollow_cols, loops, neg, *adj = _move_bits([hollow_cols, loops, neg, *adj], perm)
+    adj = [adj[c] for c in sorted(range(n), key=perm.__getitem__)]
+    out = StabilizerGraph(n, *(_flags(mask, n) for mask in (hollow_cols, loops, neg)), adj)
     if not is_reduced(out):
         raise InvariantError("matrix-to-graph result is not reduced")
     return out

@@ -19,7 +19,9 @@ generator matrix over GF(2) into the block pattern
 
 (x parts left of the bar, z parts right, B symmetric), recording any qubit
 swaps in ``qubit_of_column``.  This shape is the entry point for turning a
-generator matrix into a decorated graph.
+generator matrix into a decorated graph.  The reduction itself
+(``_canonical_rows``) moves no column; only ``to_canonical_form`` applies
+the swaps, once, at the end.
 
 ``PauliString`` is the public type.  Internally, products, conjugations
 and the canonical form run on packed ``(x, z, sign)`` integer rows, with
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import or_, xor
+from operator import xor
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .graph import _bits, _mask, _node_id
@@ -135,10 +137,9 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     return PauliString(p.n, *_multiply((p.x, p.z, p.sign), (q.x, q.z, q.sign)))
 
 
-def _gate_targets(gate: str, targets: object, n: int) -> Sequence[int]:
-    """A gate's targets on n qubits as Python ints (``graph._node_id``; a
-    bare id is one target), checked: a ``GATE_ARITY`` gate, its number of
-    targets, each below n, and distinct CZ targets, or ValueError."""
+def _gate_arity(gate: str, targets: object) -> Sequence:
+    """A gate's targets as a sequence (a bare id is one target): a
+    ``GATE_ARITY`` gate with that many targets, or ValueError."""
     arity = GATE_ARITY.get(gate)
     if arity is None:
         raise ValueError(f"unknown gate {gate!r}")
@@ -146,12 +147,19 @@ def _gate_targets(gate: str, targets: object, n: int) -> Sequence[int]:
         targets = (targets,)
     if len(targets) != arity:
         raise ValueError(f"{gate} takes {arity} target(s), got {len(targets)}")
+    return targets
+
+
+def _gate_targets(gate: str, targets: object, n: int) -> Sequence[int]:
+    """``_gate_arity``'s targets as Python ints (``graph._node_id``), each
+    below n and, for CZ, distinct, or ValueError."""
+    targets = _gate_arity(gate, targets)
     for t in targets:
         if type(t) is not int:  # numpy ids and the like: convert, then check
             return _gate_targets(gate, tuple(map(_node_id, targets)), n)
         if not 0 <= t < n:
             raise ValueError(f"target {t} out of range for n={n}")
-    if arity == 2 and targets[0] == targets[1]:
+    if gate == "CZ" and targets[0] == targets[1]:
         raise ValueError("CZ targets must differ")
     return targets
 
@@ -205,11 +213,18 @@ def permute_qubits(p: PauliString, perm: Sequence[int]) -> PauliString:
     """Relabel qubits: bit c of the input moves to bit perm[c]."""
     if sorted(perm) != list(range(p.n)):
         raise ValueError("perm is not a permutation of the qubits")
-    x = z = 0
-    for c, q in enumerate(perm):
-        x |= ((p.x >> c) & 1) << q
-        z |= ((p.z >> c) & 1) << q
-    return PauliString(p.n, x, z, p.sign)
+    return PauliString(p.n, *_move_bits((p.x, p.z), perm), p.sign)
+
+
+def _move_bits(masks: Iterable[int], to: Sequence[int]) -> list[int]:
+    """Each mask with bit c moved to bit to[c], for a permutation ``to``;
+    only the set bits that move cost a step, so the identity costs nothing."""
+    moving = sum(1 << c for c, t in enumerate(to) if c != t)
+    stay = ~moving
+    return [
+        m & stay | sum(1 << to[c] for c in _bits(m & moving)) if m & moving else m
+        for m in masks
+    ]
 
 
 def _flags(mask: int, width: int) -> bytes:
@@ -285,78 +300,71 @@ def to_canonical_form(mat: GeneratorMatrix) -> tuple[GeneratorMatrix, int]:
     """Row-reduce into [I A | B 0; 0 0 | A^T I] and return (matrix, rank).
 
     Row operations multiply signed rows, so signs stay attached to the
-    group elements.  When a column has no x-pivot it is swapped with the
-    lowest-index later column that has one, and the swap is recorded in
-    ``qubit_of_column``.  The reduction is deterministic.
+    group elements.  The x-pivot columns are taken greedily, left to right,
+    and the c-th of them swaps with column c; ``qubit_of_column`` records
+    the swaps.  The reduction is deterministic.
     """
-    rows, perm, rank = _canonical_rows(mat)
-    out = GeneratorMatrix(mat.n, tuple(PauliString(mat.n, *r) for r in rows), tuple(perm))
+    n = mat.n
+    rows, pivots = _canonical_rows(mat)
+    # The c-th pivot column has not moved yet when it swaps with column c,
+    # so column order[c] of the input ends at column c.
+    order = list(range(n))
+    for c, p in enumerate(_bits(pivots)):
+        order[c], order[p] = order[p], order[c]
+    rows = [rows[c] for c in order]
+    to = sorted(range(n), key=order.__getitem__)
+    xs, zs = (_move_bits([r[k] for r in rows], to) for k in (0, 1))
+    signed = tuple(PauliString(n, x, z, r[2]) for x, z, r in zip(xs, zs, rows))
+    out = GeneratorMatrix(n, signed, tuple(mat.qubit_of_column[c] for c in order))
+    rank = pivots.bit_count()
     canonical_blocks(out, rank)  # shape self-check; raises if violated
     return out, rank
 
 
-def _canonical_rows(mat: GeneratorMatrix) -> tuple[list[Row], list[int], int]:
-    """The reduction of ``to_canonical_form`` on packed rows.
+def _canonical_rows(mat: GeneratorMatrix) -> tuple[list[Row], int]:
+    """The reduction of ``to_canonical_form``, moving no column.
 
-    Returns the canonical rows, ``qubit_of_column`` as a list and the rank,
-    with no check of the result's shape.
+    Returns the packed rows indexed by the column each pivots on, and the
+    mask of the x-pivot columns, unchecked.  Row c of an x-pivot column has
+    x bit c, no other pivot x bit and no z bit on the rest; row c of any
+    other column has no x bit, and z bit c is its only z bit on the rest.
     """
     n = mat.n
     rows = [(r.x, r.z, r.sign) for r in mat.rows]
-    perm = list(mat.qubit_of_column)
 
-    def col_swap(c1: int, c2: int) -> None:
-        for i, (x, z, sign) in enumerate(rows):
-            dx = ((x >> c1) ^ (x >> c2)) & 1
-            dz = ((z >> c1) ^ (z >> c2)) & 1
-            if dx or dz:
-                rows[i] = (x ^ (dx << c1) ^ (dx << c2), z ^ (dz << c1) ^ (dz << c2), sign)
-        perm[c1], perm[c2] = perm[c2], perm[c1]
-
-    def pivot_search(col: int, start: int, part: int) -> Optional[int]:
+    def pivot(col: int, part: int, top: int, start: int) -> bool:
+        """Swap the first row from top on with bit col in ``part`` up to top,
+        and multiply it into every other row from start on with that bit."""
         bit = 1 << col
-        for i in range(start, n):
-            if rows[i][part] & bit:
-                return i
-        return None
-
-    def eliminate(col: int, part: int, pivot: int, start: int) -> None:
-        """Multiply the pivot into each other row from start on with col set."""
-        bit = 1 << col
-        p = rows[pivot]
-        for i in range(start, n):
-            if rows[i][part] & bit and i != pivot:
-                rows[i] = _multiply(rows[i], p)
-
-    # Left block: bring the x parts to [I A; 0 0] with full row reduction.
-    rank = 0
-    for col in range(n):
-        hit = pivot_search(col, rank, 0)
-        if hit is None:
-            # The lowest later column with an x bit in the rows left.
-            later = reduce(or_, (r[0] for r in rows[rank:]), 0) >> (col + 1)
-            if not later:
+        for hit in range(top, n):
+            if rows[hit][part] & bit:
                 break
-            col_swap(col, col + (later & -later).bit_length())
-            hit = pivot_search(col, rank, 0)
-        rows[rank], rows[hit] = rows[hit], rows[rank]
-        eliminate(col, 0, rank, 0)
-        rank += 1
+        else:
+            return False
+        rows[top], rows[hit] = rows[hit], rows[top]
+        p = rows[top]
+        for i in range(start, n):
+            if rows[i][part] & bit and i != top:
+                rows[i] = _multiply(rows[i], p)
+        return True
 
-    # Bottom rows now have zero x part; bring their z tail to [A^T I].
-    for col in range(rank, n):
-        hit = pivot_search(col, col, 1)
-        if hit is None:
+    # Top rows: the x parts in full row reduction, pivots left to right.
+    pivots = 0
+    for col in range(n):
+        pivots |= pivot(col, 0, pivots.bit_count(), 0) << col
+    rank = pivots.bit_count()
+    # The rows below have zero x part; reduce their z parts on the rest.
+    rest = ((1 << n) - 1) ^ pivots
+    cols = _bits(pivots) + _bits(rest)
+    for top in range(rank, n):
+        if not pivot(cols[top], 1, top, rank):
             raise ValueError("rows are not an independent commuting set")
-        rows[col], rows[hit] = rows[hit], rows[col]
-        eliminate(col, 1, col, rank)
-    # Clear the top-right z block using the bottom identity rows; row col
-    # flips only bit col of that block.
-    tail = (1 << n) - (1 << rank)
-    for i in range(rank):
-        for col in _bits(rows[i][1] & tail):
-            rows[i] = _multiply(rows[i], rows[col])
-    return rows, perm, rank
+    out = [rows[i] for i in sorted(range(n), key=cols.__getitem__)]
+    # Clear the top rows' z bits on the rest; row c flips only bit c there.
+    for c in cols[:rank]:
+        for col in _bits(out[c][1] & rest):
+            out[c] = _multiply(out[c], out[col])
+    return out, pivots
 
 
 def canonical_blocks(

@@ -46,7 +46,7 @@ from .graph import (
     _scan_reduced,
     is_reduced,
 )
-from .pauli import GATE_ARITY, _gate_targets
+from .pauli import _gate_arity, _gate_targets
 
 LOCAL_GATES = ("H", "S", "Z")
 
@@ -279,19 +279,9 @@ def expand_gate(gate: str, *targets: int) -> list[GateApplication]:
     and matches the true Y only up to a global phase, which graphs do not
     track anyway.
     """
-    if gate in GATE_ARITY:
-        if len(targets) != GATE_ARITY[gate]:
-            raise ValueError(
-                f"{gate} takes {GATE_ARITY[gate]} target(s), got {len(targets)}"
-            )
-        return [(gate, tuple(targets))]
+    spelled = {"SDG": "SSS", "X": "HZH", "Y": "ZHZH"}.get(gate)
+    if spelled is None:
+        return [(gate, _gate_arity(gate, targets))]
     if len(targets) != 1:
         raise ValueError(f"{gate} takes 1 target, got {len(targets)}")
-    (t,) = targets
-    if gate == "SDG":
-        return [("S", (t,))] * 3
-    if gate == "X":
-        return [("H", (t,)), ("Z", (t,)), ("H", (t,))]
-    if gate == "Y":
-        return [("Z", (t,)), ("H", (t,)), ("Z", (t,)), ("H", (t,))]
-    raise ValueError(f"unknown gate {gate!r}")
+    return [(base, targets) for base in spelled]

@@ -784,6 +784,18 @@ def canonical_blocks_reference(mat, rank: int):
     return tuple(a_rows), tuple(b_rows)
 
 
+def col_swap_reference(rows: list, perm: list, c1: int, c2: int) -> None:
+    """Swap columns c1 and c2 of every PauliString in rows, and of perm."""
+    for i, r in enumerate(rows):
+        x, z = r.x, r.z
+        x1, x2 = (x >> c1) & 1, (x >> c2) & 1
+        z1, z2 = (z >> c1) & 1, (z >> c2) & 1
+        x ^= ((x1 ^ x2) << c1) | ((x1 ^ x2) << c2)
+        z ^= ((z1 ^ z2) << c1) | ((z1 ^ z2) << c2)
+        rows[i] = PauliString(r.n, x, z, r.sign)
+    perm[c1], perm[c2] = perm[c2], perm[c1]
+
+
 def to_canonical_form_reference(mat):
     """Row reduction to [I A | B 0; 0 0 | A^T I], one PauliString per step."""
     from stabgraph import GeneratorMatrix
@@ -793,14 +805,7 @@ def to_canonical_form_reference(mat):
     perm = list(mat.qubit_of_column)
 
     def col_swap(c1: int, c2: int) -> None:
-        for i, r in enumerate(rows):
-            x, z = r.x, r.z
-            x1, x2 = (x >> c1) & 1, (x >> c2) & 1
-            z1, z2 = (z >> c1) & 1, (z >> c2) & 1
-            x ^= ((x1 ^ x2) << c1) | ((x1 ^ x2) << c2)
-            z ^= ((z1 ^ z2) << c1) | ((z1 ^ z2) << c2)
-            rows[i] = PauliString(n, x, z, r.sign)
-        perm[c1], perm[c2] = perm[c2], perm[c1]
+        col_swap_reference(rows, perm, c1, c2)
 
     def pivot_search(col: int, start: int, part: str):
         for i in range(start, n):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from helpers import (
     canonical_blocks_reference,
     closed_form_reference,
+    col_swap_reference,
     conjugate_reference,
     generator_matrix_error_reference,
     graph_from_generator_matrix_reference,
@@ -240,18 +241,60 @@ def test_canonical_shape_messages_match_reference():
     assert seen == CANONICAL_MESSAGES
 
 
+def swap_rule_layout(n: int, rows, pivots: int, qubit_of_column):
+    """Rows indexed by pivot column, laid out by the swap rule with the
+    reference's column swap: the c-th x-pivot column swaps with column c,
+    and its row with row c.  Returns the rows and ``qubit_of_column``."""
+    rows = [PauliString(n, *r) for r in rows]
+    perm = list(qubit_of_column)
+    for c, p in enumerate(p for p in range(n) if (pivots >> p) & 1):
+        rows[c], rows[p] = rows[p], rows[c]
+        col_swap_reference(rows, perm, c, p)
+    return rows, perm
+
+
+@pytest.mark.parametrize(
+    "n, seeds", [(40, range(6)), (256, range(1))], ids=["n40", "n256"]
+)
+@pytest.mark.parametrize(
+    "hollow_p, reduced", [(0.9, True), (0.0, False)], ids=["low-rank", "full-rank"]
+)
+def test_rows_are_indexed_by_their_pivot_column(n, seeds, hollow_p, reduced):
+    """``_canonical_rows`` moves no column: row c pivots on column c, on x
+    for an x-pivot column and on z for any other, and the swap rule lays the
+    rows out as the reference reduction, which moves columns as it goes."""
+    for seed in seeds:
+        mat = scrambled_matrix(n, seed, hollow_p, reduced)
+        rows, pivots = pauli._canonical_rows(mat)
+        rest = ((1 << n) - 1) ^ pivots
+        assert len(rows) == n
+        for c, (x, z, _) in enumerate(rows):
+            if (pivots >> c) & 1:
+                assert x & pivots == 1 << c
+                assert not z & rest
+            else:
+                assert x == 0
+                assert z & rest == 1 << c
+        layout, perm = swap_rule_layout(n, rows, pivots, mat.qubit_of_column)
+        ref, rank = to_canonical_form_reference(mat)
+        assert pivots.bit_count() == rank
+        assert tuple(layout) == ref.rows
+        assert tuple(perm) == ref.qubit_of_column
+
+
 def test_reproduction_check_catches_every_bent_canonical_shape(monkeypatch):
-    """The converter reads the graph off the canonical rows and keeps one
-    check, that the graph's closed form reproduces them.  Bend the rows it
-    reads by one x bit, z bit or sign: a bent set of the wrong shape must
-    raise, and any other must come back as a graph whose generators are the
-    bent rows, relabelled to the original qubits."""
+    """The converter reads the graph off the canonical rows, node c off the
+    row that pivots on column c, and keeps one check, that the graph's
+    closed form reproduces them.  Bend the rows it reads by one x bit, z bit
+    or sign: a bent set of the wrong shape must raise, and any other must
+    come back as a graph whose generators are the bent rows, relabelled to
+    the original qubits."""
     rng = random.Random(11)
     outcomes = {"raised": 0, "reproduced": 0}
     for trial in range(2000):
         n = 2 + trial % 9
         mat = scrambled_matrix(n, trial, 0.5, trial % 2 == 0)
-        rows, perm, rank = pauli._canonical_rows(mat)
+        rows, pivots = pauli._canonical_rows(mat)
         i, c = rng.randrange(n), rng.randrange(n)
         x, z, sign = rows[i]
         kind = rng.randrange(3)
@@ -262,15 +305,18 @@ def test_reproduction_check_catches_every_bent_canonical_shape(monkeypatch):
         else:
             sign = -sign
         bent = rows[:i] + [(x, z, sign)] + rows[i + 1 :]
-        monkeypatch.setattr(convert, "_canonical_rows", lambda m, b=bent: (b, perm, rank))
-        shape = SimpleNamespace(n=n, rows=tuple(PauliString(n, *r) for r in bent))
+        monkeypatch.setattr(convert, "_canonical_rows", lambda m, b=bent: (b, pivots))
+        layout, _ = swap_rule_layout(n, bent, pivots, mat.qubit_of_column)
+        shape = SimpleNamespace(n=n, rows=tuple(layout))
         try:
-            canonical_blocks_reference(shape, rank)
+            canonical_blocks_reference(shape, pivots.bit_count())
         except ValueError:
             with pytest.raises((InvariantError, ValueError)):
                 graph_from_generator_matrix(mat)
             outcomes["raised"] += 1
             continue
+
+        perm = mat.qubit_of_column
 
         def moved(mask: int) -> int:
             return sum(1 << perm[b] for b in _bits(mask))

@@ -416,3 +416,20 @@ class TestExpandGate:
     def test_unknown_gate_rejected(self):
         with pytest.raises(ValueError):
             expand_gate("T", 0)
+
+    @pytest.mark.parametrize(
+        "gate, targets, message",
+        [
+            ("CZ", (0,), "CZ takes 2 target(s), got 1"),
+            ("H", (0, 1), "H takes 1 target(s), got 2"),
+            ("T", (0,), "unknown gate 'T'"),
+            ("T", (0, 1), "unknown gate 'T'"),
+        ],
+    )
+    def test_same_message_as_apply_sequence(self, gate, targets, message):
+        """One check of the gate name and arity serves both entry points."""
+        with pytest.raises(ValueError) as expanded:
+            expand_gate(gate, *targets)
+        with pytest.raises(ValueError) as applied:
+            apply_sequence(random_graph(3, seed=1), [(gate, targets)])
+        assert str(expanded.value) == str(applied.value) == message
