@@ -15,8 +15,8 @@ is negative exactly when its row is.
 
 One check remains: the graph's closed form (``circuit._closed_form_rows``,
 as in ``generators_from_circuit``) must reproduce the canonical rows.
-Rows of the wrong shape fail it, or give an asymmetric adjacency that the
-public constructor rejects, or a graph that fails ``is_reduced``.
+Rows of the wrong shape fail it, or give an asymmetric adjacency that
+``_validate()`` rejects, or a graph that fails ``is_reduced``.
 
 The result is always reduced: hollow columns have no loops (their diagonal
 block is zero) and no edges among each other.  The one relabel, by the
@@ -29,7 +29,7 @@ generators off the same closed form.
 from __future__ import annotations
 
 from .circuit import _closed_form_rows
-from .graph import InvariantError, StabilizerGraph, _flags, is_reduced
+from .graph import InvariantError, StabilizerGraph, is_reduced
 from .pauli import GeneratorMatrix, PauliString, _canonical_rows, _move_bits
 
 
@@ -55,7 +55,8 @@ def graph_from_generator_matrix(mat: GeneratorMatrix) -> StabilizerGraph:
     perm = mat.qubit_of_column
     hollow_cols, loops, neg, *adj = _move_bits([hollow_cols, loops, neg, *adj], perm)
     adj = [adj[c] for c in sorted(range(n), key=perm.__getitem__)]
-    out = StabilizerGraph(n, *(_flags(mask, n) for mask in (hollow_cols, loops, neg)), adj)
+    out = StabilizerGraph._trusted(n, hollow_cols, loops, neg, tuple(adj))
+    out._validate()
     if not is_reduced(out):
         raise InvariantError("matrix-to-graph result is not reduced")
     return out

@@ -11,6 +11,8 @@ drawing the same state:
 * E(i) and E(ii) are the reduced-form counterparts used when two reduced
   graphs disagree on a single fill: they move a hollow marker across an
   edge onto a solid neighbor (with a loop for E(i), without for E(ii)).
+  E(ii) is E2 on the opposite-fill pair.  E(i) is E1 on the solid node,
+  then E1 on the hollow node, which the first move gave a loop.
 
 ``graphs_equivalent`` decides whether two graphs describe the same state
 up to global phase: reduce both, then repeatedly fix connected nodes on
@@ -72,20 +74,10 @@ def _e2_core(m: _Masks, j: int, k: int) -> None:
 
 
 def _ei_core(m: _Masks, hollow: int, solid: int) -> None:
-    h, s = 1 << hollow, 1 << solid
-    common0 = m.adj[solid] & m.adj[hollow]
-    solid_neg0, hollow_neg0 = m.neg & s, m.neg & h
-    m.local_complement(solid)
-    m.local_complement(hollow)
-    m.loop &= ~s
-    nb = m.adj[solid]
-    m.advance(nb)
-    m.hollow ^= h | s
-    m.neg ^= common0
-    if solid_neg0:
-        m.neg ^= s | nb
-    if hollow_neg0:
-        m.neg ^= m.adj[hollow]
+    # E1 at the looped solid node advances the loop of its hollow
+    # neighbor, which then has the loop that E1 needs.
+    _e1_core(m, solid)
+    _e1_core(m, hollow)
 
 
 def apply_E1(g: StabilizerGraph, j: int) -> StabilizerGraph:
@@ -125,11 +117,10 @@ def apply_Ei(g: StabilizerGraph, hollow: int, solid: int) -> StabilizerGraph:
     """Swap the fills of a hollow node and a connected solid node that has
     a loop, in a reduced graph.  The described state is unchanged.
 
-    Complement on the solid node and then on the hollow one, drop the
-    solid node's loop, advance its current neighbors' loops and flip both
-    fills.  Signs: originally-common neighbors flip; a negative solid node
-    flips itself and its current neighbors; a negative hollow node flips
-    only its current neighbors.
+    This is E1 on the solid node, then E1 on the hollow node: the first
+    move makes the solid node hollow and advances the loops of its
+    neighbors, so the hollow node, loop-free in a reduced graph, gains
+    the loop that the second move needs.
     """
     hollow, solid = _check_pair(g, hollow, solid, want_loop=True)
     m = _Masks(g)

@@ -21,10 +21,10 @@ All operations return new graphs; instances are frozen and hashable, and
 ``==`` and ``hash`` run over ``n``, the three masks and ``adj``.
 
 Validation happens at the trust boundary.  The public constructor (and so
-``build``, ``empty`` and the text parsers, which go through it) takes the
-flags as sequences (accepting only entries equal to 0 or 1) and ``n``
-and the adjacency rows as anything ``operator.index`` takes, checks the
-lengths, the adjacency range, the zero diagonal and symmetry, and raises
+``build`` and ``empty``, which go through it) takes the flags as
+sequences (accepting only entries equal to 0 or 1) and ``n`` and the
+adjacency rows as anything ``operator.index`` takes, checks the lengths,
+the adjacency range, the zero diagonal and symmetry, and raises
 ``ValueError`` on bad input.  Node ids passed to the rewrites are checked
 the same way and used as Python ints.
 The adjacency is checked by comparing its edge list with its transpose at
@@ -34,7 +34,9 @@ Rewrites of an already-valid graph go through ``_Masks.freeze()``, which
 uses the unchecked ``StabilizerGraph._trusted`` constructor, so a gate
 costs about the degree of its target rather than a full symmetry check;
 ``apply_sequence`` runs one ``_validate()`` on the graph it returns,
-which also rejects a flag bit at or above n.
+which also rejects a flag bit at or above n.  ``parse_graph`` builds
+with ``_trusted`` too, since its own line checks already give every
+property the constructor checks.
 
 Rows are walked bit by bit only when they are sparse.  ``_bits`` lists the
 set bits of a mask with a per-bit loop below ``_UNPACK_AT`` set bits and

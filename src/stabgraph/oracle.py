@@ -139,9 +139,7 @@ def _butterfly(rows: np.ndarray, q: int) -> None:
     hi[...] = diff
 
 
-def graph_amplitudes(
-    graphs: Sequence[StabilizerGraph], max_qubits: int = MAX_QUBITS
-) -> np.ndarray:
+def graph_amplitudes(graphs: Sequence[StabilizerGraph]) -> np.ndarray:
     """The states of graphs that share n, as the rows of a (G, 2^n) array.
 
     Each graph's circuit runs layer by layer: basis state b gets
@@ -149,7 +147,7 @@ def graph_amplitudes(
     diagonal, scaled by 1/sqrt(2) per layer-1 and hollow-node Hadamard;
     then each hollow node's Hadamard is a butterfly on the rows where it
     is hollow.  Raises ``ValueError`` for an empty batch, mixed sizes, a
-    size above ``max_qubits`` (before allocating) or a row that is not
+    size above ``MAX_QUBITS`` (before allocating) or a row that is not
     normalized.
     """
     if not graphs:
@@ -157,8 +155,8 @@ def graph_amplitudes(
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("graphs in one batch must share n")
-    if n > max_qubits:
-        raise ValueError(f"n={n} exceeds the dense-simulation cap of {max_qubits}")
+    if n > MAX_QUBITS:
+        raise ValueError(f"n={n} exceeds the dense-simulation cap of {MAX_QUBITS}")
     words = np.array([(*g.adj, g.loop_mask, g.neg_mask) for g in graphs])
     weights = _index_bits(n)[words].reshape(len(graphs), -1) @ _pair_weights(n)
     # Exact integers: the phase exponents b.M.b.
@@ -212,19 +210,15 @@ def apply_gate_dense(v: Statevector, gate: str, *targets: int) -> Statevector:
     return Statevector._checked(gate_images(v.amps, [(gate, targets)])[0])
 
 
-def statevector_from_circuit(
-    c: GraphFormCircuit, max_qubits: int = MAX_QUBITS
-) -> Statevector:
+def statevector_from_circuit(c: GraphFormCircuit) -> Statevector:
     """Run the three-layer circuit on |0...0>: the state of its graph."""
-    if c.n > max_qubits:
-        raise ValueError(f"n={c.n} exceeds the dense-simulation cap of {max_qubits}")
-    return statevector_from_graph(graph_from_circuit(c), max_qubits)
+    if c.n > MAX_QUBITS:
+        raise ValueError(f"n={c.n} exceeds the dense-simulation cap of {MAX_QUBITS}")
+    return statevector_from_graph(graph_from_circuit(c))
 
 
-def statevector_from_graph(
-    g: StabilizerGraph, max_qubits: int = MAX_QUBITS
-) -> Statevector:
-    return Statevector._checked(graph_amplitudes([g], max_qubits)[0])
+def statevector_from_graph(g: StabilizerGraph) -> Statevector:
+    return Statevector._checked(graph_amplitudes([g])[0])
 
 
 def apply_pauli(v: Statevector, p: PauliString) -> Statevector:

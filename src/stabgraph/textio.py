@@ -46,7 +46,7 @@ import re
 from typing import Optional
 
 from .circuit import GraphFormCircuit
-from .graph import StabilizerGraph, _bits
+from .graph import StabilizerGraph, _bits, _mask
 from .pauli import GeneratorMatrix, PauliString
 
 _SIGN_CHARS = {"+": 1, "-": -1, "−": -1}
@@ -225,7 +225,9 @@ def parse_graph(text: str) -> StabilizerGraph:
         if more > 0:
             shown += f" and {more} more"
         raise ParseError(f"missing node line(s) for {len(missing)} id(s): {shown}", 1, 1)
-    return StabilizerGraph(n, tuple(hollow), tuple(loop), tuple(neg), tuple(adj))
+    # Every id is below n, each edge sets both bits of a pair i < j, and the
+    # flags are n bools: the structure the constructor checks holds already.
+    return StabilizerGraph._trusted(n, *map(_mask, (hollow, loop, neg)), tuple(adj))
 
 
 def format_graph(g: StabilizerGraph) -> str:

@@ -17,11 +17,14 @@ state-preserving step) and then applies the reduced CZ rule.
 Every rule writes one ``graph._Masks``: the graph's own flag masks beside
 its adjacency rows, which ``freeze()`` stores as the result's fields, so
 flipping the signs of a neighborhood is ``neg ^= adj[j]``.  T1, T2, T3,
-T6 and the three CZ rules have bodies of their own.  The rest are compositions, as
-in the paper, where the reduced rules are general rules after E moves:
-T4 is E1 then T2; T(ii) is E1 then T1; T(iii) and T(iv) are E(ii) and
-E(i) on the consumed hollow neighbor and the target, then T1.  The E
-moves are ``equivalence``'s bodies, and they leave the state fixed.
+T5, T6 and the three CZ rules have bodies of their own; ``_general``
+holds the T1-T6 bodies.  The rest are compositions, as in the paper,
+where the reduced rules are general rules after E moves: T4 is E1 then
+T2.  Each reduced local rule is an E-move prelude and then the general
+rule it ends in: T(i) and T(v) are T1 alone, T(ii) is E1 then T1, T(iii)
+and T(iv) are E(ii) and E(i) on the consumed hollow neighbor and the
+target, then T1; T(vi) is T2 and T(vii) is T3.  The E moves are
+``equivalence``'s bodies, and they leave the state fixed.
 
 Sign conditions inside a rule are evaluated on the decorations as they
 stand when the rule's sign stage begins; "originally"/"initially" in a
@@ -141,11 +144,8 @@ def _t6(m: _Masks, j: int) -> None:
         m.neg ^= 1 << j
 
 
-def apply_local(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
-    """Apply H, S or Z at node j of an arbitrary graph (rules T1-T6)."""
-    j = _check_node(g, j)
-    rule = classify_local(g, gate, j)
-    m = _Masks(g)
+def _general(m: _Masks, rule: str, j: int) -> None:
+    """The body of general rule ``rule`` (T1..T6) at node j."""
     if rule == "T1":
         m.hollow ^= 1 << j
     elif rule == "T2":
@@ -160,6 +160,18 @@ def apply_local(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
         m.neg ^= 1 << j
     else:  # T6
         _t6(m, j)
+
+
+# The general rule that each reduced S or Z rule ends in; every H rule ends in T1.
+_GENERAL_OF = {"T(vi)": "T2", "T(vii)": "T3", "T5": "T5", "T6": "T6"}
+
+
+def apply_local(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
+    """Apply H, S or Z at node j of an arbitrary graph (rules T1-T6)."""
+    j = _check_node(g, j)
+    rule = classify_local(g, gate, j)
+    m = _Masks(g)
+    _general(m, rule, j)
     return m.freeze()
 
 
@@ -181,24 +193,14 @@ def apply_local_reduced(
     if hollow_choice is not None and rule not in ("T(iii)", "T(iv)"):
         raise ValueError(f"rule {rule} does not take a hollow neighbor")
     m = _Masks(g)
-    if gate == "H":
-        # Every reduced H rule is T1 at j.  T(i) and T(v) are T1 alone.
-        # Before it, T(ii) makes j hollow with E1, and T(iii) and T(iv)
-        # move the hollow marker of neighbor k onto j with E(ii) or E(i).
-        if rule == "T(ii)":
-            _e1_core(m, j)
-        elif rule in ("T(iii)", "T(iv)"):
-            k = _pick_hollow_neighbor(g, j, hollow_choice)
-            (_e2_core if rule == "T(iii)" else _ei_core)(m, k, j)
-        m.hollow ^= 1 << j
-    elif rule == "T(vi)":
-        _t2(m, j)
-    elif rule == "T(vii)":
-        _t3(m, j)
-    elif rule == "T5":
-        m.neg ^= 1 << j
-    else:  # T6
-        _t6(m, j)
+    # The E-move prelude: T(ii) makes j hollow with E1, and T(iii) and
+    # T(iv) move the hollow marker of neighbor k onto j with E(ii) or E(i).
+    if rule == "T(ii)":
+        _e1_core(m, j)
+    elif rule in ("T(iii)", "T(iv)"):
+        k = _pick_hollow_neighbor(g, j, hollow_choice)
+        (_e2_core if rule == "T(iii)" else _ei_core)(m, k, j)
+    _general(m, "T1" if gate == "H" else _GENERAL_OF[rule], j)
     return _check_reduced(m.freeze(), rule)
 
 

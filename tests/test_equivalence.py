@@ -7,12 +7,14 @@ brute-force statevector overlap throughout.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import decorations
 from stabgraph import (
     StabilizerGraph,
     apply_E1,
@@ -109,25 +111,20 @@ class TestE2:
 
 class TestReducedMoves:
     def test_ei_matches_two_e1_moves(self):
-        # The loop-carrying fill swap factors exactly into E1 at the
-        # solid end followed by E1 at the (now looped) hollow end.
+        # The loop-carrying fill swap factors exactly into E1 at the solid
+        # end followed by E1 at the (now looped) hollow end: checked on
+        # every (hollow, looped solid) edge of every reduced graph, n <= 4.
         count = 0
-        for seed in range(120):
-            g = random_reduced_graph(4, seed)
-            for j in range(4):
-                for k in range(4):
-                    if (
-                        j != k
-                        and g.hollow[j]
-                        and not g.hollow[k]
-                        and g.has_edge(j, k)
-                        and g.loop[k]
-                    ):
-                        via_ei = apply_Ei(g, j, k)
-                        via_e1 = apply_E1(apply_E1(g, k), j)
-                        assert via_ei == via_e1
-                        count += 1
-        assert count >= 50
+        for n in range(1, 5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for chosen in itertools.product((False, True), repeat=len(pairs)):
+                edges = list(itertools.compress(pairs, chosen))
+                for g in decorations(n, edges, reduced=True):
+                    for j, k in itertools.permutations(range(n), 2):
+                        if g.hollow[j] and g.loop[k] and g.has_edge(j, k):
+                            assert apply_Ei(g, j, k) == apply_E1(apply_E1(g, k), j)
+                            count += 1
+        assert count == 38_120
 
     def test_ei_swaps_fills_and_stays_reduced(self):
         g = G(2, edges=[(0, 1)], hollow=[0], loops=[1])

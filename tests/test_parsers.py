@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from helpers import parse_circuit_reference, parse_graph_reference
 from stabgraph import (
     ParseError,
+    StabilizerGraph,
     circuit_from_graph,
     format_circuit,
     format_generator_matrix,
@@ -183,6 +184,18 @@ class TestAgainstRegexTokenParsers:
     @given(CIRCUIT_TEXT)
     def test_parse_circuit(self, text):
         assert _outcome(parse_circuit, text) == _outcome(parse_circuit_reference, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(GRAPH_TEXT)
+    def test_a_parsed_graph_passes_the_constructor_checks(self, text):
+        # parse_graph builds its result unchecked: what it accepts must be
+        # what the public constructor would build, and pass _validate.
+        try:
+            g = parse_graph(text)
+        except ParseError:
+            return
+        assert g == StabilizerGraph(g.n, g.hollow, g.loop, g.neg, g.adj)
+        g._validate()
 
     def test_pinned_mutations(self):
         # Mutated texts with known outcomes: the comparison above covers

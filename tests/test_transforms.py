@@ -8,6 +8,8 @@ written down here; the oracle checks in this file keep them honest.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,9 @@ from hypothesis import strategies as st
 
 from stabgraph import (
     StabilizerGraph,
+    apply_E1,
+    apply_Ei,
+    apply_Eii,
     apply_cz,
     apply_cz_reduced,
     apply_gate_dense,
@@ -229,6 +234,32 @@ class TestReducedLocalRules:
             via_general = to_reduced(apply_local(g, gate, j))
             via_reduced = apply_local_reduced(g, gate, j)
             assert graphs_equivalent(via_general, via_reduced)
+
+
+    def test_each_rule_is_its_e_move_prelude_then_a_general_rule(self):
+        # T(ii) is E1 then H; T(iii) and T(iv) are E(ii) and E(i) from each
+        # hollow neighbor k, then H; every other rule is the general one.
+        seen = set()
+        for n in range(1, 8):
+            for seed in range(40):
+                g = random_reduced_graph(n, 7919 * n + seed)
+                for gate, j in itertools.product("HSZ", range(n)):
+                    rule = classify_local_reduced(g, gate, j)
+                    seen.add(rule)
+                    if rule == "T(ii)":
+                        derived = {None: apply_local(apply_E1(g, j), "H", j)}
+                    elif rule in ("T(iii)", "T(iv)"):
+                        move = apply_Eii if rule == "T(iii)" else apply_Ei
+                        derived = {
+                            k: apply_local(move(g, k, j), "H", j)
+                            for k in neighbors(g, j)
+                            if g.hollow[k]
+                        }
+                    else:
+                        derived = {None: apply_local(g, gate, j)}
+                    for k, want in derived.items():
+                        assert apply_local_reduced(g, gate, j, hollow_choice=k) == want, (rule, k)
+        assert seen == {"T(i)", "T(ii)", "T(iii)", "T(iv)", "T(v)", "T(vi)", "T(vii)", "T5", "T6"}
 
 
 class TestReducedCZRules:
