@@ -51,8 +51,8 @@ from .transforms import GateApplication, apply_sequence
 
 FORMATS = ("matrix", "graph", "circuit")
 # The most qubits ``convert --to matrix`` writes from a graph or circuit:
-# n^2 letters, ~16.8 MB at the limit, and the time grows fourfold per
-# doubling (1024 qubits took 0.5 s and 4096 took 8 s on a 2-core Xeon).
+# n^2 letters, ~16.8 MB at the limit, the bound on memory (1024 qubits
+# took 0.3 s and 4096 took 1.8 s end to end on a 2-core Xeon).
 MAX_MATRIX_QUBITS = 4096
 
 

@@ -27,10 +27,14 @@ the swaps, once, at the end.
 and the canonical form run on packed ``(x, z, sign)`` integer rows, with
 ``multiply``, ``conjugate`` and ``to_canonical_form`` as thin wrappers, and
 the ``GeneratorMatrix`` checks read the bit matrix through its column masks.
+Labels and ``textio``'s matrix text share one IXYZ codec, ``_decode`` and
+``_encode``, which turn a whole row of letters into (x, z) masks and back
+at C speed; a qubit's letter is ``_LETTERS[x + 2z]``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -41,9 +45,12 @@ from .graph import _bits, _mask, _node_id
 
 GATE_ARITY = {"H": 1, "S": 1, "Z": 1, "CZ": 2}
 
-_LETTER_OF_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_BITS_OF_LETTER = {v: k for k, v in _LETTER_OF_BITS.items()}
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII digits to bytes 0/1
+_LETTERS = "IXZY"  # the IXYZ codec: a qubit's letter is _LETTERS[x + 2z]
+_BAD_LETTER = re.compile(r"[^IXYZ]")  # the first character that is no letter
+_X_DIGITS = bytes.maketrans(b"IXYZ", b"0110")  # each letter's x bit as a digit
+_Z_DIGITS = bytes.maketrans(b"IXYZ", b"0011")  # and its z bit
+_LETTER_OF_CODE = bytes.maketrans(bytes(range(4)), _LETTERS.encode())
 Row = Tuple[int, int, int]  # a packed PauliString: (x, z, sign)
 
 
@@ -75,30 +82,32 @@ class PauliString:
         """Build from text such as ``+XXZ`` or ``-IZ`` (qubit 0 first)."""
         if not label:
             raise ValueError("empty Pauli label")
-        sign = 1
-        body = label
-        if label[0] in "+-":
-            sign = 1 if label[0] == "+" else -1
-            body = label[1:]
-        x = z = 0
-        for j, ch in enumerate(body):
-            try:
-                xb, zb = _BITS_OF_LETTER[ch]
-            except KeyError:
-                raise ValueError(f"bad Pauli letter {ch!r} in {label!r}") from None
-            x |= xb << j
-            z |= zb << j
-        return cls(len(body), x, z, sign)
+        sign = -1 if label[0] == "-" else 1
+        body = label[1:] if label[0] in "+-" else label
+        bad = _BAD_LETTER.search(body)
+        if bad:
+            raise ValueError(f"bad Pauli letter {bad.group()!r} in {label!r}")
+        return cls(len(body), *_decode(body), sign)
 
     def letter(self, j: int) -> str:
-        return _LETTER_OF_BITS[(self.x >> j) & 1, (self.z >> j) & 1]
+        return _LETTERS[(self.x >> j & 1) + 2 * (self.z >> j & 1)]
 
     def label(self) -> str:
-        body = "".join(self.letter(j) for j in range(self.n))
-        return ("+" if self.sign > 0 else "-") + body
+        return ("+" if self.sign > 0 else "-") + _encode(self.x, self.z, self.n)
 
-    def __str__(self) -> str:
-        return self.label()
+    __str__ = label
+
+
+def _decode(body: str) -> tuple[int, int]:
+    """(x, z) of IXYZ letters that ``_BAD_LETTER`` passed (empty: (0, 0))."""
+    digits = body[::-1].encode("ascii") or b"0"  # letter j is the digit of 2^j
+    return int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
+
+
+def _encode(x: int, z: int, n: int) -> str:
+    """The IXYZ letters of an n-qubit row (n >= 1), qubit 0 first."""
+    code = int.from_bytes(_flags(x, n), "little") + 2 * int.from_bytes(_flags(z, n), "little")
+    return code.to_bytes(n, "little").translate(_LETTER_OF_CODE).decode("ascii")
 
 
 def skew_product(p: PauliString, q: PauliString) -> int:
@@ -332,9 +341,9 @@ def _canonical_rows(mat: GeneratorMatrix) -> tuple[list[Row], int]:
     n = mat.n
     rows = [(r.x, r.z, r.sign) for r in mat.rows]
 
-    def pivot(col: int, part: int, top: int, start: int) -> bool:
+    def pivot(col: int, part: int, top: int) -> bool:
         """Swap the first row from top on with bit col in ``part`` up to top,
-        and multiply it into every other row from start on with that bit."""
+        and multiply it into every other row with that bit."""
         bit = 1 << col
         for hit in range(top, n):
             if rows[hit][part] & bit:
@@ -343,7 +352,7 @@ def _canonical_rows(mat: GeneratorMatrix) -> tuple[list[Row], int]:
             return False
         rows[top], rows[hit] = rows[hit], rows[top]
         p = rows[top]
-        for i in range(start, n):
+        for i in range(n):
             if rows[i][part] & bit and i != top:
                 rows[i] = _multiply(rows[i], p)
         return True
@@ -351,20 +360,15 @@ def _canonical_rows(mat: GeneratorMatrix) -> tuple[list[Row], int]:
     # Top rows: the x parts in full row reduction, pivots left to right.
     pivots = 0
     for col in range(n):
-        pivots |= pivot(col, 0, pivots.bit_count(), 0) << col
+        pivots |= pivot(col, 0, pivots.bit_count()) << col
     rank = pivots.bit_count()
-    # The rows below have zero x part; reduce their z parts on the rest.
-    rest = ((1 << n) - 1) ^ pivots
-    cols = _bits(pivots) + _bits(rest)
+    # The rows below have zero x part: reducing their z parts on the rest
+    # in full clears the top rows' z bits there too, leaving their x parts.
+    cols = _bits(pivots) + _bits(((1 << n) - 1) ^ pivots)
     for top in range(rank, n):
-        if not pivot(cols[top], 1, top, rank):
+        if not pivot(cols[top], 1, top):
             raise ValueError("rows are not an independent commuting set")
-    out = [rows[i] for i in sorted(range(n), key=cols.__getitem__)]
-    # Clear the top rows' z bits on the rest; row c flips only bit c there.
-    for c in cols[:rank]:
-        for col in _bits(out[c][1] & rest):
-            out[c] = _multiply(out[c], out[col])
-    return out, pivots
+    return [rows[i] for i in sorted(range(n), key=cols.__getitem__)], pivots
 
 
 def canonical_blocks(

@@ -1,7 +1,8 @@
 """Text formats for matrices, graphs and circuits, plus DOT export.
 
 Matrix format: one generator per line, a sign character (+ or -) followed
-by one letter from IXYZ per qubit, e.g.::
+by one letter from IXYZ per qubit (``pauli``'s codec; column c of a matrix
+is written as qubit ``qubit_of_column[c]``), e.g.::
 
     +XX
     +ZZ
@@ -47,7 +48,7 @@ from typing import Optional
 
 from .circuit import GraphFormCircuit
 from .graph import StabilizerGraph, _bits, _mask
-from .pauli import GeneratorMatrix, PauliString
+from .pauli import _BAD_LETTER, GeneratorMatrix, PauliString, _decode, _move_bits
 
 _SIGN_CHARS = {"+": 1, "-": -1, "−": -1}
 # Every character at which ``str.splitlines`` ends a line.
@@ -56,10 +57,6 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _MISSING_SHOWN = 10
 # The largest qubit count a circuit header may declare.
 _MAX_CIRCUIT_QUBITS = 1 << 20
-_BAD_LETTER = re.compile(r"[^IXYZ]")
-# Map each Pauli letter to its x (or z) bit as an ASCII digit.
-_X_DIGITS = bytes.maketrans(b"IXYZ", b"0110")
-_Z_DIGITS = bytes.maketrans(b"IXYZ", b"0011")
 
 
 class ParseError(ValueError):
@@ -129,18 +126,16 @@ def parse_generator_matrix(text: str) -> GeneratorMatrix:
         bad = _BAD_LETTER.search(body)
         if bad:
             raise ParseError(f"bad Pauli letter {bad.group()!r}", lineno, col0 + 1 + bad.start())
-        # Letter i is bit i: decode the whole row at C speed, lowest bit last.
-        digits = body[::-1].encode("ascii")
-        x = int(digits.translate(_X_DIGITS), 2)
-        z = int(digits.translate(_Z_DIGITS), 2)
-        rows.append(PauliString(width, x, z, sign))
+        rows.append(PauliString(width, *_decode(body), sign))
     if not rows:
         raise ParseError("no generator rows", 1, 1)
     return GeneratorMatrix(width, tuple(rows))
 
 
 def format_generator_matrix(mat: GeneratorMatrix) -> str:
-    return "".join(row.label() + "\n" for row in mat.rows)
+    masks = iter(_move_bits([m for r in mat.rows for m in (r.x, r.z)], mat.qubit_of_column))
+    rows = (PauliString(mat.n, x, z, r.sign) for r, x, z in zip(mat.rows, masks, masks))
+    return "".join(row.label() + "\n" for row in rows)
 
 
 # --- graphs -----------------------------------------------------------------

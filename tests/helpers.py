@@ -16,7 +16,13 @@ from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from stabgraph import GraphFormCircuit, ParseError, PauliString, StabilizerGraph
+from stabgraph import (
+    GraphFormCircuit,
+    ParseError,
+    PauliString,
+    StabilizerGraph,
+    permute_qubits,
+)
 
 ONE_QUBIT = {
     "I": np.eye(2, dtype=complex),
@@ -65,8 +71,29 @@ def decorations(
 
     With ``reduced=True`` only decorations valid in reduced form are
     produced: no loops on hollow nodes and no edge between two hollow
-    nodes.
+    nodes.  The public constructor checks the edge set once; every
+    decoration is then built from flag masks with ``_trusted``, in the
+    order of ``decorations_reference``.
     """
+    f = (False,) * n
+    adj = StabilizerGraph(n, f, f, f, adjacency_masks(n, edges)).adj
+    # The masks of itertools.product((False, True), repeat=n), in its order.
+    masks = [flag_mask_reference(flags) for flags in itertools.product((0, 1), repeat=n)]
+    for hollow in masks:
+        if reduced and any(hollow >> i & hollow >> j & 1 for i, j in edges):
+            continue
+        for loop in masks:
+            if reduced and hollow & loop:
+                continue
+            for neg in masks:
+                yield StabilizerGraph._trusted(n, hollow, loop, neg, adj)
+
+
+def decorations_reference(
+    n: int, edges: List[Tuple[int, int]], *, reduced: bool = False
+) -> Iterator[StabilizerGraph]:
+    """Reference for ``decorations``: every graph through the public
+    constructor, from flag tuples."""
     adj = adjacency_masks(n, edges)
     for hollow in itertools.product((False, True), repeat=n):
         if reduced and any(hollow[i] and hollow[j] for i, j in edges):
@@ -666,6 +693,43 @@ def random_circuit(n: int, seed: int):
 # here verbatim in algorithm (one PauliString per product and conjugation)
 # so that the packed code can be checked against them exactly.  They share
 # no helper with the package's packed path.
+
+
+_LETTER_OF_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_BITS_OF_LETTER = {v: k for k, v in _LETTER_OF_BITS.items()}
+
+
+def label_reference(p: PauliString) -> str:
+    """Reference for ``PauliString.label``: one dict lookup per letter."""
+    body = "".join(_LETTER_OF_BITS[(p.x >> j) & 1, (p.z >> j) & 1] for j in range(p.n))
+    return ("+" if p.sign > 0 else "-") + body
+
+
+def from_label_reference(label: str) -> PauliString:
+    """Reference for ``PauliString.from_label``: letter by letter."""
+    if not label:
+        raise ValueError("empty Pauli label")
+    sign = 1
+    body = label
+    if label[0] in "+-":
+        sign = 1 if label[0] == "+" else -1
+        body = label[1:]
+    x = z = 0
+    for j, ch in enumerate(body):
+        try:
+            xb, zb = _BITS_OF_LETTER[ch]
+        except KeyError:
+            raise ValueError(f"bad Pauli letter {ch!r} in {label!r}") from None
+        x |= xb << j
+        z |= zb << j
+    return PauliString(len(body), x, z, sign)
+
+
+def format_generator_matrix_reference(mat) -> str:
+    """Reference for ``format_generator_matrix``: each row relabelled by
+    ``permute_qubits``, then written letter by letter."""
+    perm = list(mat.qubit_of_column)
+    return "".join(label_reference(permute_qubits(r, perm)) + "\n" for r in mat.rows)
 
 
 def multiply_reference(p: PauliString, q: PauliString) -> PauliString:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import decorations
+from helpers import decorations, decorations_reference
 from stabgraph import (
     StabilizerGraph,
     apply_E1,
@@ -125,6 +125,18 @@ class TestReducedMoves:
                             assert apply_Ei(g, j, k) == apply_E1(apply_E1(g, k), j)
                             count += 1
         assert count == 38_120
+
+    def test_decorations_match_the_constructor_enumeration(self):
+        # decorations() builds from masks with _trusted; the reference
+        # builds every graph through the public constructor.
+        for n in range(1, 4):
+            pairs = list(itertools.combinations(range(n), 2))
+            for chosen in itertools.product((False, True), repeat=len(pairs)):
+                edges = list(itertools.compress(pairs, chosen))
+                for reduced in (False, True):
+                    got = list(decorations(n, edges, reduced=reduced))
+                    assert got == list(decorations_reference(n, edges, reduced=reduced))
+                    assert all(type(g) is StabilizerGraph for g in got)
 
     def test_ei_swaps_fills_and_stays_reduced(self):
         g = G(2, edges=[(0, 1)], hollow=[0], loops=[1])

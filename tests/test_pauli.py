@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gate_unitary, pauli_matrix
+from helpers import from_label_reference, gate_unitary, label_reference, pauli_matrix
 from stabgraph import (
     GeneratorMatrix,
     PauliString,
@@ -68,6 +68,49 @@ class TestPauliString:
             PauliString(1, 2, 0, 1)
         with pytest.raises(ValueError):
             PauliString.from_label("+Q")
+
+
+def random_rows(seed: int):
+    """Random signed rows at n = 1..70, a few per size, then two at n=1024."""
+    rng = random.Random(seed)
+    for n in [*range(1, 71)] * 4 + [1024, 1024]:
+        yield PauliString(n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1)))
+
+
+class TestIXYZCodec:
+    """Labels go through pauli's whole-row codec; the references in
+    tests/helpers.py read and write one letter at a time."""
+
+    def test_label_and_from_label_match_the_per_letter_references(self):
+        for p in random_rows(seed=15):
+            label = p.label()
+            assert label == label_reference(p)
+            assert PauliString.from_label(label) == from_label_reference(label) == p
+            assert PauliString.from_label(label[1:]) == from_label_reference(label[1:])
+            if p.n <= 70:
+                assert "".join(map(p.letter, range(p.n))) == label[1:]
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("", "empty Pauli label"),
+            ("+", "need at least one qubit, got n=0"),
+            ("-", "need at least one qubit, got n=0"),
+            ("+XQ", "bad Pauli letter 'Q' in '+XQ'"),
+            ("−X", "bad Pauli letter '−' in '−X'"),
+            ("-X−Y", "bad Pauli letter '−' in '-X−Y'"),
+            ("+xz", "bad Pauli letter 'x' in '+xz'"),
+            ("+Xé", "bad Pauli letter 'é' in '+Xé'"),
+            ("IXYZq", "bad Pauli letter 'q' in 'IXYZq'"),
+            ("X\n", "bad Pauli letter '\\n' in 'X\\n'"),
+            (" X", "bad Pauli letter ' ' in ' X'"),
+        ],
+    )
+    def test_from_label_messages(self, label, message):
+        for parse in (PauliString.from_label, from_label_reference):
+            with pytest.raises(ValueError) as err:
+                parse(label)
+            assert str(err.value) == message
 
 
 class TestSkewProduct:

@@ -14,6 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    format_generator_matrix_reference,
+    from_label_reference,
+    label_reference,
+    scrambled_group,
+    sparse_graph,
+)
 from stabgraph import (
     GeneratorMatrix,
     ParseError,
@@ -23,11 +30,14 @@ from stabgraph import (
     format_generator_matrix,
     format_graph,
     generator_matrix_from_graph,
+    graph_from_generator_matrix,
     graph_to_dot,
+    graphs_equivalent,
     parse_circuit,
     parse_generator_matrix,
     parse_graph,
     random_graph,
+    to_canonical_form,
 )
 
 G = StabilizerGraph.build
@@ -82,6 +92,58 @@ class TestGeneratorMatrixFormat:
         with pytest.raises(ValueError) as err2:
             parse_generator_matrix("+XX\n")  # one row on two qubits
         assert not isinstance(err2.value, ParseError)
+
+
+class TestMatrixRowsMatchThePerLetterReferences:
+    """The parser and formatter go through pauli's whole-row codec; the
+    references in tests/helpers.py read and write one letter at a time."""
+
+    def test_identity_labelled_rows(self):
+        mats = [scrambled_group(n, seed=n) for n in range(1, 71)]
+        mats.append(generator_matrix_from_graph(sparse_graph(1024, 1, 4 / 1023)))
+        for mat in mats:
+            text = "".join(label_reference(r) + "\n" for r in mat.rows)
+            assert format_generator_matrix(mat) == text
+            assert parse_generator_matrix(text).rows == tuple(
+                map(from_label_reference, text.splitlines())
+            )
+
+    def test_each_column_is_written_as_its_qubit(self):
+        # Column c of a canonical form is qubit qubit_of_column[c], so the
+        # text must draw the input's state even where the reduction moved
+        # columns (23 of these 120 matrices).
+        moved = 0
+        for n in (3, 4, 6, 8):
+            for seed in range(30):
+                mat = scrambled_group(n, seed)
+                canon, _ = to_canonical_form(mat)
+                moved += canon.qubit_of_column != tuple(range(n))
+                text = format_generator_matrix(canon)
+                assert text == format_generator_matrix_reference(canon)
+                back = graph_from_generator_matrix(parse_generator_matrix(text))
+                assert graphs_equivalent(back, graph_from_generator_matrix(mat))
+        assert moved == 23
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1, column 1: no generator rows"),
+            ("\n \n", "line 1, column 1: no generator rows"),
+            ("+XX\n*ZZ\n", "line 2, column 1: row must start with '+' or '-', got '*'"),
+            ("x\n", "line 1, column 1: row must start with '+' or '-', got 'x'"),
+            ("  +\n", "line 1, column 4: row has a sign but no Pauli letters"),
+            ("+XX\n+Z\n", "line 2, column 2: expected 2 letters, got 1"),
+            ("+Y\n−XΣ\n", "line 2, column 2: expected 1 letters, got 2"),
+            ("+XQ\n", "line 1, column 3: bad Pauli letter 'Q'"),
+            (" −Xé\n", "line 1, column 4: bad Pauli letter 'é'"),
+            ("+X x\n", "line 1, column 3: bad Pauli letter ' '"),
+            ("\t-ZZ\n-Zq\n", "line 2, column 3: bad Pauli letter 'q'"),
+        ],
+    )
+    def test_every_parser_message(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_generator_matrix(text)
+        assert str(err.value) == message
 
 
 class TestHostileMatrixText:
