@@ -22,11 +22,18 @@ failed verify, 2 unreadable or malformed input (including bytes that are
 not UTF-8, and bad command-line arguments) or a refused matrix output, 3
 violated semantic invariant (invalid input, or an internal
 ``InvariantError``), 4 malformed gate script.
+
+The argument parser is built once per process, on the first ``main``
+call, and every later call reuses it.  Only in-process callers of
+``main`` gain from that.  A shell run still pays interpreter start-up and
+the imports: about 0.3 s in all on a 2-core Xeon, of which the package's
+own import, with numpy already loaded, is about 0.03 s.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from typing import Optional, Sequence
@@ -196,7 +203,10 @@ def _audit_size(text: str) -> int:
     return value
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # Shared by every call: parse_args returns a fresh Namespace, and no
+    # default is mutable, so no call sees another's arguments.
     top = argparse.ArgumentParser(
         prog="stabgraph",
         description="Stabilizer states as decorated graphs.",

@@ -357,11 +357,15 @@ def _canonical_rows(mat: GeneratorMatrix) -> tuple[list[Row], int]:
                 rows[i] = _multiply(rows[i], p)
         return True
 
-    # Top rows: the x parts in full row reduction, pivots left to right.
-    pivots = 0
+    # Top rows: the x parts in full row reduction, pivots left to right,
+    # until no row below the pivot rows has an x bit left.
+    pivots = rank = 0
     for col in range(n):
-        pivots |= pivot(col, 0, pivots.bit_count()) << col
-    rank = pivots.bit_count()
+        if pivot(col, 0, rank):
+            pivots |= 1 << col
+            rank += 1
+        elif not any(r[0] for r in rows[rank:]):
+            break
     # The rows below have zero x part: reducing their z parts on the rest
     # in full clears the top rows' z bits there too, leaving their x parts.
     cols = _bits(pivots) + _bits(((1 << n) - 1) ^ pivots)

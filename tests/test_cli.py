@@ -14,9 +14,11 @@ cold interpreter.  Exit codes are part of the contract:
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,3 +329,79 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "convert" in proc.stdout and "equiv" in proc.stdout
+
+
+class TestCachedParser:
+    """``main`` reuses one parser per process.  Each call below must match,
+    byte for byte, a fresh interpreter given the same arguments, whatever
+    ran before it in this process."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # argparse wraps usage text to the terminal width; pin it for both
+        # sides of the comparison.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def in_process(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out.encode(), err.encode()
+
+    @staticmethod
+    def fresh(argv):
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stabgraph.cli", *argv], capture_output=True, env=env
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_a_rejected_flag_leaves_no_trace(self, tmp_path, capsys):
+        src = tmp_path / "g.graph"
+        src.write_text("nodes 2\nnode 0 hollow loop\nnode 1 solid\nedge 0 1\n")
+        script = ["--script", "H:0 CZ:0,1 S:1"]
+        reduced = ["apply", "-i", str(src), *script, "--reduced"]
+        got = self.in_process(reduced, capsys)
+        assert got[0] == 3 and got == self.fresh(reduced)
+        here, there = tmp_path / "here.graph", tmp_path / "there.graph"
+        general = ["apply", "-i", str(src), *script]
+        got = self.in_process(general + ["-o", str(here)], capsys)
+        assert got == self.fresh(general + ["-o", str(there)])
+        assert got[0] == 0
+        assert here.read_bytes() == there.read_bytes()
+
+    def test_an_argparse_rejection_leaves_no_trace(self, capsys):
+        bad = ["verify", "--n", str(MAX_QUBITS + 1)]
+        got = self.in_process(bad, capsys)
+        assert got[0] == 2 and got == self.fresh(bad)
+        good = ["verify", "--n", "2", "--cases", "1"]
+        got = self.in_process(good, capsys)
+        # One case per family leaves rules unexercised, which exits 1.
+        assert got[1].startswith(b"rule") and got == self.fresh(good)
+
+    def test_defaults_come_back_after_a_given_value(self, capsys):
+        first = ["verify", "--n", "2", "--cases", "1"]
+        assert self.in_process(first, capsys) == self.fresh(first)
+        default = ["verify", "--cases", "1"]
+        got = self.in_process(default, capsys)
+        assert got == self.fresh(default)
+        assert got == self.in_process(["verify", "--cases", "1", "--n", "6"], capsys)
+
+    def test_a_later_monkeypatch_still_takes_effect(self, capsys, monkeypatch):
+        main(["verify", "--n", "2", "--cases", "1"])
+        calls = []
+
+        def fake_audit(**kwargs):
+            calls.append(kwargs)
+            return []
+
+        monkeypatch.setattr(cli, "audit_rules", fake_audit)
+        assert main(["verify", "--n", "3", "--cases", "2", "--seed", "5"]) == 0
+        assert calls == [{"max_n": 3, "graphs": 2, "seed": 5}]
