@@ -42,23 +42,6 @@ class RuleReport:
         return self.cases > 0 and self.failures == 0
 
 
-def check_local(g: StabilizerGraph, gate: str, j: int, reduced: bool) -> bool:
-    """Oracle check of one single-node rewrite."""
-    apply = transforms.apply_local_reduced if reduced else transforms.apply_local
-    return _verdicts(g, [(apply(g, gate, j), (gate, (j,)), True)])[0]
-
-
-def check_cz(g: StabilizerGraph, j: int, k: int, reduced: bool) -> bool:
-    """Oracle check of one CZ rewrite."""
-    apply = transforms.apply_cz_reduced if reduced else transforms.apply_cz
-    return _verdicts(g, [(apply(g, j, k), ("CZ", (j, k)), True)])[0]
-
-
-def check_state_preserved(g: StabilizerGraph, out: StabilizerGraph) -> bool:
-    """Oracle check that a rewrite left the state exactly alone."""
-    return _verdicts(g, [(out, None, True)])[0]
-
-
 # The most amplitudes one oracle batch holds: a graph's checks run in
 # chunks of at most this many, so the audit's working memory is a few
 # 128 KB arrays at every n.  Measured on a 2-core Xeon: `verify --n 8`

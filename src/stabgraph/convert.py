@@ -23,7 +23,9 @@ block is zero) and no edges among each other.  The one relabel, by the
 input's own ``qubit_of_column``, costs nothing for identity labels.
 
 ``generator_matrix_from_graph`` is the reverse direction, reading the
-generators off the same closed form.
+generators off the same closed form, and builds its matrix with
+``GeneratorMatrix._trusted``: X_j Z_N(j) commute because the adjacency is
+symmetric, and the graph's local layer conjugates them invertibly.
 """
 
 from __future__ import annotations
@@ -65,4 +67,5 @@ def graph_from_generator_matrix(mat: GeneratorMatrix) -> StabilizerGraph:
 def generator_matrix_from_graph(g: StabilizerGraph) -> GeneratorMatrix:
     """Generators of the state a graph describes, one per node."""
     rows = _closed_form_rows(g.hollow_mask, g.loop_mask, g.neg_mask, g.adj)
-    return GeneratorMatrix(g.n, tuple(PauliString(g.n, *row) for row in rows))
+    signed = tuple(PauliString(g.n, *row) for row in rows)
+    return GeneratorMatrix._trusted(g.n, signed, tuple(range(g.n)))

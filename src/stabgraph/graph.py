@@ -25,8 +25,8 @@ Validation happens at the trust boundary.  The public constructor (and so
 sequences (accepting only entries equal to 0 or 1) and ``n`` and the
 adjacency rows as anything ``operator.index`` takes, checks the lengths,
 the adjacency range, the zero diagonal and symmetry, and raises
-``ValueError`` on bad input.  Node ids passed to the rewrites are checked
-the same way and used as Python ints.
+``ValueError`` on bad input.  Node ids passed to ``build`` and the rewrites
+are checked the same way and used as Python ints.
 The adjacency is checked by comparing its edge list with its transpose at
 C speed (``_symmetric_by_transpose``); only rows that fail that check are
 walked one by one, and the first defective row names the error.
@@ -98,8 +98,9 @@ def _bits(mask: int) -> list[int]:
     return np.unpackbits(raw, bitorder="little").view(bool).nonzero()[0].tolist()
 
 
-# Maps every byte value to ASCII '0' (zero) or '1' (non-zero).
+# Maps every byte value to ASCII '0' (zero) or '1' (non-zero), and back.
 _FLAG_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _mask(flags: Sequence[bool]) -> int:
@@ -107,9 +108,9 @@ def _mask(flags: Sequence[bool]) -> int:
     return int(bytes(flags).translate(_FLAG_DIGITS)[::-1], 2)
 
 
-def _flags(mask: int, n: int) -> Tuple[bool, ...]:
-    """The n flags of ``mask`` as Python bools: the inverse of ``_mask``."""
-    return tuple(map("1".__eq__, f"{mask:0{n}b}"[::-1]))
+def _flags(mask: int, width: int) -> bytes:
+    """Byte k is bit k of ``mask`` (0 or 1), the inverse of ``_mask``; width >= 1."""
+    return format(mask, f"0{width}b")[::-1].encode().translate(_DIGIT_FLAGS)
 
 
 # The node decorations; flag ``name`` is stored as the field ``name_mask``.
@@ -213,17 +214,14 @@ class StabilizerGraph:
     _reduced = None
 
     # Read-only tuple views of the flag masks, built on first use.
-    hollow = cached_property(lambda self: _flags(self.hollow_mask, self.n))
-    loop = cached_property(lambda self: _flags(self.loop_mask, self.n))
-    neg = cached_property(lambda self: _flags(self.neg_mask, self.n))
+    hollow = cached_property(lambda self: tuple(map(bool, _flags(self.hollow_mask, self.n))))
+    loop = cached_property(lambda self: tuple(map(bool, _flags(self.loop_mask, self.n))))
+    neg = cached_property(lambda self: tuple(map(bool, _flags(self.neg_mask, self.n))))
 
     def __init__(
         self, n: int, hollow: Iterable, loop: Iterable, neg: Iterable, adj: Iterable
     ) -> None:
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValueError(f"n must be an integer, got {n!r}") from None
+        n = _node_id(n, "n")
         flags = [_bool_flags(name, f) for name, f in zip(_FLAGS, (hollow, loop, neg))]
         adj = _index_rows(adj)
         if n < 1:
@@ -279,9 +277,12 @@ class StabilizerGraph:
         loops: Iterable[int] = (),
         neg: Iterable[int] = (),
     ) -> "StabilizerGraph":
-        """Convenience constructor from node index sets and an edge list."""
+        """Convenience constructor from node index sets and an edge list;
+        ``n`` and every id are read by ``_node_id``."""
+        n = _node_id(n, "n")
         adj = [0] * n
-        for i, j in edges:
+        for edge in edges:
+            i, j = map(_node_id, edge)
             if i == j:
                 raise ValueError(f"self edge at node {i}")
             if not (0 <= i < n and 0 <= j < n):
@@ -296,7 +297,7 @@ class StabilizerGraph:
             ("loops", lp, loops),
             ("neg", ng, neg),
         ):
-            for j in idxs:
+            for j in map(_node_id, idxs):
                 if not 0 <= j < n:
                     raise ValueError(f"{name} index {j} out of range")
                 flags[j] = True
@@ -418,12 +419,12 @@ class _Masks:
         )
 
 
-def _node_id(j: object) -> int:
+def _node_id(j: object, what: str = "node id") -> int:
     """``j`` as a Python int by ``operator.index``; anything else raises ValueError."""
     try:
         return operator.index(j)
     except TypeError:
-        raise ValueError(f"node id must be an integer, got {j!r}") from None
+        raise ValueError(f"{what} must be an integer, got {j!r}") from None
 
 
 def _check_node(g: StabilizerGraph, j: object) -> int:

@@ -23,7 +23,10 @@ the pairs).  ``statevector_from_graph`` and ``statevector_from_circuit``
 are one-row calls of ``graph_amplitudes``, and ``apply_gate_dense`` is
 the one-gate case of ``gate_images``.  Nothing in this module consults
 the rewrite rules or the closed-form generator formulas.  Sizes are
-capped (default 12 qubits) because vectors grow as 2^n.
+capped (default 12 qubits) because vectors grow as 2^n.  The random
+graphs are built with the unchecked ``StabilizerGraph._trusted``: each
+edge is set on both of its rows, and the repair clears every hollow
+row's hollow bits.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .circuit import GraphFormCircuit, graph_from_circuit
-from .graph import StabilizerGraph, _bits, _flags
+from .graph import StabilizerGraph, _bits
 from .pauli import PauliString, _gate_targets
 
 MAX_QUBITS = 12
@@ -256,19 +259,20 @@ def stabilizer_check(
 
 def random_graph(n: int, seed: int) -> StabilizerGraph:
     """Deterministic random graph: each decoration bit and edge is a coin."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
     rng = random.Random(seed)
-    hollow = tuple(rng.random() < 0.5 for _ in range(n))
-    loop = tuple(rng.random() < 0.5 for _ in range(n))
-    neg = tuple(rng.random() < 0.5 for _ in range(n))
+    hollow, loop, neg = (
+        sum((rng.random() < 0.5) << j for j in range(n)) for _ in range(3)
+    )
     adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.5:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return StabilizerGraph(n, hollow, loop, neg, tuple(adj))
+    return StabilizerGraph._trusted(n, hollow, loop, neg, tuple(adj))
 
 
 def random_reduced_graph(n: int, seed: int) -> StabilizerGraph:
@@ -276,6 +280,5 @@ def random_reduced_graph(n: int, seed: int) -> StabilizerGraph:
     loops are cleared from hollow nodes and hollow-hollow edges removed."""
     g = random_graph(n, seed)
     hollow = g.hollow_mask
-    loop = _flags(g.loop_mask & ~hollow, n)
     adj = tuple(row & ~hollow if hollow >> j & 1 else row for j, row in enumerate(g.adj))
-    return StabilizerGraph(n, g.hollow, loop, g.neg, adj)
+    return StabilizerGraph._trusted(g.n, hollow, g.loop_mask & ~hollow, g.neg_mask, adj)

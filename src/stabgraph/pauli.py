@@ -27,6 +27,10 @@ the swaps, once, at the end.
 and the canonical form run on packed ``(x, z, sign)`` integer rows, with
 ``multiply``, ``conjugate`` and ``to_canonical_form`` as thin wrappers, and
 the ``GeneratorMatrix`` checks read the bit matrix through its column masks.
+They run once, when a matrix is built from outside; qubit labels may be
+numpy ints.  ``to_canonical_form`` builds with the unchecked
+``GeneratorMatrix._trusted``: its ``canonical_blocks`` self-check implies
+independent (identity blocks) and commuting (B = B^T, A^T below) rows.
 Labels and ``textio``'s matrix text share one IXYZ codec, ``_decode`` and
 ``_encode``, which turn a whole row of letters into (x, z) masks and back
 at C speed; a qubit's letter is ``_LETTERS[x + 2z]``.
@@ -41,11 +45,10 @@ from itertools import compress
 from operator import xor
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .graph import _bits, _mask, _node_id
+from .graph import _bits, _flags, _mask, _node_id
 
 GATE_ARITY = {"H": 1, "S": 1, "Z": 1, "CZ": 2}
 
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII digits to bytes 0/1
 _LETTERS = "IXZY"  # the IXYZ codec: a qubit's letter is _LETTERS[x + 2z]
 _BAD_LETTER = re.compile(r"[^IXYZ]")  # the first character that is no letter
 _X_DIGITS = bytes.maketrans(b"IXYZ", b"0110")  # each letter's x bit as a digit
@@ -220,6 +223,7 @@ def conjugate(p: PauliString, gate: str, *targets: int) -> PauliString:
 
 def permute_qubits(p: PauliString, perm: Sequence[int]) -> PauliString:
     """Relabel qubits: bit c of the input moves to bit perm[c]."""
+    perm = tuple(map(_node_id, perm))
     if sorted(perm) != list(range(p.n)):
         raise ValueError("perm is not a permutation of the qubits")
     return PauliString(p.n, *_move_bits((p.x, p.z), perm), p.sign)
@@ -234,11 +238,6 @@ def _move_bits(masks: Iterable[int], to: Sequence[int]) -> list[int]:
         m & stay | sum(1 << to[c] for c in _bits(m & moving)) if m & moving else m
         for m in masks
     ]
-
-
-def _flags(mask: int, width: int) -> bytes:
-    """Byte k is bit k of ``mask`` (0 or 1); ``mask`` must fit in width >= 1."""
-    return format(mask, f"0{width}b")[::-1].encode().translate(_DIGIT_FLAGS)
 
 
 def _transpose(rows: Sequence[int], width: int) -> list[int]:
@@ -280,8 +279,9 @@ class GeneratorMatrix:
         for row in self.rows:
             if row.n != self.n:
                 raise ValueError(f"row {row} has {row.n} qubits, expected {self.n}")
-        if self.qubit_of_column is None:
-            object.__setattr__(self, "qubit_of_column", tuple(range(self.n)))
+        labels = range(self.n) if self.qubit_of_column is None else self.qubit_of_column
+        labels = tuple(_node_id(q, "qubit label") for q in labels)
+        object.__setattr__(self, "qubit_of_column", labels)
         if sorted(self.qubit_of_column) != list(range(self.n)):
             raise ValueError("qubit_of_column is not a permutation")
         # Bit j of row i's mask is skew_product(row i, row j): the XOR of the
@@ -298,6 +298,13 @@ class GeneratorMatrix:
                 raise ValueError(f"rows {i} and {j} anticommute")
         if _gf2_rank(r.x | (r.z << self.n) for r in self.rows) != self.n:
             raise ValueError("rows are not independent")
+
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple, qubit_of_column: tuple) -> "GeneratorMatrix":
+        """Build without validation, for a matrix valid by construction."""
+        mat = object.__new__(cls)
+        mat.__dict__.update(n=n, rows=rows, qubit_of_column=qubit_of_column)
+        return mat
 
 
 def left_rank(mat: GeneratorMatrix) -> int:
@@ -324,9 +331,9 @@ def to_canonical_form(mat: GeneratorMatrix) -> tuple[GeneratorMatrix, int]:
     to = sorted(range(n), key=order.__getitem__)
     xs, zs = (_move_bits([r[k] for r in rows], to) for k in (0, 1))
     signed = tuple(PauliString(n, x, z, r[2]) for x, z, r in zip(xs, zs, rows))
-    out = GeneratorMatrix(n, signed, tuple(mat.qubit_of_column[c] for c in order))
+    out = GeneratorMatrix._trusted(n, signed, tuple(mat.qubit_of_column[c] for c in order))
     rank = pivots.bit_count()
-    canonical_blocks(out, rank)  # shape self-check; raises if violated
+    canonical_blocks(out, rank)  # the shape self-check (see the module docstring)
     return out, rank
 
 

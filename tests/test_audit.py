@@ -15,15 +15,7 @@ from stabgraph import (
     random_graph,
     random_reduced_graph,
 )
-from stabgraph.audit import (
-    ALL_RULES,
-    EQUIV_RULES,
-    GATE_RULES,
-    RuleReport,
-    check_cz,
-    check_local,
-    check_state_preserved,
-)
+from stabgraph.audit import ALL_RULES, EQUIV_RULES, GATE_RULES, RuleReport
 
 # Reports of the gate-by-gate oracle that preceded the layer-by-layer one;
 # the audit's tallies must not move when the oracle gets faster.
@@ -147,17 +139,23 @@ def test_report_text_is_pinned(budget):
     assert text == PINNED_REPORTS[budget]
 
 
-def test_public_checks_compute_their_own_reference():
+def test_verdicts_compute_their_own_reference():
+    # One case at a time, so each verdict comes from a batch of the
+    # audited graph and that one rewrite.
     g = random_graph(4, 5)
     r = random_reduced_graph(4, 5)
     for j in range(4):
         for gate in ("H", "S", "Z"):
-            assert check_local(g, gate, j, reduced=False)
-            assert check_local(r, gate, j, reduced=True)
+            out = transforms.apply_local(g, gate, j)
+            assert audit._verdicts(g, [(out, (gate, (j,)), True)]) == [True]
+            out = transforms.apply_local_reduced(r, gate, j)
+            assert audit._verdicts(r, [(out, (gate, (j,)), True)]) == [True]
         for k in range(j + 1, 4):
-            assert check_cz(r, j, k, reduced=True)
-    assert check_state_preserved(g, g)
-    assert not check_state_preserved(g, flip_sign(g, 0))
+            out = transforms.apply_cz_reduced(r, j, k)
+            assert audit._verdicts(r, [(out, ("CZ", (j, k)), True)]) == [True]
+    assert audit._verdicts(g, [(g, None, True)]) == [True]
+    assert audit._verdicts(g, [(flip_sign(g, 0), None, True)]) == [False]
+    assert audit._verdicts(g, [(g, None, False)]) == [False]
 
 
 @pytest.mark.parametrize("reduced", [False, True])

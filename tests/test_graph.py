@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import adjacency_masks
 from stabgraph import (
+    GraphFormCircuit,
     StabilizerGraph,
     advance_loop,
     apply_cz,
@@ -33,6 +34,7 @@ from stabgraph import (
     classify_local_reduced,
     flip_fill,
     flip_sign,
+    graph_from_circuit,
     is_reduced,
     local_complement,
     local_complement_edge,
@@ -233,6 +235,30 @@ class TestNodeIds:
                 wrong = ids[:at] + (bad(ids[at]),) + ids[at + 1 :]
                 with pytest.raises(ValueError, match="node id must be an integer"):
                     call(g, *wrong)
+
+    def test_build_reads_numpy_ids_like_python_ints(self):
+        # Bit 70 is past int64: the ids must become Python ints before a shift.
+        a, b = np.int64(0), np.int64(70)
+        want = StabilizerGraph.build(100, edges=[(0, 70)], hollow=[70], loops=[0], neg=[70])
+        got = StabilizerGraph.build(np.int64(100), edges=[(a, b)], hollow=[b], loops=[a], neg=[b])
+        assert got == want and type(got.n) is int
+        assert all(type(row) is int for row in got.adj)
+        c = GraphFormCircuit(100, frozenset({(a, b)}), frozenset({b}), frozenset(), frozenset())
+        assert graph_from_circuit(c) == StabilizerGraph.build(100, edges=[(0, 70)], neg=[70])
+
+    @pytest.mark.parametrize(
+        "n, kwargs, message",
+        [
+            (3, {"edges": [(0, 2.0)]}, "node id"),
+            (3, {"edges": [("0", 2)]}, "node id"),
+            (3, {"hollow": [1.0]}, "node id"),
+            (3, {"neg": [None]}, "node id"),
+            (2.0, {}, "n"),
+        ],
+    )
+    def test_build_rejects_other_ids_with_value_error(self, n, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message} must be an integer"):
+            StabilizerGraph.build(n, **kwargs)
 
 
 class TestPredicates:

@@ -22,7 +22,9 @@ from stabgraph import (
     PauliString,
     canonical_blocks,
     conjugate,
+    format_generator_matrix,
     generator_matrix_from_graph,
+    graph_from_generator_matrix,
     left_rank,
     multiply,
     permute_qubits,
@@ -226,6 +228,13 @@ class TestPermuteQubits:
         p = PauliString.from_label("+XZYI")
         assert permute_qubits(permute_qubits(p, perm), inv) == p
 
+    def test_numpy_perm_acts_like_python_ints(self):
+        p = PauliString(100, (1 << 99) | 5, 1 << 70, -1)
+        perm = np.arange(100)[::-1]
+        assert permute_qubits(p, perm) == permute_qubits(p, perm.tolist())
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            permute_qubits(PauliString.from_label("+XZ"), (1.0, 0.0))
+
 
 class TestGeneratorMatrix:
     def test_rejects_anticommuting_rows(self):
@@ -257,6 +266,24 @@ class TestGeneratorMatrix:
     def test_default_column_labels(self):
         rows = (PauliString.from_label("+XX"), PauliString.from_label("+ZZ"))
         assert GeneratorMatrix(2, rows).qubit_of_column == (0, 1)
+
+    def test_numpy_labels_are_stored_as_python_ints(self):
+        # Labels past 63 once overflowed int64 shifts in the formatter and
+        # the converter, and an ndarray left the frozen matrix unhashable.
+        n = 70
+        rows = tuple(PauliString(n, 0, 1 << q) for q in range(n))
+        labels = np.arange(n)[::-1]
+        got = GeneratorMatrix(n, rows, labels)
+        want = GeneratorMatrix(n, rows, tuple(labels.tolist()))
+        assert got == want and hash(got) == hash(want)
+        assert all(type(q) is int for q in got.qubit_of_column)
+        assert format_generator_matrix(got) == format_generator_matrix(want)
+        assert graph_from_generator_matrix(got) == graph_from_generator_matrix(want)
+
+    def test_rejects_float_labels(self):
+        rows = (PauliString.from_label("+XX"), PauliString.from_label("+ZZ"))
+        with pytest.raises(ValueError, match="qubit label must be an integer"):
+            GeneratorMatrix(2, rows, (0.0, 1.0))
 
 
 class TestCanonicalForm:
