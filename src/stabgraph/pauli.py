@@ -27,10 +27,12 @@ the swaps, once, at the end.
 and the canonical form run on packed ``(x, z, sign)`` integer rows, with
 ``multiply``, ``conjugate`` and ``to_canonical_form`` as thin wrappers, and
 the ``GeneratorMatrix`` checks read the bit matrix through its column masks.
-They run once, when a matrix is built from outside; qubit labels may be
-numpy ints.  ``to_canonical_form`` builds with the unchecked
-``GeneratorMatrix._trusted``: its ``canonical_blocks`` self-check implies
-independent (identity blocks) and commuting (B = B^T, A^T below) rows.
+They run once, when a matrix is built from outside.  ``n`` (of a
+``PauliString`` too) and the qubit labels may be numpy ints, read by
+``graph._node_id``, and the rows any iterable, stored as a tuple.
+``to_canonical_form`` builds with the unchecked ``GeneratorMatrix._trusted``:
+its ``canonical_blocks`` self-check implies independent (identity blocks)
+and commuting (B = B^T, A^T below) rows.
 Labels and ``textio``'s matrix text share one IXYZ codec, ``_decode`` and
 ``_encode``, which turn a whole row of letters into (x, z) masks and back
 at C speed; a qubit's letter is ``_LETTERS[x + 2z]``.
@@ -67,6 +69,8 @@ class PauliString:
     sign: int = 1
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", _node_id(self.n, "n"))
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got n={self.n}")
         if not 0 <= self.x < (1 << self.n):
@@ -272,6 +276,8 @@ class GeneratorMatrix:
     qubit_of_column: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _node_id(self.n, "n"))
+        object.__setattr__(self, "rows", tuple(self.rows))
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got n={self.n}")
         if len(self.rows) != self.n:

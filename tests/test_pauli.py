@@ -71,6 +71,15 @@ class TestPauliString:
         with pytest.raises(ValueError):
             PauliString.from_label("+Q")
 
+    def test_numpy_n_acts_like_a_python_int(self):
+        # 1 << np.int64(70) overflows, so the x range test once rejected
+        # a valid mask.
+        got = PauliString(np.int64(70), 1 << 69, 0)
+        assert type(got.n) is int
+        assert got == PauliString(70, 1 << 69, 0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            PauliString(2.0, 0, 0)
+
 
 def random_rows(seed: int):
     """Random signed rows at n = 1..70, a few per size, then two at n=1024."""
@@ -279,6 +288,19 @@ class TestGeneratorMatrix:
         assert all(type(q) is int for q in got.qubit_of_column)
         assert format_generator_matrix(got) == format_generator_matrix(want)
         assert graph_from_generator_matrix(got) == graph_from_generator_matrix(want)
+
+    def test_numpy_n_acts_like_a_python_int(self):
+        rows = (PauliString.from_label("+XX"), PauliString.from_label("+ZZ"))
+        got = GeneratorMatrix(np.int64(2), rows)
+        assert type(got.n) is int
+        assert got == GeneratorMatrix(2, rows)
+
+    def test_rows_are_stored_as_a_tuple(self):
+        rows = [PauliString.from_label("+XX"), PauliString.from_label("+ZZ")]
+        got = GeneratorMatrix(2, rows)
+        want = GeneratorMatrix(2, tuple(rows))
+        assert type(got.rows) is tuple
+        assert got == want and hash(got) == hash(want)
 
     def test_rejects_float_labels(self):
         rows = (PauliString.from_label("+XX"), PauliString.from_label("+ZZ"))
