@@ -39,6 +39,7 @@ from .graph import (
     _bits,
     _check_node,
     _hollow_clashes,
+    _scratch,
     is_reduced,
 )
 
@@ -49,28 +50,28 @@ def _lowest(mask: int) -> int:
 
 def _e1_core(m: _Masks, j: int) -> None:
     bit = 1 << j
-    m.hollow ^= bit
+    m.hollow_mask ^= bit
     m.local_complement(j)
     nb = m.adj[j]
     m.advance(nb)
-    m.neg ^= bit
-    if m.neg & bit:
-        m.neg ^= nb
+    m.neg_mask ^= bit
+    if m.neg_mask & bit:
+        m.neg_mask ^= nb
 
 
 def _e2_core(m: _Masks, j: int, k: int) -> None:
-    m.hollow ^= (1 << j) | (1 << k)
+    m.hollow_mask ^= (1 << j) | (1 << k)
     m.local_complement_edge(j, k)
     nb_j, nb_k = m.adj[j], m.adj[k]
-    m.neg ^= nb_j & nb_k
+    m.neg_mask ^= nb_j & nb_k
     # Both sign conditions are read before either flip is applied.  Neither
     # node is its own neighbor, so each flip covers the node and its row.
     flips = 0
-    if (m.neg >> j) & 1:
+    if (m.neg_mask >> j) & 1:
         flips ^= (1 << j) | nb_j
-    if (m.neg >> k) & 1:
+    if (m.neg_mask >> k) & 1:
         flips ^= (1 << k) | nb_k
-    m.neg ^= flips
+    m.neg_mask ^= flips
 
 
 def _ei_core(m: _Masks, hollow: int, solid: int) -> None:
@@ -170,7 +171,8 @@ def to_reduced(g: StabilizerGraph) -> StabilizerGraph:
     Each phase keeps a worklist bitmask of the nodes it still has to fix
     and, after a move, re-examines only the nodes that move touched, so a
     step costs about the degree of its nodes rather than a rescan.  A graph
-    that is already reduced is returned as it is.
+    that is already reduced is returned as it is.  Given a gate word's
+    ``graph._Masks``, the moves rewrite it in place and it is returned.
     """
     out = g if is_reduced(g) else _reduce_moves(g)
     if not is_reduced(out):
@@ -180,38 +182,38 @@ def to_reduced(g: StabilizerGraph) -> StabilizerGraph:
 
 def _reduce_moves(g: StabilizerGraph) -> StabilizerGraph:
     """The E1 and E2 worklist phases of ``to_reduced``."""
-    m = _Masks(g)
+    m = _scratch(g)
     # E1 at j fills j and advances its neighbors' loops: only j and its
     # neighbors (unchanged by complementing on j) can change status.
-    todo = m.hollow & m.loop
+    todo = m.hollow_mask & m.loop_mask
     for _ in range(g.n + 1):
         if not todo:
             break
         j = _lowest(todo)
         _e1_core(m, j)
         t = m.adj[j] | (1 << j)
-        todo = (todo & ~t) | (t & m.hollow & m.loop)
+        todo = (todo & ~t) | (t & m.hollow_mask & m.loop_mask)
     else:
         raise InvariantError("loop-clearing phase failed to terminate")
     # A hollow node is on the list when it has a hollow neighbor.  The
     # lowest such i has only hollow neighbors above it, so (i, lowest
     # hollow neighbor of i) is the lexicographically smallest pair.  E2
     # fills i and k and rewrites only the rows of their neighborhoods.
-    todo = _hollow_clashes(map(m.adj.__getitem__, _bits(m.hollow)), m.hollow)
+    todo = _hollow_clashes(map(m.adj.__getitem__, _bits(m.hollow_mask)), m.hollow_mask)
     for _ in range(g.n + 1):
         if not todo:
             break
         i = _lowest(todo)
-        k = _lowest(m.adj[i] & m.hollow)
+        k = _lowest(m.adj[i] & m.hollow_mask)
         touched = m.adj[i] | m.adj[k]
         _e2_core(m, i, k)
         todo &= ~touched
-        for l in _bits(touched & m.hollow):
-            if m.adj[l] & m.hollow:
+        for l in _bits(touched & m.hollow_mask):
+            if m.adj[l] & m.hollow_mask:
                 todo |= 1 << l
     else:
         raise InvariantError("edge-clearing phase failed to terminate")
-    return m.freeze()
+    return m.result(g)
 
 
 def simplify_pair(

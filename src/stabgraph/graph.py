@@ -30,9 +30,9 @@ are checked the same way and used as Python ints.
 The adjacency is checked by comparing its edge list with its transpose at
 C speed (``_symmetric_by_transpose``); only rows that fail that check are
 walked one by one, and the first defective row names the error.
-Rewrites of an already-valid graph go through ``_Masks.freeze()``, which
-uses the unchecked ``StabilizerGraph._trusted`` constructor, so a gate
-costs about the degree of its target rather than a full symmetry check;
+Rewrites of an already-valid graph build their results with the
+unchecked ``StabilizerGraph._trusted`` constructor, so a gate costs about
+the degree of its target rather than a full symmetry check;
 ``apply_sequence`` runs one ``_validate()`` on the graph it returns,
 which also rejects a flag bit at or above n.  ``parse_graph`` builds
 with ``_trusted`` too, since its own line checks already give every
@@ -47,21 +47,27 @@ row's neighbors above it in one such call.
 
 Every rewrite, the gate rules of ``transforms`` and the E moves of
 ``equivalence`` alike, runs on one scratch state, ``_Masks``: the source's
-three flag masks beside a list of its adjacency rows.  Its ``freeze()``
-stores the masks as they are as the fields of the result.
+three flag masks beside a list of its adjacency rows, under the graph's
+own field names.  A one-gate call copies its graph into a ``_Masks`` and
+``freeze()`` stores the masks as they are as the fields of the result.
+A gate word copies once: ``apply_sequence`` passes one ``_Masks`` to the
+one-gate functions, which rewrite it in place, and freezes it once at
+the end, so a gate costs about the degree of its target and not the
+O(n) copy of the rows.
 
 The reduced invariant is checked after every reduced rule and after
 ``to_reduced``, with an explicit ``InvariantError`` that survives
-``python -O``.  ``is_reduced`` caches its verdict on the (frozen) graph,
-so a graph from the constructor or a parser pays one full scan on its
-first check.  When the source graph is known to be reduced, ``freeze()``
-looks only at the nodes whose fill, loop or adjacency row the rewrite
-wrote (the ``_Masks`` methods record the rows they write in ``rows``): a
-hollow one must have no loop and no hollow neighbor, and ``freeze()``
-stores that verdict on the result.  A reduced output can only break at a
-written node, so the check costs the number of written hollow nodes, not
-n.  ``apply_sequence`` backs this up, on the graph it returns, with one
-full scan that ignores the cached verdict.
+``python -O``.  ``is_reduced`` caches its verdict on the frozen graph, or
+on the word's ``_Masks``, so a graph from the constructor or a parser
+pays one full scan on its first check.  After each rewrite,
+``_Masks.settle()`` settles the verdict: when the state was known to be
+reduced, it looks only at the nodes whose fill, loop or adjacency row the
+rewrite wrote (the ``_Masks`` methods record the rows they write in
+``rows``), and a hollow one must have no loop and no hollow neighbor.  A
+reduced state can only break at a written node, so the check costs the
+number of written hollow nodes, not n.  ``apply_sequence`` backs this
+up, on the graph it returns, with one full scan that ignores the cached
+verdict.
 """
 
 from __future__ import annotations
@@ -327,33 +333,42 @@ class _Masks:
     """Scratch state of every rewrite: the fills, loops and signs as bitmasks
     (bit j is node j's flag) and the adjacency rows as a list.
 
-    A rule is then a few whole-row operations: advancing the loops of the
-    nodes in a mask is ``advance(mask)``, flipping their signs is
-    ``neg ^= mask``, and the common neighbors of j and k are
-    ``adj[j] & adj[k]``.  The methods that write adjacency rows record them
-    in ``rows``.  The flag masks start as the source's fields.
+    It reads like a graph: ``n``, ``hollow_mask``, ``loop_mask``,
+    ``neg_mask``, ``adj`` and the ``is_reduced`` verdict ``_reduced`` carry
+    the graph's own names, so the classifiers, ``is_reduced`` and
+    ``_check_node`` take either.  A rule is then a few whole-row
+    operations: advancing the loops of the nodes in a mask is
+    ``advance(mask)``, flipping their signs is ``neg_mask ^= mask``, and
+    the common neighbors of j and k are ``adj[j] & adj[k]``.  The methods
+    that write adjacency rows record them in ``rows``.
 
-    ``freeze()`` stores the three masks as the result's fields.  When the
-    source is known to be reduced it also settles the verdict of the
-    result: a reduced graph can only break at a node whose fill, loop or
-    row was written, and a hollow one of those must have no loop and no
-    hollow neighbor.
+    ``settle()`` ends one rewrite.  A reduced graph can only break at a
+    node whose fill, loop or row the rewrite wrote, and a hollow one of
+    those must have no loop and no hollow neighbor; so when the rewrite
+    started from a state known to be reduced, the verdict is settled from
+    the written nodes, and after any other rewrite it is not known.
+    ``freeze()`` settles and stores the three masks as the fields of a new
+    graph.  A gate word drives one ``_Masks`` through all its gates,
+    settling after each, and freezes once at the end.
     """
 
-    __slots__ = ("n", "source", "hollow", "loop", "neg", "adj", "rows")
+    __slots__ = ("n", "hollow_mask", "loop_mask", "neg_mask", "adj", "rows",
+                 "_reduced", "_hollow_at", "_loop_at")
 
     def __init__(self, g: StabilizerGraph) -> None:
         self.n = g.n
-        self.source = g
-        self.hollow, self.loop, self.neg = g.hollow_mask, g.loop_mask, g.neg_mask
+        self.hollow_mask = self._hollow_at = g.hollow_mask
+        self.loop_mask = self._loop_at = g.loop_mask
+        self.neg_mask = g.neg_mask
         self.adj = list(g.adj)
         self.rows = 0
+        self._reduced = g._reduced
 
     def advance(self, nodes: int) -> None:
         # One phase gate on each node in the mask: add a loop, or trade an
         # existing loop for a sign flip (two loops make a Z).
-        self.neg ^= self.loop & nodes
-        self.loop ^= nodes
+        self.neg_mask ^= self.loop_mask & nodes
+        self.loop_mask ^= nodes
 
     def toggle_edge(self, i: int, j: int) -> None:
         if i == j:
@@ -406,17 +421,34 @@ class _Masks:
             for l in _bits(group_b):
                 adj[l] ^= group_a
 
-    def freeze(self) -> StabilizerGraph:
-        g = self.source
-        hollow, loop = self.hollow, self.loop
-        reduced = None
-        if g._reduced is True:
-            written = self.rows | (hollow ^ g.hollow_mask) | (loop ^ g.loop_mask)
-            # Only nodes: a flag bit at or above n is _validate's to report.
-            reduced = _clean_at(hollow, loop, self.adj, written & ((1 << self.n) - 1))
+    def settle(self) -> None:
+        """Settle the verdict after one rewrite, from the nodes it wrote."""
+        hollow, loop = self.hollow_mask, self.loop_mask
+        written = self.rows | (hollow ^ self._hollow_at) | (loop ^ self._loop_at)
+        # Only nodes: a flag bit at or above n is _validate's to report.
+        written &= (1 << self.n) - 1
+        self._reduced = _clean_at(hollow, loop, self.adj, written) if self._reduced else None
+        self.rows, self._hollow_at, self._loop_at = 0, hollow, loop
+
+    def result(self, g: "StabilizerGraph | _Masks") -> "StabilizerGraph | _Masks":
+        """What a rewrite of ``g`` returns, its verdict settled: this
+        ``_Masks`` when ``g`` is it (a word runs in place), else a new graph."""
+        self.settle()
+        if g is self:
+            return self
         return StabilizerGraph._trusted(
-            self.n, hollow, loop, self.neg, tuple(self.adj), reduced
+            self.n, self.hollow_mask, self.loop_mask, self.neg_mask, tuple(self.adj),
+            self._reduced,
         )
+
+    def freeze(self) -> StabilizerGraph:
+        return self.result(None)
+
+
+def _scratch(g: "StabilizerGraph | _Masks") -> _Masks:
+    """The ``_Masks`` a rewrite of ``g`` writes: ``g`` itself when it is
+    one (a word in progress), else a fresh copy of graph ``g``."""
+    return g if type(g) is _Masks else _Masks(g)
 
 
 def _node_id(j: object, what: str = "node id") -> int:
@@ -439,13 +471,15 @@ def _check_node(g: StabilizerGraph, j: object) -> int:
 def is_reduced(g: StabilizerGraph) -> bool:
     """True when no hollow node has a loop or a hollow neighbor.
 
-    The verdict is cached on ``g``: the first call on a graph from the
-    constructor or a parser scans it, and rewrites of a reduced graph
-    arrive with the verdict already set by ``_Masks.freeze()``.
+    The verdict is cached on ``g`` (a graph, or a word's ``_Masks``): the
+    first call on a graph from the constructor or a parser scans it, and
+    rewrites of a reduced graph arrive with the verdict already settled
+    from the nodes they wrote.
     """
     verdict = g._reduced
     if verdict is None:
-        verdict = g.__dict__["_reduced"] = _scan_reduced(g)
+        verdict = _scan_reduced(g)
+        object.__setattr__(g, "_reduced", verdict)  # past the frozen dataclass
     return verdict
 
 
@@ -514,12 +548,12 @@ def advance_loop(g: StabilizerGraph, j: int) -> StabilizerGraph:
 def flip_fill(g: StabilizerGraph, j: int) -> StabilizerGraph:
     j = _check_node(g, j)
     m = _Masks(g)
-    m.hollow ^= 1 << j
+    m.hollow_mask ^= 1 << j
     return m.freeze()
 
 
 def flip_sign(g: StabilizerGraph, j: int) -> StabilizerGraph:
     j = _check_node(g, j)
     m = _Masks(g)
-    m.neg ^= 1 << j
+    m.neg_mask ^= 1 << j
     return m.freeze()

@@ -15,10 +15,17 @@ drawings.  Two rule families implement this:
 state-preserving step) and then applies the reduced CZ rule.
 
 Every rule writes one ``graph._Masks``: the graph's own flag masks beside
-its adjacency rows, which ``freeze()`` stores as the result's fields, so
-flipping the signs of a neighborhood is ``neg ^= adj[j]``.  T1, T2, T3,
-T5, T6 and the three CZ rules have bodies of their own; ``_general``
-holds the T1-T6 bodies.  The rest are compositions, as in the paper,
+its adjacency rows, so flipping the signs of a neighborhood is
+``neg_mask ^= adj[j]``.  Given a graph, a one-gate function copies it into
+a fresh ``_Masks`` and returns the frozen result.  ``apply_sequence``
+passes the word's one ``_Masks`` instead, through the same functions, the
+same classifiers and the same checks: the rule then runs in place, its
+``is_reduced`` verdict is settled from the nodes it wrote, and the
+function returns that ``_Masks``.  A general-mode CZ reduces it in place
+too, with ``to_reduced``.  The word is frozen once, at the end.
+
+T1, T2, T3, T5, T6 and the three CZ rules have bodies of their own;
+``_general`` holds the T1-T6 bodies.  The rest are compositions, as in the paper,
 where the reduced rules are general rules after E moves: T4 is E1 then
 T2.  Each reduced local rule is an E-move prelude and then the general
 rule it ends in: T(i) and T(v) are T1 alone, T(ii) is E1 then T1, T(iii)
@@ -47,6 +54,7 @@ from .graph import (
     _check_distinct,
     _check_node,
     _scan_reduced,
+    _scratch,
     is_reduced,
 )
 from .pauli import _gate_arity, _gate_targets
@@ -98,8 +106,8 @@ def classify_cz_reduced(g: StabilizerGraph, j: int, k: int) -> str:
 
 def _check_reduced(out: StabilizerGraph, rule: str) -> StabilizerGraph:
     # An explicit raise rather than an assert, so the check survives -O.
-    # The input passed the reduced pre-check, so freeze() has already
-    # settled the verdict from the nodes the rule wrote (a hollow written
+    # The input passed the reduced pre-check, so the rule's settle() has
+    # already taken the verdict from the nodes it wrote (a hollow written
     # node must have no loop and no hollow neighbor): this costs about
     # their number, not n.  apply_sequence rescans its result in full.
     if not is_reduced(out):
@@ -133,21 +141,21 @@ def _t3(m: _Masks, j: int) -> None:
     m.local_complement(j)
     nb = m.adj[j]
     m.advance(nb)
-    if (m.neg >> j) & 1:
-        m.neg ^= nb
+    if (m.neg_mask >> j) & 1:
+        m.neg_mask ^= nb
 
 
 def _t6(m: _Masks, j: int) -> None:
     # Z on a hollow node.
-    m.neg ^= m.adj[j]
-    if (m.loop >> j) & 1:
-        m.neg ^= 1 << j
+    m.neg_mask ^= m.adj[j]
+    if (m.loop_mask >> j) & 1:
+        m.neg_mask ^= 1 << j
 
 
 def _general(m: _Masks, rule: str, j: int) -> None:
     """The body of general rule ``rule`` (T1..T6) at node j."""
     if rule == "T1":
-        m.hollow ^= 1 << j
+        m.hollow_mask ^= 1 << j
     elif rule == "T2":
         _t2(m, j)
     elif rule == "T3":
@@ -157,7 +165,7 @@ def _general(m: _Masks, rule: str, j: int) -> None:
         _e1_core(m, j)
         _t2(m, j)
     elif rule == "T5":
-        m.neg ^= 1 << j
+        m.neg_mask ^= 1 << j
     else:  # T6
         _t6(m, j)
 
@@ -170,9 +178,9 @@ def apply_local(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
     """Apply H, S or Z at node j of an arbitrary graph (rules T1-T6)."""
     j = _check_node(g, j)
     rule = classify_local(g, gate, j)
-    m = _Masks(g)
+    m = _scratch(g)
     _general(m, rule, j)
-    return m.freeze()
+    return m.result(g)
 
 
 def apply_local_reduced(
@@ -192,7 +200,7 @@ def apply_local_reduced(
     rule = classify_local_reduced(g, gate, j)
     if hollow_choice is not None and rule not in ("T(iii)", "T(iv)"):
         raise ValueError(f"rule {rule} does not take a hollow neighbor")
-    m = _Masks(g)
+    m = _scratch(g)
     # The E-move prelude: T(ii) makes j hollow with E1, and T(iii) and
     # T(iv) move the hollow marker of neighbor k onto j with E(ii) or E(i).
     if rule == "T(ii)":
@@ -201,7 +209,7 @@ def apply_local_reduced(
         k = _pick_hollow_neighbor(g, j, hollow_choice)
         (_e2_core if rule == "T(iii)" else _ei_core)(m, k, j)
     _general(m, "T1" if gate == "H" else _GENERAL_OF[rule], j)
-    return _check_reduced(m.freeze(), rule)
+    return _check_reduced(m.result(g), rule)
 
 
 def apply_cz_reduced(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
@@ -210,27 +218,27 @@ def apply_cz_reduced(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
         raise ValueError("graph is not reduced")
     j, k = _check_distinct(g, j, k, "CZ targets")
     rule = classify_cz_reduced(g, j, k)
-    m = _Masks(g)
+    m = _scratch(g)
     if rule == "T(viii)":
         m.toggle_edge(j, k)
     elif rule == "T(ix)":
         solid, hollow = (j, k) if g.hollow_mask >> k & 1 else (k, j)
         connected = (m.adj[solid] >> hollow) & 1
-        hollow_neg = (m.neg >> hollow) & 1
+        hollow_neg = (m.neg_mask >> hollow) & 1
         for l in _bits(m.adj[hollow] & ~(1 << solid)):
             m.toggle_edge(solid, l)
         if connected != hollow_neg:
-            m.neg ^= 1 << solid
+            m.neg_mask ^= 1 << solid
     else:  # T(x): both hollow, necessarily disconnected in a reduced graph
-        j_neg, k_neg = (m.neg >> j) & 1, (m.neg >> k) & 1
+        j_neg, k_neg = (m.neg_mask >> j) & 1, (m.neg_mask >> k) & 1
         m.local_complement_edge_step3(j, k)
         nb_j, nb_k = m.adj[j], m.adj[k]
-        m.neg ^= nb_j & nb_k
+        m.neg_mask ^= nb_j & nb_k
         if j_neg:
-            m.neg ^= nb_k
+            m.neg_mask ^= nb_k
         if k_neg:
-            m.neg ^= nb_j
-    return _check_reduced(m.freeze(), rule)
+            m.neg_mask ^= nb_j
+    return _check_reduced(m.result(g), rule)
 
 
 def apply_cz(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
@@ -253,18 +261,25 @@ def apply_sequence(
     input must be reduced and the reduced rules are used throughout, so
     every intermediate graph is reduced too.
 
-    Each rule builds its result unchecked; the graph returned here gets
+    The word runs on one ``graph._Masks``: each gate goes through its
+    one-gate function, which rewrites that ``_Masks`` in place and settles
+    its verdict, and the result is frozen once, at the end.  It then gets
     the full structural validation once, and one full reduced scan that
-    ignores the verdict cached by the per-gate checks.
+    ignores the verdict cached by the per-gate checks.  An empty word
+    returns ``g`` itself.
     """
-    for gate, targets in gates:
-        targets = _gate_targets(gate, targets, g.n)
+    m = _Masks(g)
+    count = 0
+    for count, (gate, targets) in enumerate(gates, 1):
+        targets = _gate_targets(gate, targets, m.n)
         if gate == "CZ":
             apply = apply_cz_reduced if reduced else apply_cz
-            g = apply(g, *targets)
+            apply(m, *targets)
         else:
             apply = apply_local_reduced if reduced else apply_local
-            g = apply(g, gate, *targets)
+            apply(m, gate, *targets)
+    if count:
+        g = m.freeze()
     g._validate()
     scanned = _scan_reduced(g)
     if g._reduced not in (None, scanned):

@@ -439,6 +439,51 @@ RULE_REFERENCES = {
 }
 
 
+def apply_sequence_reference(
+    g: StabilizerGraph, gates, reduced: bool = False
+) -> StabilizerGraph:
+    """Reference for ``apply_sequence``: the word as a loop of one-gate
+    public calls, each of which returns a new graph, then the same checks
+    of the result."""
+    from stabgraph import (
+        InvariantError,
+        apply_cz,
+        apply_cz_reduced,
+        apply_local,
+        apply_local_reduced,
+    )
+    from stabgraph.graph import _scan_reduced
+    from stabgraph.pauli import _gate_targets
+
+    for gate, targets in gates:
+        targets = _gate_targets(gate, targets, g.n)
+        if gate == "CZ":
+            apply = apply_cz_reduced if reduced else apply_cz
+            g = apply(g, *targets)
+        else:
+            apply = apply_local_reduced if reduced else apply_local
+            g = apply(g, gate, *targets)
+    g._validate()
+    scanned = _scan_reduced(g)
+    if g._reduced not in (None, scanned):
+        raise InvariantError("a rule cached a wrong reduced verdict")
+    if reduced and not scanned:
+        raise ValueError("graph is not reduced")
+    return g
+
+
+def random_word(rng: random.Random, n: int, length: int) -> list:
+    """``length`` seeded H/S/Z/CZ gates on n nodes (no CZ when n = 1)."""
+    word = []
+    for _ in range(length):
+        gate = rng.choice("HSZC" if n >= 2 else "HSZ")
+        if gate == "C":
+            word.append(("CZ", tuple(rng.sample(range(n), 2))))
+        else:
+            word.append((gate, (rng.randrange(n),)))
+    return word
+
+
 def flag_mask_reference(flags) -> int:
     return sum(1 << j for j, f in enumerate(flags) if f)
 

@@ -197,7 +197,7 @@ def test_a_broken_t2_fails_exactly_the_rules_built_on_it(monkeypatch, capsys):
     # the state moves to an orthogonal one and every T2 case fails.
     def s_then_z(m, j):
         m.advance(1 << j)
-        m.neg ^= 1 << j
+        m.neg_mask ^= 1 << j
 
     argv = ["verify", "--n", "5", "--cases", "30", "--seed", "11"]
     assert _failed_rules(capsys, argv) == (0, set())

@@ -396,13 +396,13 @@ class TestMaskState:
             elif kind == "toggle_edge" and j != k:
                 m.toggle_edge(j, k)
             elif kind == "fill":
-                m.hollow ^= 1 << j
+                m.hollow_mask ^= 1 << j
             elif kind == "loop":
-                m.loop ^= 1 << j
+                m.loop_mask ^= 1 << j
             elif kind == "advance":
                 m.advance(1 << j)
             elif kind == "sign":
-                m.neg ^= 1 << j
+                m.neg_mask ^= 1 << j
         changed = sum(1 << l for l in range(n) if m.adj[l] != r.adj[l])
         assert not changed & ~m.rows
         out = m.freeze()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -29,6 +30,7 @@ import stabgraph
 from helpers import (
     flag_mask_reference,
     is_reduced_per_node,
+    random_word,
     sparse_graph,
     to_reduced_restart_scan,
 )
@@ -237,7 +239,7 @@ class TestReducedVerdictCache:
     def test_apply_sequence_rejects_a_flag_bit_at_or_above_n(self, monkeypatch):
         # The per-gate rules never look above n; the final validation does.
         def sign_past_the_end(m, j):
-            m.neg ^= 1 << m.n
+            m.neg_mask ^= 1 << m.n
 
         monkeypatch.setattr(transforms, "_t2", sign_past_the_end)
         with pytest.raises(ValueError, match=r"neg mask has bits at or above n=2"):
@@ -251,7 +253,7 @@ class TestReducedVerdictCache:
         # the nodes it wrote; a bit at or above n is no node, so it is left
         # to the final validation instead of indexing past the rows.
         def fill_past_the_end(m, j):
-            m.hollow ^= 1 << m.n
+            m.hollow_mask ^= 1 << m.n
 
         monkeypatch.setattr(transforms, "_t2", fill_past_the_end)
         g = StabilizerGraph.empty(3)
@@ -328,8 +330,8 @@ class TestWorklistToReduced:
 
 def _break_t2(m, j):
     # S on a solid node that leaves it hollow with a loop: not reduced.
-    m.hollow |= 1 << j
-    m.loop |= 1 << j
+    m.hollow_mask |= 1 << j
+    m.loop_mask |= 1 << j
 
 
 def _break_t2_edge(m, j):
@@ -386,14 +388,65 @@ class TestInvariantError:
         with pytest.raises(InvariantError, match=r"T\(vi\)"):
             apply_local_reduced(g, "S", 0)
 
+    @pytest.mark.parametrize("k", [0, 1, 5, 13])
+    def test_word_post_check_names_the_rule_at_gate_k(self, monkeypatch, k):
+        # The word runs in place on one _Masks; the per-gate post-check
+        # must still catch a body that breaks the invariant at gate k.
+        r = sparse_graph(12, 5, 0.3, reduced=True)
+        word = random_word(random.Random(k), 12, 40)
+        at = [i for i, (gate, _) in enumerate(word) if gate != "CZ"][k]
+        before = transforms.apply_sequence(r, word[:at], reduced=True)
+        gate, (j,) = word[at]
+        tag = classify_local_reduced(before, gate, j)
+        real, calls = transforms._general, []
+
+        def broken(m, rule, j):
+            real(m, rule, j)
+            if len(calls) == k:  # j comes out hollow with a loop
+                m.hollow_mask |= 1 << j
+                m.loop_mask |= 1 << j
+            calls.append(j)
+
+        monkeypatch.setattr(transforms, "_general", broken)
+        with pytest.raises(InvariantError, match=rf"^rule {re.escape(tag)} broke"):
+            transforms.apply_sequence(r, word, reduced=True)
+        assert len(calls) == k + 1
+
+    def test_word_post_check_under_python_O(self):
+        proc = _run_under_python_O(
+            """
+            import sys
+            from stabgraph import InvariantError, StabilizerGraph, transforms
+            real, calls = transforms._t2, []
+            def broken(m, j):
+                real(m, j)
+                if len(calls) == 2:
+                    m.hollow_mask |= 1 << j
+                    m.loop_mask |= 1 << j
+                calls.append(j)
+            transforms._t2 = broken
+            if sys.flags.optimize < 1:
+                sys.exit("not running under -O")
+            word = [("S", (0,)), ("CZ", (0, 1)), ("S", (1,)), ("H", (2,)), ("S", (0,))]
+            try:
+                transforms.apply_sequence(StabilizerGraph.empty(3), word, reduced=True)
+            except InvariantError as exc:
+                print("raised at call", len(calls), exc)
+            else:
+                sys.exit("the post-check did not fire")
+            """
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "raised at call 3 rule T(vi) broke the reduced invariant" in proc.stdout
+
     def test_check_survives_python_O(self):
         proc = _run_under_python_O(
             """
             import sys
             from stabgraph import InvariantError, StabilizerGraph, transforms
             def broken(m, j):
-                m.hollow |= 1 << j
-                m.loop |= 1 << j
+                m.hollow_mask |= 1 << j
+                m.loop_mask |= 1 << j
             transforms._t2 = broken
             if sys.flags.optimize < 1:
                 sys.exit("not running under -O")

@@ -9,13 +9,16 @@ written down here; the oracle checks in this file keep them honest.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import apply_sequence_reference, decorations, random_word, sparse_graph
 from stabgraph import (
+    InvariantError,
     StabilizerGraph,
     apply_E1,
     apply_Ei,
@@ -39,6 +42,7 @@ from stabgraph import (
     states_equal_up_to_global_phase,
     to_reduced,
 )
+from stabgraph.graph import _scan_reduced
 
 G = StabilizerGraph.build
 
@@ -419,6 +423,76 @@ class TestSequences:
         for gate, targets in gates:
             v = apply_gate_dense(v, gate, *targets)
         assert states_equal_up_to_global_phase(statevector_from_graph(out), v)
+
+
+def _outcome(apply, g, word, reduced):
+    """The graph ``apply`` returns, or the type and message it raises."""
+    try:
+        return apply(g, word, reduced)
+    except (ValueError, InvariantError) as exc:
+        return type(exc), str(exc)
+
+
+def _fresh(g: StabilizerGraph) -> StabilizerGraph:
+    """``g`` without a cached ``is_reduced`` verdict."""
+    return StabilizerGraph._trusted(g.n, g.hollow_mask, g.loop_mask, g.neg_mask, g.adj)
+
+
+def _check_word(g: StabilizerGraph, word: list, reduced: bool):
+    """``apply_sequence`` equals the one-gate loop, bit for bit, from a
+    graph with no verdict and from one whose verdict is known; returns
+    the loop's outcome."""
+    want = _outcome(apply_sequence_reference, _fresh(g), word, reduced)
+    known = _fresh(g)
+    is_reduced(known)
+    for src in (_fresh(g), known):
+        got = _outcome(apply_sequence, src, word, reduced)
+        assert got == want, (word, reduced)
+        if isinstance(got, StabilizerGraph):
+            assert got._reduced in (None, _scan_reduced(got))
+    return want
+
+
+class TestWordKernel:
+    """``apply_sequence`` runs a word on one ``_Masks``; the reference is
+    the loop of one-gate public calls that each return a new graph."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_graph(self, n):
+        rng = random.Random(n)
+        pairs = list(itertools.combinations(range(n), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                for g in decorations(n, list(edges)):
+                    word = random_word(rng, n, rng.randrange(1, 5))
+                    for reduced in (False, True):
+                        _check_word(g, word, reduced)
+
+    @pytest.mark.parametrize("n", [12, 64, 256, 1024])
+    @pytest.mark.parametrize("input_reduced", [True, False])
+    def test_seeded_long_words(self, n, input_reduced):
+        rng = random.Random(n)
+        g = sparse_graph(n, n, 2 / (n - 1), reduced=input_reduced)
+        word = random_word(rng, n, 256)
+        for reduced in (False, True):
+            want = _check_word(g, word, reduced)
+            if input_reduced or not reduced:  # the word ran to its end
+                assert isinstance(want, StabilizerGraph)
+            else:
+                assert want == (ValueError, "graph is not reduced")
+
+    def test_bad_target_in_gate_0_wins_over_an_unreduced_input(self):
+        g = G(2, hollow=[0], loops=[0])
+        word = [("H", (5,)), ("S", (0,))]
+        with pytest.raises(ValueError, match=r"^target 5 out of range for n=2$"):
+            apply_sequence(g, word, reduced=True)
+        assert _outcome(apply_sequence, g, word, True) == _outcome(
+            apply_sequence_reference, g, word, True
+        )
+        # One gate later, the unreduced input is reported first.
+        late = [("S", (0,)), ("H", (5,))]
+        with pytest.raises(ValueError, match=r"^graph is not reduced$"):
+            apply_sequence(g, late, reduced=True)
 
 
 class TestExpandGate:
