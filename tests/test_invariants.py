@@ -400,12 +400,12 @@ class TestInvariantError:
         tag = classify_local_reduced(before, gate, j)
         real, calls = transforms._general, []
 
-        def broken(m, rule, j):
-            real(m, rule, j)
-            if len(calls) == k:  # j comes out hollow with a loop
-                m.hollow_mask |= 1 << j
-                m.loop_mask |= 1 << j
-            calls.append(j)
+        def broken(m, rule, node):
+            real(m, rule, node)
+            if len(calls) == k:  # the target comes out hollow with a loop
+                m.hollow_mask |= 1 << node
+                m.loop_mask |= 1 << node
+            calls.append(node)
 
         monkeypatch.setattr(transforms, "_general", broken)
         with pytest.raises(InvariantError, match=rf"^rule {re.escape(tag)} broke"):
