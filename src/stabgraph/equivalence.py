@@ -24,10 +24,9 @@ dense-simulation oracle.
 
 Every move runs on ``graph._Masks``, where the fills, loops and signs are
 bitmasks: a move costs a complementation (one row operation per neighbor)
-and a few whole-mask operations, however dense its rows.  A move on a
-graph known to be reduced returns a result that carries its own
-``is_reduced`` verdict, settled from the nodes the move wrote; other
-sources leave the verdict to be found by a scan when it is asked for.
+and a few whole-mask operations, however dense its rows.  A move's result
+carries the suspect mask of its source plus the nodes the move wrote, so
+``is_reduced`` on it looks at those nodes only, whatever the source.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .graph import (
     _Masks,
     _bits,
     _check_node,
-    _hollow_clashes,
+    _offenders,
     _scratch,
     is_reduced,
 )
@@ -195,11 +194,17 @@ def _reduce_moves(g: StabilizerGraph) -> StabilizerGraph:
         todo = (todo & ~t) | (t & m.hollow_mask & m.loop_mask)
     else:
         raise InvariantError("loop-clearing phase failed to terminate")
-    # A hollow node is on the list when it has a hollow neighbor.  The
-    # lowest such i has only hollow neighbors above it, so (i, lowest
-    # hollow neighbor of i) is the lexicographically smallest pair.  E2
-    # fills i and k and rewrites only the rows of their neighborhoods.
-    todo = _hollow_clashes(map(m.adj.__getitem__, _bits(m.hollow_mask)), m.hollow_mask)
+    # A hollow node is on the list when it has a hollow neighbor.  No
+    # hollow node has a loop now, so the offenders in the suspect mask have
+    # hollow neighbors, and every hollow-hollow edge has an end among them:
+    # they and their hollow neighbors are the list.  The lowest i on it has
+    # only hollow neighbors above it, so (i, lowest hollow neighbor of i) is
+    # the lexicographically smallest pair.  E2 fills i and k and rewrites
+    # only the rows of their neighborhoods.
+    m.settle()
+    todo = m._suspect = _offenders(m, m._suspect)
+    for i in _bits(todo):
+        todo |= m.adj[i] & m.hollow_mask
     for _ in range(g.n + 1):
         if not todo:
             break

@@ -57,24 +57,26 @@ O(n) copy of the rows.
 
 The reduced invariant is checked after every reduced rule and after
 ``to_reduced``, with an explicit ``InvariantError`` that survives
-``python -O``.  ``is_reduced`` caches its verdict on the frozen graph, or
-on the word's ``_Masks``, so a graph from the constructor or a parser
-pays one full scan on its first check.  After each rewrite,
-``_Masks.settle()`` settles the verdict: when the state was known to be
-reduced, it looks only at the nodes whose fill, loop or adjacency row the
-rewrite wrote (the ``_Masks`` methods record the rows they write in
-``rows``), and a hollow one must have no loop and no hollow neighbor.  A
-reduced state can only break at a written node, so the check costs the
-number of written hollow nodes, not n.  ``apply_sequence`` backs this
-up, on the graph it returns, with one full scan that ignores the cached
-verdict.
+``python -O``.  What is known about it is one *suspect mask*, ``_suspect``,
+kept on the frozen graph and on the word's ``_Masks``: every hollow node
+with a loop, and at least one end of every hollow-hollow edge, is in it.
+``-1`` means every node, which is what the constructor, the parsers and
+``_trusted`` start from.  ``is_reduced`` shrinks the mask to its
+``_offenders`` (the hollow nodes in it with a loop or a hollow neighbor)
+and answers whether none is left; a mask of 0 answers at once.  Each
+rewrite's ``_Masks.settle()`` adds the nodes whose fill, loop or
+adjacency row it wrote (the ``_Masks`` methods record the rows they write
+in ``rows``): a clash can only appear at a written node, so the rule
+still holds, and the next check costs the number of written hollow nodes,
+not n.  ``apply_sequence`` backs this up, on the graph it returns, with
+one full ``_offenders`` scan that ignores the mask.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -194,16 +196,6 @@ def _symmetric_by_transpose(adj: Sequence[int], n: int) -> bool:
     return not (src == dst).any() and bool((codes == np.sort(dst * n + src)).all())
 
 
-def _hollow_clashes(hollow_rows: Iterable[int], hollow: int) -> int:
-    """Mask of the hollow nodes that have a hollow neighbor.
-
-    ``hollow`` is the mask of the hollow nodes and ``hollow_rows`` their
-    adjacency rows.  A hollow node clashes exactly when it lies in the
-    united neighborhoods of the hollow nodes.
-    """
-    return hollow & reduce(operator.or_, hollow_rows, 0)
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class StabilizerGraph:
     """A decorated graph describing a stabilizer state: ``n``, the three flag
@@ -215,9 +207,9 @@ class StabilizerGraph:
     neg_mask: int
     adj: Tuple[int, ...]
 
-    # Cached ``is_reduced`` verdict (None: not known yet).  Not annotated,
-    # so it is no dataclass field and leaves ==, hash and repr alone.
-    _reduced = None
+    # The suspect mask (-1: every node).  Not annotated, so it is no
+    # dataclass field and leaves ==, hash and repr alone.
+    _suspect = -1
 
     # Read-only tuple views of the flag masks, built on first use.
     hollow = cached_property(lambda self: tuple(map(bool, _flags(self.hollow_mask, self.n))))
@@ -256,20 +248,21 @@ class StabilizerGraph:
 
     @classmethod
     def _trusted(
-        cls, n: int, hollow: int, loop: int, neg: int, adj: Tuple[int, ...], reduced=None
+        cls, n: int, hollow: int, loop: int, neg: int, adj: Tuple[int, ...], suspect: int = -1
     ) -> "StabilizerGraph":
         """Build from flag masks without validation, for rewrites of a graph
-        already valid.  ``reduced`` is the ``is_reduced`` verdict (True or
-        False), when the caller knows it."""
+        already valid.  ``suspect`` is the suspect mask, when the caller
+        knows a narrower one than every node."""
         g = object.__new__(cls)
         g.__dict__.update(
-            n=n, hollow_mask=hollow, loop_mask=loop, neg_mask=neg, adj=adj, _reduced=reduced
+            n=n, hollow_mask=hollow, loop_mask=loop, neg_mask=neg, adj=adj, _suspect=suspect
         )
         return g
 
     @classmethod
     def empty(cls, n: int) -> "StabilizerGraph":
         """All nodes solid, no loops, no signs, no edges (the |+...+> state)."""
+        n = _node_id(n, "n")
         f = (False,) * n
         return cls(n, f, f, f, (0,) * n)
 
@@ -321,39 +314,30 @@ class StabilizerGraph:
         return bool((self.adj[i] >> j) & 1)
 
 
-def _clean_at(hollow: int, loop: int, adj: Sequence[int], nodes: int) -> bool:
-    """True when no node in the mask ``nodes`` is hollow with a loop or a
-    hollow neighbor; ``hollow`` and ``loop`` are the flag masks.  Costs
-    the number of hollow nodes in the mask."""
-    nodes &= hollow
-    return not nodes & loop and not any(adj[j] & hollow for j in _bits(nodes))
-
-
 class _Masks:
     """Scratch state of every rewrite: the fills, loops and signs as bitmasks
     (bit j is node j's flag) and the adjacency rows as a list.
 
     It reads like a graph: ``n``, ``hollow_mask``, ``loop_mask``,
-    ``neg_mask``, ``adj`` and the ``is_reduced`` verdict ``_reduced`` carry
-    the graph's own names, so the classifiers, ``is_reduced`` and
+    ``neg_mask``, ``adj`` and the suspect mask ``_suspect`` carry the
+    graph's own names, so the classifiers, ``is_reduced`` and
     ``_check_node`` take either.  A rule is then a few whole-row
     operations: advancing the loops of the nodes in a mask is
     ``advance(mask)``, flipping their signs is ``neg_mask ^= mask``, and
     the common neighbors of j and k are ``adj[j] & adj[k]``.  The methods
     that write adjacency rows record them in ``rows``.
 
-    ``settle()`` ends one rewrite.  A reduced graph can only break at a
-    node whose fill, loop or row the rewrite wrote, and a hollow one of
-    those must have no loop and no hollow neighbor; so when the rewrite
-    started from a state known to be reduced, the verdict is settled from
-    the written nodes, and after any other rewrite it is not known.
-    ``freeze()`` settles and stores the three masks as the fields of a new
-    graph.  A gate word drives one ``_Masks`` through all its gates,
-    settling after each, and freezes once at the end.
+    ``settle()`` ends one rewrite: it adds the nodes whose fill, loop or
+    row the rewrite wrote to the suspect mask.  A hollow node with a loop,
+    or a hollow-hollow edge, that the rewrite did not write at was there
+    before, so the mask keeps its rule.  ``freeze()`` settles and stores
+    the three masks and the suspect mask in a new graph.  A gate word
+    drives one ``_Masks`` through all its gates, settling after each, and
+    freezes once at the end.
     """
 
     __slots__ = ("n", "hollow_mask", "loop_mask", "neg_mask", "adj", "rows",
-                 "_reduced", "_hollow_at", "_loop_at")
+                 "_suspect", "_hollow_at", "_loop_at")
 
     def __init__(self, g: StabilizerGraph) -> None:
         self.n = g.n
@@ -362,7 +346,7 @@ class _Masks:
         self.neg_mask = g.neg_mask
         self.adj = list(g.adj)
         self.rows = 0
-        self._reduced = g._reduced
+        self._suspect = g._suspect
 
     def advance(self, nodes: int) -> None:
         # One phase gate on each node in the mask: add a loop, or trade an
@@ -422,23 +406,20 @@ class _Masks:
                 adj[l] ^= group_a
 
     def settle(self) -> None:
-        """Settle the verdict after one rewrite, from the nodes it wrote."""
+        """Add the nodes the last rewrite wrote to the suspect mask."""
         hollow, loop = self.hollow_mask, self.loop_mask
-        written = self.rows | (hollow ^ self._hollow_at) | (loop ^ self._loop_at)
-        # Only nodes: a flag bit at or above n is _validate's to report.
-        written &= (1 << self.n) - 1
-        self._reduced = _clean_at(hollow, loop, self.adj, written) if self._reduced else None
+        self._suspect |= self.rows | (hollow ^ self._hollow_at) | (loop ^ self._loop_at)
         self.rows, self._hollow_at, self._loop_at = 0, hollow, loop
 
     def result(self, g: "StabilizerGraph | _Masks") -> "StabilizerGraph | _Masks":
-        """What a rewrite of ``g`` returns, its verdict settled: this
-        ``_Masks`` when ``g`` is it (a word runs in place), else a new graph."""
+        """What a rewrite of ``g`` returns, settled: this ``_Masks`` when
+        ``g`` is it (a word runs in place), else a new graph."""
         self.settle()
         if g is self:
             return self
         return StabilizerGraph._trusted(
             self.n, self.hollow_mask, self.loop_mask, self.neg_mask, tuple(self.adj),
-            self._reduced,
+            self._suspect,
         )
 
     def freeze(self) -> StabilizerGraph:
@@ -471,24 +452,31 @@ def _check_node(g: StabilizerGraph, j: object) -> int:
 def is_reduced(g: StabilizerGraph) -> bool:
     """True when no hollow node has a loop or a hollow neighbor.
 
-    The verdict is cached on ``g`` (a graph, or a word's ``_Masks``): the
-    first call on a graph from the constructor or a parser scans it, and
-    rewrites of a reduced graph arrive with the verdict already settled
-    from the nodes they wrote.
+    Only the nodes in the suspect mask of ``g`` (a graph, or a word's
+    ``_Masks``) can break this, so the mask is shrunk to its offenders and
+    the answer is whether none is left: a graph from the constructor or a
+    parser pays one full scan on its first call, a rewrite of a reduced
+    graph the number of hollow nodes it wrote, and a mask of 0 nothing.
     """
-    verdict = g._reduced
-    if verdict is None:
-        verdict = _scan_reduced(g)
-        object.__setattr__(g, "_reduced", verdict)  # past the frozen dataclass
-    return verdict
+    suspect = g._suspect
+    if suspect:
+        suspect = _offenders(g, suspect)
+        object.__setattr__(g, "_suspect", suspect)  # past the frozen dataclass
+    return not suspect
 
 
-def _scan_reduced(g: StabilizerGraph) -> bool:
-    """The full O(n) ``is_reduced`` check, ignoring any cached verdict."""
-    hollow = g.hollow_mask
-    if hollow & g.loop_mask:
-        return False
-    return not _hollow_clashes(map(g.adj.__getitem__, _bits(hollow)), hollow)
+def _offenders(g: StabilizerGraph, nodes: int) -> int:
+    """Mask of the hollow nodes in the mask ``nodes`` (-1: every node) that
+    have a loop or a hollow neighbor; costs the number of those hollow
+    nodes."""
+    hollow, adj = g.hollow_mask, g.adj
+    # Only nodes: a flag bit at or above n is _validate's to report.
+    nodes &= hollow & ((1 << g.n) - 1)
+    out = nodes & g.loop_mask
+    for j in _bits(nodes):
+        if adj[j] & hollow:
+            out |= 1 << j
+    return out
 
 
 def neighbors(g: StabilizerGraph, j: int) -> set[int]:

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .circuit import GraphFormCircuit, graph_from_circuit
-from .graph import StabilizerGraph, _bits
+from .graph import StabilizerGraph, _bits, _node_id
 from .pauli import PauliString, _gate_targets
 
 MAX_QUBITS = 12
@@ -259,7 +259,7 @@ def stabilizer_check(
 
 def random_graph(n: int, seed: int) -> StabilizerGraph:
     """Deterministic random graph: each decoration bit and edge is a coin."""
-    n = operator.index(n)
+    n = _node_id(n, "n")
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
     rng = random.Random(seed)

@@ -97,6 +97,9 @@ class PauliString:
         return cls(len(body), *_decode(body), sign)
 
     def letter(self, j: int) -> str:
+        j = _node_id(j, "qubit")
+        if not 0 <= j < self.n:
+            raise ValueError(f"qubit {j} out of range for n={self.n}")
         return _LETTERS[(self.x >> j & 1) + 2 * (self.z >> j & 1)]
 
     def label(self) -> str:

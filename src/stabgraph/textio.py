@@ -104,6 +104,27 @@ def _int_token(toks: list[str], k: int, raw: str, lineno: int, what: str) -> int
     raise ParseError(msg, lineno, _column(raw, k))
 
 
+def _header(text: str, keyword: str, noun: str):
+    """Read the header line '<keyword> <n>' of a graph or circuit text
+    (``noun`` names which); returns (the remaining lines, n, and the
+    header's line number and raw line, for the caller's own checks of n)."""
+    lines = _token_lines(text)
+    try:
+        lineno, raw, toks = next(lines)
+    except StopIteration:
+        raise ParseError(f"empty {noun} description", 1, 1) from None
+    if toks[0] != keyword:
+        msg = f"expected '{keyword} <n>' header, got {toks[0]!r}"
+        raise ParseError(msg, lineno, _column(raw, 0))
+    if len(toks) != 2:
+        raise ParseError(f"header must be exactly '{keyword} <n>'", lineno, _column(raw, -1))
+    count = f"{keyword[:-1]} count"  # "nodes" -> "node count"
+    n = _int_token(toks, 1, raw, lineno, count)
+    if n < 1:
+        raise ParseError(f"{count} must be positive", lineno, _column(raw, 1))
+    return lines, n, lineno, raw
+
+
 # --- generator matrices -----------------------------------------------------
 
 
@@ -142,18 +163,7 @@ def format_generator_matrix(mat: GeneratorMatrix) -> str:
 
 
 def parse_graph(text: str) -> StabilizerGraph:
-    lines = _token_lines(text)
-    try:
-        lineno, raw, toks = next(lines)
-    except StopIteration:
-        raise ParseError("empty graph description", 1, 1) from None
-    if toks[0] != "nodes":
-        raise ParseError(f"expected 'nodes <n>' header, got {toks[0]!r}", lineno, _column(raw, 0))
-    if len(toks) != 2:
-        raise ParseError("header must be exactly 'nodes <n>'", lineno, _column(raw, -1))
-    n = _int_token(toks, 1, raw, lineno, "node count")
-    if n < 1:
-        raise ParseError("node count must be positive", lineno, _column(raw, 1))
+    lines, n, lineno, raw = _header(text, "nodes", "graph")
     # Each node needs a line of its own: reject a count above the number of
     # lines (bounded from above without splitting) before allocating n slots.
     if n > 1 + sum(map(text.count, _LINE_BREAKS)):
@@ -268,18 +278,7 @@ def graph_to_dot(g: StabilizerGraph) -> str:
 
 
 def parse_circuit(text: str) -> GraphFormCircuit:
-    lines = _token_lines(text)
-    try:
-        lineno, raw, toks = next(lines)
-    except StopIteration:
-        raise ParseError("empty circuit description", 1, 1) from None
-    if toks[0] != "qubits":
-        raise ParseError(f"expected 'qubits <n>' header, got {toks[0]!r}", lineno, _column(raw, 0))
-    if len(toks) != 2:
-        raise ParseError("header must be exactly 'qubits <n>'", lineno, _column(raw, -1))
-    n = _int_token(toks, 1, raw, lineno, "qubit count")
-    if n < 1:
-        raise ParseError("qubit count must be positive", lineno, _column(raw, 1))
+    lines, n, lineno, raw = _header(text, "qubits", "circuit")
     if n > _MAX_CIRCUIT_QUBITS:
         msg = f"qubit count {n} is above the limit of {_MAX_CIRCUIT_QUBITS}"
         raise ParseError(msg, lineno, _column(raw, 1))

@@ -19,8 +19,8 @@ its adjacency rows, so flipping the signs of a neighborhood is
 ``neg_mask ^= adj[j]``.  Given a graph, a one-gate function copies it into
 a fresh ``_Masks`` and returns the frozen result.  ``apply_sequence``
 passes the word's one ``_Masks`` instead, through the same functions, the
-same classifiers and the same checks: the rule then runs in place, its
-``is_reduced`` verdict is settled from the nodes it wrote, and the
+same classifiers and the same checks: the rule then runs in place, the
+nodes it wrote join the suspect mask that ``is_reduced`` checks, and the
 function returns that ``_Masks``.  A general-mode CZ reduces it in place
 too, with ``to_reduced``.  The word is frozen once, at the end.
 
@@ -53,7 +53,7 @@ from .graph import (
     _bits,
     _check_distinct,
     _check_node,
-    _scan_reduced,
+    _offenders,
     _scratch,
     is_reduced,
 )
@@ -106,10 +106,10 @@ def classify_cz_reduced(g: StabilizerGraph, j: int, k: int) -> str:
 
 def _check_reduced(out: StabilizerGraph, rule: str) -> StabilizerGraph:
     # An explicit raise rather than an assert, so the check survives -O.
-    # The input passed the reduced pre-check, so the rule's settle() has
-    # already taken the verdict from the nodes it wrote (a hollow written
-    # node must have no loop and no hollow neighbor): this costs about
-    # their number, not n.  apply_sequence rescans its result in full.
+    # The input passed the reduced pre-check, which left its suspect mask
+    # at 0, so the mask now holds just the nodes the rule wrote: this
+    # costs about their number, not n.  apply_sequence rescans its result
+    # in full.
     if not is_reduced(out):
         raise InvariantError(f"rule {rule} broke the reduced invariant")
     return out
@@ -262,11 +262,11 @@ def apply_sequence(
     every intermediate graph is reduced too.
 
     The word runs on one ``graph._Masks``: each gate goes through its
-    one-gate function, which rewrites that ``_Masks`` in place and settles
-    its verdict, and the result is frozen once, at the end.  It then gets
-    the full structural validation once, and one full reduced scan that
-    ignores the verdict cached by the per-gate checks.  An empty word
-    returns ``g`` itself.
+    one-gate function, which rewrites that ``_Masks`` in place and adds
+    the nodes it wrote to the suspect mask, and the result is frozen once,
+    at the end.  It then gets the full structural validation once, and one
+    full reduced scan that ignores the suspect mask and must agree with
+    ``is_reduced``.  An empty word returns ``g`` itself.
     """
     m = _Masks(g)
     count = 0
@@ -281,10 +281,10 @@ def apply_sequence(
     if count:
         g = m.freeze()
     g._validate()
-    scanned = _scan_reduced(g)
-    if g._reduced not in (None, scanned):
-        raise InvariantError("a rule cached a wrong reduced verdict")
-    if reduced and not scanned:  # only an empty word gets here
+    clean = not _offenders(g, -1)
+    if is_reduced(g) != clean:
+        raise InvariantError("a rule left a clash outside the suspect mask")
+    if reduced and not clean:  # only an empty word gets here
         raise ValueError("graph is not reduced")
     return g
 

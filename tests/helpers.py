@@ -140,6 +140,20 @@ def scrambled_group(n: int, seed: int):
     return GeneratorMatrix(n, tuple(rows))
 
 
+def keeps_the_suspect_rule(g: StabilizerGraph) -> bool:
+    """Reference for the rule of the suspect mask ``g._suspect`` (-1: every
+    node): every hollow node with a loop, and at least one end of every
+    hollow-hollow edge, is in it.  Looks at every hollow node outside the
+    mask and at every edge of it."""
+    inside = [bool(g._suspect >> j & 1) for j in range(g.n)]
+    for j in range(g.n):
+        if not g.hollow[j] or inside[j]:
+            continue
+        if g.loop[j] or any(g.hollow[k] and not inside[k] for k in bits_reference(g.adj[j])):
+            return False
+    return True
+
+
 def is_reduced_per_node(g: StabilizerGraph) -> bool:
     """Reference for ``is_reduced``: look at every node and every edge."""
     for j in range(g.n):
@@ -161,32 +175,37 @@ def is_reduced_per_node(g: StabilizerGraph) -> bool:
 
 
 class Mutable:
-    """List-based scratch copy of a graph, with per-node moves."""
+    """List-based scratch copy of a graph, with per-node moves.  The moves
+    that write adjacency rows record them in ``rows``, one node at a time."""
 
     def __init__(self, g: StabilizerGraph) -> None:
         self.n = g.n
-        self.source_reduced = g._reduced is True
+        self.source = g
         self.hollow = list(g.hollow)
         self.loop = list(g.loop)
         self.neg = list(g.neg)
         self.adj = list(g.adj)
+        self.rows = 0
 
     def freeze(self) -> StabilizerGraph:
-        """The result.  When the source was known to be reduced it carries
-        the reduced verdict, from a look at every hollow node's row."""
-        reduced = None
-        if self.source_reduced:
-            reduced = not any(
-                self.hollow[j]
-                and (self.loop[j] or any(self.hollow[k] for k in bits_reference(self.adj[j])))
-                for j in range(self.n)
-            )
+        """The result.  Its suspect mask is the source's plus every node
+        whose row was written or whose fill or loop differs from the
+        source's: the mask the engine's rewrite may carry at most."""
+        src = self.source
+        flipped = [
+            j for j in range(self.n)
+            if (self.hollow[j], self.loop[j]) != (src.hollow[j], src.loop[j])
+        ]
         return StabilizerGraph._trusted(
             self.n,
             *map(flag_mask_reference, (self.hollow, self.loop, self.neg)),
             tuple(self.adj),
-            reduced,
+            src._suspect | self.rows | sum(1 << j for j in flipped),
         )
+
+    def write_rows(self, nodes) -> None:
+        for l in nodes:
+            self.rows |= 1 << l
 
     def neighbors(self, j: int) -> set:
         return set(bits_reference(self.adj[j]))
@@ -195,6 +214,7 @@ class Mutable:
         return bool((self.adj[i] >> j) & 1)
 
     def toggle_edge(self, i: int, j: int) -> None:
+        self.write_rows((i, j))
         self.adj[i] ^= 1 << j
         self.adj[j] ^= 1 << i
 
@@ -214,12 +234,14 @@ class Mutable:
     def local_complement(self, j: int) -> None:
         nb = self.adj[j]
         for l in bits_reference(nb):
+            self.write_rows((l,))
             self.adj[l] ^= nb & ~(1 << l)
 
     def local_complement_edge(self, j: int, k: int) -> None:
         a = self.adj[j] | (1 << j)
         b = self.adj[k] | (1 << k)
         for l in bits_reference(a | b):
+            self.write_rows((l,))
             delta = 0
             if (a >> l) & 1:
                 delta ^= b
@@ -232,6 +254,7 @@ class Mutable:
         only_j = self.adj[j] & ~self.adj[k] & ~dm
         only_k = self.adj[k] & ~self.adj[j] & ~dm
         both = self.adj[j] & self.adj[k] & ~dm
+        self.write_rows(bits_reference(only_j | only_k | both))
         for group_a, group_b in ((only_j, only_k), (only_j, both), (only_k, both)):
             for l in bits_reference(group_a):
                 self.adj[l] ^= group_b
@@ -452,7 +475,7 @@ def apply_sequence_reference(
         apply_local,
         apply_local_reduced,
     )
-    from stabgraph.graph import _scan_reduced
+    from stabgraph.graph import _offenders, is_reduced
     from stabgraph.pauli import _gate_targets
 
     for gate, targets in gates:
@@ -464,10 +487,10 @@ def apply_sequence_reference(
             apply = apply_local_reduced if reduced else apply_local
             g = apply(g, gate, *targets)
     g._validate()
-    scanned = _scan_reduced(g)
-    if g._reduced not in (None, scanned):
-        raise InvariantError("a rule cached a wrong reduced verdict")
-    if reduced and not scanned:
+    clean = not _offenders(g, -1)
+    if is_reduced(g) != clean:
+        raise InvariantError("a rule left a clash outside the suspect mask")
+    if reduced and not clean:
         raise ValueError("graph is not reduced")
     return g
 

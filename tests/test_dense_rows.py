@@ -30,6 +30,7 @@ from helpers import (
     format_graph_reference,
     graph_to_dot_reference,
     is_reduced_per_node,
+    keeps_the_suspect_rule,
     sparse_graph,
     to_reduced_restart_scan,
 )
@@ -203,11 +204,17 @@ class TestValidation:
         assert str(err.value) == adjacency_error_reference(adj, r.n)
 
 
+def _check_suspects(out: StabilizerGraph, ref: StabilizerGraph) -> None:
+    """The engine's suspect mask keeps its rule and lies inside the
+    reference's: the source's mask plus the nodes the reference wrote."""
+    assert not out._suspect & ~ref._suspect
+    assert keeps_the_suspect_rule(out)
+
+
 def _check_move(out: StabilizerGraph, ref: StabilizerGraph) -> None:
     assert out == ref
-    assert out._reduced == ref._reduced
-    if out._reduced is not None:
-        assert out._reduced == is_reduced_per_node(out)
+    _check_suspects(out, ref)
+    assert is_reduced(out) == is_reduced_per_node(out)
 
 
 def _e_moves(g: StabilizerGraph, rng: random.Random, count: int):
@@ -219,7 +226,7 @@ def _e_moves(g: StabilizerGraph, rng: random.Random, count: int):
     pairs = [(j, k) for j, k in g.edges() if not g.loop[j] and not g.loop[k]]
     for j, k in rng.sample(pairs, min(count, len(pairs))):
         yield apply_E2, e2_reference, (j, k)
-    if g._reduced:
+    if not g._suspect:  # known to be reduced
         for rule, body, want_loop in ((apply_Ei, ei_reference, True), (apply_Eii, e2_reference, False)):
             pairs = [
                 (h, s)
@@ -254,7 +261,7 @@ class TestEMoves:
     def test_dense_reduced_form_at_n_1024(self, dense_reduced):
         g, r = dense_reduced
         assert r == to_reduced_restart_scan(g)
-        assert r._reduced is True and is_reduced_per_node(r)
+        assert r._suspect == 0 and is_reduced_per_node(r)
         kinds = set()
         for rule, body, nodes in _e_moves(r, random.Random(1), 1):
             _check_move(rule(r, *nodes), run_reference(r, body, *nodes))
@@ -316,7 +323,7 @@ def _fields(g: StabilizerGraph) -> tuple:
 
 def _check_rule(tag: str, out: StabilizerGraph, ref: StabilizerGraph) -> None:
     assert out == ref, tag
-    assert out._reduced == ref._reduced, tag
+    _check_suspects(out, ref)
     assert _fields(out) == tuple(map(flag_mask_reference, (out.hollow, out.loop, out.neg))), tag
 
 
@@ -331,8 +338,9 @@ class TestGateRules:
         fresh = StabilizerGraph(n, r.hollow, r.loop, r.neg, r.adj)
         rng = random.Random(n)
         tags = set()
-        # ``g`` and ``fresh`` come without a verdict: the general rules on
-        # them must leave none, and on ``r`` and ``drawn`` carry one.
+        # ``g`` and ``fresh`` come with every node suspect, and the general
+        # rules on them keep that; on ``r`` and ``drawn``, known to be
+        # reduced, they must carry just the nodes they wrote.
         for src in (g, fresh, r, drawn):
             for tag, out, ref in _gate_rules(src, rng, 2):
                 _check_rule(tag, out, ref)
@@ -378,12 +386,17 @@ class TestMaskState:
             ),
             max_size=4,
         ),
+        st.booleans(),
     )
-    def test_freeze_carries_the_verdict_of_any_writes(self, n, seed, writes):
-        # The E moves are a few such writes; the verdict freeze() settles
-        # from the written nodes must hold whatever the writes were.
-        r = sparse_graph(n, seed, 0.3, reduced=True)
-        assert is_reduced(r)
+    def test_freeze_carries_the_verdict_of_any_writes(self, n, seed, writes, reduced):
+        # The E moves are a few such writes; whatever the writes and the
+        # source were, the suspect mask freeze() carries (the source's
+        # offenders plus the written nodes) must keep its rule, so that
+        # is_reduced, which looks inside the mask only, is right.
+        r = sparse_graph(n, seed, 0.3, reduced=reduced)
+        assert is_reduced(r) == is_reduced_per_node(r)
+        assert r._suspect == sum(1 << j for j in range(n) if r.hollow[j] and (
+            r.loop[j] or any(r.hollow[k] for k in bits_reference(r.adj[j]))))
         m = _Masks(r)
         for kind, a, b in writes:
             j, k = a % n, b % n
@@ -405,15 +418,19 @@ class TestMaskState:
                 m.neg_mask ^= 1 << j
         changed = sum(1 << l for l in range(n) if m.adj[l] != r.adj[l])
         assert not changed & ~m.rows
+        written = m.rows | (m.hollow_mask ^ r.hollow_mask) | (m.loop_mask ^ r.loop_mask)
         out = m.freeze()
         out._validate()
-        assert out._reduced == is_reduced_per_node(out)
+        assert out._suspect == r._suspect | written
+        assert keeps_the_suspect_rule(out)
+        assert is_reduced(out) == is_reduced_per_node(out)
         assert _fields(out) == tuple(map(flag_mask_reference, (out.hollow, out.loop, out.neg)))
 
 
 class TestToReducedShortcut:
     def test_reduced_input_with_unknown_verdict_is_returned_as_is(self):
+        # A new graph has every node suspect; the check clears the mask.
         r = sparse_graph(40, 3, 0.1, reduced=True)
-        assert r._reduced is None
+        assert r._suspect == -1
         assert to_reduced(r) is r
-        assert r._reduced is True
+        assert r._suspect == 0

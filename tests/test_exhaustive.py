@@ -11,6 +11,9 @@ checked against that partition as a whole:
 * ``graphs_equivalent`` is true within a class and false across classes;
 * the E1/E2 moves connect exactly the graphs of one class.
 
+Every graph is also held to the per-node reference of reducedness by the
+full-width scan ``graph._offenders(g, -1)``.
+
 The matrices that ``generator_matrix_from_graph`` and
 ``to_canonical_form`` build without the public check are passed through
 the public ``GeneratorMatrix`` constructor here, which must accept them,
@@ -41,6 +44,7 @@ from stabgraph import (
     random_reduced_graph,
     to_canonical_form,
 )
+from stabgraph.graph import _offenders
 from stabgraph.oracle import graph_amplitudes
 
 SIZES = (1, 2, 3)
@@ -92,6 +96,7 @@ def test_every_state_is_counted_once(n):
     graphs, by_key = classes(n)
     assert len(graphs) == 8**n * 2 ** (n * (n - 1) // 2)
     assert len(set(graphs)) == len(graphs)
+    assert [not _offenders(g, -1) for g in graphs] == list(map(helpers.is_reduced_per_node, graphs))
     assert len(by_key) == stabilizer_state_count(n) == {1: 6, 2: 60, 3: 1080}[n]
 
 

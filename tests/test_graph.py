@@ -131,6 +131,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"n must be an integer"):
             StabilizerGraph(bad, f, f, f, (2, 1))
 
+    @pytest.mark.parametrize("bad", [2.0, "2", None])
+    def test_empty_rejects_n_that_is_not_an_integer(self, bad):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {bad!r}$"):
+            StabilizerGraph.empty(bad)
+
+    def test_empty_takes_numpy_n(self):
+        assert StabilizerGraph.empty(np.int64(2)) == StabilizerGraph.empty(2)
+
     def test_trusted_constructor_stays_unchecked(self):
         # Rewrites only ever write Python ints; the private constructor
         # takes the masks and rows as they are, even a bit at or above n.

@@ -5,8 +5,9 @@ constructor, so these tests stand in for the validation that used to run
 on every internal step: every public rewrite must return a graph that
 passes the full ``_validate()``.  They also pin the bitmask ``is_reduced``
 and the worklist ``to_reduced`` to per-node and restart-scan references,
-pin the ``is_reduced`` verdict that ``_Masks.freeze()`` derives from the
-written nodes to the per-node reference, and check that a broken rule
+hold the suspect mask that every rewrite leaves to its rule (every hollow
+node with a loop, and an end of every hollow-hollow edge, is in it) by a
+per-node reference, and check that a broken rule
 raises ``InvariantError`` even under ``python -O`` and maps to exit code 3
 on the command line.
 """
@@ -30,6 +31,7 @@ import stabgraph
 from helpers import (
     flag_mask_reference,
     is_reduced_per_node,
+    keeps_the_suspect_rule,
     random_word,
     sparse_graph,
     to_reduced_restart_scan,
@@ -182,28 +184,30 @@ class TestReducedVerdictCache:
     @given(graph_pairs())
     def test_cached_verdicts_match_the_per_node_reference(self, drawn):
         g, r, rng = drawn
-        # Settle the sources' verdicts first, as the reduced rules'
-        # pre-checks do; rewrites of a source known to be reduced then
-        # arrive with the verdict freeze() took from the written nodes.
+        # Check the sources first, as the reduced rules' pre-checks do, so
+        # that their masks shrink to their offenders; a rewrite's result
+        # then carries those plus the nodes it wrote, and is_reduced looks
+        # at that mask only.
         is_reduced(g)
         is_reduced(r)
         for src in (g, r):
             for name, out in _rewrites(src, r, rng):
-                if out._reduced is not None:
-                    assert out._reduced == is_reduced_per_node(out), name
+                assert keeps_the_suspect_rule(out), name
                 assert is_reduced(out) == is_reduced_per_node(out), name
 
     def test_rewrites_of_a_reduced_graph_carry_both_verdicts(self):
-        # The property above only compares verdicts that are there: make
-        # sure every rewrite of a reduced source leaves one, of both kinds.
+        # The property above is only as strong as the masks are narrow:
+        # make sure every rewrite of a source known to be reduced leaves a
+        # mask of the nodes it wrote, not every node, and that both
+        # verdicts come out of such masks.
         verdicts: dict = {}
         for seed in range(12):
             n = 6 + seed % 5
             r = sparse_graph(n, seed + 100, 0.4, reduced=True)
-            assert is_reduced(r)
+            assert is_reduced(r) and r._suspect == 0
             for name, out in _rewrites(r, r, random.Random(seed)):
-                assert out._reduced is not None, name
-                verdicts.setdefault(name, set()).add(out._reduced)
+                assert 0 <= out._suspect < 1 << n, name
+                verdicts.setdefault(name, set()).add(is_reduced(out))
         # T4 needs a hollow node with a loop, which no reduced graph has.
         assert set(verdicts) >= (GATE_TAGS - {"T4"}) | OTHER_REWRITES
         assert {True, False} <= set().union(*verdicts.values())
@@ -217,23 +221,23 @@ class TestReducedVerdictCache:
         g = StabilizerGraph.build(3, edges=[(0, 1)], hollow=[2], loops=[0])
         assert is_reduced(g)
         out = apply_local_reduced(g, "H", 1)
-        assert out._reduced is True
+        assert out._suspect == 0
         for cached in (g, out):
             fresh = StabilizerGraph(cached.n, cached.hollow, cached.loop, cached.neg, cached.adj)
-            assert fresh._reduced is None
+            assert fresh._suspect == -1
             assert cached == fresh and hash(cached) == hash(fresh)
             assert repr(cached) == repr(fresh)
-        assert "_reduced" not in {f.name for f in dataclasses.fields(StabilizerGraph)}
+        assert "_suspect" not in {f.name for f in dataclasses.fields(StabilizerGraph)}
 
     @pytest.mark.parametrize("reduced", [True, False])
     def test_apply_sequence_rescans_its_result(self, monkeypatch, reduced):
-        # A written-node check that sees nothing lets a broken rule past
-        # the per-gate post-check; the final full scan still catches it.
-        monkeypatch.setattr(graph, "_clean_at", lambda *args: True)
+        # A settle() that drops the nodes a rewrite wrote lets a broken rule
+        # past the per-gate post-check; the final full scan still catches it.
+        monkeypatch.setattr(graph._Masks, "settle", lambda m: None)
         monkeypatch.setattr(transforms, "_t2", _break_t2)
         g = StabilizerGraph.empty(2)
-        assert is_reduced(g)  # so that the general rule also derives a verdict
-        with pytest.raises(InvariantError, match="wrong reduced verdict"):
+        assert is_reduced(g)  # so that the word starts with no suspect
+        with pytest.raises(InvariantError, match="clash outside the suspect mask"):
             transforms.apply_sequence(g, [("S", (0,))], reduced=reduced)
 
     def test_apply_sequence_rejects_a_flag_bit_at_or_above_n(self, monkeypatch):
@@ -249,9 +253,9 @@ class TestReducedVerdictCache:
     def test_a_hollow_bit_at_n_is_reported_by_the_final_validation(
         self, monkeypatch, reduced
     ):
-        # freeze() settles the verdict of a rewrite of a reduced graph from
-        # the nodes it wrote; a bit at or above n is no node, so it is left
-        # to the final validation instead of indexing past the rows.
+        # The fill bit joins the suspect mask, but _offenders looks at
+        # nodes only; a bit at or above n is no node, so it is left to the
+        # final validation instead of indexing past the rows.
         def fill_past_the_end(m, j):
             m.hollow_mask ^= 1 << m.n
 
@@ -326,6 +330,22 @@ class TestWorklistToReduced:
     def test_matches_restart_scan_on_sparse_graphs(self, n, p):
         g = sparse_graph(n, n, p)
         assert to_reduced(g) == to_reduced_restart_scan(g)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("p", [0.3, 0.6])
+    def test_matches_restart_scan_from_a_narrow_suspect_mask(self, n, p):
+        # A checked graph's mask holds only the nodes written since the
+        # check, so clashes also run from those to hollow nodes outside
+        # it: the E2 worklist must start from all of them, or its moves
+        # come in another order (which changes the result now and then).
+        rng = random.Random(n)
+        for seed in range(200):
+            g = sparse_graph(n, seed, p, reduced=True)
+            assert is_reduced(g)
+            for _ in range(rng.randrange(1, 8)):
+                g = apply_local(g, rng.choice("HSZ"), rng.randrange(n))
+            assert 0 <= g._suspect < 1 << n
+            assert to_reduced(g) == to_reduced_restart_scan(g)
 
 
 def _break_t2(m, j):
@@ -438,6 +458,37 @@ class TestInvariantError:
         )
         assert proc.returncode == 0, proc.stderr
         assert "raised at call 3 rule T(vi) broke the reduced invariant" in proc.stdout
+
+    def test_word_rescan_under_python_O(self):
+        # With a settle() that drops what each rewrite wrote, the per-gate
+        # post-checks see nothing; the final full scan of the word still
+        # raises under -O, under both rule families.
+        proc = _run_under_python_O(
+            """
+            import sys
+            from stabgraph import InvariantError, StabilizerGraph, graph, is_reduced, transforms
+            def broken(m, j):
+                m.hollow_mask |= 1 << j
+                m.loop_mask |= 1 << j
+            transforms._t2 = broken
+            graph._Masks.settle = lambda m: None
+            if sys.flags.optimize < 1:
+                sys.exit("not running under -O")
+            g = StabilizerGraph.empty(2)
+            if not is_reduced(g):  # no suspect left when the word starts
+                sys.exit("the empty graph is not reduced")
+            for reduced in (True, False):
+                try:
+                    transforms.apply_sequence(g, [("S", (0,))], reduced=reduced)
+                except InvariantError as exc:
+                    print("raised:", reduced, exc)
+                else:
+                    sys.exit("the final rescan did not fire")
+            """
+        )
+        assert proc.returncode == 0, proc.stderr
+        for reduced in (True, False):
+            assert f"raised: {reduced} a rule left a clash outside the suspect mask" in proc.stdout
 
     def test_check_survives_python_O(self):
         proc = _run_under_python_O(

@@ -447,6 +447,16 @@ class TestRandomGraphs:
         assert random_graph(5, 123) == random_graph(5, 123)
         assert random_graph(5, 123) != random_graph(5, 124)
 
+    @pytest.mark.parametrize("sampler", [random_graph, random_reduced_graph])
+    @pytest.mark.parametrize("bad", [2.0, "3", None])
+    def test_rejects_n_that_is_not_an_integer(self, sampler, bad):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {bad!r}$"):
+            sampler(bad, 0)
+
+    def test_takes_numpy_n(self):
+        assert random_graph(np.int64(5), 3) == random_graph(5, 3)
+        assert random_reduced_graph(np.uint8(5), 3) == random_reduced_graph(5, 3)
+
     def test_reduced_sampler_is_reduced(self):
         for seed in range(120):
             assert is_reduced(random_reduced_graph(4, seed))

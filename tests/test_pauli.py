@@ -57,6 +57,18 @@ class TestPauliString:
         assert [p.letter(q) for q in range(4)] == ["I", "X", "Y", "Z"]
         assert p.sign == -1
 
+    @pytest.mark.parametrize("j", [2, 7, -1])
+    def test_letter_rejects_a_qubit_out_of_range(self, j):
+        p = PauliString.from_label("+XZ")
+        with pytest.raises(ValueError, match=rf"^qubit {j} out of range for n=2$"):
+            p.letter(j)
+
+    def test_letter_reads_the_qubit_as_a_node_id(self):
+        p = PauliString.from_label("+XZ")
+        assert p.letter(np.int64(1)) == "Z"
+        with pytest.raises(ValueError, match=r"^qubit must be an integer, got 1.0$"):
+            p.letter(1.0)
+
     def test_y_is_exactly_y(self):
         # The stored convention must make the (x=1, z=1) string the true
         # Pauli Y, not iXZ or -iXZ.

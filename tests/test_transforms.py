@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_sequence_reference, decorations, random_word, sparse_graph
+from helpers import (
+    apply_sequence_reference,
+    decorations,
+    keeps_the_suspect_rule,
+    random_word,
+    sparse_graph,
+)
 from stabgraph import (
     InvariantError,
     StabilizerGraph,
@@ -42,7 +48,7 @@ from stabgraph import (
     states_equal_up_to_global_phase,
     to_reduced,
 )
-from stabgraph.graph import _scan_reduced
+from stabgraph import equivalence, graph, transforms
 
 G = StabilizerGraph.build
 
@@ -434,13 +440,14 @@ def _outcome(apply, g, word, reduced):
 
 
 def _fresh(g: StabilizerGraph) -> StabilizerGraph:
-    """``g`` without a cached ``is_reduced`` verdict."""
+    """``g`` with every node suspect (suspect mask -1)."""
     return StabilizerGraph._trusted(g.n, g.hollow_mask, g.loop_mask, g.neg_mask, g.adj)
 
 
 def _check_word(g: StabilizerGraph, word: list, reduced: bool):
     """``apply_sequence`` equals the one-gate loop, bit for bit, from a
-    graph with no verdict and from one whose verdict is known; returns
+    graph with every node suspect and from one whose mask a check has
+    shrunk to its offenders, and its result's mask keeps its rule; returns
     the loop's outcome."""
     want = _outcome(apply_sequence_reference, _fresh(g), word, reduced)
     known = _fresh(g)
@@ -449,7 +456,7 @@ def _check_word(g: StabilizerGraph, word: list, reduced: bool):
         got = _outcome(apply_sequence, src, word, reduced)
         assert got == want, (word, reduced)
         if isinstance(got, StabilizerGraph):
-            assert got._reduced in (None, _scan_reduced(got))
+            assert keeps_the_suspect_rule(got)
     return want
 
 
@@ -480,6 +487,26 @@ class TestWordKernel:
                 assert isinstance(want, StabilizerGraph)
             else:
                 assert want == (ValueError, "graph is not reduced")
+
+    def test_a_general_word_makes_at_most_two_full_scans(self, monkeypatch):
+        # The suspect mask goes from gate to gate, so only the first check
+        # of the input and the final rescan look at every node; the other
+        # checks look at the nodes written since the last one.
+        n = 1024
+        g = sparse_graph(n, n, 2 / (n - 1), reduced=True)
+        word = random_word(random.Random(n), n, 256)
+        want = apply_sequence_reference(g, word)
+        real, full = graph._offenders, (1 << n) - 1
+        widths = []
+
+        def counted(g, nodes):
+            widths.append(nodes & full == full)
+            return real(g, nodes)
+
+        for module in (graph, transforms, equivalence):
+            monkeypatch.setattr(module, "_offenders", counted)
+        assert apply_sequence(_fresh(g), word) == want
+        assert sum(widths) <= 2 < len(widths)
 
     def test_bad_target_in_gate_0_wins_over_an_unreduced_input(self):
         g = G(2, hollow=[0], loops=[0])
