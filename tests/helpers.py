@@ -176,7 +176,7 @@ def is_reduced_per_node(g: StabilizerGraph) -> bool:
 
 class Mutable:
     """List-based scratch copy of a graph, with per-node moves.  The moves
-    that write adjacency rows record them in ``rows``, one node at a time."""
+    that write adjacency rows record them in ``rows``."""
 
     def __init__(self, g: StabilizerGraph) -> None:
         self.n = g.n
@@ -203,10 +203,6 @@ class Mutable:
             src._suspect | self.rows | sum(1 << j for j in flipped),
         )
 
-    def write_rows(self, nodes) -> None:
-        for l in nodes:
-            self.rows |= 1 << l
-
     def neighbors(self, j: int) -> set:
         return set(bits_reference(self.adj[j]))
 
@@ -214,7 +210,7 @@ class Mutable:
         return bool((self.adj[i] >> j) & 1)
 
     def toggle_edge(self, i: int, j: int) -> None:
-        self.write_rows((i, j))
+        self.rows |= (1 << i) | (1 << j)
         self.adj[i] ^= 1 << j
         self.adj[j] ^= 1 << i
 
@@ -234,14 +230,14 @@ class Mutable:
     def local_complement(self, j: int) -> None:
         nb = self.adj[j]
         for l in bits_reference(nb):
-            self.write_rows((l,))
+            self.rows |= 1 << l
             self.adj[l] ^= nb & ~(1 << l)
 
     def local_complement_edge(self, j: int, k: int) -> None:
         a = self.adj[j] | (1 << j)
         b = self.adj[k] | (1 << k)
         for l in bits_reference(a | b):
-            self.write_rows((l,))
+            self.rows |= 1 << l
             delta = 0
             if (a >> l) & 1:
                 delta ^= b
@@ -254,7 +250,7 @@ class Mutable:
         only_j = self.adj[j] & ~self.adj[k] & ~dm
         only_k = self.adj[k] & ~self.adj[j] & ~dm
         both = self.adj[j] & self.adj[k] & ~dm
-        self.write_rows(bits_reference(only_j | only_k | both))
+        self.rows |= only_j | only_k | both
         for group_a, group_b in ((only_j, only_k), (only_j, both), (only_k, both)):
             for l in bits_reference(group_a):
                 self.adj[l] ^= group_b
