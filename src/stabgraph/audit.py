@@ -4,10 +4,12 @@ For gate rules the check is that rewriting the graph and then reading its
 state equals applying the dense gate to the original state, up to global
 phase.  For equivalence rules the check is that the state does not move at
 all.  The audit is the glue between the rewrite engine and the oracle and
-deliberately knows nothing about how either side works.  It collects the
-rewrites of each audited graph first, then computes that graph's state
-and all of theirs in batches of one oracle pass each, and decides every
-check in one vectorized overlap per batch.
+deliberately knows nothing about how either side works.  The audit runs
+on pairs of a general and a reduced graph of the same n.  It collects
+the rewrites of both graphs of a pair first, each tagged with its
+source, then computes the two source states and all of the rewrites' in
+one oracle pass of bounded batches, and decides every check in one
+vectorized overlap per batch against its own source's expected row.
 """
 
 from __future__ import annotations
@@ -42,53 +44,59 @@ class RuleReport:
         return self.cases > 0 and self.failures == 0
 
 
-# The most amplitudes one oracle batch holds: a graph's checks run in
-# chunks of at most this many, so the audit's working memory is a few
-# 128 KB arrays at every n.  Measured on a 2-core Xeon: `verify --n 8`
-# ran as fast as with 2^14 or 2^15 (arrays that fit in cache), and at
-# n = 12 two rows per chunk keep the pair-table product on one BLAS
-# thread, where 3 to 6 rows had spikes of milliseconds.  The product
-# stays in float32 all the same: an integer one, which no BLAS thread
-# runs, took 20-60x as long (n = 8, 32 graphs: 232-427 us against 7-9
-# us; n = 12, 2 graphs: 847-1065 us against 41-47 us), so this chunk
-# size is the guard against the stalls.
+# The most amplitudes one oracle batch holds: a pair's checks run in
+# chunks of at most this many (but never fewer rows than the pair's two
+# sources, which share the first chunk), so the audit's working memory
+# is a few 128 KB arrays at every n.
+# Measured on a 2-core Xeon: `verify --n 8` ran as fast as with 2^14 or
+# 2^15 (arrays that fit in cache), and at n = 12 two rows per chunk keep
+# the pair-table product on one BLAS thread, where 3 to 6 rows had
+# spikes of milliseconds.  The product stays in float32 all the same: an
+# integer one, which no BLAS thread runs, took 20-60x as long (n = 8, 32
+# graphs: 232-427 us against 7-9 us; n = 12, 2 graphs: 847-1065 us
+# against 41-47 us), so this chunk size is the guard against the stalls.
+# Re-measured with the Hadamard factors, in-process `verify --n 12
+# --cases 24` over 8 seeds: at 2^13 the runs took 0.155-0.167 s (the
+# per-graph butterflies 0.17-0.21 s) with CPU time equal to wall time;
+# at 2^14 and 2^15 they took 0.15-0.16 s of wall time but twice that of
+# CPU time, the pair-table product on two threads, with n = 12 batches
+# of up to 2-3.5 ms.
 _BATCH_AMPLITUDES = 1 << 13
 
 
-def _verdicts(g: StabilizerGraph, cases: list) -> list[bool]:
-    """Oracle verdicts of rewrites of ``g``, in order.  A case is
-    (out, gate, extra): ``out`` must hold the state of ``g`` under
-    ``gate`` (a (name, targets) pair, or None for a rewrite that must
-    leave the state alone), up to global phase, and ``extra`` is the
-    result of any further check of ``out``.  The state of ``g`` is
-    computed once, in the first batch."""
-    per = max(1, _BATCH_AMPLITUDES >> g.n)
-    graphs = [g] + [out for out, _, _ in cases]
+def _verdicts(sources: list[StabilizerGraph], cases: list) -> list[bool]:
+    """Oracle verdicts of rewrites of ``sources`` (graphs that share n),
+    in order.  A case is (s, out, gate, extra): ``out`` must hold the
+    state of ``sources[s]`` under ``gate`` (a (name, targets) pair, or
+    None for a rewrite that must leave the state alone), up to global
+    phase, and ``extra`` is the result of any further check of ``out``.
+    Each source's state is computed once, in the first batch, and each
+    case's expected row is read from its own source."""
+    first = len(sources)
+    per = max(first, _BATCH_AMPLITUDES >> sources[0].n)
+    graphs = [*sources, *(out for _, out, _, _ in cases)]
     verdicts: list[bool] = []
     for start in range(0, len(graphs), per):
         after = graph_amplitudes(graphs[start : start + per])
         if start == 0:
-            before, after = after[0].copy(), after[1:]
-        chunk = cases[start - 1 if start else 0 : start + per - 1]
-        gated = [k for k, (_, gate, _) in enumerate(chunk) if gate is not None]
-        expected = np.tile(before, (len(after), 1))
-        expected[gated] = gate_images(before, [chunk[k][1] for k in gated])
+            before, after = after[:first].copy(), after[first:]
+        chunk = cases[max(start - first, 0) : start + per - first]
+        expected = np.empty_like(after)
+        for s, state in enumerate(before):
+            moves = [k for k, (t, _, gate, _) in enumerate(chunk) if t == s and gate is None]
+            gated = [k for k, (t, _, gate, _) in enumerate(chunk) if t == s and gate is not None]
+            expected[moves] = state
+            if gated:
+                expected[gated] = gate_images(state, [chunk[k][2] for k in gated])
         # |<after|expected>| row by row, conjugating in place.
         overlaps = np.abs(np.einsum("ij,ij->i", np.conjugate(after, out=after), expected))
         ok = overlaps >= 1.0 - DEFAULT_TOL
-        verdicts += [bool(o) and extra for o, (_, _, extra) in zip(ok, chunk)]
+        verdicts += [bool(o) and extra for o, (_, _, _, extra) in zip(ok, chunk)]
     return verdicts
 
 
-def _tally(counts: dict, cases: list, g: StabilizerGraph) -> None:
-    """Check the (rule, out, gate, extra) cases of ``g`` and count them."""
-    verdicts = _verdicts(g, [case[1:] for case in cases])
-    for (rule, *_), ok in zip(cases, verdicts):
-        c, f = counts[rule]
-        counts[rule] = (c + 1, f + (0 if ok else 1))
-
-
-def _audit_general_graph(g: StabilizerGraph, counts: dict) -> None:
+def _general_cases(g: StabilizerGraph) -> list:
+    """The (rule, out, gate, extra) cases of the general rules on ``g``."""
     cases = []
     for j in range(g.n):
         for gate in transforms.LOCAL_GATES:
@@ -100,10 +108,11 @@ def _audit_general_graph(g: StabilizerGraph, counts: dict) -> None:
         for k in range(j + 1, g.n):
             if g.has_edge(j, k) and not g.loop[j] and not g.loop[k]:
                 cases.append(("E2", equivalence.apply_E2(g, j, k), None, True))
-    _tally(counts, cases, g)
+    return cases
 
 
-def _audit_reduced_graph(g: StabilizerGraph, counts: dict) -> None:
+def _reduced_cases(g: StabilizerGraph) -> list:
+    """The (rule, out, gate, extra) cases of the reduced rules on ``g``."""
     cases = []
     for j in range(g.n):
         for gate in transforms.LOCAL_GATES:
@@ -127,7 +136,20 @@ def _audit_reduced_graph(g: StabilizerGraph, counts: dict) -> None:
             else:
                 out = equivalence.apply_Eii(g, h, s)
                 cases.append(("E(ii)", out, None, is_reduced(out)))
-    _tally(counts, cases, g)
+    return cases
+
+
+def _audit_pair(general: StabilizerGraph, reduced: StabilizerGraph, counts: dict) -> None:
+    """Check the general rules on ``general`` and the reduced rules on
+    ``reduced`` (of the same n) in one oracle pass, and count them."""
+    rules, checks = [], []
+    for s, cases in enumerate((_general_cases(general), _reduced_cases(reduced))):
+        for rule, *check in cases:
+            rules.append(rule)
+            checks.append((s, *check))
+    for rule, ok in zip(rules, _verdicts([general, reduced], checks)):
+        c, f = counts[rule]
+        counts[rule] = (c + 1, f + (0 if ok else 1))
 
 
 def audit_rules(max_n: int = 6, graphs: int = 200, seed: int = 0) -> list[RuleReport]:
@@ -140,8 +162,8 @@ def audit_rules(max_n: int = 6, graphs: int = 200, seed: int = 0) -> list[RuleRe
     counts = {rule: (0, 0) for rule in ALL_RULES}
     for i in range(graphs):
         n = 1 + i % max_n
-        _audit_general_graph(random_graph(n, rng.randrange(1 << 62)), counts)
-        _audit_reduced_graph(random_reduced_graph(n, rng.randrange(1 << 62)), counts)
+        general = random_graph(n, rng.randrange(1 << 62))
+        _audit_pair(general, random_reduced_graph(n, rng.randrange(1 << 62)), counts)
     return [RuleReport(rule, *counts[rule]) for rule in ALL_RULES]
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Sequence, Tuple
 
-from .graph import StabilizerGraph, _bits
+from .graph import StabilizerGraph, _bits, _node_id
 from .pauli import PauliString, Row, conjugate
 
 
@@ -42,15 +42,23 @@ class GraphFormCircuit:
     h_set: FrozenSet[int]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one qubit, got n={self.n}")
-        for i, j in self.cz:
-            if not (0 <= i < j < self.n):
+        # Python ints by ``operator.index`` and frozensets, whatever the
+        # caller passed, so the circuit hashes and compares like any other.
+        n = _node_id(self.n, "n")
+        if n < 1:
+            raise ValueError(f"need at least one qubit, got n={n}")
+        cz = frozenset((_node_id(i), _node_id(j)) for i, j in self.cz)
+        for i, j in cz:
+            if not (0 <= i < j < n):
                 raise ValueError(f"cz pair ({i}, {j}) must satisfy 0 <= i < j < n")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cz", cz)
         for name in ("z_set", "s_set", "h_set"):
-            for j in getattr(self, name):
-                if not 0 <= j < self.n:
+            qubits = frozenset(_node_id(j) for j in getattr(self, name))
+            for j in qubits:
+                if not 0 <= j < n:
                     raise ValueError(f"{name} index {j} out of range")
+            object.__setattr__(self, name, qubits)
 
 
 def graph_from_circuit(c: GraphFormCircuit) -> StabilizerGraph:

@@ -12,19 +12,23 @@ graph's adjacency rows and flag masks directly and prepares the graph's
 three-layer circuit (H on every qubit, CZ on every edge, then Z^neg,
 S^loop and H^hollow per node): one matrix product of per-graph weights
 against a cached table of qubit-pair products gives every amplitude its
-CZ/Z/S phase, each row is scaled by 1/sqrt(2) per Hadamard, each hollow
-qubit's Hadamard is an in-place butterfly over the rows where it is
-hollow, and one batched norm check ends the pass.  ``gate_images``
-applies gates to a state, reading the S, Z and CZ phases off the same
-pair table.  Three read-only tables are cached per n: ``_index_bits``
-(the bits of every basis index), ``_pair_products`` (every qubit pair's
-bit product) and ``_pair_weights`` (a graph's bits to its weights over
-the pairs).  ``statevector_from_graph`` and ``statevector_from_circuit``
-are one-row calls of ``graph_amplitudes``, and ``apply_gate_dense`` is
-the one-gate case of ``gate_images``.  Nothing in this module consults
-the rewrite rules or the closed-form generator formulas.  Sizes are
-capped (default 12 qubits) because vectors grow as 2^n.  The random
-graphs are built with the unchecked ``StabilizerGraph._trusted``: each
+CZ/Z/S phase.  A row's hollow Hadamards are the Kronecker product of a
+factor on the high half of the index bits and one on the low half, so
+they are two small matrix products per row (``_hadamards``), run on the
+unscaled, integer-valued rows, where every sum is exact; each row is
+then scaled by 1/sqrt(2) per Hadamard, and one batched norm check ends
+the pass.  ``gate_images`` applies gates to a state, reading the S, Z
+and CZ phases off the same pair table and running each H through the
+same factors.  Four read-only tables are cached per size:
+``_index_bits`` (the bits of every basis index), ``_pair_products``
+(every qubit pair's bit product), ``_pair_weights`` (a graph's bits to
+its weights over the pairs) and ``_hadamard_products`` (the unscaled
+Hadamard product on every subset of a block of qubits).
+``statevector_from_graph`` and ``statevector_from_circuit`` are one-row
+calls of ``graph_amplitudes``, and ``apply_gate_dense`` is the one-gate
+case of ``gate_images``.  Nothing in this module consults the rewrite
+rules or the closed-form generator formulas.  Sizes are capped (default
+12 qubits) because vectors grow as 2^n.  The random graphs are built with the unchecked ``StabilizerGraph._trusted``: each
 edge is set on both of its rows, and the repair clears every hollow
 row's hollow bits.
 """
@@ -32,7 +36,6 @@ row's hollow bits.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -40,13 +43,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .circuit import GraphFormCircuit, graph_from_circuit
-from .graph import StabilizerGraph, _bits, _node_id
+from .graph import StabilizerGraph, _node_id
 from .pauli import PauliString, _gate_targets
 
 MAX_QUBITS = 12
 DEFAULT_TOL = 1e-9
 _INV_SQRT2 = 2.0**-0.5
 _I_POWERS = np.array([1, 1j, -1, -1j])
+_I_POWER_PARTS = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
 _LOWEST_SQUARE, _HIGHEST_SQUARE = (1.0 - DEFAULT_TOL) ** 2, (1.0 + DEFAULT_TOL) ** 2
 
 
@@ -131,15 +135,42 @@ def _pair_weights(n: int) -> np.ndarray:
     return select
 
 
-def _butterfly(rows: np.ndarray, q: int) -> None:
-    """In place: Hadamard on qubit q of every row of the 2-D ``rows``,
-    without its 1/sqrt(2)."""
-    n = rows.shape[1].bit_length() - 1
-    view = rows.reshape(rows.shape[0], 1 << q, 2, 1 << (n - 1 - q))
-    lo, hi = view[:, :, 0], view[:, :, 1]
-    diff = lo - hi
-    lo += hi
-    hi[...] = diff
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _hadamard_products(k: int) -> np.ndarray:
+    """Read-only (2^k, 2^k, 2^k) float table: entry m is the unscaled
+    Hadamard on the qubits of mask m of a k-qubit block and the identity
+    on the others, bit q of m being qubit q (the block's q-th most
+    significant index bit), so every entry is 0, 1 or -1."""
+    table = np.ones((1, 1, 1))
+    for _ in range(k):  # the next qubit: the lowest index bit, the top mask bit
+        table = np.concatenate(
+            [np.kron(table, [np.eye(2)]), np.kron(table, [[[1, 1], [1, -1]]])]
+        )
+    table.flags.writeable = False
+    return table
+
+
+def _hadamards(parts: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+    """The complex (K, 2^n) rows, unscaled Hadamards on the qubits of
+    ``masks[k]`` in row k, of the float (2, K, 2^n) real and imaginary
+    ``parts`` (or of their one row, for every k).  With h = n // 2, each
+    part of a row is a 2^h x 2^(n - h) grid: its high qubits'
+    ``_hadamard_products`` factor multiplies it on the left and its low
+    qubits' factor on the right (the factors are symmetric).  Real and
+    imaginary parts are kept apart so that each product is a real one of
+    at most 64-square matrices at n = 12: OpenBLAS ran those on one
+    thread on a 2-core Xeon, where products twice as large, or complex
+    ones, took two threads."""
+    n = parts.shape[-1].bit_length() - 1
+    h = n // 2
+    high = _hadamard_products(h)[[m & ((1 << h) - 1) for m in masks]]
+    low = _hadamard_products(n - h)[[m >> h for m in masks]]
+    grid = parts.reshape(2, -1, 1 << h, 1 << (n - h))
+    product = (high @ grid @ low).reshape(2, len(masks), -1)
+    rows = np.empty(product.shape[1:], dtype=complex)
+    rows.real = product[0]
+    rows.imag = product[1]
+    return rows
 
 
 def graph_amplitudes(graphs: Sequence[StabilizerGraph]) -> np.ndarray:
@@ -147,11 +178,11 @@ def graph_amplitudes(graphs: Sequence[StabilizerGraph]) -> np.ndarray:
 
     Each graph's circuit runs layer by layer: basis state b gets
     i^(b.M.b), where M holds 2 on each edge and 2*neg + loop on the
-    diagonal, scaled by 1/sqrt(2) per layer-1 and hollow-node Hadamard;
-    then each hollow node's Hadamard is a butterfly on the rows where it
-    is hollow.  Raises ``ValueError`` for an empty batch, mixed sizes, a
-    size above ``MAX_QUBITS`` (before allocating) or a row that is not
-    normalized.
+    diagonal; then the hollow nodes' Hadamards act on the unscaled row
+    (``_hadamards``), and the row is scaled by 1/sqrt(2) per layer-1 and
+    hollow-node Hadamard.  Raises ``ValueError`` for an empty batch,
+    mixed sizes, a size above ``MAX_QUBITS`` (before allocating) or a row
+    that is not normalized.
     """
     if not graphs:
         raise ValueError("need at least one graph")
@@ -164,17 +195,10 @@ def graph_amplitudes(graphs: Sequence[StabilizerGraph]) -> np.ndarray:
     weights = _index_bits(n)[words].reshape(len(graphs), -1) @ _pair_weights(n)
     # Exact integers: the phase exponents b.M.b.
     exponent = (weights.astype(np.float32) @ _pair_products(n)).astype(np.intp)
-    amps = _I_POWERS[exponent & 3]
     hollow = [g.hollow_mask for g in graphs]
+    # Integer-valued until the scale: every sum is exact, in any order.
+    amps = _hadamards(_I_POWER_PARTS[:, exponent & 3], hollow)
     amps *= np.array([_INV_SQRT2 ** (n + h.bit_count()) for h in hollow])[:, None]
-    for q in _bits(functools.reduce(operator.or_, hollow)):
-        rows = [k for k, h in enumerate(hollow) if h >> q & 1]
-        if len(rows) == len(graphs):
-            _butterfly(amps, q)
-        elif rows:
-            part = amps[rows]
-            _butterfly(part, q)
-            amps[rows] = part
     _check_normalized(amps)
     return amps
 
@@ -185,25 +209,27 @@ def gate_images(amps: np.ndarray, gates: Sequence) -> np.ndarray:
 
     S, Z and CZ multiply each basis state by a power of i whose exponent
     is the gate's ``_pair_products`` row, times 1 for S and 2 for Z and CZ;
-    H multiplies by 1/sqrt(2), and its butterfly follows.  Every gate
-    name, target count and target is checked first.
+    H scales the state by 1/sqrt(2) and runs its qubit's unscaled
+    ``_hadamards`` factors.  Every gate name, target count and target is
+    checked first.
     """
     n = amps.size.bit_length() - 1
-    rows, powers, hadamards = [], [], []
+    rows, powers, hadamards, masks = [], [], [], []
     for k, (gate, targets) in enumerate(gates):
         targets = _gate_targets(gate, targets, n)
         if gate == "H":
-            hadamards.append((k, targets[0]))
+            hadamards.append(k)
+            masks.append(1 << targets[0])
         a, b = sorted(targets) if gate == "CZ" else targets * 2
         rows.append(a * n - a * (a - 1) // 2 + b - a)
         powers.append(0 if gate == "H" else 1 if gate == "S" else 2)
     exponent = _pair_products(n)[rows]
     exponent *= np.array(powers, dtype=np.float32)[:, None]
     out = _I_POWERS[exponent.astype(np.intp)]
-    out[[k for k, _ in hadamards]] = _INV_SQRT2  # in place of H's unused phase
     out *= amps
-    for k, q in hadamards:
-        _butterfly(out[k : k + 1], q)
+    if hadamards:
+        parts = np.stack((amps.real, amps.imag))[:, None] * _INV_SQRT2
+        out[hadamards] = _hadamards(parts, masks)
     _check_normalized(out)
     return out
 

@@ -92,6 +92,105 @@ E(ii)          7         0  PASS
 }
 
 
+# `stabgraph verify --n N --cases C --seed S` (exit code, table) as the
+# per-graph oracle passes printed them, before the audit decided each
+# general/reduced pair in one pass; a pass that drops or repeats a case
+# moves a count.  Seed 0 at n = 8 never reaches T(ii), so it exits 1.
+GOLDEN_VERIFY = {
+    (8, 8, 0): (1, """\
+rule       cases  failures  status
+T1            36         0  PASS
+T2            18         0  PASS
+T3             8         0  PASS
+T4            10         0  PASS
+T5            36         0  PASS
+T6            36         0  PASS
+T(i)           2         0  PASS
+T(ii)          0         0  NONE
+T(iii)         9         0  PASS
+T(iv)          7         0  PASS
+T(v)          18         0  PASS
+T(vi)         18         0  PASS
+T(vii)        18         0  PASS
+T(viii)       21         0  PASS
+T(ix)         46         0  PASS
+T(x)          17         0  PASS
+E1            22         0  PASS
+E2             7         0  PASS
+E(i)          10         0  PASS
+E(ii)         14         0  PASS
+"""),
+    (8, 8, 1): (0, """\
+rule       cases  failures  status
+T1            36         0  PASS
+T2            16         0  PASS
+T3             8         0  PASS
+T4            12         0  PASS
+T5            31         0  PASS
+T6            41         0  PASS
+T(i)           3         0  PASS
+T(ii)          3         0  PASS
+T(iii)         3         0  PASS
+T(iv)          6         0  PASS
+T(v)          21         0  PASS
+T(vi)         15         0  PASS
+T(vii)        21         0  PASS
+T(viii)       16         0  PASS
+T(ix)         35         0  PASS
+T(x)          33         0  PASS
+E1            25         0  PASS
+E2             2         0  PASS
+E(i)          17         0  PASS
+E(ii)          8         0  PASS
+"""),
+    (8, 8, 42): (0, """\
+rule       cases  failures  status
+T1            36         0  PASS
+T2            15         0  PASS
+T3            11         0  PASS
+T4            10         0  PASS
+T5            30         0  PASS
+T6            42         0  PASS
+T(i)           2         0  PASS
+T(ii)          3         0  PASS
+T(iii)         6         0  PASS
+T(iv)          4         0  PASS
+T(v)          21         0  PASS
+T(vi)         15         0  PASS
+T(vii)        21         0  PASS
+T(viii)       19         0  PASS
+T(ix)         42         0  PASS
+T(x)          23         0  PASS
+E1            14         0  PASS
+E2            20         0  PASS
+E(i)           8         0  PASS
+E(ii)          9         0  PASS
+"""),
+    (6, 40, 0): (0, """\
+rule       cases  failures  status
+T1           136         0  PASS
+T2            67         0  PASS
+T3            35         0  PASS
+T4            34         0  PASS
+T5           127         0  PASS
+T6           145         0  PASS
+T(i)          13         0  PASS
+T(ii)          9         0  PASS
+T(iii)        15         0  PASS
+T(iv)         23         0  PASS
+T(v)          76         0  PASS
+T(vi)         60         0  PASS
+T(vii)        76         0  PASS
+T(viii)       57         0  PASS
+T(ix)         96         0  PASS
+T(x)          67         0  PASS
+E1            73         0  PASS
+E2            17         0  PASS
+E(i)          32         0  PASS
+E(ii)         21         0  PASS
+"""),
+}
+
 def test_rule_inventory():
     assert set(GATE_RULES) == {
         "T1", "T2", "T3", "T4", "T5", "T6",
@@ -147,25 +246,38 @@ def test_verdicts_compute_their_own_reference():
     for j in range(4):
         for gate in ("H", "S", "Z"):
             out = transforms.apply_local(g, gate, j)
-            assert audit._verdicts(g, [(out, (gate, (j,)), True)]) == [True]
+            assert audit._verdicts([g], [(0, out, (gate, (j,)), True)]) == [True]
             out = transforms.apply_local_reduced(r, gate, j)
-            assert audit._verdicts(r, [(out, (gate, (j,)), True)]) == [True]
+            assert audit._verdicts([r], [(0, out, (gate, (j,)), True)]) == [True]
         for k in range(j + 1, 4):
             out = transforms.apply_cz_reduced(r, j, k)
-            assert audit._verdicts(r, [(out, ("CZ", (j, k)), True)]) == [True]
-    assert audit._verdicts(g, [(g, None, True)]) == [True]
-    assert audit._verdicts(g, [(flip_sign(g, 0), None, True)]) == [False]
-    assert audit._verdicts(g, [(g, None, False)]) == [False]
+            assert audit._verdicts([r], [(0, out, ("CZ", (j, k)), True)]) == [True]
+    assert audit._verdicts([g], [(0, g, None, True)]) == [True]
+    assert audit._verdicts([g], [(0, flip_sign(g, 0), None, True)]) == [False]
+    assert audit._verdicts([g], [(0, g, None, False)]) == [False]
+
+
+def test_verdicts_read_each_case_against_its_own_source():
+    # Two sources in one pass: a case is right against its own source and
+    # wrong against the other, whose state is orthogonal to it.
+    g = random_graph(4, 5)
+    other = flip_sign(g, 0)
+    out = transforms.apply_local(g, "H", 1)
+    wrong = transforms.apply_local(other, "H", 1)
+    cases = [(0, out, ("H", (1,)), True), (1, out, ("H", (1,)), True),
+             (1, wrong, ("H", (1,)), True), (0, g, None, True), (1, g, None, True)]
+    assert audit._verdicts([g, other], cases) == [True, False, True, True, False]
 
 
 @pytest.mark.parametrize("reduced", [False, True])
 def test_each_audited_graph_state_is_computed_once(monkeypatch, reduced):
-    # The audited graph's own state is computed once, as the first row of
-    # the first batch, and every check gets exactly one row.  A budget of
-    # 64 amplitudes (two rows at n = 5) splits the checks over batches.
+    # An audited pair's two states are computed once, as the first two
+    # rows of the first batch, and every check of either graph gets
+    # exactly one row.  A budget of 64 amplitudes (two rows at n = 5)
+    # splits the checks over batches.  With ``reduced``, the graph the
+    # general rules run on is a reduced one too.
     sample = random_reduced_graph if reduced else random_graph
-    run = audit._audit_reduced_graph if reduced else audit._audit_general_graph
-    g = sample(5, 8)
+    g, r = sample(5, 8), random_reduced_graph(5, 9)
     real = audit.graph_amplitudes
     for budget in (audit._BATCH_AMPLITUDES, 1 << 6):
         batches = []
@@ -177,13 +289,21 @@ def test_each_audited_graph_state_is_computed_once(monkeypatch, reduced):
         monkeypatch.setattr(audit, "graph_amplitudes", spy)
         monkeypatch.setattr(audit, "_BATCH_AMPLITUDES", budget)
         counts = {rule: (0, 0) for rule in ALL_RULES}
-        run(g, counts)
+        audit._audit_pair(g, r, counts)
         rows = [graph for batch in batches for graph in batch]
         checks = sum(c for c, _ in counts.values())
-        assert checks > 0 and len(rows) == checks + 1
-        assert rows[0] is g
+        general = len(audit._general_cases(g))
+        assert 0 < general < checks and len(rows) == checks + 2
+        assert rows[0] is g and rows[1] is r
         assert len(batches) == -(-len(rows) // (budget >> g.n))
         assert all(f == 0 for _, f in counts.values())
+
+
+@pytest.mark.parametrize("budget", sorted(GOLDEN_VERIFY))
+def test_verify_output_is_pinned(capsys, budget):
+    n, cases, seed = budget
+    code = main(["verify", "--n", str(n), "--cases", str(cases), "--seed", str(seed)])
+    assert (code, capsys.readouterr().out) == GOLDEN_VERIFY[budget]
 
 
 def _failed_rules(capsys, argv) -> tuple:
@@ -205,16 +325,30 @@ def test_a_broken_t2_fails_exactly_the_rules_built_on_it(monkeypatch, capsys):
     assert _failed_rules(capsys, argv) == (1, {"T2", "T4", "T(vi)"})
 
 
-@pytest.mark.parametrize("permute", ["all", "rewrites"])
+@pytest.mark.parametrize("permute", ["all", "rewrites", "sources"])
 def test_a_batch_with_permuted_rows_is_caught(monkeypatch, permute):
+    # "sources" swaps the two source states of each audited pair, so
+    # every case is checked against the other graph's state.
     real = audit.graph_amplitudes
+    real_verdicts = audit._verdicts
+    first_batch = []
+
+    def verdicts(sources, cases):
+        first_batch.append(True)
+        return real_verdicts(sources, cases)
 
     def permuted(graphs, *args, **kwargs):
         rows = real(graphs, *args, **kwargs)
         if permute == "all":
             return rows[::-1].copy()
-        return np.concatenate([rows[:1], rows[:0:-1]])
+        if permute == "rewrites":
+            return np.concatenate([rows[:1], rows[:0:-1]])
+        if first_batch:
+            first_batch.clear()
+            return rows[[1, 0, *range(2, len(rows))]]
+        return rows
 
+    monkeypatch.setattr(audit, "_verdicts", verdicts)
     monkeypatch.setattr(audit, "graph_amplitudes", permuted)
     reports = audit_rules(max_n=4, graphs=24, seed=0)
     assert sum(r.failures for r in reports) > 0

@@ -7,6 +7,7 @@ agreement (including signs) is the main invariant here.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,35 @@ class TestCircuitType:
         with pytest.raises(ValueError):
             GraphFormCircuit(2, frozenset({(1, 1)}), frozenset(), frozenset(), frozenset())
 
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2.0, (), (), (), ()), "n must be an integer"),
+            (("2", (), (), (), ()), "n must be an integer"),
+            ((2, (), {1.0}, (), ()), "node id must be an integer"),
+            ((2, (), (), (), {"1"}), "node id must be an integer"),
+            ((2, {(0, 1.0)}, (), (), ()), "node id must be an integer"),
+        ],
+    )
+    def test_rejects_ids_that_are_not_integers(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            GraphFormCircuit(*args)
+
+    def test_stores_python_ints_in_frozensets(self):
+        # Lists and sets are taken as given and stored as frozensets, so
+        # the frozen circuit hashes; numpy ids become Python ints.
+        want = GraphFormCircuit(
+            2, frozenset({(0, 1)}), frozenset(), frozenset({1}), frozenset()
+        )
+        got = GraphFormCircuit(2, [(0, 1)], set(), {1}, set())
+        assert got == want and hash(got) == hash(want)
+        assert all(type(field) is frozenset for field in (got.cz, got.z_set, got.s_set, got.h_set))
+        c = GraphFormCircuit(np.int64(3), [(np.int64(0), np.int64(2))], [np.int64(1)], (), ())
+        assert type(c.n) is int and c.n == 3
+        assert all(type(q) is int for pair in c.cz for q in pair)
+        assert [type(q) for q in c.z_set] == [int]
+        assert c == GraphFormCircuit(3, frozenset({(0, 2)}), frozenset({1}), frozenset(), frozenset())
 
 class TestGraphCircuitBijection:
     def test_bell_graph_circuit(self):

@@ -125,7 +125,7 @@ class TestGraphStates:
 
 class TestLayerByLayerCircuit:
     """``statevector_from_circuit`` runs the diagonal layers in one pass and
-    the Hadamards as butterflies; it must agree amplitude by amplitude,
+    the Hadamards as Kronecker factors; it must agree amplitude by amplitude,
     global phase included, with a gate-by-gate run and with the product of
     kron-built unitaries."""
 
@@ -230,16 +230,18 @@ class TestBatchedKernel:
             graph_amplitudes([StabilizerGraph.empty(13)])
 
     def test_a_corrupted_row_fails_the_norm_check(self, monkeypatch):
-        # A butterfly that bends the last row of every stack it transforms.
-        real = oracle._butterfly
+        # A factor table whose every Hadamard factor is bent off unitary;
+        # mask 0, the identity, is left alone.
+        real = oracle._hadamard_products
 
-        def bend_last_row(rows, q):
-            real(rows, q)
-            rows[-1] *= 1.001
+        def bent_table(k):
+            table = real(k).copy()
+            table[1:] *= 1.001
+            return table
 
         v = statevector_from_graph(random_graph(4, 0))
         hollow = [G(4, edges=[(0, 1)], hollow=[k], neg=[2]) for k in range(4)]
-        monkeypatch.setattr(oracle, "_butterfly", bend_last_row)
+        monkeypatch.setattr(oracle, "_hadamard_products", bent_table)
         with pytest.raises(ValueError, match="not normalized"):
             graph_amplitudes(hollow)
         with pytest.raises(ValueError, match="not normalized"):
@@ -249,16 +251,20 @@ class TestBatchedKernel:
         code = (
             "import numpy as np\n"
             "from stabgraph import oracle, StabilizerGraph\n"
-            "real = oracle._butterfly\n"
-            "def bad(rows, q):\n"
-            "    real(rows, q)\n"
-            "    rows[-1, 0] = np.nan\n"
-            "oracle._butterfly = bad\n"
             "g = StabilizerGraph.build(3, hollow=[1])\n"
-            "try:\n"
-            "    oracle.graph_amplitudes([g, g])\n"
-            "except ValueError as exc:\n"
-            "    print('raised:', exc)\n"
+            "v = oracle.statevector_from_graph(g)\n"
+            "real = oracle._hadamard_products\n"
+            "def bad(k):\n"
+            "    table = real(k).copy()\n"
+            "    table[1:, 0, 0] = np.nan\n"
+            "    return table\n"
+            "oracle._hadamard_products = bad\n"
+            "for call in (lambda: oracle.graph_amplitudes([g, g]),\n"
+            "             lambda: oracle.gate_images(v.amps, [('H', (2,))])):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        print('raised:', exc)\n"
         )
         src = str(Path(stabgraph.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -268,7 +274,36 @@ class TestBatchedKernel:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "raised: state is not normalized"
+        assert run.stdout.splitlines() == ["raised: state is not normalized"] * 2
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_hollow_mask_matches_the_butterflies(self, n):
+        # Every hollow mask at n <= 8 and seeded ones above, each over a
+        # random CZ/Z/S layer: the Kronecker factors must give the
+        # butterfly reference's rows exactly.
+        rng = np.random.default_rng(n)
+        masks = range(1 << n) if n <= 8 else [0, (1 << n) - 1, *rng.integers(1 << n, size=14)]
+        circuits = []
+        for k, mask in enumerate(masks):
+            c = random_circuit(n, 1000 * n + k)
+            hollow = frozenset(q for q in range(n) if int(mask) >> q & 1)
+            circuits.append(GraphFormCircuit(n, c.cz, c.z_set, c.s_set, hollow))
+        rows = graph_amplitudes([_graph_of(c) for c in circuits])
+        for c, row in zip(circuits, rows):
+            assert np.array_equal(row, statevector_layer_by_layer(c))
+
+    def test_hadamard_table_is_read_only_and_shared(self):
+        table = oracle._hadamard_products(2)
+        assert table is oracle._hadamard_products(2)
+        assert table.shape == (4, 4, 4) and not table.flags.writeable
+        h, eye = np.array([[1, 1], [1, -1]]), np.eye(2)
+        # Bit q of the mask is qubit q, the q-th most significant index bit.
+        for mask, factor in ((0, np.kron(eye, eye)), (1, np.kron(h, eye)),
+                             (2, np.kron(eye, h)), (3, np.kron(h, h))):
+            assert np.array_equal(table[mask], factor)
+        assert np.array_equal(oracle._hadamard_products(0), [[[1]]])
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1
 
     def test_pair_table_is_read_only_and_shared(self):
         table = _pair_products(3)
