@@ -47,20 +47,16 @@ class RuleReport:
 # The most amplitudes one oracle batch holds: a pair's checks run in
 # chunks of at most this many (but never fewer rows than the pair's two
 # sources, which share the first chunk), so the audit's working memory
-# is a few 128 KB arrays at every n.
-# Measured on a 2-core Xeon: `verify --n 8` ran as fast as with 2^14 or
-# 2^15 (arrays that fit in cache), and at n = 12 two rows per chunk keep
-# the pair-table product on one BLAS thread, where 3 to 6 rows had
-# spikes of milliseconds.  The product stays in float32 all the same: an
-# integer one, which no BLAS thread runs, took 20-60x as long (n = 8, 32
-# graphs: 232-427 us against 7-9 us; n = 12, 2 graphs: 847-1065 us
+# is a few 128 KB arrays at every n.  Measured on a 2-core Xeon:
+# `verify --n 8` ran as fast as with 2^14 or 2^15 (arrays that fit in
+# cache), and at n = 12 two rows per chunk keep the pair-table product on
+# one BLAS thread, where 3 to 6 rows had spikes of milliseconds: in
+# in-process `verify --n 12 --cases 24` (8 seeds), CPU time equalled wall
+# time at 2^13 and was twice the wall time at 2^14 and 2^15, with n = 12
+# batches of up to 2-3.5 ms.  The product stays in float32 all the same:
+# an integer one, which no BLAS thread runs, took 20-60x as long (n = 8,
+# 32 graphs: 232-427 us against 7-9 us; n = 12, 2 graphs: 847-1065 us
 # against 41-47 us), so this chunk size is the guard against the stalls.
-# Re-measured with the Hadamard factors, in-process `verify --n 12
-# --cases 24` over 8 seeds: at 2^13 the runs took 0.155-0.167 s (the
-# per-graph butterflies 0.17-0.21 s) with CPU time equal to wall time;
-# at 2^14 and 2^15 they took 0.15-0.16 s of wall time but twice that of
-# CPU time, the pair-table product on two threads, with n = 12 batches
-# of up to 2-3.5 ms.
 _BATCH_AMPLITUDES = 1 << 13
 
 

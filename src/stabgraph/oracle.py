@@ -28,9 +28,9 @@ Hadamard product on every subset of a block of qubits).
 calls of ``graph_amplitudes``, and ``apply_gate_dense`` is the one-gate
 case of ``gate_images``.  Nothing in this module consults the rewrite
 rules or the closed-form generator formulas.  Sizes are capped (default
-12 qubits) because vectors grow as 2^n.  The random graphs are built with the unchecked ``StabilizerGraph._trusted``: each
-edge is set on both of its rows, and the repair clears every hollow
-row's hollow bits.
+12 qubits) because vectors grow as 2^n.  The random graphs are built
+with the unchecked ``StabilizerGraph._trusted``: each edge is set on
+both of its rows, and the repair clears every hollow row's hollow bits.
 """
 
 from __future__ import annotations
@@ -151,16 +151,16 @@ def _hadamard_products(k: int) -> np.ndarray:
 
 
 def _hadamards(parts: np.ndarray, masks: Sequence[int]) -> np.ndarray:
-    """The complex (K, 2^n) rows, unscaled Hadamards on the qubits of
-    ``masks[k]`` in row k, of the float (2, K, 2^n) real and imaginary
-    ``parts`` (or of their one row, for every k).  With h = n // 2, each
-    part of a row is a 2^h x 2^(n - h) grid: its high qubits'
-    ``_hadamard_products`` factor multiplies it on the left and its low
-    qubits' factor on the right (the factors are symmetric).  Real and
-    imaginary parts are kept apart so that each product is a real one of
-    at most 64-square matrices at n = 12: OpenBLAS ran those on one
-    thread on a 2-core Xeon, where products twice as large, or complex
-    ones, took two threads."""
+    """The complex (K, 2^n) images of rows under unscaled Hadamards on
+    the qubits of ``masks[k]`` for row k, given the rows' real and
+    imaginary parts as the float (2, K, 2^n) ``parts`` (one row, of shape
+    (2, 1, 2^n), serves every k).  With h = n // 2, each part of a row is
+    a 2^h x 2^(n - h) grid: its high qubits' ``_hadamard_products``
+    factor multiplies it on the left and its low qubits' factor on the
+    right (the factors are symmetric).  The parts are kept apart so that
+    each product is a real one of at most 64-square matrices at n = 12:
+    OpenBLAS ran those on one thread on a 2-core Xeon, where products
+    twice as large, or complex ones, took two threads."""
     n = parts.shape[-1].bit_length() - 1
     h = n // 2
     high = _hadamard_products(h)[[m & ((1 << h) - 1) for m in masks]]

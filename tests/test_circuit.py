@@ -66,7 +66,8 @@ class TestCircuitType:
         assert type(c.n) is int and c.n == 3
         assert all(type(q) is int for pair in c.cz for q in pair)
         assert [type(q) for q in c.z_set] == [int]
-        assert c == GraphFormCircuit(3, frozenset({(0, 2)}), frozenset({1}), frozenset(), frozenset())
+        empty = frozenset()
+        assert c == GraphFormCircuit(3, frozenset({(0, 2)}), frozenset({1}), empty, empty)
 
 class TestGraphCircuitBijection:
     def test_bell_graph_circuit(self):
