@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equivalence, transforms
-from .graph import StabilizerGraph, is_reduced, neighbors
+from .graph import StabilizerGraph, _node_id, is_reduced, neighbors
 from .oracle import DEFAULT_TOL, gate_images, graph_amplitudes
 from .oracle import random_graph, random_reduced_graph
 
@@ -102,7 +102,7 @@ def _general_cases(g: StabilizerGraph) -> list:
             cases.append(("E1", equivalence.apply_E1(g, j), None, True))
     for j in range(g.n):
         for k in range(j + 1, g.n):
-            if g.has_edge(j, k) and not g.loop[j] and not g.loop[k]:
+            if g.adj[j] >> k & 1 and not g.loop[j] and not g.loop[k]:
                 cases.append(("E2", equivalence.apply_E2(g, j, k), None, True))
     return cases
 
@@ -152,8 +152,11 @@ def audit_rules(max_n: int = 6, graphs: int = 200, seed: int = 0) -> list[RuleRe
     """Audit every rule on ``graphs`` random general graphs and as many
     random reduced ones, with sizes cycling over 1..max_n.  Deterministic
     in ``seed``."""
+    max_n, graphs = _node_id(max_n, "max_n"), _node_id(graphs, "graphs")
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
+    if graphs < 0:
+        raise ValueError(f"graphs must not be negative, got {graphs}")
     rng = random.Random(seed)
     counts = {rule: (0, 0) for rule in ALL_RULES}
     for i in range(graphs):

@@ -20,13 +20,15 @@ reduced drawing, which is what the reduced rewrite rules operate on.
 All operations return new graphs; instances are frozen and hashable, and
 ``==`` and ``hash`` run over ``n``, the three masks and ``adj``.
 
-Validation happens at the trust boundary.  The public constructor (and so
-``build`` and ``empty``, which go through it) takes the flags as
-sequences (accepting only entries equal to 0 or 1) and ``n`` and the
-adjacency rows as anything ``operator.index`` takes, checks the lengths,
-the adjacency range, the zero diagonal and symmetry, and raises
-``ValueError`` on bad input.  Node ids passed to ``build`` and the rewrites
-are checked the same way and used as Python ints.
+Validation happens at the trust boundary.  The public constructor takes
+the flags as sequences (accepting only entries equal to 0 or 1) and ``n``
+and the adjacency rows as anything ``operator.index`` takes, checks the
+lengths, the adjacency range, the zero diagonal and symmetry, and raises
+``ValueError`` on bad input.  ``build`` (and ``empty``, which is
+``build(n)``) reads ``n`` and each node id the same way and sets its bit
+as it reads it; its own checks give every property the constructor
+checks, so it builds with ``_trusted``.  Node ids passed to ``has_edge``
+and the rewrites are checked the same way and used as Python ints.
 The adjacency is checked by comparing its edge list with its transpose at
 C speed (``_symmetric_by_transpose``); only rows that fail that check are
 walked one by one, and the first defective row names the error.
@@ -262,9 +264,7 @@ class StabilizerGraph:
     @classmethod
     def empty(cls, n: int) -> "StabilizerGraph":
         """All nodes solid, no loops, no signs, no edges (the |+...+> state)."""
-        n = _node_id(n, "n")
-        f = (False,) * n
-        return cls(n, f, f, f, (0,) * n)
+        return cls.build(n)
 
     @classmethod
     def build(
@@ -288,19 +288,18 @@ class StabilizerGraph:
                 raise ValueError(f"edge ({i}, {j}) out of range")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        hol = [False] * n
-        lp = [False] * n
-        ng = [False] * n
-        for name, flags, idxs in (
-            ("hollow", hol, hollow),
-            ("loops", lp, loops),
-            ("neg", ng, neg),
-        ):
+        flags = []
+        for name, idxs in (("hollow", hollow), ("loops", loops), ("neg", neg)):
+            # Packed once at the end: a mask |= per id would cost O(n) each.
+            f = [0] * n
             for j in map(_node_id, idxs):
                 if not 0 <= j < n:
                     raise ValueError(f"{name} index {j} out of range")
-                flags[j] = True
-        return cls(n, tuple(hol), tuple(lp), tuple(ng), tuple(adj))
+                f[j] = 1
+            flags.append(f)
+        if n < 1:
+            raise ValueError(f"need at least one node, got n={n}")
+        return cls._trusted(n, *map(_mask, flags), tuple(adj))
 
     def edges(self) -> list[Tuple[int, int]]:
         """Every edge (i, j) with i < j, in lexicographic order."""
@@ -311,7 +310,7 @@ class StabilizerGraph:
         ]
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.adj[i] >> j) & 1)
+        return bool(self.adj[_check_node(self, i)] >> _check_node(self, j) & 1)
 
 
 class _Masks:

@@ -69,8 +69,11 @@ class PauliString:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:
-            object.__setattr__(self, "n", _node_id(self.n, "n"))
+        # Python ints by ``operator.index``, so the mask arithmetic never
+        # runs on numpy's fixed-width ints.
+        if not (type(self.n) is type(self.x) is type(self.z) is type(self.sign) is int):
+            for name in ("n", "x", "z", "sign"):
+                object.__setattr__(self, name, _node_id(getattr(self, name), name))
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got n={self.n}")
         if not 0 <= self.x < (1 << self.n):
@@ -285,7 +288,9 @@ class GeneratorMatrix:
             raise ValueError(f"need at least one qubit, got n={self.n}")
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        for row in self.rows:
+        for i, row in enumerate(self.rows):
+            if not isinstance(row, PauliString):
+                raise ValueError(f"row {i} must be a PauliString, got {row!r}")
             if row.n != self.n:
                 raise ValueError(f"row {row} has {row.n} qubits, expected {self.n}")
         labels = range(self.n) if self.qubit_of_column is None else self.qubit_of_column
@@ -401,7 +406,9 @@ def canonical_blocks(
     when the matrix does not have the canonical block pattern.
     """
     n = mat.n
-    r = rank
+    r = _node_id(rank, "rank")
+    if not 0 <= r <= n:
+        raise ValueError(f"rank {r} out of range for n={n}")
     top_mask = (1 << r) - 1
     tail_mask = ((1 << n) - 1) ^ top_mask
     a_rows = []

@@ -214,6 +214,20 @@ def test_audit_covers_every_rule_and_passes():
         assert r.passed, f"{r.rule}: {r.failures}/{r.cases} failed"
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_n": 2.5}, "max_n must be an integer, got 2.5"),
+        ({"max_n": "3"}, "max_n must be an integer, got '3'"),
+        ({"graphs": 2.0}, "graphs must be an integer, got 2.0"),
+        ({"graphs": -1}, "graphs must not be negative, got -1"),
+    ],
+)
+def test_audit_reads_its_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        audit_rules(**kwargs)
+
+
 def test_audit_is_deterministic():
     a = audit_rules(max_n=3, graphs=10, seed=7)
     b = audit_rules(max_n=3, graphs=10, seed=7)

@@ -14,6 +14,7 @@ cold interpreter.  Exit codes are part of the contract:
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -60,7 +61,185 @@ def bell_matrix_file(tmp_path):
     return str(p)
 
 
+# Inputs of the pinned conversions, in each --from format: Bell, GHZ, a
+# seeded n=12 graph with loops, signs and hollow nodes
+# (``helpers.sparse_graph(12, 3, 0.3)``) with its circuit and its
+# matrix, a scrambled matrix of the same state (rows mixed by products and
+# shuffled), and one input per format that is rejected.
+CONVERT_INPUTS = {
+    ("bell", "matrix"): BELL_MATRIX,
+    ("bell", "graph"): BELL_GRAPH,
+    ("bell", "circuit"): "qubits 2\nCZ 0 1\nH 1\n",
+    ("ghz", "matrix"): "+XXX\n+ZZI\n+IZZ\n",
+    ("ghz", "graph"): "nodes 3\nnode 0 solid\nnode 1 hollow\nnode 2 hollow\nedge 0 1\nedge 0 2\n",
+    ("ghz", "circuit"): "qubits 3\nCZ 0 1\nCZ 0 2\nH 1\nH 2\n",
+    ("n12", "graph"): (
+        "nodes 12\n"
+        "node 0 hollow neg\n"
+        "node 1 solid loop neg\n"
+        "node 2 hollow\n"
+        "node 3 solid loop neg\n"
+        "node 4 solid\n"
+        "node 5 hollow\n"
+        "node 6 hollow\n"
+        "node 7 solid\n"
+        "node 8 hollow neg\n"
+        "node 9 hollow loop\n"
+        "node 10 solid neg\n"
+        "node 11 hollow\n"
+        "edge 0 2\n"
+        "edge 0 3\n"
+        "edge 0 4\n"
+        "edge 1 10\n"
+        "edge 2 7\n"
+        "edge 2 10\n"
+        "edge 2 11\n"
+        "edge 3 6\n"
+        "edge 3 9\n"
+        "edge 3 10\n"
+        "edge 4 6\n"
+        "edge 4 8\n"
+        "edge 5 10\n"
+        "edge 6 7\n"
+        "edge 6 8\n"
+        "edge 6 11\n"
+        "edge 7 8\n"
+    ),
+    ("n12", "circuit"): (
+        "qubits 12\n"
+        "CZ 0 2\n"
+        "CZ 0 3\n"
+        "CZ 0 4\n"
+        "CZ 1 10\n"
+        "CZ 2 7\n"
+        "CZ 2 10\n"
+        "CZ 2 11\n"
+        "CZ 3 6\n"
+        "CZ 3 9\n"
+        "CZ 3 10\n"
+        "CZ 4 6\n"
+        "CZ 4 8\n"
+        "CZ 5 10\n"
+        "CZ 6 7\n"
+        "CZ 6 8\n"
+        "CZ 6 11\n"
+        "CZ 7 8\n"
+        "Z 0\n"
+        "Z 1\n"
+        "Z 3\n"
+        "Z 8\n"
+        "Z 10\n"
+        "S 1\n"
+        "S 3\n"
+        "S 9\n"
+        "H 0\n"
+        "H 2\n"
+        "H 5\n"
+        "H 6\n"
+        "H 8\n"
+        "H 9\n"
+        "H 11\n"
+    ),
+    ("n12", "matrix"): (
+        "-ZIXZZIIIIIII\n"
+        "-IYIIIIIIIIZI\n"
+        "+XIZIIIIZIIZX\n"
+        "-XIIYIIXIIXZI\n"
+        "+XIIIXIXIXIII\n"
+        "+IIIIIZIIIIZI\n"
+        "+IIIZZIZZXIIX\n"
+        "+IIXIIIXXXIII\n"
+        "-IIIIZIXZZIII\n"
+        "-IIIZIIIIIYII\n"
+        "-IZXZIXIIIIXI\n"
+        "+IIXIIIXIIIIZ\n"
+    ),
+    ("n12 scrambled", "matrix"): (
+        "-YZXYZXIXXXYI\n"
+        "+IIIZZIZZXIIX\n"
+        "+ZXIZIYZZXIXX\n"
+        "-ZXXZIXYYIIYX\n"
+        "+XIIIXIXIXIII\n"
+        "-ZIXIIIZZXIIX\n"
+        "+ZZYYIXZXIZXI\n"
+        "-IIXZIIXIIYIZ\n"
+        "-IZIZZXIYYIXI\n"
+        "+IIIIIZIIIIZI\n"
+        "-YZXYIXXYYXYI\n"
+        "+XIZZZZZIXIII\n"
+    ),
+    ("invalid", "matrix"): "+XI\n+ZI\n",
+    ("invalid", "graph"): "nodes 2\nnode 0 solid\nnode 1 solid\nedge 0 2\n",
+    ("invalid", "circuit"): "qubits 2\nCZ 0 0\n",
+}
+
+# The first 16 hex digits of the sha256 of stdout of each valid input
+# converted to each --to format: every one of them exits 0 and writes
+# nothing to stderr.
+CONVERT_PINNED = {
+    ("bell", "matrix", "matrix"): "82a6dada7e9dcc3d",
+    ("bell", "matrix", "graph"): "a049e9395388db65",
+    ("bell", "matrix", "circuit"): "f910e44c441d9667",
+    ("bell", "matrix", "dot"): "bc1148629379a9df",
+    ("bell", "graph", "matrix"): "82a6dada7e9dcc3d",
+    ("bell", "graph", "graph"): "a049e9395388db65",
+    ("bell", "graph", "circuit"): "f910e44c441d9667",
+    ("bell", "graph", "dot"): "bc1148629379a9df",
+    ("bell", "circuit", "matrix"): "82a6dada7e9dcc3d",
+    ("bell", "circuit", "graph"): "a049e9395388db65",
+    ("bell", "circuit", "circuit"): "f910e44c441d9667",
+    ("bell", "circuit", "dot"): "bc1148629379a9df",
+    ("ghz", "matrix", "matrix"): "a92f7f55eb85b8ee",
+    ("ghz", "matrix", "graph"): "328ccad6881d82a7",
+    ("ghz", "matrix", "circuit"): "5dd677615d44a85b",
+    ("ghz", "matrix", "dot"): "be8422ef44964be0",
+    ("ghz", "graph", "matrix"): "9d57ed47feb754cc",
+    ("ghz", "graph", "graph"): "328ccad6881d82a7",
+    ("ghz", "graph", "circuit"): "5dd677615d44a85b",
+    ("ghz", "graph", "dot"): "be8422ef44964be0",
+    ("ghz", "circuit", "matrix"): "9d57ed47feb754cc",
+    ("ghz", "circuit", "graph"): "328ccad6881d82a7",
+    ("ghz", "circuit", "circuit"): "5dd677615d44a85b",
+    ("ghz", "circuit", "dot"): "be8422ef44964be0",
+    ("n12", "graph", "matrix"): "ee138fbfe84c6f17",
+    ("n12", "graph", "graph"): "ad55b0f7f6cdd7bf",
+    ("n12", "graph", "circuit"): "f94becf5bf24d80d",
+    ("n12", "graph", "dot"): "ea2478e6ce05c7d9",
+    ("n12", "circuit", "matrix"): "ee138fbfe84c6f17",
+    ("n12", "circuit", "graph"): "ad55b0f7f6cdd7bf",
+    ("n12", "circuit", "circuit"): "f94becf5bf24d80d",
+    ("n12", "circuit", "dot"): "ea2478e6ce05c7d9",
+    ("n12", "matrix", "matrix"): "ee138fbfe84c6f17",
+    ("n12", "matrix", "graph"): "7918d805384514d1",
+    ("n12", "matrix", "circuit"): "87f2ca77bc188692",
+    ("n12", "matrix", "dot"): "24d327dc2bcd5105",
+    ("n12 scrambled", "matrix", "matrix"): "b0ebd132d0ae3b56",
+    ("n12 scrambled", "matrix", "graph"): "7918d805384514d1",
+    ("n12 scrambled", "matrix", "circuit"): "87f2ca77bc188692",
+    ("n12 scrambled", "matrix", "dot"): "24d327dc2bcd5105",
+}
+# The exit code and stderr of each rejected input, whatever --to says.
+CONVERT_ERRORS = {
+    "matrix": (3, "invalid input: rows 0 and 1 anticommute\n"),
+    "graph": (2, "parse error: line 4, column 8: node id 2 out of range for nodes 2\n"),
+    "circuit": (2, "parse error: line 2, column 4: CZ qubits must differ\n"),
+}
+
+
 class TestConvert:
+    @pytest.mark.parametrize("dst", ["matrix", "graph", "circuit", "dot"])
+    @pytest.mark.parametrize("state, src", list(CONVERT_INPUTS))
+    def test_output_is_pinned(self, tmp_path, capsys, state, src, dst):
+        path = tmp_path / "input.txt"
+        path.write_text(CONVERT_INPUTS[state, src])
+        rc = main(["convert", "--from", src, "--to", dst, "-i", str(path)])
+        out, err = capsys.readouterr()
+        if state == "invalid":
+            assert (rc, err) == CONVERT_ERRORS[src] and out == ""
+        else:
+            digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+            assert (rc, digest, err) == (0, CONVERT_PINNED[state, src, dst], "")
+
     def test_matrix_to_graph(self, bell_matrix_file, capsys):
         rc = main(["convert", "--from", "matrix", "--to", "graph", "-i", bell_matrix_file])
         assert rc == 0
@@ -154,7 +333,7 @@ class TestConvert:
         out = tmp_path / "wide.mat"
         argv = ["convert", "--from", src_fmt, "--to", "matrix", "-i", str(src), "-o", str(out)]
         assert main(argv) == 2
-        err = f"refused: a matrix of {n} qubits is above the limit of {n - 1}\n"
+        err = "refused: a matrix of 4097 qubits is above the limit of 4096\n"
         assert capsys.readouterr().err == err
         assert not out.exists()
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +156,70 @@ class TestConstruction:
         assert a != flip_fill(a, 0)
 
 
+def _check_build(n: int, edges: list, hollow: list, loops: list, neg: list) -> None:
+    """``build`` gives the graph the public constructor gives for the same
+    flags and rows: equal, with the same hash, repr and ``is_reduced``."""
+    built = StabilizerGraph.build(n, edges=edges, hollow=hollow, loops=loops, neg=neg)
+    flags = [tuple(j in set(ids) for j in range(n)) for ids in (hollow, loops, neg)]
+    public = StabilizerGraph(n, *flags, adjacency_masks(n, edges))
+    assert built == public and hash(built) == hash(public)
+    assert repr(built) == repr(public)
+    assert is_reduced(built) == is_reduced(public)
+
+
+class TestBuild:
+    """``build`` checks its own ids and builds with ``_trusted``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_graph_matches_the_public_constructor(self, n):
+        def subsets(items):
+            return [list(c) for r in range(len(items) + 1)
+                    for c in itertools.combinations(items, r)]
+
+        for edges in subsets(list(itertools.combinations(range(n), 2))):
+            for hollow, loops, neg in itertools.product(subsets(list(range(n))), repeat=3):
+                _check_build(n, edges, hollow, loops, neg)
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_seeded_graphs_match_the_public_constructor(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 6 / n]
+            ids = [[j for j in range(n) if rng.random() < 0.5] for _ in range(3)]
+            _check_build(n, edges, *ids)
+            # Repeated ids and both orientations of an edge set one bit each.
+            _check_build(n, edges + [(j, i) for i, j in edges], *(2 * s for s in ids))
+
+    @pytest.mark.parametrize(
+        "n, kwargs, message",
+        [
+            (3, {"edges": [(1, 1)]}, "self edge at node 1"),
+            (3, {"edges": [(0, 3)]}, "edge (0, 3) out of range"),
+            (3, {"edges": [(-1, 2)]}, "edge (-1, 2) out of range"),
+            (3, {"edges": [(0, 1, 2)]}, "too many values to unpack (expected 2)"),
+            (3, {"hollow": [3]}, "hollow index 3 out of range"),
+            (3, {"loops": [-1]}, "loops index -1 out of range"),
+            (3, {"neg": [5]}, "neg index 5 out of range"),
+            # Edges are read first, then hollow, loops and neg, then n.
+            (3, {"edges": [(0, 3)], "hollow": [3]}, "edge (0, 3) out of range"),
+            (3, {"hollow": [1], "neg": [7], "loops": [9]}, "loops index 9 out of range"),
+            (0, {}, "need at least one node, got n=0"),
+            (0, {"edges": [(0, 1)]}, "edge (0, 1) out of range"),
+            (0, {"edges": [(0, 0)]}, "self edge at node 0"),
+            (0, {"neg": [0]}, "neg index 0 out of range"),
+            (-2, {}, "need at least one node, got n=-2"),
+        ],
+    )
+    def test_error_messages(self, n, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StabilizerGraph.build(n, **kwargs)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_needs_a_node(self, n):
+        with pytest.raises(ValueError, match=f"^need at least one node, got n={n}$"):
+            StabilizerGraph.empty(n)
+
+
 class TestFlagMasks:
     """The three masks are the stored fields; the flag tuples are views."""
 
@@ -202,6 +268,7 @@ def _node_id_calls(n: int, a: int, b: int) -> list:
     plain = StabilizerGraph.build(n, edges=[(a, b)], hollow=[a])
     return [
         ("neighbors", general, neighbors, (a,)),
+        ("has_edge", general, StabilizerGraph.has_edge, (a, b)),
         ("local_complement", general, local_complement, (a,)),
         ("local_complement_edge", general, local_complement_edge, (a, b)),
         ("local_complement_edge_step3", general, local_complement_edge_step3, (a, b)),
@@ -243,6 +310,12 @@ class TestNodeIds:
                 wrong = ids[:at] + (bad(ids[at]),) + ids[at + 1 :]
                 with pytest.raises(ValueError, match="node id must be an integer"):
                     call(g, *wrong)
+
+    @pytest.mark.parametrize("i, j, bad", [(0, 100, 100), (100, 0, 100), (0, -1, -1), (-1, 0, -1)])
+    def test_has_edge_rejects_ids_out_of_range(self, i, j, bad):
+        g = StabilizerGraph.build(3, edges=[(0, 1)])
+        with pytest.raises(ValueError, match=f"^node {bad} out of range for n=3$"):
+            g.has_edge(i, j)
 
     def test_build_reads_numpy_ids_like_python_ints(self):
         # Bit 70 is past int64: the ids must become Python ints before a shift.

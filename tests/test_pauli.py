@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,33 @@ class TestPauliString:
         assert got == PauliString(70, 1 << 69, 0)
         with pytest.raises(ValueError, match="n must be an integer"):
             PauliString(2.0, 0, 0)
+
+    def test_numpy_masks_are_stored_as_python_ints(self):
+        # Numpy masks once reached the mask arithmetic: a product past bit
+        # 63 overflowed, and ``bit_count``/``bit_length`` were missing.
+        p = PauliString(70, np.uint64(1 << 63), np.int64(5), np.int8(-1))
+        assert (type(p.x), type(p.z), type(p.sign)) == (int, int, int)
+        assert p == PauliString(70, 1 << 63, 5, -1)
+        q = PauliString(70, 1 << 69, 0)
+        assert multiply(p, q) == PauliString(70, (1 << 63) | (1 << 69), 5, -1)
+        z63 = PauliString(70, 0, 1 << 63)
+        assert skew_product(PauliString(70, np.uint64(1 << 63), 0), z63) == 1
+        zs = [np.uint64(1 << q) if q < 64 else 1 << q for q in range(70)]
+        got = GeneratorMatrix(70, tuple(PauliString(70, 0, z) for z in zs))
+        assert got == GeneratorMatrix(70, tuple(PauliString(70, 0, 1 << q) for q in range(70)))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2, 1.0, 0), "x must be an integer, got 1.0"),
+            ((2, 0, "1"), "z must be an integer, got '1'"),
+            ((2, 0, 0, 1.0), "sign must be an integer, got 1.0"),
+            ((2, 0, 0, "-1"), "sign must be an integer, got '-1'"),
+        ],
+    )
+    def test_rejects_masks_and_signs_that_are_not_integers(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PauliString(*args)
 
 
 def random_rows(seed: int):
@@ -319,6 +347,15 @@ class TestGeneratorMatrix:
         with pytest.raises(ValueError, match="qubit label must be an integer"):
             GeneratorMatrix(2, rows, (0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", ["+X", (1, 0, 1), None])
+    def test_rejects_rows_that_are_not_pauli_strings(self, bad):
+        rows = (PauliString.from_label("+XX"), bad)
+        message = f"row 1 must be a PauliString, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GeneratorMatrix(2, rows)
+        with pytest.raises(ValueError, match="^row 0 must be a PauliString"):
+            GeneratorMatrix(1, [bad])
+
 
 class TestCanonicalForm:
     def test_bell_is_already_canonical(self):
@@ -367,6 +404,22 @@ class TestCanonicalForm:
                 for j in range(rank):
                     assert (b[i] >> j) & 1 == (b[j] >> i) & 1
             assert left_rank(canon) == rank == left_rank(scrambled)
+
+    @pytest.mark.parametrize(
+        "rank, message",
+        [
+            (4, "rank 4 out of range for n=3"),
+            (-1, "rank -1 out of range for n=3"),
+            (3.0, "rank must be an integer, got 3.0"),
+            ("1", "rank must be an integer, got '1'"),
+        ],
+    )
+    def test_blocks_reject_a_rank_outside_0_to_n(self, rank, message):
+        rows = tuple(PauliString.from_label(s) for s in ("+XXX", "+ZZI", "+ZIZ"))
+        canon, _ = to_canonical_form(GeneratorMatrix(3, rows))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            canonical_blocks(canon, rank)
+        assert canonical_blocks(canon, np.int64(1)) == canonical_blocks(canon, 1)
 
     def test_preserves_the_group(self):
         # Canonical rows must generate the same group: every canonical
