@@ -7,7 +7,10 @@ Subcommands:
   ``_conversions``, holds each format's steps); ``--to dot`` renders the
   graph for Graphviz.  A matrix has n^2 letters, so ``--to matrix`` from a
   graph or circuit of more than ``MAX_MATRIX_QUBITS`` (4096) qubits, about
-  16.8 MB of text, is refused before the matrix is built.
+  16.8 MB of text, is refused before the matrix is built.  Each graph
+  row is a Python int as wide as its highest neighbor, so one CZ line can
+  ask for n/8 bytes: a circuit whose graph rows would take more than
+  ``_MAX_ROW_BITS`` (2^31 bits, 256 MiB) is refused before they are built.
 * ``apply -i FILE --script "H:0 S:2 CZ:0,1" [-o FILE] [--reduced]``:
   run a gate script over a graph.  With ``--reduced`` the input must be
   reduced and every intermediate graph stays reduced.
@@ -40,7 +43,7 @@ import sys
 from typing import Optional, Sequence
 
 from .audit import audit_rules, format_report
-from .circuit import circuit_from_graph, graph_from_circuit
+from .circuit import GraphFormCircuit, circuit_from_graph, graph_from_circuit
 from .convert import generator_matrix_from_graph, graph_from_generator_matrix
 from .equivalence import graphs_equivalent, to_reduced
 from .graph import InvariantError, StabilizerGraph
@@ -61,6 +64,11 @@ from .transforms import GateApplication, apply_sequence
 # n^2 letters, ~16.8 MB at the limit, the bound on memory (1024 qubits
 # took 0.3 s and 4096 took 1.8 s end to end on a 2-core Xeon).
 MAX_MATRIX_QUBITS = 4096
+
+# The most bits the graph rows of a converted circuit may take in all:
+# 256 MiB.  ``qubits 1048576`` and 400 lines ``CZ i 1048575`` (5.9 KB of
+# text) grew peak RSS by 290 MB on a 2-core Xeon.
+_MAX_ROW_BITS = 1 << 31
 
 
 class ScriptError(Exception):
@@ -100,6 +108,16 @@ def _conversions() -> dict:
 FORMATS = tuple(fmt for fmt, (parse, *_) in _conversions().items() if parse)
 
 
+def _row_bits(c: GraphFormCircuit) -> int:
+    """The bits of the graph rows of circuit ``c``: a row is as wide as
+    its highest neighbor plus one."""
+    top: dict[int, int] = {}
+    for i, j in c.cz:
+        top[i] = max(top.get(i, j), j)
+        top[j] = max(top.get(j, i), i)
+    return sum(top.values()) + len(top)
+
+
 def _cmd_convert(args: argparse.Namespace) -> int:
     table = _conversions()
     parse, _, to_graph, _ = table[args.src_fmt]
@@ -111,6 +129,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             print(
                 f"refused: a matrix of {state.n} qubits is above the limit of "
                 f"{MAX_MATRIX_QUBITS}",
+                file=sys.stderr,
+            )
+            return 2
+        if args.src_fmt == "circuit" and (bits := _row_bits(state)) > _MAX_ROW_BITS:
+            print(
+                f"refused: graph rows of {bits} bits are above the "
+                f"limit of {_MAX_ROW_BITS}",
                 file=sys.stderr,
             )
             return 2

@@ -354,8 +354,6 @@ class _Masks:
         self.loop_mask ^= nodes
 
     def toggle_edge(self, i: int, j: int) -> None:
-        if i == j:
-            raise ValueError(f"self edge at node {i}")
         self.adj[i] ^= 1 << j
         self.adj[j] ^= 1 << i
         self.rows |= (1 << i) | (1 << j)

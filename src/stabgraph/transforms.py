@@ -35,17 +35,18 @@ target, then T1; T(vi) is T2 and T(vii) is T3.  The E moves are
 
 Sign conditions inside a rule are evaluated on the decorations as they
 stand when the rule's sign stage begins; "originally"/"initially" in a
-docstring means before the rule started.  Rules that consume a solid node
-with a hollow neighbor need one hollow neighbor chosen; the default is
-the lowest index, and the oracle checks in the test-suite confirm every
-choice yields the same state.
+docstring means before the rule started.  T(iii) and T(iv) consume the
+target's lowest hollow neighbor.  Any hollow neighbor k gives the same
+state: the other choices are ``apply_local(apply_Eii(g, k, j), "H", j)``
+and ``apply_local(apply_Ei(g, k, j), "H", j)``, which the tests check
+against the oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
-from .equivalence import _e1_core, _e2_core, _ei_core, to_reduced
+from .equivalence import _e1_core, _e2_core, _ei_core, _lowest, to_reduced
 from .graph import (
     InvariantError,
     StabilizerGraph,
@@ -115,20 +116,6 @@ def _check_reduced(out: StabilizerGraph, rule: str) -> StabilizerGraph:
     return out
 
 
-def _pick_hollow_neighbor(
-    g: StabilizerGraph, j: int, choice: Optional[int]
-) -> int:
-    candidates = _bits(g.adj[j] & g.hollow_mask)
-    if not candidates:
-        raise ValueError(f"node {j} has no hollow neighbor")
-    if choice is None:
-        return candidates[0]
-    choice = _check_node(g, choice)
-    if choice not in candidates:
-        raise ValueError(f"node {choice} is not a hollow neighbor of {j}")
-    return choice
-
-
 # --- rules -----------------------------------------------------------------
 
 
@@ -183,30 +170,22 @@ def apply_local(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
     return m.result(g)
 
 
-def apply_local_reduced(
-    g: StabilizerGraph,
-    gate: str,
-    j: int,
-    hollow_choice: Optional[int] = None,
-) -> StabilizerGraph:
+def apply_local_reduced(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
     """Apply H, S or Z at node j of a reduced graph, staying reduced.
 
-    ``hollow_choice`` selects the hollow neighbor consumed by T(iii) and
-    T(iv); the default is the lowest-index one.
+    T(iii) and T(iv) consume j's lowest hollow neighbor.
     """
     if not is_reduced(g):
         raise ValueError("graph is not reduced")
     j = _check_node(g, j)
     rule = classify_local_reduced(g, gate, j)
-    if hollow_choice is not None and rule not in ("T(iii)", "T(iv)"):
-        raise ValueError(f"rule {rule} does not take a hollow neighbor")
     m = _scratch(g)
     # The E-move prelude: T(ii) makes j hollow with E1, and T(iii) and
     # T(iv) move the hollow marker of neighbor k onto j with E(ii) or E(i).
     if rule == "T(ii)":
         _e1_core(m, j)
     elif rule in ("T(iii)", "T(iv)"):
-        k = _pick_hollow_neighbor(g, j, hollow_choice)
+        k = _lowest(m.adj[j] & m.hollow_mask)
         (_e2_core if rule == "T(iii)" else _ei_core)(m, k, j)
     _general(m, "T1" if gate == "H" else _GENERAL_OF[rule], j)
     return _check_reduced(m.result(g), rule)

@@ -356,6 +356,44 @@ class TestConvert:
         src.write_text(format_graph(StabilizerGraph.empty(4)))
         assert main(["convert", "--from", "graph", "--to", "matrix", "-i", str(src)]) == 2
 
+    @pytest.mark.parametrize("dst_fmt", ["graph", "dot", "matrix"])
+    def test_circuit_with_huge_graph_rows_is_refused(self, tmp_path, capsys, monkeypatch, dst_fmt):
+        # 4096 lines of at most 16 bytes each ask for 4096 rows of 2^20 bits.
+        src = tmp_path / "wide.circ"
+        src.write_text("qubits 1048576\n" + "".join(f"CZ {i} 1048575\n" for i in range(4096)))
+        assert len(src.read_bytes()) < 64 * 1024
+        built = []
+        monkeypatch.setattr(cli, "graph_from_circuit", built.append)
+        out = tmp_path / "wide.out"
+        argv = ["convert", "--from", "circuit", "--to", dst_fmt, "-i", str(src), "-o", str(out)]
+        assert main(argv) == 2
+        if dst_fmt == "matrix":  # the matrix refusal comes first
+            err = "refused: a matrix of 1048576 qubits is above the limit of 4096\n"
+        else:
+            err = "refused: graph rows of 4294971392 bits are above the limit of 2147483648\n"
+        assert capsys.readouterr().err == err
+        assert built == [] and not out.exists()
+        # Circuit to circuit builds no rows, so it is not refused.
+        argv = ["convert", "--from", "circuit", "--to", "circuit", "-i", str(src), "-o", str(out)]
+        assert main(argv) == 0
+        assert out.read_text() == format_circuit(parse_circuit(src.read_text()))
+
+    def test_graph_rows_at_the_cap_are_built(self, tmp_path, capsys, monkeypatch):
+        # A 4-cycle, each node with a lower and a higher neighbor: rows of
+        # widths 4, 3, 4 and 3.  The count is exact, not a bound.
+        text = "qubits 4\nCZ 0 1\nCZ 1 2\nCZ 2 3\nCZ 0 3\n"
+        rows = G(4, edges=[(0, 1), (1, 2), (2, 3), (0, 3)]).adj
+        assert sum(row.bit_length() for row in rows) == 14
+        src = tmp_path / "cap.circ"
+        src.write_text(text)
+        argv = ["convert", "--from", "circuit", "--to", "graph", "-i", str(src)]
+        monkeypatch.setattr(cli, "_MAX_ROW_BITS", 14)
+        assert main(argv) == 0
+        assert parse_graph(capsys.readouterr().out).adj == rows
+        monkeypatch.setattr(cli, "_MAX_ROW_BITS", 13)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "refused: graph rows of 14 bits are above the limit of 13\n"
+
     def test_invalid_group_exits_3(self, tmp_path, capsys):
         src = tmp_path / "anti.mat"
         src.write_text("+XI\n+ZI\n")

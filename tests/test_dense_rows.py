@@ -279,8 +279,9 @@ def _sample(rng: random.Random, items: list, count: int) -> list:
 def _gate_rules(g: StabilizerGraph, rng: random.Random, count: int):
     """(tag, output, reference output) for up to ``count`` targets of each
     gate rule that applies to ``g``; the reduced rules only when ``g`` is
-    reduced, T(iii) and T(iv) with every hollow neighbor of the target and
-    with the default choice, and the CZ rules on both orders of a pair."""
+    reduced, T(iii) and T(iv) as the rule (its lowest hollow neighbor) and
+    as the E-move composition from every hollow neighbor of the target, and
+    the CZ rules on both orders of a pair."""
     n = g.n
     for gate in "HSZ":
         by_tag: dict = {}
@@ -303,8 +304,9 @@ def _gate_rules(g: StabilizerGraph, rng: random.Random, count: int):
                     continue
                 choices = [k for k in _bits(g.adj[j]) if g.hollow[k]]
                 yield tag, apply_local_reduced(g, gate, j), run_reference(g, body, j, choices[0])
+                move = apply_Eii if tag == "T(iii)" else apply_Ei
                 for k in choices:
-                    yield tag, apply_local_reduced(g, gate, j, k), run_reference(g, body, j, k)
+                    yield tag, apply_local(move(g, k, j), "H", j), run_reference(g, body, j, k)
     solid = [j for j in range(n) if not g.hollow[j]]
     hollow = [j for j in range(n) if g.hollow[j]]
     for group_a, group_b in ((solid, solid), (solid, hollow), (hollow, solid), (hollow, hollow)):
@@ -348,15 +350,16 @@ class TestGateRules:
         assert tags == GATE_TAGS
 
     def test_every_hollow_choice_is_reached(self):
-        # T(iii) and T(iv) are the rules that take a hollow neighbor: the
-        # property above must try more than one for each.
+        # T(iii) and T(iv) are the rules that consume a hollow neighbor:
+        # the property above must try more than one for each.
         r = sparse_graph(16, 5, 0.4, reduced=True)
         assert is_reduced(r)
         tags = [tag for tag, _, _ in _gate_rules(r, random.Random(0), 16)]
         for tag in ("T(iii)", "T(iv)"):
             targets = [j for j in range(16) if classify_local_reduced(r, "H", j) == tag]
             choices = [len([k for k in _bits(r.adj[j]) if r.hollow[k]]) for j in targets]
-            # The default choice, then every hollow neighbor of every target.
+            # The rule, then the composition from every hollow neighbor of
+            # every target.
             assert tags.count(tag) == sum(1 + c for c in choices)
             assert max(choices) >= 2
 

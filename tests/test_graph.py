@@ -280,7 +280,7 @@ def _node_id_calls(n: int, a: int, b: int) -> list:
         ("classify_local_reduced", looped,
          lambda g, j: classify_local_reduced(g, "H", j), (b,)),
         ("apply_local_reduced", looped,
-         lambda g, j, k: apply_local_reduced(g, "H", j, hollow_choice=k), (b, a)),
+         lambda g, j: apply_local_reduced(g, "H", j), (b,)),
         ("classify_cz_reduced", plain, classify_cz_reduced, (a, b)),
         ("apply_cz_reduced", plain, apply_cz_reduced, (a, b)),
         ("apply_cz", general, apply_cz, (a, b)),

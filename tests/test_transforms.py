@@ -8,6 +8,7 @@ written down here; the oracle checks in this file keep them honest.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -39,6 +40,7 @@ from stabgraph import (
     classify_local,
     classify_local_reduced,
     expand_gate,
+    flip_sign,
     graphs_equivalent,
     is_reduced,
     neighbors,
@@ -205,22 +207,32 @@ class TestReducedLocalRules:
         assert_sound(g, out, "H", 0)
 
     def test_hollow_choice_defaults_to_lowest_index(self):
+        # T(iii) consumes the lowest hollow neighbor: it is E(ii) from
+        # node 1, then H.
         g = G(3, edges=[(0, 1), (0, 2)], hollow=[1, 2])
         default = apply_local_reduced(g, "H", 0)
-        explicit = apply_local_reduced(g, "H", 0, hollow_choice=1)
+        explicit = apply_local(apply_Eii(g, 1, 0), "H", 0)
         assert default == explicit
 
     def test_any_hollow_choice_is_sound(self):
+        # Every other hollow neighbor is the same composition from that
+        # neighbor; the rule itself is the one from the lowest.
         g = G(4, edges=[(0, 1), (0, 2), (0, 3)], hollow=[1, 2, 3], neg=[2])
         for choice in (1, 2, 3):
-            out = apply_local_reduced(g, "H", 0, hollow_choice=choice)
+            out = apply_local(apply_Eii(g, choice, 0), "H", 0)
             assert is_reduced(out)
             assert_sound(g, out, "H", 0)
+            if choice == 1:
+                assert apply_local_reduced(g, "H", 0) == out
 
     def test_rejects_solid_hollow_choice(self):
+        # The consumed neighbor is not a parameter; a solid one is refused
+        # by the E move that would consume it.
         g = G(3, edges=[(0, 1), (0, 2)], hollow=[1])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             apply_local_reduced(g, "H", 0, hollow_choice=2)
+        with pytest.raises(ValueError):
+            apply_Eii(g, 2, 0)
 
     def test_rejects_unreduced_input(self):
         g = G(1, hollow=[0], loops=[0])
@@ -247,8 +259,10 @@ class TestReducedLocalRules:
 
 
     def test_each_rule_is_its_e_move_prelude_then_a_general_rule(self):
-        # T(ii) is E1 then H; T(iii) and T(iv) are E(ii) and E(i) from each
-        # hollow neighbor k, then H; every other rule is the general one.
+        # T(ii) is E1 then H; T(iii) and T(iv) are E(ii) and E(i) from the
+        # lowest hollow neighbor, then H, and the same composition from any
+        # hollow neighbor k is reduced and sound; every other rule is the
+        # general one.
         seen = set()
         for n in range(1, 8):
             for seed in range(40):
@@ -257,18 +271,20 @@ class TestReducedLocalRules:
                     rule = classify_local_reduced(g, gate, j)
                     seen.add(rule)
                     if rule == "T(ii)":
-                        derived = {None: apply_local(apply_E1(g, j), "H", j)}
+                        derived = [apply_local(apply_E1(g, j), "H", j)]
                     elif rule in ("T(iii)", "T(iv)"):
                         move = apply_Eii if rule == "T(iii)" else apply_Ei
-                        derived = {
-                            k: apply_local(move(g, k, j), "H", j)
-                            for k in neighbors(g, j)
+                        derived = [
+                            apply_local(move(g, k, j), "H", j)
+                            for k in sorted(neighbors(g, j))
                             if g.hollow[k]
-                        }
+                        ]
                     else:
-                        derived = {None: apply_local(g, gate, j)}
-                    for k, want in derived.items():
-                        assert apply_local_reduced(g, gate, j, hollow_choice=k) == want, (rule, k)
+                        derived = [apply_local(g, gate, j)]
+                    assert apply_local_reduced(g, gate, j) == derived[0], rule
+                    for want in derived:
+                        assert is_reduced(want), rule
+                        assert_sound(g, want, gate, j)
         assert seen == {"T(i)", "T(ii)", "T(iii)", "T(iv)", "T(v)", "T(vi)", "T(vii)", "T5", "T6"}
 
 
@@ -343,6 +359,85 @@ class TestReducedCZRules:
                 out = apply_cz_reduced(g, j, k)
                 assert is_reduced(out)
                 assert_sound(g, out, "CZ", j, k)
+
+
+def _swap(g, hollow, solid):
+    """Swap the fills of a hollow node and a solid neighbor: E(i) when the
+    solid node has a loop, E(ii) when it has none."""
+    return (apply_Ei if g.loop[solid] else apply_Eii)(g, hollow, solid)
+
+
+def _derivation_graphs():
+    """Seeded reduced graphs: every pair of nodes at n = 2..8, and 48
+    pairs of each fill pattern at n = 16, 64 and 256."""
+    for n in range(2, 9):
+        for seed in range(240):
+            g = random_reduced_graph(n, 1009 * n + seed)
+            yield g, itertools.permutations(range(n), 2)
+    for n, graphs in ((16, 12), (64, 4), (256, 2)):
+        for seed in range(graphs):
+            g = sparse_graph(n, 257 * n + seed, 6 / (n - 1), reduced=True)
+            rng = random.Random(seed)
+            solid = [j for j in range(n) if not g.hollow[j]]
+            hollow = [j for j in range(n) if g.hollow[j]]
+            pairs = [(rng.choice(solid), rng.choice(hollow)) for _ in range(48)]
+            pairs += [tuple(rng.sample(hollow, 2)) for _ in range(48)]
+            yield g, pairs
+
+
+class TestCZDerivations:
+    """T(ix) is T(viii) between fill swaps, and T(x) is T(ix) between fill
+    swaps, as the paper derives them; each identity holds bit for bit, in
+    both orders of the pair."""
+
+    def test_tix_is_tviii_between_swaps(self):
+        # Solid j, hollow k, m the lowest neighbor of k other than j:
+        # swap k to m, CZ two solid nodes, swap back.  With no such m,
+        # the CZ flips j's sign exactly when the j-k edge differs from k's.
+        reached = collections.Counter()
+        for g, pairs in _derivation_graphs():
+            for j, k in pairs:
+                if g.hollow[j] or not g.hollow[k]:
+                    continue
+                others = neighbors(g, k) - {j}
+                if others:
+                    m = min(others)
+                    swapped = _swap(g, k, m)
+                    assert classify_cz_reduced(swapped, j, k) == "T(viii)"
+                    want = _swap(apply_cz_reduced(swapped, j, k), m, k)
+                    case = "derived"
+                elif g.has_edge(j, k) != g.neg[k]:
+                    want, case = flip_sign(g, j), "flip"
+                else:
+                    want, case = g, "fixed"
+                assert apply_cz_reduced(g, j, k) == want, (g, j, k)
+                assert apply_cz_reduced(g, k, j) == want, (g, j, k)
+                reached[case] += 1
+        assert min(reached[case] for case in ("derived", "flip", "fixed")) >= 100, reached
+
+    def test_tx_is_tix_between_swaps(self):
+        # Hollow j and k, l the lowest neighbor of j: swap j to l, apply
+        # T(ix) to the solid j and the hollow k, swap back.  With no such
+        # l, the CZ is Z on k exactly when j is negative.
+        reached = collections.Counter()
+        for g, pairs in _derivation_graphs():
+            for j, k in pairs:
+                if not (g.hollow[j] and g.hollow[k]):
+                    continue
+                if neighbors(g, j):
+                    l = min(neighbors(g, j))
+                    swapped = _swap(g, j, l)
+                    assert classify_cz_reduced(swapped, j, k) == "T(ix)"
+                    want = _swap(apply_cz_reduced(swapped, j, k), l, j)
+                    case = "derived"
+                elif g.neg[j]:
+                    want, case = apply_local(g, "Z", k), "flip"
+                else:
+                    want, case = g, "fixed"
+                assert apply_cz_reduced(g, j, k) == want, (g, j, k)
+                assert apply_cz_reduced(g, k, j) == want, (g, j, k)
+                reached[case] += 1
+        assert min(reached[case] for case in ("derived", "flip", "fixed")) >= 100, reached
 
 
 class TestGeneralCZ:
