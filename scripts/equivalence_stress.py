@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Stress the graph-equivalence decider against the dense oracle.
+"""Stress the graph-equivalence deciders against the dense oracle.
 
 Draws random graph pairs (and optional rewrite-walk pairs that are
-equivalent by construction), compares the decider's verdict with the
-brute-force statevector overlap, and prints a confusion summary.  Any
-disagreement is printed in full and makes the script exit nonzero.
+equivalent by construction) and compares three verdicts: the paper's
+decider ``graphs_equivalent``, the closed-form group membership check
+that the CLI's ``equiv`` runs, and the brute-force statevector overlap.
+It prints a confusion summary.  Any disagreement among the three is
+printed in full and makes the script exit nonzero.
 
 Example:
     python3 scripts/equivalence_stress.py --pairs 5000 --max-n 6 --walks 500
@@ -27,6 +29,7 @@ from stabgraph import (
     statevector_from_graph,
     states_equal_up_to_global_phase,
 )
+from stabgraph.circuit import _same_state
 
 
 @dataclass(frozen=True)
@@ -64,18 +67,19 @@ def run(config: StressConfig) -> int:
     def judge(g1, g2, expect_equal=None) -> None:
         nonlocal agree, disagree, truly_equal
         decided = graphs_equivalent(g1, g2)
+        member = _same_state(g1, g2)
         truth = states_equal_up_to_global_phase(
             statevector_from_graph(g1), statevector_from_graph(g2)
         )
         truly_equal += truth
         if expect_equal is not None and truth != expect_equal:
             raise AssertionError("walk construction broke state preservation")
-        if decided == truth:
+        if decided == member == truth:
             agree += 1
         else:
             disagree += 1
             print("DISAGREEMENT", file=sys.stderr)
-            print(f"decided={decided} truth={truth}", file=sys.stderr)
+            print(f"decided={decided} member={member} truth={truth}", file=sys.stderr)
             print(format_graph(g1), file=sys.stderr)
             print(format_graph(g2), file=sys.stderr)
 

@@ -20,15 +20,23 @@ with F_j = Y_j when b = 1, else Z_j when c = 1, else X_j.
 by conjugating the plain graph-state generators X_j Z_N(j) through the
 third layer gate by gate.  The two routes are kept separate on purpose so
 they can be checked against each other and against the dense simulator.
+
+The closed form also decides state equality at any n with no elimination
+(stabilizer-group membership, as in Aaronson-Gottesman, quant-ph/0406196).
+``_outside_group`` returns the first closed-form generator of one graph
+that is not in the other's group, or None, and ``_same_state``, the CLI's
+``equiv``, checks the rows of the graph with fewer edges that way.  It
+shares no code with the rewrite rules, the E moves or
+``graphs_equivalent``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from .graph import StabilizerGraph, _bits, _node_id
-from .pauli import PauliString, Row, conjugate
+from .pauli import PauliString, Row, _multiply, conjugate
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,40 @@ def _closed_form_rows(hollow: int, loop: int, neg: int, adj: Sequence[int]) -> l
             x |= bit
         rows.append((x, z, -1 if negative & bit else 1))
     return rows
+
+
+def _outside_group(g1: StabilizerGraph, g2: StabilizerGraph) -> Optional[Row]:
+    """The first closed-form row of g2 outside g1's stabilizer group, or None
+    when every row lies in it, that is when the two states are equal.
+
+    Only g1's own generator g_k has a bit at qubit k in its pivot part (x on
+    a solid k, z on a hollow one): a neighbor adds Z on a solid qubit and X
+    on a hollow one.  So P lies in g1's group exactly when P is the product
+    of the g_k with k in (P.x & ~hollow) | (P.z & hollow), sign included.
+    The cost is one row product per bit of those sets: about n plus twice
+    g2's edges, so g2 should be the sparser graph.
+    """
+    gens = _closed_form_rows(g1.hollow_mask, g1.loop_mask, g1.neg_mask, g1.adj)
+    hollow = g1.hollow_mask
+    for row in _closed_form_rows(g2.hollow_mask, g2.loop_mask, g2.neg_mask, g2.adj):
+        x, z, _ = row
+        product = (0, 0, 1)
+        for k in _bits((x & ~hollow) | (z & hollow)):
+            product = _multiply(product, gens[k])
+        if product != row:
+            return row
+    return None
+
+
+def _same_state(g1: StabilizerGraph, g2: StabilizerGraph) -> bool:
+    """Whether two graphs draw the same state: ``_outside_group`` on the rows
+    of the graph with fewer edges.  Both groups have n independent
+    generators, so one inside the other is equality."""
+    if g1.n != g2.n:
+        raise ValueError(f"size mismatch: {g1.n} vs {g2.n}")
+    if sum(map(int.bit_count, g2.adj)) > sum(map(int.bit_count, g1.adj)):
+        g1, g2 = g2, g1
+    return _outside_group(g1, g2) is None
 
 
 def generators_from_circuit(c: GraphFormCircuit) -> tuple[PauliString, ...]:

@@ -16,7 +16,11 @@ Subcommands:
   reduced and every intermediate graph stays reduced.
 * ``reduce -i FILE [-o FILE]``: rewrite a graph into reduced form.
 * ``equiv FILE1 FILE2``: decide whether two graphs describe the same
-  state up to global phase.
+  state up to global phase, by closed-form group membership
+  (``circuit._same_state``): each closed-form generator of the graph with
+  fewer edges must lie in the other graph's stabilizer group.  It reduces
+  nothing and builds no dense graph.  ``graphs_equivalent``, the paper's
+  reduce-and-align procedure, stays the library's decider.
 * ``verify [--n N] [--seed S] [--cases C]``: audit every rewrite rule
   against the dense simulator on random graphs of up to N nodes (at most
   the simulator's cap, 12) and print a pass table.
@@ -43,9 +47,9 @@ import sys
 from typing import Optional, Sequence
 
 from .audit import audit_rules, format_report
-from .circuit import GraphFormCircuit, circuit_from_graph, graph_from_circuit
+from .circuit import GraphFormCircuit, _same_state, circuit_from_graph, graph_from_circuit
 from .convert import generator_matrix_from_graph, graph_from_generator_matrix
-from .equivalence import graphs_equivalent, to_reduced
+from .equivalence import to_reduced
 from .graph import InvariantError, StabilizerGraph
 from .oracle import MAX_QUBITS
 from .textio import (
@@ -194,7 +198,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_equiv(args: argparse.Namespace) -> int:
     g1 = parse_graph(_read(args.graph1))
     g2 = parse_graph(_read(args.graph2))
-    if graphs_equivalent(g1, g2):
+    if _same_state(g1, g2):
         print("equivalent")
         return 0
     print("not equivalent")

@@ -37,7 +37,7 @@ from stabgraph import (
     statevector_from_graph,
     states_equal_up_to_global_phase,
 )
-from stabgraph import cli
+from stabgraph import cli, equivalence
 from stabgraph.cli import main, parse_script, ScriptError
 from stabgraph.oracle import MAX_QUBITS
 
@@ -469,12 +469,33 @@ class TestEquiv:
         assert main(["equiv", str(a), str(b)]) == 1
         assert "not equivalent" in capsys.readouterr().out
 
-    def test_size_mismatch_exits_3(self, tmp_path):
+    def test_size_mismatch_exits_3(self, tmp_path, capsys):
         a = tmp_path / "a.graph"
         b = tmp_path / "b.graph"
         a.write_text("nodes 1\nnode 0 solid\n")
         b.write_text("nodes 2\nnode 0 solid\nnode 1 solid\n")
         assert main(["equiv", str(a), str(b)]) == 3
+        assert capsys.readouterr() == ("", "invalid input: size mismatch: 1 vs 2\n")
+
+    def test_decides_without_the_papers_decider(self, tmp_path, capsys, monkeypatch):
+        # equiv decides by closed-form group membership: nothing is reduced
+        # or aligned, so no call reaches the reduction or the E moves.
+        def forbidden(*args):
+            raise AssertionError("equiv must not reduce")
+
+        for module in (cli, equivalence):
+            for name in ("to_reduced", "simplify_pair", "graphs_equivalent"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        a = tmp_path / "a.graph"
+        b = tmp_path / "b.graph"
+        c = tmp_path / "c.graph"
+        a.write_text("nodes 2\nnode 0 solid\nnode 1 hollow\nedge 0 1\n")
+        b.write_text("nodes 2\nnode 0 hollow\nnode 1 solid\nedge 0 1\n")
+        c.write_text("nodes 2\nnode 0 hollow neg\nnode 1 solid\nedge 0 1\n")
+        assert main(["equiv", str(a), str(b)]) == 0
+        assert main(["equiv", str(a), str(c)]) == 1
+        assert capsys.readouterr() == ("equivalent\nnot equivalent\n", "")
 
 
 class TestVerify:

@@ -9,6 +9,9 @@ checked against that partition as a whole:
 * the canonical drawing, graph -> generator matrix -> graph, is one
   graph per class and differs between classes;
 * ``graphs_equivalent`` is true within a class and false across classes;
+* so is closed-form group membership (``circuit._outside_group``), and
+  each generator it names as outside the group is one the dense oracle
+  shows does not fix the other graph's state;
 * the E1/E2 moves connect exactly the graphs of one class.
 
 Every graph is also held to the per-node reference of reducedness by the
@@ -44,8 +47,10 @@ from stabgraph import (
     random_reduced_graph,
     to_canonical_form,
 )
+from stabgraph.circuit import _closed_form_rows, _outside_group
 from stabgraph.graph import _offenders
-from stabgraph.oracle import graph_amplitudes
+from stabgraph.oracle import graph_amplitudes, stabilizer_check, statevector_from_graph
+from stabgraph.pauli import PauliString
 
 SIZES = (1, 2, 3)
 
@@ -150,6 +155,28 @@ def test_decider_matches_the_state_classes(n):
     # class's first member.
     for a, b in zip(firsts, firsts[1:] + firsts[:1]):
         assert not graphs_equivalent(graphs[a], graphs[b])
+
+
+def closed_form_rows(g):
+    return _closed_form_rows(g.hollow_mask, g.loop_mask, g.neg_mask, g.adj)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_group_membership_matches_the_state_classes(n):
+    graphs, by_key = classes(n)
+    firsts = [members[0] for members in by_key.values()]
+    for members in by_key.values():
+        for a, b in itertools.product(members, repeat=2):
+            assert _outside_group(graphs[a], graphs[b]) is None
+    # Every graph against the next class's first member, which takes in
+    # the decider's cross-class pair of each first member.
+    for c, members in enumerate(by_key.values()):
+        g2 = graphs[firsts[(c + 1) % len(firsts)]]
+        for a in members:
+            witness = _outside_group(graphs[a], g2)
+            assert witness in closed_form_rows(g2)
+            v = statevector_from_graph(graphs[a])
+            assert not stabilizer_check(v, [PauliString(n, *witness)])
 
 
 def e_moves(g):
