@@ -23,7 +23,7 @@ conditional flips are then applied; this is the reading certified by the
 dense-simulation oracle.
 
 Every move runs on ``graph._Masks``, where the fills, loops and signs are
-bitmasks: a move costs a complementation (one row operation per neighbor)
+bitmasks: a move costs a complementation (one XOR per row it rewrites)
 and a few whole-mask operations, however dense its rows.  A move's result
 carries the suspect mask of its source plus the nodes the move wrote, so
 ``is_reduced`` on it looks at those nodes only, whatever the source.
@@ -167,58 +167,50 @@ def to_reduced(g: StabilizerGraph) -> StabilizerGraph:
     hollow count never increases and the loop terminates within n steps
     per phase.
 
-    Each phase keeps a worklist bitmask of the nodes it still has to fix
-    and, after a move, re-examines only the nodes that move touched, so a
-    step costs about the degree of its nodes rather than a rescan.  A graph
-    that is already reduced is returned as it is.  Given a gate word's
-    ``graph._Masks``, the moves rewrite it in place and it is returned.
+    The E1 phase reads ``hollow_mask & loop_mask`` afresh for each move.
+    The E2 phase keeps a worklist bitmask and, after a move, re-examines
+    only the nodes that move touched, so a step costs about the degree of
+    its nodes rather than a rescan.  A graph that is already reduced is
+    returned as it is.  Given a gate word's ``graph._Masks``, the moves
+    rewrite it in place and it is returned.
     """
-    out = g if is_reduced(g) else _reduce_moves(g)
-    if not is_reduced(out):
+    if not is_reduced(g):
+        m = _scratch(g)
+        for _ in range(g.n + 1):
+            todo = m.hollow_mask & m.loop_mask
+            if not todo:
+                break
+            _e1_core(m, _lowest(todo))
+        else:
+            raise InvariantError("loop-clearing phase failed to terminate")
+        # A hollow node is on the list when it has a hollow neighbor.  No
+        # hollow node has a loop now, so the offenders in the suspect mask
+        # have hollow neighbors, and every hollow-hollow edge has an end
+        # among them: they and their hollow neighbors are the list.  The
+        # lowest i on it has only hollow neighbors above it, so (i, lowest
+        # hollow neighbor of i) is the lexicographically smallest pair.  E2
+        # fills i and k and rewrites only the rows of their neighborhoods.
+        m.settle()
+        todo = m._suspect = _offenders(m, m._suspect)
+        for i in _bits(todo):
+            todo |= m.adj[i] & m.hollow_mask
+        for _ in range(g.n + 1):
+            if not todo:
+                break
+            i = _lowest(todo)
+            k = _lowest(m.adj[i] & m.hollow_mask)
+            touched = m.adj[i] | m.adj[k]
+            _e2_core(m, i, k)
+            todo &= ~touched
+            for l in _bits(touched & m.hollow_mask):
+                if m.adj[l] & m.hollow_mask:
+                    todo |= 1 << l
+        else:
+            raise InvariantError("edge-clearing phase failed to terminate")
+        g = m.result(g)
+    if not is_reduced(g):
         raise InvariantError("to_reduced left a graph that is not reduced")
-    return out
-
-
-def _reduce_moves(g: StabilizerGraph) -> StabilizerGraph:
-    """The E1 and E2 worklist phases of ``to_reduced``."""
-    m = _scratch(g)
-    # E1 at j fills j and advances its neighbors' loops: only j and its
-    # neighbors (unchanged by complementing on j) can change status.
-    todo = m.hollow_mask & m.loop_mask
-    for _ in range(g.n + 1):
-        if not todo:
-            break
-        j = _lowest(todo)
-        _e1_core(m, j)
-        t = m.adj[j] | (1 << j)
-        todo = (todo & ~t) | (t & m.hollow_mask & m.loop_mask)
-    else:
-        raise InvariantError("loop-clearing phase failed to terminate")
-    # A hollow node is on the list when it has a hollow neighbor.  No
-    # hollow node has a loop now, so the offenders in the suspect mask have
-    # hollow neighbors, and every hollow-hollow edge has an end among them:
-    # they and their hollow neighbors are the list.  The lowest i on it has
-    # only hollow neighbors above it, so (i, lowest hollow neighbor of i) is
-    # the lexicographically smallest pair.  E2 fills i and k and rewrites
-    # only the rows of their neighborhoods.
-    m.settle()
-    todo = m._suspect = _offenders(m, m._suspect)
-    for i in _bits(todo):
-        todo |= m.adj[i] & m.hollow_mask
-    for _ in range(g.n + 1):
-        if not todo:
-            break
-        i = _lowest(todo)
-        k = _lowest(m.adj[i] & m.hollow_mask)
-        touched = m.adj[i] | m.adj[k]
-        _e2_core(m, i, k)
-        todo &= ~touched
-        for l in _bits(touched & m.hollow_mask):
-            if m.adj[l] & m.hollow_mask:
-                todo |= 1 << l
-    else:
-        raise InvariantError("edge-clearing phase failed to terminate")
-    return m.result(g)
+    return g
 
 
 def simplify_pair(

@@ -45,7 +45,9 @@ set bits of a mask with a per-bit loop below ``_UNPACK_AT`` set bits and
 by unpacking its bytes with numpy from there on, so the dense rows of a
 reduced graph (reducing a mean-degree-6 graph at n=1024 gives rows of
 hundreds of bits) cost a few C-speed calls each.  ``edges()`` lists each
-row's neighbors above it in one such call.
+row's neighbors above it in one such call.  Complementing along an edge
+(j, k) makes three, one per class of the nodes that see j only, k only,
+or both, and toggles each class's rows against the other two classes.
 
 Every rewrite, the gate rules of ``transforms`` and the E moves of
 ``equivalence`` alike, runs on one scratch state, ``_Masks``: the source's
@@ -323,8 +325,9 @@ class _Masks:
     ``_check_node`` take either.  A rule is then a few whole-row
     operations: advancing the loops of the nodes in a mask is
     ``advance(mask)``, flipping their signs is ``neg_mask ^= mask``, and
-    the common neighbors of j and k are ``adj[j] & adj[k]``.  The methods
-    that write adjacency rows record them in ``rows``.
+    the common neighbors of j and k are ``adj[j] & adj[k]``.  Both edge
+    complementations are ``toggle_between`` on three neighborhood classes.
+    The methods that write adjacency rows record them in ``rows``.
 
     ``settle()`` ends one rewrite: it adds the nodes whose fill, loop or
     row the rewrite wrote to the suspect mask.  A hollow node with a loop,
@@ -368,39 +371,30 @@ class _Masks:
         for l in _bits(nb):
             adj[l] ^= nb ^ (1 << l)
 
-    def local_complement_edge(self, j: int, k: int) -> None:
-        # Simultaneous update: entry (l, m) gains a_l*b_m + a_m*b_l, where
-        # a/b are the adjacency rows of the decision pair with the node
-        # itself included.  Diagonal entries are left untouched.  Rows
-        # outside a|b get no delta, and each row's delta depends only on
-        # a and b, so the rows of a|b can be updated in place.
+    def toggle_between(self, p: int, q: int, r: int) -> None:
+        # Toggle every edge between two of the three disjoint node masks:
+        # each row of a class gains the other two classes, so no row's
+        # delta holds the row's own (diagonal) bit.
         adj = self.adj
-        a = adj[j] | (1 << j)
-        b = adj[k] | (1 << k)
-        self.rows |= a | b
-        for l in _bits(a | b):
-            delta = 0
-            if (a >> l) & 1:
-                delta ^= b
-            if (b >> l) & 1:
-                delta ^= a
-            adj[l] = (adj[l] ^ delta) & ~(1 << l)
+        for cls, delta in ((p, q | r), (q, p | r), (r, p | q)):
+            for l in _bits(cls):
+                adj[l] ^= delta
+        self.rows |= p | q | r
+
+    def local_complement_edge(self, j: int, k: int) -> None:
+        # Complementing on j, k, j toggles the edges between the nodes of
+        # the closed neighborhoods a and b that see j only, k only, or both.
+        a = self.adj[j] | (1 << j)
+        b = self.adj[k] | (1 << k)
+        self.toggle_between(a & ~b, b & ~a, a & b)
 
     def local_complement_edge_step3(self, j: int, k: int) -> None:
-        # Only the third step of edge complementation: toggle edges between
-        # non-decision nodes whose decision neighborhoods are non-empty and
-        # different (adjacent to j only / to k only / to both).
-        adj = self.adj
+        # Only the third step of edge complementation: the same toggles
+        # between the open neighborhoods, with j and k left out.
         dm = (1 << j) | (1 << k)
-        only_j = adj[j] & ~adj[k] & ~dm
-        only_k = adj[k] & ~adj[j] & ~dm
-        both = adj[j] & adj[k] & ~dm
-        self.rows |= only_j | only_k | both
-        for group_a, group_b in ((only_j, only_k), (only_j, both), (only_k, both)):
-            for l in _bits(group_a):
-                adj[l] ^= group_b
-            for l in _bits(group_b):
-                adj[l] ^= group_a
+        a = self.adj[j] & ~dm
+        b = self.adj[k] & ~dm
+        self.toggle_between(a & ~b, b & ~a, a & b)
 
     def settle(self) -> None:
         """Add the nodes the last rewrite wrote to the suspect mask."""

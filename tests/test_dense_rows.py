@@ -373,6 +373,31 @@ class TestGateRules:
         assert tags == GATE_TAGS - {"T4"}
 
 
+def _classes(rng: random.Random, n: int) -> tuple[int, int, int]:
+    """Three disjoint node masks: each node joins one of them, or none."""
+    masks = [0, 0, 0, 0]
+    for l in range(n):
+        masks[rng.randrange(4)] |= 1 << l
+    return masks[0], masks[1], masks[2]
+
+
+def _check_toggle_between(m: _Masks, p: int, q: int, r: int) -> None:
+    """Apply ``toggle_between(p, q, r)`` to ``m`` and hold it, bit for bit in
+    ``adj`` and ``rows``, to one ``toggle_edge`` per cross-class pair on a
+    copy.  The pairs record their ends only, so a class that is the only
+    non-empty one is in ``rows`` for the primitive alone."""
+    ref = _Masks(StabilizerGraph.empty(m.n))
+    ref.adj, ref.rows = list(m.adj), m.rows
+    for x, y in ((p, q), (p, r), (q, r)):
+        for i in bits_reference(x):
+            for l in bits_reference(y):
+                ref.toggle_edge(i, l)
+    m.toggle_between(p, q, r)
+    lone = p | q | r if sum(map(bool, (p, q, r))) == 1 else 0
+    assert m.adj == ref.adj
+    assert m.rows == ref.rows | lone
+
+
 class TestMaskState:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -382,7 +407,7 @@ class TestMaskState:
             st.tuples(
                 st.sampled_from((
                     "complement", "complement_edge", "step3", "toggle_edge",
-                    "fill", "loop", "advance", "sign",
+                    "between", "fill", "loop", "advance", "sign",
                 )),
                 st.integers(0, 2**16),
                 st.integers(0, 2**16),
@@ -411,6 +436,8 @@ class TestMaskState:
                 m.local_complement_edge_step3(j, k)
             elif kind == "toggle_edge" and j != k:
                 m.toggle_edge(j, k)
+            elif kind == "between":
+                _check_toggle_between(m, *_classes(random.Random(a << 17 | b), n))
             elif kind == "fill":
                 m.hollow_mask ^= 1 << j
             elif kind == "loop":
@@ -428,6 +455,12 @@ class TestMaskState:
         assert keeps_the_suspect_rule(out)
         assert is_reduced(out) == is_reduced_per_node(out)
         assert _fields(out) == tuple(map(flag_mask_reference, (out.hollow, out.loop, out.neg)))
+
+    def test_toggle_between_on_dense_reduced_rows(self, dense_reduced):
+        _, r = dense_reduced
+        p, q, s = _classes(random.Random(1024), r.n)
+        assert min(map(int.bit_count, (p, q, s))) >= _UNPACK_AT
+        _check_toggle_between(_Masks(r), p, q, s)
 
 
 class TestToReducedShortcut:
