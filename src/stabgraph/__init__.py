@@ -40,7 +40,6 @@ from .graph import (
     is_reduced,
     local_complement,
     local_complement_edge,
-    local_complement_edge_step3,
     neighbors,
 )
 from .oracle import (

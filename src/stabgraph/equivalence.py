@@ -10,13 +10,14 @@ drawing the same state:
        complementing along their edge.
 * E(i) and E(ii) are the reduced-form counterparts used when two reduced
   graphs disagree on a single fill: they move a hollow marker across an
-  edge onto a solid neighbor (with a loop for E(i), without for E(ii)).
-  E(ii) is E2 on the opposite-fill pair.  E(i) is E1 on the solid node,
-  then E1 on the hollow node, which the first move gave a loop.
+  edge onto a solid neighbor (with a loop for E(i), without for E(ii)),
+  and ``_swap`` picks the one that applies.  E(ii) is E2 on the
+  opposite-fill pair.  E(i) is E1 on the solid node, then E1 on the
+  hollow node, which the first move gave a loop.
 
 ``graphs_equivalent`` decides whether two graphs describe the same state
-up to global phase: reduce both, then repeatedly fix connected nodes on
-which the hollow sets disagree with E(i)/E(ii), and finally compare the
+up to global phase: reduce both, then (``simplify_pair``) swap away the
+connected nodes on which the hollow sets disagree, and finally compare the
 graphs bit for bit.  Sign conditions inside a rule are always evaluated on
 the decorations as they stand when the sign stage begins, and both
 conditional flips are then applied; this is the reading certified by the
@@ -24,9 +25,10 @@ dense-simulation oracle.
 
 Every move runs on ``graph._Masks``, where the fills, loops and signs are
 bitmasks: a move costs a complementation (one XOR per row it rewrites)
-and a few whole-mask operations, however dense its rows.  A move's result
-carries the suspect mask of its source plus the nodes the move wrote, so
-``is_reduced`` on it looks at those nodes only, whatever the source.
+and a few whole-mask operations, however dense its rows.  ``to_reduced``
+and ``simplify_pair`` run all their moves in place on one ``_Masks`` per
+graph and check each result once with ``is_reduced``, which looks only at
+the nodes the moves wrote.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ def _ei_core(m: _Masks, hollow: int, solid: int) -> None:
     # neighbor, which then has the loop that E1 needs.
     _e1_core(m, solid)
     _e1_core(m, hollow)
+
+
+def _swap(m: _Masks, hollow: int, solid: int) -> None:
+    # E(i) when the solid node has a loop, else E(ii).
+    (_ei_core if m.loop_mask >> solid & 1 else _e2_core)(m, hollow, solid)
 
 
 def apply_E1(g: StabilizerGraph, j: int) -> StabilizerGraph:
@@ -222,30 +229,36 @@ def simplify_pair(
     hollow only in g2, apply E(i) or E(ii) in whichever graph has the
     edge (g1 when both do), choosing the lexicographically smallest pair.
     Each application swaps one disagreement away, so at most n/2 + 1
-    passes are needed.  Neither state changes.
+    passes are needed.  Neither state changes.  The moves run in place on
+    one ``graph._Masks`` per graph, and both results are checked once
+    with ``is_reduced``, raising ``InvariantError`` (also under -O).
     """
     if g1.n != g2.n:
         raise ValueError(f"size mismatch: {g1.n} vs {g2.n}")
     for g in (g1, g2):
         if not is_reduced(g):
             raise ValueError("inputs must be reduced")
+    m1, m2 = _Masks(g1), _Masks(g2)
     for _ in range(g1.n + 1):
-        h1, h2 = g1.hollow_mask, g2.hollow_mask
+        h1, h2 = m1.hollow_mask, m2.hollow_mask
         only1, only2 = h1 & ~h2, h2 & ~h1
         for a in _bits(only1):
-            reach = (g1.adj[a] | g2.adj[a]) & only2
+            reach = (m1.adj[a] | m2.adj[a]) & only2
             if reach:
                 break
         else:
-            return g1, g2
+            break
         b = _lowest(reach)
-        if g1.adj[a] >> b & 1:
-            rule = apply_Ei if g1.loop_mask >> b & 1 else apply_Eii
-            g1 = rule(g1, a, b)
+        if m1.adj[a] >> b & 1:
+            _swap(m1, a, b)
         else:
-            rule = apply_Ei if g2.loop_mask >> a & 1 else apply_Eii
-            g2 = rule(g2, b, a)
-    raise InvariantError("pair simplification failed to terminate")
+            _swap(m2, b, a)
+    else:
+        raise InvariantError("pair simplification failed to terminate")
+    g1, g2 = m1.freeze(), m2.freeze()
+    if not (is_reduced(g1) and is_reduced(g2)):
+        raise InvariantError("pair simplification left a graph that is not reduced")
+    return g1, g2
 
 
 def graphs_equivalent(g1: StabilizerGraph, g2: StabilizerGraph) -> bool:

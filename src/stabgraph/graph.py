@@ -325,8 +325,9 @@ class _Masks:
     ``_check_node`` take either.  A rule is then a few whole-row
     operations: advancing the loops of the nodes in a mask is
     ``advance(mask)``, flipping their signs is ``neg_mask ^= mask``, and
-    the common neighbors of j and k are ``adj[j] & adj[k]``.  Both edge
-    complementations are ``toggle_between`` on three neighborhood classes.
+    the common neighbors of j and k are ``adj[j] & adj[k]``.  Edge
+    complementation, and T(x) between its targets' open neighborhoods,
+    are ``toggle_between`` on three neighborhood classes.
     The methods that write adjacency rows record them in ``rows``.
 
     ``settle()`` ends one rewrite: it adds the nodes whose fill, loop or
@@ -386,14 +387,6 @@ class _Masks:
         # the closed neighborhoods a and b that see j only, k only, or both.
         a = self.adj[j] | (1 << j)
         b = self.adj[k] | (1 << k)
-        self.toggle_between(a & ~b, b & ~a, a & b)
-
-    def local_complement_edge_step3(self, j: int, k: int) -> None:
-        # Only the third step of edge complementation: the same toggles
-        # between the open neighborhoods, with j and k left out.
-        dm = (1 << j) | (1 << k)
-        a = self.adj[j] & ~dm
-        b = self.adj[k] & ~dm
         self.toggle_between(a & ~b, b & ~a, a & b)
 
     def settle(self) -> None:
@@ -503,16 +496,6 @@ def local_complement_edge(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph
     j, k = _check_distinct(g, j, k)
     m = _Masks(g)
     m.local_complement_edge(j, k)
-    return m.freeze()
-
-
-def local_complement_edge_step3(
-    g: StabilizerGraph, j: int, k: int
-) -> StabilizerGraph:
-    """Only the cross-neighborhood toggles of edge complementation."""
-    j, k = _check_distinct(g, j, k)
-    m = _Masks(g)
-    m.local_complement_edge_step3(j, k)
     return m.freeze()
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-from .equivalence import _e1_core, _e2_core, _ei_core, _lowest, to_reduced
+from .equivalence import _e1_core, _lowest, _swap, to_reduced
 from .graph import (
     InvariantError,
     StabilizerGraph,
@@ -181,12 +181,11 @@ def apply_local_reduced(g: StabilizerGraph, gate: str, j: int) -> StabilizerGrap
     rule = classify_local_reduced(g, gate, j)
     m = _scratch(g)
     # The E-move prelude: T(ii) makes j hollow with E1, and T(iii) and
-    # T(iv) move the hollow marker of neighbor k onto j with E(ii) or E(i).
+    # T(iv) move the hollow marker of j's lowest hollow neighbor onto j.
     if rule == "T(ii)":
         _e1_core(m, j)
     elif rule in ("T(iii)", "T(iv)"):
-        k = _lowest(m.adj[j] & m.hollow_mask)
-        (_e2_core if rule == "T(iii)" else _ei_core)(m, k, j)
+        _swap(m, _lowest(m.adj[j] & m.hollow_mask), j)
     _general(m, "T1" if gate == "H" else _GENERAL_OF[rule], j)
     return _check_reduced(m.result(g), rule)
 
@@ -211,14 +210,14 @@ def apply_cz_reduced(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
         if connected != hollow_neg:
             m.neg_mask ^= 1 << solid
     else:  # T(x): both hollow, necessarily disconnected in a reduced graph
-        j_neg, k_neg = (m.neg_mask >> j) & 1, (m.neg_mask >> k) & 1
-        m.local_complement_edge_step3(j, k)
-        nb_j, nb_k = m.adj[j], m.adj[k]
-        m.neg_mask ^= nb_j & nb_k
-        if j_neg:
-            m.neg_mask ^= nb_k
-        if k_neg:
-            m.neg_mask ^= nb_j
+        # Neither target is in a or b, so their rows and signs stay put.
+        a, b = m.adj[j], m.adj[k]
+        m.toggle_between(a & ~b, b & ~a, a & b)
+        m.neg_mask ^= a & b
+        if m.neg_mask >> j & 1:
+            m.neg_mask ^= b
+        if m.neg_mask >> k & 1:
+            m.neg_mask ^= a
     return _check_reduced(m.result(g), rule)
 
 

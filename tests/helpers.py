@@ -503,6 +503,46 @@ def random_word(rng: random.Random, n: int, length: int) -> list:
     return word
 
 
+def word_image_rows(g: StabilizerGraph, word) -> list:
+    """Any-n reference for a gate word on ``g``: the packed closed-form rows
+    of ``g``, each conjugated gate by gate through ``word`` with
+    ``pauli._conjugate``, as a stabilizer tableau would (Aaronson-Gottesman,
+    quant-ph/0406196).  They generate the output state's group, and share
+    no code with the rewrite rules, the E moves or either decider."""
+    from stabgraph.circuit import _closed_form_rows
+    from stabgraph.pauli import _conjugate
+
+    rows = _closed_form_rows(g.hollow_mask, g.loop_mask, g.neg_mask, g.adj)
+    for gate, targets in word:
+        rows = [_conjugate(row, gate, *targets) for row in rows]
+    return rows
+
+
+def first_row_outside(rows, g: StabilizerGraph):
+    """The first of the packed ``rows`` outside the stabilizer group of
+    ``g``, or None when all lie in it.
+
+    Only g's own generator g_k has a bit at qubit k in its pivot part (x on
+    a solid k, z on a hollow one), so a Pauli P lies in the group exactly
+    when it is the product of the g_k over k in (P.x & ~hollow) |
+    (P.z & hollow), sign included.  Written apart from
+    ``circuit._outside_group``.  The rows of ``word_image_rows`` are n
+    independent generators, so containment is equality of the states.
+    """
+    from stabgraph.circuit import _closed_form_rows
+    from stabgraph.pauli import _multiply
+
+    gens = _closed_form_rows(g.hollow_mask, g.loop_mask, g.neg_mask, g.adj)
+    for row in rows:
+        x, z, _ = row
+        product = (0, 0, 1)
+        for k in bits_reference((x & ~g.hollow_mask) | (z & g.hollow_mask)):
+            product = _multiply(product, gens[k])
+        if product != row:
+            return row
+    return None
+
+
 def flag_mask_reference(flags) -> int:
     return sum(1 << j for j, f in enumerate(flags) if f)
 

@@ -406,7 +406,7 @@ class TestMaskState:
         st.lists(
             st.tuples(
                 st.sampled_from((
-                    "complement", "complement_edge", "step3", "toggle_edge",
+                    "complement", "complement_edge", "toggle_edge",
                     "between", "fill", "loop", "advance", "sign",
                 )),
                 st.integers(0, 2**16),
@@ -432,8 +432,6 @@ class TestMaskState:
                 m.local_complement(j)
             elif kind == "complement_edge" and j != k:
                 m.local_complement_edge(j, k)
-            elif kind == "step3" and j != k:
-                m.local_complement_edge_step3(j, k)
             elif kind == "toggle_edge" and j != k:
                 m.toggle_edge(j, k)
             elif kind == "between":

@@ -21,12 +21,11 @@ PUBLIC_NAMES = {
     "generators_by_conjugation", "generators_from_circuit",
     "graph_from_circuit", "graph_from_generator_matrix", "graph_to_dot",
     "graphs_equivalent", "is_reduced", "left_rank", "local_complement",
-    "local_complement_edge", "local_complement_edge_step3", "multiply",
-    "neighbors", "parse_circuit", "parse_generator_matrix", "parse_graph",
-    "permute_qubits", "random_graph", "random_reduced_graph", "simplify_pair",
-    "skew_product", "stabilizer_check", "states_equal_up_to_global_phase",
-    "statevector_from_circuit", "statevector_from_graph", "to_canonical_form",
-    "to_reduced",
+    "local_complement_edge", "multiply", "neighbors", "parse_circuit",
+    "parse_generator_matrix", "parse_graph", "permute_qubits", "random_graph",
+    "random_reduced_graph", "simplify_pair", "skew_product", "stabilizer_check",
+    "states_equal_up_to_global_phase", "statevector_from_circuit",
+    "statevector_from_graph", "to_canonical_form", "to_reduced",
 }
 
 
@@ -34,7 +33,7 @@ def test_star_import_binds_exactly_the_public_names():
     namespace: dict = {}
     exec("from stabgraph import *", namespace)
     namespace.pop("__builtins__")
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 61
     assert set(namespace) == PUBLIC_NAMES
     assert len(stabgraph.__all__) == len(set(stabgraph.__all__))
     for name in PUBLIC_NAMES:

@@ -40,7 +40,6 @@ from stabgraph import (
     is_reduced,
     local_complement,
     local_complement_edge,
-    local_complement_edge_step3,
     neighbors,
     random_graph,
 )
@@ -271,7 +270,6 @@ def _node_id_calls(n: int, a: int, b: int) -> list:
         ("has_edge", general, StabilizerGraph.has_edge, (a, b)),
         ("local_complement", general, local_complement, (a,)),
         ("local_complement_edge", general, local_complement_edge, (a, b)),
-        ("local_complement_edge_step3", general, local_complement_edge_step3, (a, b)),
         ("advance_loop", general, advance_loop, (a,)),
         ("flip_fill", general, flip_fill, (a,)),
         ("flip_sign", general, flip_sign, (b,)),
@@ -449,42 +447,3 @@ class TestLocalComplementEdge:
         g = StabilizerGraph.empty(2)
         out = local_complement_edge(g, 0, 1)
         assert edge_set(out) == {(0, 1)}
-
-
-class TestStep3:
-    def test_toggles_cross_group_pairs(self):
-        # Decision nodes 0, 1; node 2 sees only 0, node 3 sees only 1,
-        # node 4 sees both.  Cross pairs among {2}, {3}, {4} all toggle.
-        g = StabilizerGraph.build(
-            5, edges=[(0, 2), (0, 4), (1, 3), (1, 4)]
-        )
-        out = local_complement_edge_step3(g, 0, 1)
-        assert edge_set(out) == {
-            (0, 2), (0, 4), (1, 3), (1, 4),
-            (2, 3), (2, 4), (3, 4),
-        }
-
-    def test_idempotent_composition(self):
-        g = StabilizerGraph.build(4, edges=[(0, 2), (1, 3), (2, 3)])
-        twice = local_complement_edge_step3(
-            local_complement_edge_step3(g, 0, 1), 0, 1
-        )
-        assert twice.adj == g.adj
-
-    def test_exhaustive_definition_check(self):
-        # Reference implementation straight from the definition.
-        for mask in range(1 << 6):
-            pairs = list(itertools.combinations(range(4), 2))
-            edges = [e for b, e in enumerate(pairs) if (mask >> b) & 1]
-            g = StabilizerGraph.build(4, edges=edges)
-            out = local_complement_edge_step3(g, 0, 1)
-            expect = set(g.edges())
-            groups = {}
-            for v in range(2, 4):
-                nj, nk = g.has_edge(0, v), g.has_edge(1, v)
-                if nj or nk:
-                    groups[v] = (nj, nk)
-            for u, v in itertools.combinations(sorted(groups), 2):
-                if groups[u] != groups[v]:
-                    expect ^= {(u, v)}
-            assert edge_set(out) == expect

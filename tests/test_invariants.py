@@ -56,7 +56,6 @@ from stabgraph import (
     is_reduced,
     local_complement,
     local_complement_edge,
-    local_complement_edge_step3,
     random_graph,
     simplify_pair,
     to_reduced,
@@ -71,7 +70,7 @@ GATE_TAGS = {
 }
 OTHER_REWRITES = {
     "E1", "E2", "E(i)", "E(ii)",
-    "local_complement", "local_complement_edge", "local_complement_edge_step3",
+    "local_complement", "local_complement_edge",
     "advance_loop", "flip_fill", "flip_sign", "to_reduced", "simplify_pair",
 }
 
@@ -106,7 +105,6 @@ def _rewrites(g: StabilizerGraph, r: StabilizerGraph, rng: random.Random):
         j, k = rng.sample(range(n), 2)
         yield "apply_cz", apply_cz(g, j, k)
         yield "local_complement_edge", local_complement_edge(g, j, k)
-        yield "local_complement_edge_step3", local_complement_edge_step3(g, j, k)
     loops = [j for j in range(n) if g.loop[j]]
     if loops:
         yield "E1", apply_E1(g, rng.choice(loops))
@@ -386,7 +384,7 @@ class TestInvariantError:
             to_reduced(g)
 
     def test_simplify_pair_termination_guard_raises(self, monkeypatch):
-        monkeypatch.setattr(equivalence, "apply_Eii", lambda g, h, s: g)
+        monkeypatch.setattr(equivalence, "_swap", lambda m, h, s: None)
         a = StabilizerGraph.build(2, edges=[(0, 1)], hollow=[0])
         b = StabilizerGraph.build(2, edges=[(0, 1)], hollow=[1])
         with pytest.raises(InvariantError, match="terminate"):
@@ -532,3 +530,32 @@ class TestInvariantError:
         )
         assert proc.returncode == 0, proc.stderr
         assert "raised: rule T(vi) broke the reduced invariant" in proc.stdout
+
+    def test_pair_check_under_python_O(self):
+        # An E(ii) that also gives the node it makes hollow a loop leaves
+        # a graph that is not reduced; simplify_pair's one check of its
+        # results must raise, also under -O.
+        proc = _run_under_python_O(
+            """
+            import sys
+            from stabgraph import InvariantError, StabilizerGraph, equivalence, simplify_pair
+            real = equivalence._e2_core
+            def broken(m, j, k):
+                before = m.hollow_mask
+                real(m, j, k)
+                m.loop_mask |= m.hollow_mask & ~before
+            equivalence._e2_core = broken
+            if sys.flags.optimize < 1:
+                sys.exit("not running under -O")
+            a = StabilizerGraph.build(2, edges=[(0, 1)], hollow=[0])
+            b = StabilizerGraph.build(2, edges=[(0, 1)], hollow=[1])
+            try:
+                simplify_pair(a, b)
+            except InvariantError as exc:
+                print("raised:", exc)
+            else:
+                sys.exit("the pair check did not fire")
+            """
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: pair simplification left a graph that is not reduced" in proc.stdout

@@ -1,0 +1,123 @@
+"""Whole gate words against tableau propagation, at any n.
+
+``helpers.word_image_rows`` conjugates the input's closed-form rows
+through a word, gate by gate, and ``helpers.first_row_outside`` names the
+first of them outside the output's stabilizer group.  Neither shares code
+with the rewrite rules, so this checks ``apply_sequence`` far above the
+dense oracle's cap of n = 12:
+
+* the reference agrees with the oracle where both run;
+* seeded words on reduced sparse graphs at n = 16, 64 and 256, under the
+  reduced and the general rules, all pass;
+* two mutants that leave every output reduced, so that no invariant check
+  sees them, fail it at n = 64 with no oracle.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
+from stabgraph import (
+    apply_gate_dense,
+    apply_sequence,
+    flip_sign,
+    random_graph,
+    states_equal_up_to_global_phase,
+    statevector_from_graph,
+)
+from stabgraph import equivalence, transforms
+
+WORD_LENGTH = 256
+
+
+def _input(n: int, seed: int):
+    return helpers.sparse_graph(n, seed, 6 / (n - 1), reduced=True)
+
+
+def _outside(g, word, reduced: bool):
+    """The reference's verdict on ``apply_sequence`` of ``word`` on ``g``."""
+    return helpers.first_row_outside(
+        helpers.word_image_rows(g, word), apply_sequence(g, word, reduced=reduced)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_reference_agrees_with_the_oracle(n):
+    # The engine's output draws the word's image; the same output with one
+    # sign flipped draws an orthogonal state.  The reference must say so
+    # exactly when the dense oracle does.
+    rng = random.Random(n)
+    for seed in range(40):
+        g = random_graph(n, seed)
+        word = helpers.random_word(rng, n, 12)
+        want = statevector_from_graph(g)
+        for gate, targets in word:
+            want = apply_gate_dense(want, gate, *targets)
+        rows = helpers.word_image_rows(g, word)
+        out = apply_sequence(g, word)
+        for candidate in (out, flip_sign(out, rng.randrange(n)), random_graph(n, seed + 1)):
+            same = states_equal_up_to_global_phase(want, statevector_from_graph(candidate))
+            assert (helpers.first_row_outside(rows, candidate) is None) == same
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@settings(max_examples=16, deadline=None)
+@given(graph_seed=st.integers(0, 2**32), word_seed=st.integers(0, 2**32))
+def test_words_in_both_modes(n, graph_seed, word_seed):
+    g = _input(n, graph_seed)
+    word = helpers.random_word(random.Random(word_seed), n, WORD_LENGTH)
+    for reduced in (True, False):
+        assert _outside(g, word, reduced) is None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_seeded_words_at_n256(seed):
+    g = _input(256, seed)
+    word = helpers.random_word(random.Random(seed), 256, WORD_LENGTH)
+    for reduced in (True, False):
+        assert _outside(g, word, reduced) is None
+
+
+def _tx_without_the_k_sign_flip(real):
+    # T(x) flips j's neighbors when k is negative; neither target's row or
+    # sign changes, so undoing that flip afterwards is the body without it.
+    def mutant(g, j, k):
+        both_hollow = g.hollow_mask >> j & g.hollow_mask >> k & 1
+        out = real(g, j, k)
+        if both_hollow and out.neg_mask >> k & 1:
+            out.neg_mask ^= out.adj[j]
+        return out
+    return mutant
+
+
+def _e2_without_the_common_flip(real):
+    # The common neighbors hold neither node, so the flips that read their
+    # signs are the same whether the common flip came first or not at all.
+    def mutant(m, j, k):
+        real(m, j, k)
+        m.neg_mask ^= m.adj[j] & m.adj[k]
+    return mutant
+
+
+@pytest.mark.parametrize("module, name, mutate", [
+    (transforms, "apply_cz_reduced", _tx_without_the_k_sign_flip),
+    (equivalence, "_e2_core", _e2_without_the_common_flip),
+], ids=["T(x)", "E2"])
+def test_mutants_are_caught_at_n64(monkeypatch, module, name, mutate):
+    # Each mutant runs in words on the word's one _Masks, in both modes:
+    # T(x) in every CZ on two hollow nodes, E2 in the T(iii) prelude and in
+    # the general CZ's reduction.  A clean word passes (the test above), so
+    # a row outside is the mutant's.
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    caught = [
+        _outside(_input(64, seed), helpers.random_word(random.Random(seed), 64, WORD_LENGTH),
+                 reduced) is not None
+        for seed in range(4)
+        for reduced in (True, False)
+    ]
+    assert all(caught), caught
