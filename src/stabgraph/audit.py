@@ -123,9 +123,8 @@ def _reduced_cases(g: StabilizerGraph) -> list:
     for h in range(g.n):
         if not g.hollow[h]:
             continue
+        # g is reduced, so a hollow node's neighbors are solid.
         for s in sorted(neighbors(g, h)):
-            if g.hollow[s]:
-                continue
             if g.loop[s]:
                 out = equivalence.apply_Ei(g, h, s)
                 cases.append(("E(i)", out, None, is_reduced(out)))

@@ -4,8 +4,8 @@ Unlike the gate rules, the rewrites here leave the described state exactly
 fixed (not merely up to a known gate), so they generate the set of graphs
 drawing the same state:
 
-* E1   flips the fill of a node with a loop, after complementing on it and
-       advancing its neighbors' loops; the loop stays put.
+* E1   flips the fill and sign of a node with a loop, then runs T3's body
+       ``_t3`` (S on a hollow node) on it; the loop stays put.
 * E2   flips the fills of two connected loop-free nodes after
        complementing along their edge.
 * E(i) and E(ii) are the reduced-form counterparts used when two reduced
@@ -49,15 +49,20 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _e1_core(m: _Masks, j: int) -> None:
-    bit = 1 << j
-    m.hollow_mask ^= bit
+def _t3(m: _Masks, j: int) -> None:
+    # S on a hollow node without a loop (T3), and the rest of E1.
     m.local_complement(j)
     nb = m.adj[j]
     m.advance(nb)
-    m.neg_mask ^= bit
-    if m.neg_mask & bit:
+    if (m.neg_mask >> j) & 1:
         m.neg_mask ^= nb
+
+
+def _e1_core(m: _Masks, j: int) -> None:
+    # _t3 reads j's sign after this flip and writes neither j's fill nor sign.
+    m.hollow_mask ^= 1 << j
+    m.neg_mask ^= 1 << j
+    _t3(m, j)
 
 
 def _e2_core(m: _Masks, j: int, k: int) -> None:
@@ -113,7 +118,7 @@ def apply_E2(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
     for node in (j, k):
         if g.loop_mask >> node & 1:
             raise ValueError(f"node {node} has a loop")
-    if j == k or not g.adj[j] >> k & 1:
+    if not g.adj[j] >> k & 1:
         raise ValueError(f"nodes {j} and {k} are not connected")
     m = _Masks(g)
     _e2_core(m, j, k)
@@ -154,7 +159,7 @@ def _check_pair(
         raise ValueError("graph is not reduced")
     if not g.hollow_mask >> hollow & 1 or g.hollow_mask >> solid & 1:
         raise ValueError(f"expected hollow node {hollow} and solid node {solid}")
-    if hollow == solid or not g.adj[hollow] >> solid & 1:
+    if not g.adj[hollow] >> solid & 1:
         raise ValueError(f"nodes {hollow} and {solid} are not connected")
     has_loop = bool(g.loop_mask >> solid & 1)
     if has_loop != want_loop:
@@ -190,13 +195,14 @@ def to_reduced(g: StabilizerGraph) -> StabilizerGraph:
             _e1_core(m, _lowest(todo))
         else:
             raise InvariantError("loop-clearing phase failed to terminate")
-        # A hollow node is on the list when it has a hollow neighbor.  No
-        # hollow node has a loop now, so the offenders in the suspect mask
-        # have hollow neighbors, and every hollow-hollow edge has an end
-        # among them: they and their hollow neighbors are the list.  The
-        # lowest i on it has only hollow neighbors above it, so (i, lowest
-        # hollow neighbor of i) is the lexicographically smallest pair.  E2
-        # fills i and k and rewrites only the rows of their neighborhoods.
+        # A hollow node is on the list when it has a hollow neighbor: no
+        # hollow node has a loop now, nor gets one from E2, so the list is
+        # the offenders.  Every hollow-hollow edge has an end among the
+        # suspect mask's, so they and their hollow neighbors are the list.
+        # The lowest i on it has only hollow neighbors above it, so (i,
+        # lowest hollow neighbor of i) is the lexicographically smallest
+        # pair.  E2 fills i and k and rewrites only their neighborhoods'
+        # rows, whose offenders then replace them on the list.
         m.settle()
         todo = m._suspect = _offenders(m, m._suspect)
         for i in _bits(todo):
@@ -208,10 +214,7 @@ def to_reduced(g: StabilizerGraph) -> StabilizerGraph:
             k = _lowest(m.adj[i] & m.hollow_mask)
             touched = m.adj[i] | m.adj[k]
             _e2_core(m, i, k)
-            todo &= ~touched
-            for l in _bits(touched & m.hollow_mask):
-                if m.adj[l] & m.hollow_mask:
-                    todo |= 1 << l
+            todo = todo & ~touched | _offenders(m, touched)
         else:
             raise InvariantError("edge-clearing phase failed to terminate")
         g = m.result(g)

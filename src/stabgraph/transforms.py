@@ -25,12 +25,14 @@ function returns that ``_Masks``.  A general-mode CZ reduces it in place
 too, with ``to_reduced``.  The word is frozen once, at the end.
 
 T1, T2, T3, T5, T6 and the three CZ rules have bodies of their own;
-``_general`` holds the T1-T6 bodies.  The rest are compositions, as in the paper,
-where the reduced rules are general rules after E moves: T4 is E1 then
-T2.  Each reduced local rule is an E-move prelude and then the general
-rule it ends in: T(i) and T(v) are T1 alone, T(ii) is E1 then T1, T(iii)
-and T(iv) are E(ii) and E(i) on the consumed hollow neighbor and the
-target, then T1; T(vi) is T2 and T(vii) is T3.  The E moves are
+``_general`` holds the T1-T6 bodies.  T3's body, ``_t3``, lives beside E1
+in ``equivalence``, because E1 is a flip of the node's fill and sign and
+then that body.  The rest are compositions, as in the paper, where the
+reduced rules are general rules after E moves: T4 is E1 then T2.  Each
+reduced local rule is an E-move prelude and then the general rule it
+ends in: T(i) and T(v) are T1 alone, T(ii) is E1 then T1, T(iii) and
+T(iv) are E(ii) and E(i) on the consumed hollow neighbor and the target,
+then T1; T(vi) is T2 and T(vii) is T3.  The E moves are
 ``equivalence``'s bodies, and they leave the state fixed.
 
 Sign conditions inside a rule are evaluated on the decorations as they
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-from .equivalence import _e1_core, _lowest, _swap, to_reduced
+from .equivalence import _e1_core, _lowest, _swap, _t3, to_reduced
 from .graph import (
     InvariantError,
     StabilizerGraph,
@@ -121,15 +123,6 @@ def _check_reduced(out: StabilizerGraph, rule: str) -> StabilizerGraph:
 
 def _t2(m: _Masks, j: int) -> None:
     m.advance(1 << j)
-
-
-def _t3(m: _Masks, j: int) -> None:
-    # S on a hollow node without a loop.
-    m.local_complement(j)
-    nb = m.adj[j]
-    m.advance(nb)
-    if (m.neg_mask >> j) & 1:
-        m.neg_mask ^= nb
 
 
 def _t6(m: _Masks, j: int) -> None:

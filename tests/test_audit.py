@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import stabgraph.audit as audit
-from stabgraph import transforms
+from stabgraph import equivalence, transforms
 from stabgraph.cli import main
 from stabgraph import (
     audit_rules,
@@ -221,6 +221,7 @@ def test_audit_covers_every_rule_and_passes():
         ({"max_n": "3"}, "max_n must be an integer, got '3'"),
         ({"graphs": 2.0}, "graphs must be an integer, got 2.0"),
         ({"graphs": -1}, "graphs must not be negative, got -1"),
+        ({"max_n": 0}, "max_n must be positive, got 0"),
     ],
 )
 def test_audit_reads_its_arguments(kwargs, message):
@@ -337,6 +338,23 @@ def test_a_broken_t2_fails_exactly_the_rules_built_on_it(monkeypatch, capsys):
     assert _failed_rules(capsys, argv) == (0, set())
     monkeypatch.setattr(transforms, "_t2", s_then_z)
     assert _failed_rules(capsys, argv) == (1, {"T2", "T4", "T(vi)"})
+
+
+def test_a_broken_t3_fails_exactly_the_rules_built_on_it(monkeypatch):
+    # The body of S on a hollow node is also the rest of E1, so dropping
+    # its neighbor sign flip breaks every rule that runs E1 or S on a
+    # hollow node, and no other.
+    def without_the_sign_flip(m, j):
+        m.local_complement(j)
+        m.advance(m.adj[j])
+
+    def failed():
+        return {r.rule for r in audit_rules(max_n=8, graphs=16, seed=0) if r.failures}
+
+    assert failed() == set()
+    for module in (equivalence, transforms):
+        monkeypatch.setattr(module, "_t3", without_the_sign_flip)
+    assert failed() == {"E(i)", "E1", "T(ii)", "T(iv)", "T(vii)", "T3", "T4"}
 
 
 @pytest.mark.parametrize("permute", ["all", "rewrites", "sources"])

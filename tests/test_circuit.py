@@ -69,6 +69,12 @@ class TestCircuitType:
         empty = frozenset()
         assert c == GraphFormCircuit(3, frozenset({(0, 2)}), frozenset({1}), empty, empty)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_qubit(self, n):
+        with pytest.raises(ValueError, match=f"^need at least one qubit, got n={n}$"):
+            GraphFormCircuit(n, (), (), (), ())
+
+
 class TestGraphCircuitBijection:
     def test_bell_graph_circuit(self):
         g = StabilizerGraph.build(2, edges=[(0, 1)], hollow=[1])

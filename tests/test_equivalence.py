@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,27 @@ class TestReducedMoves:
                 assert is_reduced(out)
                 assert sum(out.hollow) == sum(g.hollow)
                 assert_same_state(g, out)
+
+
+NOT_REDUCED = G(2, edges=[(0, 1)], hollow=[0, 1])
+
+
+@pytest.mark.parametrize(
+    "move, args, message",
+    [
+        (apply_Ei, (NOT_REDUCED, 0, 1), "graph is not reduced"),
+        (apply_Eii, (NOT_REDUCED, 0, 1), "graph is not reduced"),
+        # A node is never both hollow and solid, nor its own neighbor.
+        (apply_Eii, (G(2, edges=[(0, 1)], hollow=[0]), 0, 0),
+         "expected hollow node 0 and solid node 0"),
+        (apply_E2, (G(2, edges=[(0, 1)]), 1, 1), "nodes 1 and 1 are not connected"),
+        (simplify_pair, (G(2), NOT_REDUCED), "inputs must be reduced"),
+    ],
+    ids=["Ei", "Eii", "Eii-one-node", "E2-one-node", "simplify_pair"],
+)
+def test_input_checks(move, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        move(*args)
 
 
 class TestToReduced:

@@ -79,6 +79,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StabilizerGraph(2, (False,), (False,) * 2, (False,) * 2, (0, 0))
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, (), (), (), ()), "need at least one node, got n=0"),
+            ((2, (False,) * 2, (False,) * 2, (False,) * 2, (0,)), "adj must have length n=2"),
+        ],
+        ids=["no-node", "short-adj"],
+    )
+    def test_constructor_messages(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StabilizerGraph(*args)
+
     def test_rejects_out_of_range_edges(self):
         with pytest.raises((ValueError, IndexError)):
             StabilizerGraph.build(2, edges=[(0, 2)])

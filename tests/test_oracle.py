@@ -11,6 +11,7 @@ are held, bit for bit, to the one-state body it replaced.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -504,3 +505,25 @@ class TestRandomGraphs:
             seen_loop |= any(g.loop)
             seen_neg |= any(g.neg)
         assert seen_hollow and seen_loop and seen_neg
+
+
+_ONE_QUBIT = Statevector(np.array([1.0, 0.0], dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (apply_pauli, (_ONE_QUBIT, PauliString.from_label("+XX")),
+         "size mismatch: state has 1 qubits, operator 2"),
+        (states_equal_up_to_global_phase,
+         (_ONE_QUBIT, Statevector(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))),
+         "size mismatch: 1 vs 2"),
+        (random_graph, (0, 1), "need at least one node, got n=0"),
+        (statevector_from_circuit, (GraphFormCircuit(13, (), (), (), ()),),
+         "n=13 exceeds the dense-simulation cap of 12"),
+    ],
+    ids=["apply_pauli", "states_equal", "random_graph", "circuit-cap"],
+)
+def test_input_checks(call, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)

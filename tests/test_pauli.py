@@ -121,6 +121,26 @@ class TestPauliString:
             PauliString(*args)
 
 
+_P = PauliString.from_label
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (PauliString, (2, 0, 4, 1), "z mask 0x4 out of range for n=2"),
+        (skew_product, (_P("+X"), _P("+XX")), "size mismatch: 1 vs 2"),
+        (multiply, (_P("+X"), _P("+XX")), "size mismatch: 1 vs 2"),
+        (permute_qubits, (_P("+XY"), (1, 1)), "perm is not a permutation of the qubits"),
+        (GeneratorMatrix, (0, ()), "need at least one qubit, got n=0"),
+        (GeneratorMatrix, (1, (_P("+XX"),)), "row +XX has 2 qubits, expected 1"),
+    ],
+    ids=["z-mask", "skew_product", "multiply", "permute_qubits", "matrix-n", "matrix-row"],
+)
+def test_input_checks(call, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)
+
+
 def random_rows(seed: int):
     """Random signed rows at n = 1..70, a few per size, then two at n=1024."""
     rng = random.Random(seed)

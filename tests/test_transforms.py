@@ -98,6 +98,11 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_local(G(1), "CX", 0)
 
+    @pytest.mark.parametrize("gate", ["CX", "CZ", "h"])
+    def test_reduced_rejects_unknown_gate(self, gate):
+        with pytest.raises(ValueError, match=f"^not a single-node gate: '{gate}'$"):
+            classify_local_reduced(G(1), gate, 0)
+
 
 class TestGeneralLocalRules:
     def test_t1_hadamard_on_loop_free_flips_fill(self):

@@ -9,8 +9,8 @@ dense oracle's cap of n = 12:
 * the reference agrees with the oracle where both run;
 * seeded words on reduced sparse graphs at n = 16, 64 and 256, under the
   reduced and the general rules, all pass;
-* two mutants that leave every output reduced, so that no invariant check
-  sees them, fail it at n = 64 with no oracle.
+* three mutants that leave every output reduced, so that no invariant
+  check sees them, fail it at n = 64 with no oracle.
 """
 
 from __future__ import annotations
@@ -104,16 +104,31 @@ def _e2_without_the_common_flip(real):
     return mutant
 
 
-@pytest.mark.parametrize("module, name, mutate", [
-    (transforms, "apply_cz_reduced", _tx_without_the_k_sign_flip),
-    (equivalence, "_e2_core", _e2_without_the_common_flip),
-], ids=["T(x)", "E2"])
-def test_mutants_are_caught_at_n64(monkeypatch, module, name, mutate):
+def _t3_without_the_sign_flip(real):
+    # The body flips j's neighbors when j is negative, and writes neither
+    # j's sign nor its row's own bit, so undoing that flip afterwards is the
+    # body without it.
+    def mutant(m, j):
+        real(m, j)
+        if m.neg_mask >> j & 1:
+            m.neg_mask ^= m.adj[j]
+    return mutant
+
+
+@pytest.mark.parametrize("modules, name, mutate", [
+    ((transforms,), "apply_cz_reduced", _tx_without_the_k_sign_flip),
+    ((equivalence,), "_e2_core", _e2_without_the_common_flip),
+    ((equivalence, transforms), "_t3", _t3_without_the_sign_flip),
+], ids=["T(x)", "E2", "T3"])
+def test_mutants_are_caught_at_n64(monkeypatch, modules, name, mutate):
     # Each mutant runs in words on the word's one _Masks, in both modes:
     # T(x) in every CZ on two hollow nodes, E2 in the T(iii) prelude and in
-    # the general CZ's reduction.  A clean word passes (the test above), so
-    # a row outside is the mutant's.
-    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    # the general CZ's reduction, and the T3 body, which every module that
+    # binds it gets, in S on a hollow node and in every E1.  A clean word
+    # passes (the test above), so a row outside is the mutant's.
+    mutant = mutate(getattr(modules[0], name))
+    for module in modules:
+        monkeypatch.setattr(module, name, mutant)
     caught = [
         _outside(_input(64, seed), helpers.random_word(random.Random(seed), 64, WORD_LENGTH),
                  reduced) is not None
