@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equivalence, transforms
-from .graph import StabilizerGraph, _node_id, is_reduced, neighbors
+from .graph import StabilizerGraph, _bits, _node_id, is_reduced
 from .oracle import DEFAULT_TOL, gate_images, graph_amplitudes
 from .oracle import random_graph, random_reduced_graph
 
@@ -120,17 +120,13 @@ def _reduced_cases(g: StabilizerGraph) -> list:
             rule = transforms.classify_cz_reduced(g, j, k)
             out = transforms.apply_cz_reduced(g, j, k)
             cases.append((rule, out, ("CZ", (j, k)), True))
-    for h in range(g.n):
-        if not g.hollow[h]:
-            continue
+    for h in _bits(g.hollow_mask):
         # g is reduced, so a hollow node's neighbors are solid.
-        for s in sorted(neighbors(g, h)):
-            if g.loop[s]:
-                out = equivalence.apply_Ei(g, h, s)
-                cases.append(("E(i)", out, None, is_reduced(out)))
-            else:
-                out = equivalence.apply_Eii(g, h, s)
-                cases.append(("E(ii)", out, None, is_reduced(out)))
+        for s in _bits(g.adj[h]):
+            rule, move = (("E(i)", equivalence.apply_Ei) if g.loop_mask >> s & 1
+                          else ("E(ii)", equivalence.apply_Eii))
+            out = move(g, h, s)
+            cases.append((rule, out, None, is_reduced(out)))
     return cases
 
 

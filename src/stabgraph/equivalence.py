@@ -10,10 +10,11 @@ drawing the same state:
        complementing along their edge.
 * E(i) and E(ii) are the reduced-form counterparts used when two reduced
   graphs disagree on a single fill: they move a hollow marker across an
-  edge onto a solid neighbor (with a loop for E(i), without for E(ii)),
-  and ``_swap`` picks the one that applies.  E(ii) is E2 on the
-  opposite-fill pair.  E(i) is E1 on the solid node, then E1 on the
-  hollow node, which the first move gave a loop.
+  edge onto a solid neighbor (with a loop for E(i), without for E(ii)).
+  ``_swap`` is the one chooser between them; the public ``apply_Ei`` and
+  ``apply_Eii`` only check the caller's choice.  E(ii) is E2 on the
+  opposite-fill pair; E(i), inline in ``_swap``, is E1 on the solid node,
+  then E1 on the hollow node, which the first move gave a loop.
 
 ``graphs_equivalent`` decides whether two graphs describe the same state
 up to global phase: reduce both, then (``simplify_pair``) swap away the
@@ -80,16 +81,14 @@ def _e2_core(m: _Masks, j: int, k: int) -> None:
     m.neg_mask ^= flips
 
 
-def _ei_core(m: _Masks, hollow: int, solid: int) -> None:
-    # E1 at the looped solid node advances the loop of its hollow
-    # neighbor, which then has the loop that E1 needs.
-    _e1_core(m, solid)
-    _e1_core(m, hollow)
-
-
 def _swap(m: _Masks, hollow: int, solid: int) -> None:
-    # E(i) when the solid node has a loop, else E(ii).
-    (_ei_core if m.loop_mask >> solid & 1 else _e2_core)(m, hollow, solid)
+    # E(i) when the solid node has a loop: E1 there advances the loop of
+    # its hollow neighbor, which then has the loop that E1 needs.  Else E(ii).
+    if m.loop_mask >> solid & 1:
+        _e1_core(m, solid)
+        _e1_core(m, hollow)
+    else:
+        _e2_core(m, hollow, solid)
 
 
 def apply_E1(g: StabilizerGraph, j: int) -> StabilizerGraph:
@@ -134,10 +133,7 @@ def apply_Ei(g: StabilizerGraph, hollow: int, solid: int) -> StabilizerGraph:
     neighbors, so the hollow node, loop-free in a reduced graph, gains
     the loop that the second move needs.
     """
-    hollow, solid = _check_pair(g, hollow, solid, want_loop=True)
-    m = _Masks(g)
-    _ei_core(m, hollow, solid)
-    return m.freeze()
+    return _swapped(g, hollow, solid, want_loop=True)
 
 
 def apply_Eii(g: StabilizerGraph, hollow: int, solid: int) -> StabilizerGraph:
@@ -145,15 +141,13 @@ def apply_Eii(g: StabilizerGraph, hollow: int, solid: int) -> StabilizerGraph:
     node, in a reduced graph.  This is exactly the E2 action applied to an
     opposite-fill pair.  The described state is unchanged.
     """
-    hollow, solid = _check_pair(g, hollow, solid, want_loop=False)
-    m = _Masks(g)
-    _e2_core(m, hollow, solid)
-    return m.freeze()
+    return _swapped(g, hollow, solid, want_loop=False)
 
 
-def _check_pair(
+def _swapped(
     g: StabilizerGraph, hollow: object, solid: object, want_loop: bool
-) -> tuple[int, int]:
+) -> StabilizerGraph:
+    # Checks that _swap would pick the caller's rule, then runs it on a copy.
     hollow, solid = _check_node(g, hollow), _check_node(g, solid)
     if not is_reduced(g):
         raise ValueError("graph is not reduced")
@@ -166,7 +160,9 @@ def _check_pair(
         have = "a loop" if has_loop else "no loop"
         need = "a loop" if want_loop else "no loop"
         raise ValueError(f"solid node {solid} has {have}, rule needs {need}")
-    return hollow, solid
+    m = _Masks(g)
+    _swap(m, hollow, solid)
+    return m.freeze()
 
 
 def to_reduced(g: StabilizerGraph) -> StabilizerGraph:

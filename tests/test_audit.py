@@ -357,6 +357,31 @@ def test_a_broken_t3_fails_exactly_the_rules_built_on_it(monkeypatch):
     assert failed() == {"E(i)", "E1", "T(ii)", "T(iv)", "T(vii)", "T3", "T4"}
 
 
+def test_a_broken_swap_fails_exactly_the_rules_built_on_it(monkeypatch):
+    # _swap is the one chooser of every hollow-marker swap, so a swap that
+    # flips the sign of the node it filled, on one branch only, breaks the
+    # public move of that branch and the T(iii)/T(iv) prelude that runs it,
+    # and no other rule.
+    real = equivalence._swap
+
+    def flips_the_filled_node_when(looped):
+        def mutant(m, hollow, solid):
+            branch = m.loop_mask >> solid & 1
+            real(m, hollow, solid)
+            if branch == looped:
+                m.neg_mask ^= 1 << hollow
+        return mutant
+
+    def failed():
+        return {r.rule for r in audit_rules(max_n=8, graphs=16, seed=0) if r.failures}
+
+    assert failed() == set()
+    for looped, rules in ((1, {"E(i)", "T(iv)"}), (0, {"E(ii)", "T(iii)"})):
+        for module in (equivalence, transforms):
+            monkeypatch.setattr(module, "_swap", flips_the_filled_node_when(looped))
+        assert failed() == rules
+
+
 @pytest.mark.parametrize("permute", ["all", "rewrites", "sources"])
 def test_a_batch_with_permuted_rows_is_caught(monkeypatch, permute):
     # "sources" swaps the two source states of each audited pair, so

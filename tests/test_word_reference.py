@@ -9,7 +9,7 @@ dense oracle's cap of n = 12:
 * the reference agrees with the oracle where both run;
 * seeded words on reduced sparse graphs at n = 16, 64 and 256, under the
   reduced and the general rules, all pass;
-* three mutants that leave every output reduced, so that no invariant
+* six mutants that leave every output reduced, so that no invariant
   check sees them, fail it at n = 64 with no oracle.
 """
 
@@ -95,6 +95,34 @@ def _tx_without_the_k_sign_flip(real):
     return mutant
 
 
+def _tviii_with_a_stray_flip(real):
+    # T(viii) toggles the edge and writes no sign, so any sign flip is stray.
+    def mutant(g, j, k):
+        both_solid = not (g.hollow_mask >> j & 1 or g.hollow_mask >> k & 1)
+        out = real(g, j, k)
+        if both_solid:
+            out.neg_mask ^= 1 << j
+        return out
+    return mutant
+
+
+def _tix_without_the_solid_flip(real):
+    # T(ix) toggles edges between the solid node and the hollow node's other
+    # neighbors, which changes neither the pair's edge nor the hollow node's
+    # sign, so the flip's condition reads the same before the body as within
+    # it, and undoing the flip afterwards is the body without it.
+    def mutant(g, j, k):
+        hollow_mask = g.hollow_mask
+        solid, hollow = (j, k) if hollow_mask >> k & 1 else (k, j)
+        one_hollow = (hollow_mask >> j & 1) != (hollow_mask >> k & 1)
+        flips = (g.adj[solid] >> hollow & 1) != (g.neg_mask >> hollow & 1)
+        out = real(g, j, k)
+        if one_hollow and flips:
+            out.neg_mask ^= 1 << solid
+        return out
+    return mutant
+
+
 def _e2_without_the_common_flip(real):
     # The common neighbors hold neither node, so the flips that read their
     # signs are the same whether the common flip came first or not at all.
@@ -115,17 +143,36 @@ def _t3_without_the_sign_flip(real):
     return mutant
 
 
-@pytest.mark.parametrize("modules, name, mutate", [
-    ((transforms,), "apply_cz_reduced", _tx_without_the_k_sign_flip),
-    ((equivalence,), "_e2_core", _e2_without_the_common_flip),
-    ((equivalence, transforms), "_t3", _t3_without_the_sign_flip),
-], ids=["T(x)", "E2", "T3"])
-def test_mutants_are_caught_at_n64(monkeypatch, modules, name, mutate):
-    # Each mutant runs in words on the word's one _Masks, in both modes:
-    # T(x) in every CZ on two hollow nodes, E2 in the T(iii) prelude and in
-    # the general CZ's reduction, and the T3 body, which every module that
-    # binds it gets, in S on a hollow node and in every E1.  A clean word
-    # passes (the test above), so a row outside is the mutant's.
+def _ei_with_a_stray_flip(real):
+    # The E(i) branch of the one hollow-marker swap, with the node it
+    # filled negated afterwards.
+    def mutant(m, hollow, solid):
+        looped = m.loop_mask >> solid & 1
+        real(m, hollow, solid)
+        if looped:
+            m.neg_mask ^= 1 << hollow
+    return mutant
+
+
+BOTH_MODES = (True, False)
+
+
+@pytest.mark.parametrize("modules, name, mutate, modes", [
+    ((transforms,), "apply_cz_reduced", _tx_without_the_k_sign_flip, BOTH_MODES),
+    ((transforms,), "apply_cz_reduced", _tviii_with_a_stray_flip, BOTH_MODES),
+    ((transforms,), "apply_cz_reduced", _tix_without_the_solid_flip, BOTH_MODES),
+    ((equivalence,), "_e2_core", _e2_without_the_common_flip, BOTH_MODES),
+    ((equivalence, transforms), "_t3", _t3_without_the_sign_flip, BOTH_MODES),
+    ((equivalence, transforms), "_swap", _ei_with_a_stray_flip, (True,)),
+], ids=["T(x)", "T(viii)", "T(ix)", "E2", "T3", "E(i)"])
+def test_mutants_are_caught_at_n64(monkeypatch, modules, name, mutate, modes):
+    # Each mutant runs in words on the word's one _Masks, in the modes
+    # listed: the three CZ rules in every CZ of their fill pattern, E2 in
+    # the T(iii) prelude and in the general CZ's reduction, the T3 body,
+    # which every module that binds it gets, in S on a hollow node and in
+    # every E1, and the E(i) swap in the T(iv) prelude, which only reduced
+    # words run.  A clean word passes (the test above), so a row outside
+    # is the mutant's.
     mutant = mutate(getattr(modules[0], name))
     for module in modules:
         monkeypatch.setattr(module, name, mutant)
@@ -133,6 +180,6 @@ def test_mutants_are_caught_at_n64(monkeypatch, modules, name, mutate):
         _outside(_input(64, seed), helpers.random_word(random.Random(seed), 64, WORD_LENGTH),
                  reduced) is not None
         for seed in range(4)
-        for reduced in (True, False)
+        for reduced in modes
     ]
     assert all(caught), caught
