@@ -34,10 +34,12 @@ C speed (``_symmetric_by_transpose``); only rows that fail that check are
 walked one by one, and the first defective row names the error.
 Rewrites of an already-valid graph build their results with the
 unchecked ``StabilizerGraph._trusted`` constructor, so a gate costs about
-the degree of its target rather than a full symmetry check;
-``apply_sequence`` runs one ``_validate()`` on the graph it returns,
-which also rejects a flag bit at or above n.  ``parse_graph`` builds
-with ``_trusted`` too, since its own line checks already give every
+the degree of its target rather than a full symmetry check.
+``apply_sequence`` checks the graph it returns once, on the rows its word
+wrote (``_valid_rewrite``: rows are immutable ints, so a written row is
+one that is no longer the input's own object), and on any failure runs
+the full ``_validate()``, which names the defect.  ``parse_graph`` builds
+with ``_trusted`` too, since its own bulk checks already give every
 property the constructor checks.
 
 Rows are walked bit by bit only when they are sparse.  ``_bits`` lists the
@@ -183,21 +185,53 @@ def _adjacency_error(adj: Sequence[int], n: int) -> Optional[str]:
 
 def _symmetric_by_transpose(adj: Sequence[int], n: int) -> bool:
     """True when the n rows ``adj`` are in range, have a zero diagonal and
-    equal their transpose.
-
-    Set bit k of row j is coded j*n + k; the rows equal their transpose
-    when the codes k*n + j of the transposed pairs, sorted, are the same
-    array.  This costs O(n) Python steps and C-speed work per edge, in
-    memory that grows with the edges, not with n**2.
-    """
+    equal their transpose."""
     full = (1 << n) - 1
     if not (min(adj) >= 0 and max(adj) <= full):
         return False
-    nbrs = list(map(_bits, adj))
-    src = np.repeat(np.arange(n, dtype=np.int64), list(map(len, nbrs)))
+    return _symmetric_block(np.arange(n, dtype=np.int64), adj, n)
+
+
+def _symmetric_block(ids, rows: Sequence[int], n: int) -> bool:
+    """True when ``rows``, the rows of the nodes ``ids`` (ascending) with
+    bits among those nodes only, have a zero diagonal and equal their
+    transpose.
+
+    Set bit k of row j is coded j*n + k; the rows equal their transpose
+    when the codes k*n + j of the transposed pairs, sorted, are the same
+    array.  This costs O(len(ids)) Python steps and C-speed work per edge,
+    in memory that grows with the edges, not with n**2.
+    """
+    nbrs = list(map(_bits, rows))
+    src = np.repeat(np.asarray(ids, np.int64), list(map(len, nbrs)))
     dst = np.fromiter(chain.from_iterable(nbrs), np.int64, len(src))
     codes = src * n + dst  # ascending: rows in order, each row ascending
     return not (src == dst).any() and bool((codes == np.sort(dst * n + src)).all())
+
+
+def _valid_rewrite(out: "StabilizerGraph", g: "StabilizerGraph") -> bool:
+    """True when ``out``, written from the valid graph ``g`` row by row,
+    is valid too, checked on the rows it wrote.
+
+    A row is an int and ints are immutable, so every row a rewrite wrote
+    is a new object: the written rows W are those that are not ``g``'s
+    own, found at C speed.  The other rows are ``g``'s, valid, so ``out``
+    is valid exactly when its flag masks lie in [0, 2**n), each row in W
+    keeps its bits outside W (a row out of range, or negative, changes
+    bits outside W too), and the W x W block is symmetric with a zero
+    diagonal.  Past one C-speed pass over the n rows, this costs the rows
+    in W.
+    """
+    n = g.n
+    if len(out.adj) != n or (out.hollow_mask | out.loop_mask | out.neg_mask) >> n:
+        return False
+    written = _mask(list(map(operator.is_not, out.adj, g.adj)))
+    ids = _bits(written)
+    rows = list(map(out.adj.__getitem__, ids))
+    outside = ~written
+    if any((new ^ old) & outside for new, old in zip(rows, map(g.adj.__getitem__, ids))):
+        return False
+    return not ids or _symmetric_block(ids, [row & written for row in rows], n)
 
 
 @dataclass(frozen=True, init=False, repr=False)

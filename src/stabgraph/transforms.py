@@ -58,6 +58,7 @@ from .graph import (
     _check_node,
     _offenders,
     _scratch,
+    _valid_rewrite,
     is_reduced,
 )
 from .pauli import _gate_arity, _gate_targets
@@ -237,9 +238,13 @@ def apply_sequence(
     The word runs on one ``graph._Masks``: each gate goes through its
     one-gate function, which rewrites that ``_Masks`` in place and adds
     the nodes it wrote to the suspect mask, and the result is frozen once,
-    at the end.  It then gets the full structural validation once, and one
-    full reduced scan that ignores the suspect mask and must agree with
-    ``is_reduced``.  An empty word returns ``g`` itself.
+    at the end.  It is then checked once on the rows the word wrote
+    (``graph._valid_rewrite``), which past one C-speed pass over the rows
+    costs those rows, not all n; when that check fails, the full
+    ``_validate()`` runs and raises its message.
+    Then one full reduced scan, which ignores the suspect mask, must agree
+    with ``is_reduced``.  An empty word gets the full ``_validate()`` and
+    returns ``g`` itself.
     """
     m = _Masks(g)
     count = 0
@@ -252,8 +257,13 @@ def apply_sequence(
             apply = apply_local_reduced if reduced else apply_local
             apply(m, gate, *targets)
     if count:
-        g = m.freeze()
-    g._validate()
+        out = m.freeze()
+        if not _valid_rewrite(out, g):
+            out._validate()
+            raise InvariantError("the written-rows check rejected a graph the full check accepts")
+        g = out
+    else:
+        g._validate()
     clean = not _offenders(g, -1)
     if is_reduced(g) != clean:
         raise InvariantError("a rule left a clash outside the suspect mask")

@@ -270,6 +270,159 @@ class TestReducedVerdictCache:
         assert transforms.apply_sequence(g, []) is g
 
 
+def _half_edge(m, j):
+    # S that writes one half of the edge j - (j + 1) and nothing else.
+    m.adj[j] ^= 1 << (j + 1) % m.n
+
+
+def _diagonal(m, j):
+    m.adj[j] ^= 1 << j
+
+
+def _loop_at_n(m, j):
+    m.loop_mask ^= 1 << m.n
+
+
+def _frozen(monkeypatch) -> list:
+    """Record every graph ``_Masks.freeze`` returns from now on."""
+    real, out = graph._Masks.freeze, []
+
+    def freeze(m):
+        out.append(real(m))
+        return out[-1]
+
+    monkeypatch.setattr(graph._Masks, "freeze", freeze)
+    return out
+
+
+class TestWrittenRowsCheck:
+    """A word's end check looks at the rows the word wrote, and on any
+    failure the full ``_validate()`` names the defect."""
+
+    @pytest.mark.parametrize(
+        "body, word, message",
+        [
+            # Row 0 is written, row 1 is not.
+            (_half_edge, [("S", (0,))], "adjacency is not symmetric at (0, 1)"),
+            # Both rows are written: the CZ writes rows 1 and 2, the S row 0.
+            (_half_edge, [("CZ", (1, 2)), ("S", (0,))], "adjacency is not symmetric at (0, 1)"),
+            (_diagonal, [("H", (1,)), ("S", (2,))], "node 2 has a diagonal adjacency entry"),
+            (_loop_at_n, [("S", (0,))], "loop mask has bits at or above n=4"),
+        ],
+    )
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_a_broken_rule_gets_the_full_message(
+        self, monkeypatch, body, word, message, reduced
+    ):
+        monkeypatch.setattr(transforms, "_t2", body)
+        frozen = _frozen(monkeypatch)
+        g = StabilizerGraph.empty(4)
+        with pytest.raises(ValueError) as err:
+            transforms.apply_sequence(g, word, reduced=reduced)
+        assert str(err.value) == message
+        (out,) = frozen
+        assert not graph._valid_rewrite(out, g)
+        with pytest.raises(ValueError) as full:
+            out._validate()
+        assert str(full.value) == message
+
+    def test_a_broken_move_inside_a_general_cz(self, monkeypatch):
+        # The CZ reduces the word's graph in place first; an E2 that also
+        # writes one half of an edge to a node no gate writes is caught
+        # at the end of the word.
+        real, calls = equivalence._e2_core, []
+
+        def broken(m, j, k):
+            real(m, j, k)
+            m.adj[j] ^= 1 << 4
+            calls.append((j, k))
+
+        monkeypatch.setattr(equivalence, "_e2_core", broken)
+        frozen = _frozen(monkeypatch)
+        g = StabilizerGraph.build(5, edges=[(0, 1)], hollow=[0, 1])
+        with pytest.raises(ValueError) as err:
+            transforms.apply_sequence(g, [("CZ", (2, 3))])
+        assert calls == [(0, 1)]
+        assert str(err.value) == "adjacency is not symmetric at (0, 4)"
+        (out,) = frozen
+        with pytest.raises(ValueError) as full:
+            out._validate()
+        assert str(full.value) == str(err.value)
+
+    def test_written_rows_check_under_python_O(self):
+        proc = _run_under_python_O(
+            """
+            import sys
+            from stabgraph import StabilizerGraph, transforms
+            def broken(m, j):
+                m.adj[j] ^= 1 << (j + 1) % m.n
+            transforms._t2 = broken
+            if sys.flags.optimize < 1:
+                sys.exit("not running under -O")
+            for reduced in (True, False):
+                try:
+                    transforms.apply_sequence(
+                        StabilizerGraph.empty(4), [("CZ", (1, 2)), ("S", (0,))], reduced=reduced
+                    )
+                except ValueError as exc:
+                    print("raised:", reduced, exc)
+                else:
+                    sys.exit("the end-of-word check did not fire")
+            """
+        )
+        assert proc.returncode == 0, proc.stderr
+        for reduced in (True, False):
+            assert f"raised: {reduced} adjacency is not symmetric at (0, 1)" in proc.stdout
+
+    def test_a_rejection_the_full_check_accepts_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_valid_rewrite", lambda out, g: False)
+        with pytest.raises(InvariantError, match="written-rows check"):
+            transforms.apply_sequence(StabilizerGraph.empty(3), [("S", (0,))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 70),
+        st.integers(0, 2**32),
+        st.sampled_from((0.05, 0.3)),
+        st.lists(
+            st.sampled_from(("edge", "same", "high", "negative", "diagonal", "half", "flag")),
+            max_size=4,
+        ),
+    )
+    def test_agrees_with_the_full_check(self, n, seed, p, changes):
+        # Rows are rewritten as a rule would (every write a new object),
+        # validly or not, and the verdict must be the full check's.
+        rng = random.Random(seed)
+        g = sparse_graph(n, seed, p)
+        adj = list(g.adj)
+        masks = [g.hollow_mask, g.loop_mask, g.neg_mask]
+        for change in changes:
+            j, k = rng.randrange(n), rng.randrange(n)
+            if change == "edge" and j != k:  # both halves: still valid
+                adj[j] ^= 1 << k
+                adj[k] ^= 1 << j
+            elif change == "same":  # a new object with the same value
+                adj[j] = int(str(adj[j]))
+            elif change == "high":
+                adj[j] |= 1 << (n + rng.randrange(3))
+            elif change == "negative":
+                adj[j] = -1 - adj[j]
+            elif change == "diagonal":
+                adj[j] ^= 1 << j
+            elif change == "half" and j != k:
+                adj[j] ^= 1 << k
+            elif change == "flag":
+                masks[k % 3] |= 1 << (n + rng.randrange(2))
+        out = StabilizerGraph._trusted(n, *masks, tuple(adj))
+        try:
+            out._validate()
+        except ValueError:
+            valid = False
+        else:
+            valid = True
+        assert graph._valid_rewrite(out, g) == valid
+
+
 def _perturbed(n: int, seed: int, kind: str) -> StabilizerGraph:
     """A reduced graph, then (maybe) one change that can break reducedness.
 

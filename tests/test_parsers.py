@@ -14,14 +14,18 @@ raises one of its documented errors.
 
 from __future__ import annotations
 
+import random
 import re
 import sys
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import parse_circuit_reference, parse_graph_reference
 from stabgraph import (
+    InvariantError,
     ParseError,
     StabilizerGraph,
     circuit_from_graph,
@@ -34,6 +38,7 @@ from stabgraph import (
     parse_graph,
     random_graph,
 )
+from stabgraph import textio
 from stabgraph.cli import ScriptError, parse_script
 
 # Separators that split a line (str.isspace) and, for all but the tab, the
@@ -227,6 +232,191 @@ class TestAgainstRegexTokenParsers:
         # with re.finditer(r"\S+"); the two must cut at the same characters.
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         assert every.split() == [m.group() for m in re.finditer(r"\S+", every)]
+
+
+# --- the bulk checks and the line walker ------------------------------------
+
+G = StabilizerGraph.build
+FOUR_THOUSAND_DIGITS = "0" * 4299 + "1"  # int() converts at most 4300 digits
+
+# (text, the graph parse_graph returns, or the message of its ParseError).
+# parse_graph checks a graph text's lines in bulk; only when those checks
+# reject it does the line walker run, to name the first defect.
+PINNED_GRAPH_TEXTS = {
+    "interleaved node and edge lines": (
+        "nodes 3\nedge 0 2\nnode 2 hollow\nnode 0 solid loop\nedge 1 2\nnode 1 solid neg\n",
+        G(3, edges=[(0, 2), (1, 2)], hollow=[2], loops=[0], neg=[1]),
+    ),
+    "edges out of order": (
+        "nodes 3\nnode 0 solid\nnode 1 solid\nnode 2 solid\nedge 1 2\nedge 0 2\nedge 0 1\n",
+        G(3, edges=[(0, 1), (0, 2), (1, 2)]),
+    ),
+    "flags in the order neg loop": (
+        "nodes 1\nnode 0 hollow neg loop\n",
+        G(1, hollow=[0], loops=[0], neg=[0]),
+    ),
+    "a repeated flag": (
+        "nodes 2\nnode 0 solid loop neg loop\nnode 1 solid\n",
+        "line 2, column 23: bad or repeated node flag 'loop'",
+    ),
+    "more flags than a node can have": (
+        "nodes 1\nnode 0 solid loop neg neg\n",
+        "line 2, column 23: bad or repeated node flag 'neg'",
+    ),
+    "a 4300-digit id": (
+        f"nodes 2\nnode 0 solid\nnode {FOUR_THOUSAND_DIGITS} solid\n",
+        G(2),
+    ),
+    "a 4301-digit id": (
+        f"nodes 2\nnode 0 solid\nnode 0{FOUR_THOUSAND_DIGITS} solid\n",
+        "line 3, column 6: node id has too many digits (4301)",
+    ),
+    "an edge line with 2 tokens": (
+        "nodes 2\nnode 0 solid\nnode 1 solid\nedge 0\n",
+        "line 4, column 1: edge line must be 'edge <i> <j>'",
+    ),
+    "an edge line with 4 tokens": (
+        "nodes 2\nnode 0 solid\nnode 1 solid\nedge 0 1 1\n",
+        "line 4, column 1: edge line must be 'edge <i> <j>'",
+    ),
+    "CRLF line breaks": (
+        "nodes 2\r\nnode 0 solid\r\nnode 1 hollow\r\nedge 0 1\r\n",
+        G(2, edges=[(0, 1)], hollow=[1]),
+    ),
+    "U+2028 line breaks": (
+        "nodes 2\u2028node 0 solid\u2028node 1 hollow\u2028edge 0 1",
+        G(2, edges=[(0, 1)], hollow=[1]),
+    ),
+    "ids with leading zeros": (
+        "nodes 2\nnode 00 solid\nnode 01 hollow\nedge 000 1\n",
+        G(2, edges=[(0, 1)], hollow=[1]),
+    ),
+    "a header with an extra token": (
+        "nodes 2 3\nnode 0 solid\nnode 1 solid\n",
+        "line 1, column 9: header must be exactly 'nodes <n>'",
+    ),
+    "a line of another kind": (
+        "nodes 1\nnode 0 solid\nvertex 0\n",
+        "line 3, column 1: expected 'node' or 'edge', got 'vertex'",
+    ),
+    "a node line with no fill": (
+        "nodes 1\nnode 0\n",
+        "line 2, column 1: node line needs an id and a fill",
+    ),
+    "a bad fill": (
+        "nodes 1\nnode 0 shaded\n",
+        "line 2, column 8: fill must be 'solid' or 'hollow', got 'shaded'",
+    ),
+    "a missing node line": (
+        "nodes 3\nnode 0 solid\nnode 2 solid\n",
+        "line 1, column 1: missing node line(s) for 1 id(s): 1",
+    ),
+    "a duplicate node line": (
+        "nodes 2\nnode 1 solid\nnode 1 hollow\n",
+        "line 3, column 6: duplicate node line for id 1",
+    ),
+    "a node id out of range": (
+        "nodes 2\nnode 0 solid\nnode 2 solid\n",
+        "line 3, column 6: node id 2 out of range for nodes 2",
+    ),
+    "a digit int() reads but the format does not": (
+        "nodes 2\nnode 0 solid\nnode 1 solid\nedge 0 \u0661\n",
+        "line 4, column 8: node id must be a non-negative integer, got '\u0661'",
+    ),
+    "a signed id": (
+        "nodes 2\nnode 0 solid\nnode +1 solid\n",
+        "line 3, column 6: node id must be a non-negative integer, got '+1'",
+    ),
+    "edge endpoints out of order": (
+        "nodes 2\nnode 0 solid\nnode 1 solid\nedge 1 0\n",
+        "line 4, column 6: edge endpoints must satisfy i < j, got 1 0",
+    ),
+    "an edge endpoint out of range": (
+        "nodes 2\nnode 0 solid\nnode 1 solid\nedge 0 2\n",
+        "line 4, column 8: node id 2 out of range for nodes 2",
+    ),
+    "a duplicate edge spelled with leading zeros": (
+        "nodes 3\nnode 0 solid\nnode 1 solid\nnode 2 solid\nedge 0 1\nedge 1 2\nedge 00 01\n",
+        "line 7, column 6: duplicate edge 0 1",
+    ),
+}
+
+
+def _walker_spy():
+    """Patch ``textio._walk_graph`` with a wrapper that records its calls."""
+    calls = []
+
+    def spy(lines, n):
+        calls.append(n)
+        return real(lines, n)
+
+    real = textio._walk_graph
+    return calls, mock.patch.object(textio, "_walk_graph", spy)
+
+
+class TestBulkGraphChecks:
+    @pytest.mark.parametrize("name", list(PINNED_GRAPH_TEXTS))
+    def test_pinned_texts(self, name):
+        text, want = PINNED_GRAPH_TEXTS[name]
+        calls, spy = _walker_spy()
+        with spy:
+            got = _outcome(parse_graph, text)
+        assert got == _outcome(parse_graph_reference, text)
+        if isinstance(want, StabilizerGraph):
+            assert got == ("ok", want)
+            assert not calls
+        else:
+            assert got[:2] == (ParseError, want)
+            # A bad header is named before the body is read at all.
+            assert len(calls) == (name != "a header with an extra token")
+
+    @settings(max_examples=300, deadline=None)
+    @given(GRAPH_TEXT)
+    def test_the_walker_never_reads_a_text_the_bulk_checks_accept(self, text):
+        calls, spy = _walker_spy()
+        with spy:
+            got = _outcome(parse_graph, text)
+        if got[0] == "ok":
+            assert not calls
+
+    @pytest.mark.parametrize(
+        "defect",
+        [None, "shuffled", "duplicate edge", "duplicate node", "node id out of range"],
+    )
+    def test_a_text_of_several_batches(self, defect):
+        # Lines are checked in batches; ids and edges must still be
+        # distinct across them, and a defect in a later batch is found.
+        rng = random.Random(3)
+        n = 3000
+        edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2000)}
+        hollow = [j for j in range(n) if rng.random() < 0.5]
+        g = G(n, edges=sorted(edges), hollow=hollow, loops=hollow[::3], neg=hollow[::2])
+        lines = format_graph(g).splitlines()
+        assert len(lines) > 1 + textio._BATCH_LINES
+        if defect == "shuffled":
+            body = lines[1:]
+            rng.shuffle(body)
+            lines[1:] = body
+        elif defect == "duplicate edge":
+            lines.append(lines[n + 1])  # the first edge again, in the last batch
+        elif defect == "duplicate node":
+            lines.append(lines.pop(n))  # node n-1 moves to the last batch...
+            lines[-1] = lines[1]  # ...as a second line for node 0
+        elif defect == "node id out of range":
+            lines.append(f"edge 0 {n}")
+        text = "\n".join(lines) + "\n"
+        calls, spy = _walker_spy()
+        with spy:
+            got = _outcome(parse_graph, text)
+        assert got == _outcome(parse_graph_reference, text)
+        assert (got == ("ok", g)) == (defect in (None, "shuffled"))
+        assert len(calls) == (got[0] != "ok")
+
+    def test_a_text_only_the_bulk_checks_reject_is_an_invariant_error(self):
+        text = format_graph(random_graph(5, 2))
+        with mock.patch.object(textio, "_graph_in_bulk", lambda *args: None):
+            with pytest.raises(InvariantError, match="bulk graph checks rejected"):
+                parse_graph(text)
 
 
 # --- fuzzing the matrix and script parsers ----------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     format_generator_matrix_reference,
+    format_graph_reference,
     from_label_reference,
     label_reference,
     scrambled_group,
@@ -200,6 +201,36 @@ class TestGraphFormat:
     def test_round_trip(self, seed, n):
         g = random_graph(n, seed)
         assert parse_graph(format_graph(g)) == g
+
+    @pytest.mark.parametrize("code", range(8))
+    def test_each_decoration_alone_matches_the_per_node_reference(self, code):
+        # Code bits: 1 hollow, 2 loop, 4 neg.
+        on = [[0] if code >> b & 1 else [] for b in range(3)]
+        g = G(1, hollow=on[0], loops=on[1], neg=on[2])
+        assert format_graph(g) == format_graph_reference(g)
+        assert parse_graph(format_graph(g)) == g
+
+    def test_every_decoration_in_one_graph_matches_the_per_node_reference(self):
+        # Node j carries code j (bits 1 hollow, 2 loop, 4 neg), on a path.
+        nodes = [[j for j in range(8) if j >> b & 1] for b in range(3)]
+        g = G(8, edges=[(j, j + 1) for j in range(7)], hollow=nodes[0], loops=nodes[1], neg=nodes[2])
+        assert format_graph(g) == format_graph_reference(g)
+        assert format_graph(g).splitlines()[1:9] == [
+            "node 0 solid",
+            "node 1 hollow",
+            "node 2 solid loop",
+            "node 3 hollow loop",
+            "node 4 solid neg",
+            "node 5 hollow neg",
+            "node 6 solid loop neg",
+            "node 7 hollow loop neg",
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 40))
+    def test_random_graphs_match_the_per_node_reference(self, seed, n):
+        g = random_graph(n, seed)
+        assert format_graph(g).encode() == format_graph_reference(g).encode()
 
     @pytest.mark.parametrize(
         "text, fragment",
