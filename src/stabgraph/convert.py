@@ -4,7 +4,16 @@
 ``(x, z, sign)`` rows of the canonical form ``[I A | B 0; 0 0 | A^T I]``,
 in the paper's three steps.  ``pauli._canonical_rows`` moves no column;
 node c reads the row that pivots on column c.  Only ``to_canonical_form``
-applies the column swaps of the public layout.  Hadamards on the
+applies the column swaps of the public layout.  From ``pauli._PACKED_AT``
+(32) qubits on, those rows come from XOR alone, each knowing the set t of
+input rows it is the product of, and each sign is computed afterwards as
+
+    prod_{a in t} sign_a * i^( sum_{a in t} |x_a & z_a|
+                               + 2 sum_{a < b in t} C[a, b] - |x & z| )
+
+with C[a, b] = |z_a & x_b| mod 2 from packed uint64 products; below 32,
+those numpy calls cost more than they save, and signed row products run,
+with the same result.  Hadamards on the
 non-pivot columns make those nodes hollow; on a row they swap the x and z
 bits of those columns, the mask step ``z ^= (x ^ z) & hollow_cols``, which
 leaves the x block the identity.  Phase gates strip the diagonal of the

@@ -25,27 +25,46 @@ the swaps, once, at the end.
 
 ``PauliString`` is the public type.  Internally, products, conjugations
 and the canonical form run on packed ``(x, z, sign)`` integer rows, with
-``multiply``, ``conjugate`` and ``to_canonical_form`` as thin wrappers, and
-the ``GeneratorMatrix`` checks read the bit matrix through its column masks.
-They run once, when a matrix is built from outside.  ``n`` (of a
-``PauliString`` too) and the qubit labels may be numpy ints, read by
-``graph._node_id``, and the rows any iterable, stored as a tuple.
+``multiply``, ``conjugate`` and ``to_canonical_form`` as thin wrappers.
+``n`` (of a ``PauliString`` too) and the qubit labels may be numpy ints,
+read by ``graph._node_id``, and the rows any iterable, stored as a tuple.
 ``to_canonical_form`` builds with the unchecked ``GeneratorMatrix._trusted``:
 its ``canonical_blocks`` self-check implies independent (identity blocks)
 and commuting (B = B^T, A^T below) rows.
 Labels and ``textio``'s matrix text share one IXYZ codec, ``_decode`` and
 ``_encode``, which turn a whole row of letters into (x, z) masks and back
 at C speed; a qubit's letter is ``_LETTERS[x + 2z]``.
+
+The ``GeneratorMatrix`` checks run once, when a matrix is built from
+outside.  Rows a and b commute exactly when C[a, b] = C[b, a] for the
+parity matrix C[a, b] = |z_a & x_b| mod 2 (their skew product is the sum),
+and ``_parities`` builds C from rows packed into uint64 words with AND,
+XOR, a shift-fold and a byte table, a chunk of rows at a time.  No BLAS
+product is used: a small float32 one can stall for milliseconds while
+OpenBLAS wakes its threads.  Independence is a GF(2) rank, ``_gf2_rank``.
+
+From ``_PACKED_AT`` qubits on, ``_canonical_rows`` reduces by XOR alone,
+on the ints ``x | z << n | 1 << (2n + i)``: the bits from 2n on then name
+the set t of input rows that a canonical row (x, z) is the product of, and
+its sign is
+
+    prod_{a in t} sign_a * i^( sum_{a in t} |x_a & z_a|
+                               + 2 sum_{a < b in t} C[a, b] - |x & z| ),
+
+with the sums over pairs from a second packed product.  C is checked for
+symmetry there too, since ``_trusted`` matrices skip the constructor.
+Below ``_PACKED_AT`` the kernel's fixed numpy cost is more than the row
+products it saves, so the signed row loop runs; it stays as the kernel's
+reference, and both give the same rows, which the input's group fixes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress
-from operator import xor
 from typing import Iterable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .graph import _bits, _flags, _mask, _node_id
 
@@ -269,6 +288,84 @@ def _gf2_rank(rows: Iterable[int]) -> int:
     return len(pivots)
 
 
+# Packed GF(2) products (see the module docstring): a row of bits is a row
+# of little-endian uint64 words.
+_CHUNK_BYTES = 1 << 18  # the bound on each temporary array of ``_parities``
+_PARITY = np.array([bin(b).count("1") & 1 for b in range(256)], dtype=np.uint8)
+
+
+def _words(masks: Sequence[int], width: int) -> np.ndarray:
+    """Masks below 2**width as rows of little-endian uint64 words."""
+    size = 8 * -(-width // 64)
+    data = b"".join(m.to_bytes(size, "little") for m in masks)
+    return np.frombuffer(data, dtype="<u8").reshape(len(masks), size // 8)
+
+
+def _fold(v: np.ndarray) -> np.ndarray:
+    """The parity of each uint64 of v, as uint8 (v is overwritten)."""
+    v ^= v >> 32
+    v ^= v >> 16
+    v ^= v >> 8
+    v &= 0xFF
+    return _PARITY[v]
+
+
+def _parities(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Bit j of row i is |p_i & q_j| mod 2, for rows of words (``_words``).
+
+    The result has len(p) rows of len(q) bits, packed in the same way.  It
+    is built a chunk of rows at a time: besides a transposed copy of q, no
+    temporary holds more than ``_CHUNK_BYTES`` (or one row of len(q) words).
+    """
+    width = len(q)
+    out = np.zeros((len(p), 8 * -(-width // 64)), dtype=np.uint8)
+    step = max(1, _CHUNK_BYTES // (8 * width))
+    q = np.ascontiguousarray(q.T)  # word w of every q_j, contiguous
+    for i in range(0, len(p), step):
+        acc = p[i : i + step, 0, None] & q[0]
+        for w in range(1, len(q)):
+            acc ^= p[i : i + step, w, None] & q[w]
+        bits = np.packbits(_fold(acc), axis=1, bitorder="little")
+        out[i : i + step, : bits.shape[1]] = bits
+    return out.view("<u8")
+
+
+def _first_asymmetry(m: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first (i, j) in row order with bit j of row i of the square packed
+    bit matrix m unlike bit i of row j, or None when m is symmetric.
+
+    Then i < j: a pair below the diagonal has its mirror in an earlier row.
+    Rows and the columns of the same indices are unpacked in blocks of at
+    most ``_CHUNK_BYTES``.
+    """
+    n = len(m)
+    raw = m.view(np.uint8)
+    step = max(8, _CHUNK_BYTES // n // 8 * 8)  # a multiple of 8: whole bytes
+    for i in range(0, n, step):
+        rows = np.unpackbits(raw[i : i + step], axis=1, count=n, bitorder="little")
+        cols = raw[:, i // 8 : (i + step) // 8]
+        cols = np.unpackbits(cols, axis=1, count=len(rows), bitorder="little")
+        bad = np.flatnonzero(rows != cols.T)
+        if len(bad):
+            k = int(bad[0])
+            return i + k // n, k % n
+    return None
+
+
+def _commutation_parities(xs: Sequence[int], zs: Sequence[int], n: int) -> np.ndarray:
+    """C, with bit b of row a the parity of |z_a & x_b|, for the n rows (x, z).
+
+    Rows a and b commute exactly when C[a, b] = C[b, a], since their skew
+    product is C[a, b] + C[b, a]; raises ValueError naming the first pair
+    that does not (``_first_asymmetry``).
+    """
+    c = _parities(_words(zs, n), _words(xs, n))
+    pair = _first_asymmetry(c)
+    if pair is not None:
+        raise ValueError("rows %d and %d anticommute" % pair)
+    return c
+
+
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """n independent, pairwise commuting rows fixing a stabilizer state.
@@ -298,18 +395,7 @@ class GeneratorMatrix:
         object.__setattr__(self, "qubit_of_column", labels)
         if sorted(self.qubit_of_column) != list(range(self.n)):
             raise ValueError("qubit_of_column is not a permutation")
-        # Bit j of row i's mask is skew_product(row i, row j): the XOR of the
-        # z columns at row i's x bits and the x columns at its z bits.
-        xs = [_flags(r.x, self.n) for r in self.rows]
-        zs = [_flags(r.z, self.n) for r in self.rows]
-        xcol = [_mask(col) for col in zip(*xs)]
-        zcol = [_mask(col) for col in zip(*zs)]
-        for i in range(self.n):
-            hits = reduce(xor, compress(zcol, xs[i]), 0)
-            hits = (hits ^ reduce(xor, compress(xcol, zs[i]), 0)) >> (i + 1)
-            if hits:
-                j = i + (hits & -hits).bit_length()
-                raise ValueError(f"rows {i} and {j} anticommute")
+        _commutation_parities([r.x for r in self.rows], [r.z for r in self.rows], self.n)
         if _gf2_rank(r.x | (r.z << self.n) for r in self.rows) != self.n:
             raise ValueError("rows are not independent")
 
@@ -351,6 +437,12 @@ def to_canonical_form(mat: GeneratorMatrix) -> tuple[GeneratorMatrix, int]:
     return out, rank
 
 
+# From this many qubits on, ``_canonical_rows`` runs the packed kernel;
+# below it, the kernel's fixed numpy cost is more than the row products it
+# saves (measured crossover).
+_PACKED_AT = 32
+
+
 def _canonical_rows(mat: GeneratorMatrix) -> tuple[list[Row], int]:
     """The reduction of ``to_canonical_form``, moving no column.
 
@@ -358,7 +450,18 @@ def _canonical_rows(mat: GeneratorMatrix) -> tuple[list[Row], int]:
     mask of the x-pivot columns, unchecked.  Row c of an x-pivot column has
     x bit c, no other pivot x bit and no z bit on the rest; row c of any
     other column has no x bit, and z bit c is its only z bit on the rest.
+    These rows are fixed by the group the input generates, so the two
+    reductions, picked by n, return the same rows; the row products stay as
+    the packed kernel's reference.
     """
+    if mat.n < _PACKED_AT:
+        return _canonical_rows_by_products(mat)
+    return _canonical_rows_packed(mat)
+
+
+def _canonical_rows_by_products(mat: GeneratorMatrix) -> tuple[list[Row], int]:
+    """``_canonical_rows`` by signed row products, one ``_multiply`` per
+    row operation."""
     n = mat.n
     rows = [(r.x, r.z, r.sign) for r in mat.rows]
 
@@ -394,6 +497,82 @@ def _canonical_rows(mat: GeneratorMatrix) -> tuple[list[Row], int]:
         if not pivot(cols[top], 1, top):
             raise ValueError("rows are not an independent commuting set")
     return [rows[i] for i in sorted(range(n), key=cols.__getitem__)], pivots
+
+
+def _key_rows(rows: Iterable[int], mask: int, row_of: list) -> list[int]:
+    """Forward elimination keyed by the lowest bit in ``mask``: each row is
+    reduced by the rows already keyed until its lowest bit there is a new
+    key, under which it is stored.  Returns the rows left with no bit in
+    ``mask``."""
+    left = []
+    for row in rows:
+        while low := row & mask:
+            key = (low & -low).bit_length() - 1
+            pivot = row_of[key]
+            if pivot is None:
+                row_of[key] = row
+                break
+            row ^= pivot
+        else:
+            left.append(row)
+    return left
+
+
+def _canonical_rows_packed(mat: GeneratorMatrix) -> tuple[list[Row], int]:
+    """``_canonical_rows`` by XOR alone, with every sign computed afterwards.
+
+    Input row i is the int ``x | z << n | 1 << (2n + i)``, so after any
+    XORs the bits from 2n on name the set t of input rows a row is the
+    product of.  A forward pass keys each row by its lowest x bit, as
+    ``_gf2_rank`` keys by the highest; the rows it leaves with no x bit are
+    keyed by their lowest z bit off the x-pivot columns.  Back-substitution
+    then clears, along the set key bits only, every key but a row's own.
+
+    The signs follow from the phase formula of the module docstring: in the
+    product of the rows t, in order, moving Z^{z_a} past X^{x_b} for a < b
+    costs (-1)^{C[a, b]}.  C comes from one packed product
+    (``_commutation_parities``, which also checks that all rows commute),
+    and the pair sums from a second one against C's strict upper triangle:
+    bit a of row c of ``_parities(t, upper)`` is sum_{b > a in t_c} C[a, b].
+    """
+    n = mat.n
+    full = (1 << n) - 1
+    xs = [r.x for r in mat.rows]
+    zs = [r.z for r in mat.rows]
+    comm = _commutation_parities(xs, zs, n)
+    row_of: list = [None] * (2 * n)  # key bit -> the row keyed by it
+    rows = [x | z << n | 1 << (2 * n + i) for i, (x, z) in enumerate(zip(xs, zs))]
+    no_x = _key_rows(rows, full, row_of)
+    pivots = sum(1 << c for c in range(n) if row_of[c] is not None)
+    z_keys = (full ^ pivots) << n
+    if _key_rows(no_x, z_keys, row_of):
+        raise ValueError("rows are not an independent commuting set")
+    # A row holds no key below its own, so going down the keys, each row
+    # meets only rows already reduced.
+    keys = pivots | z_keys
+    for key in reversed(_bits(keys)):
+        row = row_of[key]
+        for other in _bits((row & keys) ^ (1 << key)):
+            row ^= row_of[other]
+        row_of[key] = row
+    rows = [row_of[c if pivots >> c & 1 else n + c] for c in range(n)]
+    tags = [row >> 2 * n for row in rows]
+    upper = comm & _words([full ^ ((2 << a) - 1) for a in range(n)], n)
+    t = _words(tags, n)
+    pairs = _fold(np.bitwise_xor.reduce(t & _parities(t, upper), axis=1)).tolist()
+    # Input row a as i^e: e = |x_a & z_a| + 2 for a negative sign, mod 4,
+    # whose two bits are bit a of ``low`` and of ``high``.
+    low = high = 0
+    for a, r in enumerate(mat.rows):
+        e = (r.x & r.z).bit_count() + 1 - r.sign
+        low |= (e & 1) << a
+        high |= (e >> 1 & 1) << a
+    out = []
+    for row, tag, pair in zip(rows, tags, pairs):
+        x, z = row & full, row >> n & full
+        phase = (tag & low).bit_count() + 2 * ((tag & high).bit_count() + pair)
+        out.append((x, z, -1 if (phase - (x & z).bit_count()) & 2 else 1))
+    return out, pivots
 
 
 def canonical_blocks(

@@ -10,12 +10,18 @@ the amplitude index), matching the package convention.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
+import stabgraph
 from stabgraph import (
     GraphFormCircuit,
     ParseError,
@@ -1221,4 +1227,18 @@ def parse_circuit_reference(text: str) -> GraphFormCircuit:
         z_set=frozenset(singles["Z"]),
         s_set=frozenset(singles["S"]),
         h_set=frozenset(singles["H"]),
+    )
+
+
+def run_under_python_O(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` (dedented) in a ``python -O`` child that imports this
+    checkout's ``stabgraph``, capturing its output."""
+    src = str(Path(stabgraph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
     )

@@ -15,24 +15,19 @@ on the command line.
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
 import re
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stabgraph
 from helpers import (
     flag_mask_reference,
     is_reduced_per_node,
     keeps_the_suspect_rule,
     random_word,
+    run_under_python_O,
     sparse_graph,
     to_reduced_restart_scan,
 )
@@ -350,7 +345,7 @@ class TestWrittenRowsCheck:
         assert str(full.value) == str(err.value)
 
     def test_written_rows_check_under_python_O(self):
-        proc = _run_under_python_O(
+        proc = run_under_python_O(
             """
             import sys
             from stabgraph import StabilizerGraph, transforms
@@ -511,18 +506,6 @@ def _break_t2_edge(m, j):
     m.toggle_edge(1, 2)
 
 
-def _run_under_python_O(code: str) -> subprocess.CompletedProcess:
-    src = str(Path(stabgraph.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", textwrap.dedent(code)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
-
-
 class TestInvariantError:
     def test_reduced_rule_post_check_raises(self, monkeypatch):
         monkeypatch.setattr(transforms, "_t2", _break_t2)
@@ -584,7 +567,7 @@ class TestInvariantError:
         assert len(calls) == k + 1
 
     def test_word_post_check_under_python_O(self):
-        proc = _run_under_python_O(
+        proc = run_under_python_O(
             """
             import sys
             from stabgraph import InvariantError, StabilizerGraph, transforms
@@ -614,7 +597,7 @@ class TestInvariantError:
         # With a settle() that drops what each rewrite wrote, the per-gate
         # post-checks see nothing; the final full scan of the word still
         # raises under -O, under both rule families.
-        proc = _run_under_python_O(
+        proc = run_under_python_O(
             """
             import sys
             from stabgraph import InvariantError, StabilizerGraph, graph, is_reduced, transforms
@@ -642,7 +625,7 @@ class TestInvariantError:
             assert f"raised: {reduced} a rule left a clash outside the suspect mask" in proc.stdout
 
     def test_check_survives_python_O(self):
-        proc = _run_under_python_O(
+        proc = run_under_python_O(
             """
             import sys
             from stabgraph import InvariantError, StabilizerGraph, transforms
@@ -664,7 +647,7 @@ class TestInvariantError:
         assert "raised: rule T(vi) broke the reduced invariant" in proc.stdout
 
     def test_adj_write_check_survives_python_O(self):
-        proc = _run_under_python_O(
+        proc = run_under_python_O(
             """
             import sys
             from stabgraph import InvariantError, StabilizerGraph, transforms
@@ -688,7 +671,7 @@ class TestInvariantError:
         # An E(ii) that also gives the node it makes hollow a loop leaves
         # a graph that is not reduced; simplify_pair's one check of its
         # results must raise, also under -O.
-        proc = _run_under_python_O(
+        proc = run_under_python_O(
             """
             import sys
             from stabgraph import InvariantError, StabilizerGraph, equivalence, simplify_pair

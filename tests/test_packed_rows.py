@@ -5,17 +5,22 @@ rows, and ``convert`` reads the graph straight off the canonical rows.
 ``tests/helpers.py`` keeps the PauliString-per-step versions they replaced,
 which conjugate every row and solve the signs; here both run on the same
 inputs and must agree exactly: rows, signs, ``qubit_of_column``, rank, the
-output graph, and every error message.
+output graph, and every error message.  From ``pauli._PACKED_AT`` qubits
+on, the canonical rows come from the XOR-only kernel
+``_canonical_rows_packed``; its in-tree reference is the row-product loop
+``_canonical_rows_by_products``, and the two are compared directly, on
+both sides of the cutoff.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -23,9 +28,11 @@ from helpers import (
     closed_form_reference,
     col_swap_reference,
     conjugate_reference,
+    decorations,
     generator_matrix_error_reference,
     graph_from_generator_matrix_reference,
     multiply_reference,
+    run_under_python_O,
     to_canonical_form_reference,
 )
 from stabgraph import (
@@ -186,8 +193,13 @@ class TestMatrixChecks:
         twice = [PauliString.from_label(s) for s in ("+XX", "-XX")]
         assert matrix_error(2, twice) == "rows are not independent"
 
-    @settings(max_examples=300)
-    @given(st.integers(1, 7), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 130), st.integers(0, 2**32))
+    @example(63, 1)
+    @example(64, 2)
+    @example(65, 3)
+    @example(128, 4)
+    @example(129, 5)
     def test_random_rows_get_the_reference_message(self, n, seed):
         rng = random.Random(seed)
         rows = [
@@ -196,14 +208,191 @@ class TestMatrixChecks:
         ]
         assert matrix_error(n, rows) == generator_matrix_error_reference(n, rows)
 
-    @settings(max_examples=300)
-    @given(st.integers(1, 12), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 130), st.integers(0, 2**32))
+    @example(63, 1)
+    @example(64, 2)
+    @example(65, 3)
+    @example(128, 4)
+    @example(129, 5)
     def test_one_flipped_bit_gets_the_reference_message(self, n, seed):
         rng = random.Random(seed)
         rows = list(generator_matrix_from_graph(random_graph(n, seed)).rows)
         i, c = rng.randrange(n), rng.randrange(n)
         rows[i] = flip_bit(rows[i], c, rng.random() < 0.5)
         assert matrix_error(n, rows) == generator_matrix_error_reference(n, rows)
+
+
+def every_small_graph(n: int):
+    """Every decorated graph on n nodes, in the order of
+    ``tests/test_exhaustive.py``."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for r in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, r):
+            yield from decorations(n, list(edges))
+
+
+def assert_kernel_is_the_row_loop(mat: GeneratorMatrix) -> None:
+    """The packed kernel's rows, signs and pivots are the row loop's."""
+    assert pauli._canonical_rows_packed(mat) == pauli._canonical_rows_by_products(mat)
+
+
+def parity_rows_reference(p, q) -> list:
+    """Row i has bit j set when |p_i & q_j| is odd, pair by pair."""
+    return [sum(((a & b).bit_count() & 1) << j for j, b in enumerate(q)) for a in p]
+
+
+def as_ints(packed) -> list:
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_matrix_of_the_exhaustive_tests(self, n):
+        # Below the cutoff, where _canonical_rows itself runs the row loop.
+        assert n < pauli._PACKED_AT
+        for g in every_small_graph(n):
+            mat = generator_matrix_from_graph(g)
+            assert_kernel_is_the_row_loop(mat)
+            assert_kernel_is_the_row_loop(to_canonical_form(mat)[0])
+
+    @pytest.mark.parametrize("hollow_p", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [31, 32, 63, 64, 65, 127, 128, 129, 256])
+    def test_scrambled_matrices_across_word_boundaries(self, n, hollow_p):
+        assert_kernel_is_the_row_loop(scrambled_matrix(n, n, hollow_p, hollow_p == 0.9))
+
+    @pytest.mark.parametrize("n", [5, 64, 100])
+    def test_all_z_matrix(self, n):
+        # x-rank 0: no row has an x bit, and every key is a z key.
+        rng = random.Random(n)
+        zs = [1 << i for i in range(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            zs[i] ^= zs[j]
+        mat = GeneratorMatrix(n, [PauliString(n, 0, z, rng.choice((1, -1))) for z in zs])
+        assert pauli._canonical_rows_packed(mat)[1] == 0
+        assert_kernel_is_the_row_loop(mat)
+
+    def test_the_cutoff_picks_the_path(self, monkeypatch):
+        ran = []
+        for name in ("_canonical_rows_packed", "_canonical_rows_by_products"):
+            real = getattr(pauli, name)
+            monkeypatch.setattr(
+                pauli, name, lambda m, real=real, name=name: ran.append((m.n, name)) or real(m)
+            )
+        cut = pauli._PACKED_AT
+        for n in (cut - 1, cut):
+            pauli._canonical_rows(scrambled_matrix(n, 0, 0.5, False))
+        assert ran == [(cut - 1, "_canonical_rows_by_products"), (cut, "_canonical_rows_packed")]
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_parities_match_pairwise_bit_counts(self, n, monkeypatch):
+        rng = random.Random(n)
+        p = [rng.getrandbits(n) for _ in range(n + 2)]
+        q = [rng.getrandbits(n) for _ in range(n)]
+        # Three rows a chunk, so that chunk boundaries fall inside p.
+        monkeypatch.setattr(pauli, "_CHUNK_BYTES", 3 * 8 * len(q))
+        got = pauli._parities(pauli._words(p, n), pauli._words(q, n))
+        assert got.shape == (len(p), -(-n // 64))
+        assert as_ints(got) == parity_rows_reference(p, q)
+
+    def test_parities_temporaries_stay_within_the_chunk(self):
+        rng = random.Random(3)
+        n = 1024
+        p, q = (pauli._words([rng.getrandbits(n) for _ in range(n)], n) for _ in "pq")
+        tracemalloc.start()
+        try:
+            out = pauli._parities(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The result, a transposed copy of q and a few chunk-sized arrays.
+        assert peak <= out.nbytes + q.nbytes + 4 * pauli._CHUNK_BYTES
+        assert out.nbytes + q.nbytes < 2 * pauli._CHUNK_BYTES < p.nbytes * 8
+
+    @pytest.mark.parametrize("n", [1, 9, 64, 130])
+    def test_first_asymmetry_in_blocks(self, n, monkeypatch):
+        monkeypatch.setattr(pauli, "_CHUNK_BYTES", 8 * n)  # blocks of 8 rows
+        rng = random.Random(n)
+        for trial in range(30):
+            rows = [0] * n
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.5:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            for _ in range(trial % 3):
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i] ^= 1 << j
+            want = next(
+                ((i, j) for i in range(n) for j in range(n) if (rows[i] >> j ^ rows[j] >> i) & 1),
+                None,
+            )
+            assert pauli._first_asymmetry(pauli._words(rows, n)) == want
+
+
+def trusted_64_bent(case: str) -> GeneratorMatrix:
+    """A valid n=64 matrix with one row replaced, built without checks: by a
+    copy of another row (``repeated``) or by itself with one more x bit,
+    which makes it anticommute with some rows (``anticommuting``)."""
+    mat = generator_matrix_from_graph(random_graph(64, 7))
+    rows = list(mat.rows)
+    if case == "repeated":
+        rows[40] = rows[3]
+    else:
+        rows[40] = flip_bit(rows[40], 2, True)
+    return GeneratorMatrix._trusted(64, tuple(rows), mat.qubit_of_column)
+
+
+class TestKernelErrors:
+    """``_trusted`` matrices skip the constructor's checks; the packed kernel
+    must still refuse rows that are dependent or do not commute."""
+
+    def test_repeated_row(self):
+        mat = trusted_64_bent("repeated")
+        assert mat.n >= pauli._PACKED_AT
+        for run in (pauli._canonical_rows, to_canonical_form, graph_from_generator_matrix):
+            with pytest.raises(ValueError, match="^rows are not an independent commuting set$"):
+                run(mat)
+
+    def test_anticommuting_pair(self):
+        mat = trusted_64_bent("anticommuting")
+        want = generator_matrix_error_reference(64, mat.rows)
+        assert want is not None and want.endswith("anticommute")
+        for run in (pauli._canonical_rows, to_canonical_form, graph_from_generator_matrix):
+            with pytest.raises(ValueError) as err:
+                run(mat)
+            assert str(err.value) == want
+
+    def test_both_under_python_O(self):
+        proc = run_under_python_O(
+            """
+            import sys
+            from stabgraph import GeneratorMatrix, PauliString, pauli, random_graph
+            from stabgraph import generator_matrix_from_graph
+            if sys.flags.optimize < 1:
+                sys.exit("not running under -O")
+            mat = generator_matrix_from_graph(random_graph(64, 7))
+            rows = list(mat.rows)
+            r = rows[40]
+            bent = {
+                "repeated": rows[3],
+                "anticommuting": PauliString(64, r.x ^ 1 << 2, r.z, r.sign),
+            }
+            for case, row in bent.items():
+                bad = tuple(rows[:40] + [row] + rows[41:])
+                try:
+                    pauli._canonical_rows(GeneratorMatrix._trusted(64, bad, mat.qubit_of_column))
+                except ValueError as exc:
+                    print("raised:", case, exc)
+                else:
+                    sys.exit("no error for " + case)
+            """
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: repeated rows are not an independent commuting set" in proc.stdout
+        want = generator_matrix_error_reference(64, trusted_64_bent("anticommuting").rows)
+        assert f"raised: anticommuting {want}" in proc.stdout
 
 
 CANONICAL_MESSAGES = {
