@@ -290,7 +290,7 @@ def _gf2_rank(rows: Iterable[int]) -> int:
 
 # Packed GF(2) products (see the module docstring): a row of bits is a row
 # of little-endian uint64 words.
-_CHUNK_BYTES = 1 << 18  # the bound on each temporary array of ``_parities``
+_CHUNK_BYTES = 1 << 18  # bounds the temporaries of _parities and _first_asymmetry
 _PARITY = np.array([bin(b).count("1") & 1 for b in range(256)], dtype=np.uint8)
 
 
