@@ -95,6 +95,15 @@ def decorations(
                 yield StabilizerGraph._trusted(n, hollow, loop, neg, adj)
 
 
+def every_graph(n: int) -> Iterator[StabilizerGraph]:
+    """Every decorated graph on n nodes: edge sets by size, then in
+    ``itertools.combinations`` order, each with all its ``decorations``."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for r in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, r):
+            yield from decorations(n, list(edges))
+
+
 def decorations_reference(
     n: int, edges: List[Tuple[int, int]], *, reduced: bool = False
 ) -> Iterator[StabilizerGraph]:

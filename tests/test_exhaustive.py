@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import decorations
+from helpers import every_graph
 from stabgraph import (
     GeneratorMatrix,
     StabilizerGraph,
@@ -79,13 +79,7 @@ def state_keys(graphs) -> list[bytes]:
 def classes(n: int) -> tuple[list, dict]:
     """Every decorated graph on n nodes, and its state classes as a map
     from key to the list of member indices."""
-    pairs = list(itertools.combinations(range(n), 2))
-    graphs = [
-        g
-        for r in range(len(pairs) + 1)
-        for edges in itertools.combinations(pairs, r)
-        for g in decorations(n, list(edges))
-    ]
+    graphs = list(every_graph(n))
     by_key: dict = {}
     for k, key in enumerate(state_keys(graphs)):
         by_key.setdefault(key, []).append(k)

@@ -28,7 +28,7 @@ from helpers import (
     closed_form_reference,
     col_swap_reference,
     conjugate_reference,
-    decorations,
+    every_graph,
     generator_matrix_error_reference,
     graph_from_generator_matrix_reference,
     multiply_reference,
@@ -223,15 +223,6 @@ class TestMatrixChecks:
         assert matrix_error(n, rows) == generator_matrix_error_reference(n, rows)
 
 
-def every_small_graph(n: int):
-    """Every decorated graph on n nodes, in the order of
-    ``tests/test_exhaustive.py``."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for r in range(len(pairs) + 1):
-        for edges in itertools.combinations(pairs, r):
-            yield from decorations(n, list(edges))
-
-
 def assert_kernel_is_the_row_loop(mat: GeneratorMatrix) -> None:
     """The packed kernel's rows, signs and pivots are the row loop's."""
     assert pauli._canonical_rows_packed(mat) == pauli._canonical_rows_by_products(mat)
@@ -251,7 +242,7 @@ class TestPackedKernel:
     def test_every_matrix_of_the_exhaustive_tests(self, n):
         # Below the cutoff, where _canonical_rows itself runs the row loop.
         assert n < pauli._PACKED_AT
-        for g in every_small_graph(n):
+        for g in every_graph(n):
             mat = generator_matrix_from_graph(g)
             assert_kernel_is_the_row_loop(mat)
             assert_kernel_is_the_row_loop(to_canonical_form(mat)[0])
