@@ -151,6 +151,16 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 # ASCII digits only: \d would also take digits such as '٣' that int() reads.
 _TOKEN_RE = re.compile(r"(?:(H|S|Z):([0-9]+)|CZ:([0-9]+),([0-9]+))\Z")
 
+# Qubit ids below this many are read from a table of their names; higher
+# ids, rare in a script, take the regex path.
+_NAMED_QUBITS = 4096
+
+
+@functools.cache
+def _qubit_names() -> dict[str, int]:
+    """``str(j)`` -> j for each j below ``_NAMED_QUBITS``, built on first use."""
+    return dict(zip(map(str, range(_NAMED_QUBITS)), range(_NAMED_QUBITS)))
+
 
 def _qubit(digits: str) -> int:
     try:
@@ -159,25 +169,51 @@ def _qubit(digits: str) -> int:
         raise ScriptError(f"qubit index has too many digits ({len(digits)})") from None
 
 
+def _read_token(tok: str, n: int) -> GateApplication:
+    """One token read by ``_TOKEN_RE``, or ScriptError naming its defect."""
+    m = _TOKEN_RE.match(tok)
+    if m is None:
+        raise ScriptError(f"bad script token {tok!r}")
+    if m.group(1):
+        j = _qubit(m.group(2))
+        if j >= n:
+            raise ScriptError(f"token {tok!r}: qubit {j} out of range for n={n}")
+        return m.group(1), (j,)
+    i, j = _qubit(m.group(3)), _qubit(m.group(4))
+    if i >= n or j >= n:
+        raise ScriptError(f"token {tok!r}: qubit out of range for n={n}")
+    if i == j:
+        raise ScriptError(f"token {tok!r}: CZ qubits must differ")
+    return "CZ", (i, j)
+
+
 def parse_script(script: str, n: int) -> list[GateApplication]:
-    """Parse whitespace-separated tokens H:<j>, S:<j>, Z:<j>, CZ:<i>,<j>."""
+    """Parse whitespace-separated tokens H:<j>, S:<j>, Z:<j>, CZ:<i>,<j>.
+
+    Each token is read in one pass: ``str.partition`` splits off the gate
+    name, and each id is looked up in a table of the names ``str(j)`` of
+    the ids below ``_NAMED_QUBITS`` (as ``textio._ids`` reads node ids),
+    then compared with n.  A token that misses (an id with leading zeros,
+    or above the table, or any defect) is read by ``_TOKEN_RE`` instead,
+    which accepts the same tokens as the table and more (leading zeros,
+    large ids) and names a defect with its message.
+    """
+    names = _qubit_names()
     gates: list[GateApplication] = []
     for tok in script.split():
-        m = _TOKEN_RE.match(tok)
-        if m is None:
-            raise ScriptError(f"bad script token {tok!r}")
-        if m.group(1):
-            j = _qubit(m.group(2))
-            if j >= n:
-                raise ScriptError(f"token {tok!r}: qubit {j} out of range for n={n}")
-            gates.append((m.group(1), (j,)))
-        else:
-            i, j = _qubit(m.group(3)), _qubit(m.group(4))
-            if i >= n or j >= n:
-                raise ScriptError(f"token {tok!r}: qubit out of range for n={n}")
-            if i == j:
-                raise ScriptError(f"token {tok!r}: CZ qubits must differ")
-            gates.append(("CZ", (i, j)))
+        gate, _, ids = tok.partition(":")
+        if gate == "CZ":
+            a, _, b = ids.partition(",")
+            i, j = names.get(a, n), names.get(b, n)
+            if i < n and j < n and i != j:
+                gates.append(("CZ", (i, j)))
+                continue
+        elif gate == "H" or gate == "S" or gate == "Z":
+            j = names.get(ids, n)
+            if j < n:
+                gates.append((gate, (j,)))
+                continue
+        gates.append(_read_token(tok, n))
     return gates
 
 

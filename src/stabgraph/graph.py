@@ -31,7 +31,9 @@ checks, so it builds with ``_trusted``.  Node ids passed to ``has_edge``
 and the rewrites are checked the same way and used as Python ints.
 The adjacency is checked by comparing its edge list with its transpose at
 C speed (``_symmetric_by_transpose``); only rows that fail that check are
-walked one by one, and the first defective row names the error.
+walked one by one (``_first_defect``), and the first defective row names
+the error.  Below ``_WALK_BELOW`` rows the walk alone answers, since it
+is then faster than the transpose's fixed numpy cost.
 Rewrites of an already-valid graph build their results with the
 unchecked ``StabilizerGraph._trusted`` constructor, so a gate costs about
 the degree of its target rather than a full symmetry check.
@@ -56,10 +58,9 @@ Every rewrite, the gate rules of ``transforms`` and the E moves of
 three flag masks beside a list of its adjacency rows, under the graph's
 own field names.  A one-gate call copies its graph into a ``_Masks`` and
 ``freeze()`` stores the masks as they are as the fields of the result.
-A gate word copies once: ``apply_sequence`` passes one ``_Masks`` to the
-one-gate functions, which rewrite it in place, and freezes it once at
-the end, so a gate costs about the degree of its target and not the
-O(n) copy of the rows.
+A gate word copies once: ``apply_sequence`` runs every gate's rule in
+place on one ``_Masks`` and freezes it once at the end, so a gate costs
+about the degree of its target and not the O(n) copy of the rows.
 
 The reduced invariant is checked after every reduced rule and after
 ``to_reduced``, with an explicit ``InvariantError`` that survives
@@ -160,19 +161,40 @@ def _index_rows(adj: Iterable[object]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+# Below this many rows, a symmetry check walks the rows one by one
+# (``_first_defect``); from it on, the transpose is compared at C speed
+# (``_symmetric_block``), whose numpy calls cost a fixed 10-15 us.  The
+# measured crossover, on a 2-core Xeon: at 24 rows the walk took 11-68 us
+# and the transpose 21-70 us, from mean degree 2 to edge density 0.7; at
+# 32 rows the transpose was faster on the dense rows.
+_WALK_BELOW = 32
+
+
 def _adjacency_error(adj: Sequence[int], n: int) -> Optional[str]:
     """Why the n rows ``adj`` are no adjacency matrix, or None if they are.
 
-    A valid matrix is recognised by ``_symmetric_by_transpose`` at C speed.
-    Only a rejected one is walked row by row, to name its first defect:
-    the row out of range, its diagonal entry, or its first neighbor k whose
-    row lacks the node.  A rejected matrix in which the walk finds no
-    defect means the two checks disagree, which raises ``InvariantError``.
+    Below ``_WALK_BELOW`` rows the row walk ``_first_defect`` answers.
+    From it on, a valid matrix is recognised by ``_symmetric_by_transpose``
+    at C speed, and only a rejected one is walked, to name its first
+    defect; a rejected matrix in which the walk finds no defect means the
+    two checks disagree, which raises ``InvariantError``.
     """
-    if _symmetric_by_transpose(adj, n):
+    if n >= _WALK_BELOW and _symmetric_by_transpose(adj, n):
         return None
+    message = _first_defect(range(n), adj, adj, n)
+    if message is None and n >= _WALK_BELOW:
+        raise InvariantError("transpose check rejected rows the row walk accepts")
+    return message
+
+
+def _first_defect(
+    ids: Iterable[int], rows: Sequence[int], adj: Sequence[int], n: int
+) -> Optional[str]:
+    """The first defect of ``rows``, the rows of the nodes ``ids`` (ascending)
+    of the n-node rows ``adj``, or None: a row out of range, its diagonal
+    entry, or its first neighbor k whose row ``adj[k]`` lacks the node."""
     full = (1 << n) - 1
-    for j, row in enumerate(adj):
+    for j, row in zip(ids, rows):
         if not 0 <= row <= full:
             return f"adjacency row {j} out of range"
         if (row >> j) & 1:
@@ -180,7 +202,7 @@ def _adjacency_error(adj: Sequence[int], n: int) -> Optional[str]:
         for k in _bits(row):
             if not (adj[k] >> j) & 1:
                 return f"adjacency is not symmetric at ({j}, {k})"
-    raise InvariantError("transpose check rejected rows the row walk accepts")
+    return None
 
 
 def _symmetric_by_transpose(adj: Sequence[int], n: int) -> bool:
@@ -219,8 +241,9 @@ def _valid_rewrite(out: "StabilizerGraph", g: "StabilizerGraph") -> bool:
     is valid exactly when its flag masks lie in [0, 2**n), each row in W
     keeps its bits outside W (a row out of range, or negative, changes
     bits outside W too), and the W x W block is symmetric with a zero
-    diagonal.  Past one C-speed pass over the n rows, this costs the rows
-    in W.
+    diagonal: walked row by row below ``_WALK_BELOW`` rows in W, else
+    ``_symmetric_block``.  Past one C-speed pass over the n rows, this
+    costs the rows in W.
     """
     n = g.n
     if len(out.adj) != n or (out.hollow_mask | out.loop_mask | out.neg_mask) >> n:
@@ -231,7 +254,10 @@ def _valid_rewrite(out: "StabilizerGraph", g: "StabilizerGraph") -> bool:
     outside = ~written
     if any((new ^ old) & outside for new, old in zip(rows, map(g.adj.__getitem__, ids))):
         return False
-    return not ids or _symmetric_block(ids, [row & written for row in rows], n)
+    block = [row & written for row in rows]
+    if len(ids) < _WALK_BELOW:
+        return _first_defect(ids, block, out.adj, n) is None
+    return _symmetric_block(ids, block, n)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -355,9 +381,9 @@ class _Masks:
 
     It reads like a graph: ``n``, ``hollow_mask``, ``loop_mask``,
     ``neg_mask``, ``adj`` and the suspect mask ``_suspect`` carry the
-    graph's own names, so the classifiers, ``is_reduced`` and
-    ``_check_node`` take either.  A rule is then a few whole-row
-    operations: advancing the loops of the nodes in a mask is
+    graph's own names, so the rule pickers of ``transforms``,
+    ``is_reduced`` and ``_check_node`` take either.  A rule is then a few
+    whole-row operations: advancing the loops of the nodes in a mask is
     ``advance(mask)``, flipping their signs is ``neg_mask ^= mask``, and
     the common neighbors of j and k are ``adj[j] & adj[k]``.  Edge
     complementation, and T(x) between its targets' open neighborhoods,

@@ -51,8 +51,10 @@ its sign is
     prod_{a in t} sign_a * i^( sum_{a in t} |x_a & z_a|
                                + 2 sum_{a < b in t} C[a, b] - |x & z| ),
 
-with the sums over pairs from a second packed product.  C is checked for
-symmetry there too, since ``_trusted`` matrices skip the constructor.
+with the sums over pairs from a second packed product.  The constructor
+keeps the C it checked on the matrix, so a parsed matrix builds C once;
+for a ``_trusted`` matrix, which skips the constructor, the kernel builds
+C and checks its symmetry itself.
 Below ``_PACKED_AT`` the kernel's fixed numpy cost is more than the row
 products it saves, so the signed row loop runs; it stays as the kernel's
 reference, and both give the same rows, which the input's group fixes.
@@ -378,6 +380,11 @@ class GeneratorMatrix:
     rows: tuple[PauliString, ...]
     qubit_of_column: Optional[tuple[int, ...]] = None
 
+    # The commutation parities C the constructor checked, kept for
+    # ``_canonical_rows_packed``; None on a ``_trusted`` matrix.  Not
+    # annotated, so it is no dataclass field and leaves ==, hash and repr alone.
+    _comm = None
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _node_id(self.n, "n"))
         object.__setattr__(self, "rows", tuple(self.rows))
@@ -395,7 +402,8 @@ class GeneratorMatrix:
         object.__setattr__(self, "qubit_of_column", labels)
         if sorted(self.qubit_of_column) != list(range(self.n)):
             raise ValueError("qubit_of_column is not a permutation")
-        _commutation_parities([r.x for r in self.rows], [r.z for r in self.rows], self.n)
+        comm = _commutation_parities([r.x for r in self.rows], [r.z for r in self.rows], self.n)
+        object.__setattr__(self, "_comm", comm)
         if _gf2_rank(r.x | (r.z << self.n) for r in self.rows) != self.n:
             raise ValueError("rows are not independent")
 
@@ -531,7 +539,8 @@ def _canonical_rows_packed(mat: GeneratorMatrix) -> tuple[list[Row], int]:
     The signs follow from the phase formula of the module docstring: in the
     product of the rows t, in order, moving Z^{z_a} past X^{x_b} for a < b
     costs (-1)^{C[a, b]}.  C comes from one packed product
-    (``_commutation_parities``, which also checks that all rows commute),
+    (``_commutation_parities``, which also checks that all rows commute;
+    the constructor's, kept on the matrix, unless it is ``_trusted``),
     and the pair sums from a second one against C's strict upper triangle:
     bit a of row c of ``_parities(t, upper)`` is sum_{b > a in t_c} C[a, b].
     """
@@ -539,7 +548,9 @@ def _canonical_rows_packed(mat: GeneratorMatrix) -> tuple[list[Row], int]:
     full = (1 << n) - 1
     xs = [r.x for r in mat.rows]
     zs = [r.z for r in mat.rows]
-    comm = _commutation_parities(xs, zs, n)
+    comm = mat._comm
+    if comm is None:
+        comm = _commutation_parities(xs, zs, n)
     row_of: list = [None] * (2 * n)  # key bit -> the row keyed by it
     rows = [x | z << n | 1 << (2 * n + i) for i, (x, z) in enumerate(zip(xs, zs))]
     no_x = _key_rows(rows, full, row_of)

@@ -16,13 +16,24 @@ state-preserving step) and then applies the reduced CZ rule.
 
 Every rule writes one ``graph._Masks``: the graph's own flag masks beside
 its adjacency rows, so flipping the signs of a neighborhood is
-``neg_mask ^= adj[j]``.  Given a graph, a one-gate function copies it into
-a fresh ``_Masks`` and returns the frozen result.  ``apply_sequence``
-passes the word's one ``_Masks`` instead, through the same functions, the
-same classifiers and the same checks: the rule then runs in place, the
-nodes it wrote join the suspect mask that ``is_reduced`` checks, and the
-function returns that ``_Masks``.  A general-mode CZ reduces it in place
-too, with ``to_reduced``.  The word is frozen once, at the end.
+``neg_mask ^= adj[j]``.  One per-gate step, ``_step``, runs a gate on a
+``_Masks`` whose targets are already checked: it picks the rule
+(``_pick_general``, ``_pick_reduced`` or ``_pick_cz``), runs the E-move
+prelude and calls the body (``_general`` or ``_cz``); a general-mode CZ
+first reduces the ``_Masks`` in place with ``to_reduced``.  The pickers
+are the only code that maps a gate and decorations to a T tag: the public
+``classify_*`` functions are the pickers behind the boundary check of
+their node ids.
+
+Validation happens at the boundary, once.  A one-gate function checks its
+graph (reduced, for the reduced rules) and its node ids, runs the step on
+a fresh ``_Masks``, freezes it and, when the result must be reduced,
+checks that with ``is_reduced``.  ``apply_sequence`` checks each gate's
+targets once, as it comes, and a reduced word its input once; it then
+runs the same step on the word's one ``_Masks``, settles it, so the nodes
+the gate wrote join the suspect mask, and after every reduced-rule gate
+and every CZ checks ``is_reduced`` on that mask.  The word is frozen
+once, at the end, and checked once more there.
 
 T1, T2, T3, T5, T6 and the three CZ rules have bodies of their own;
 ``_general`` holds the T1-T6 bodies.  T3's body, ``_t3``, lives beside E1
@@ -57,20 +68,18 @@ from .graph import (
     _check_distinct,
     _check_node,
     _offenders,
-    _scratch,
     _valid_rewrite,
     is_reduced,
 )
-from .pauli import _gate_arity, _gate_targets
+from .pauli import GATE_ARITY, _gate_arity, _gate_targets
 
 LOCAL_GATES = ("H", "S", "Z")
 
 GateApplication = Tuple[str, Tuple[int, ...]]
 
 
-def classify_local(g: StabilizerGraph, gate: str, j: int) -> str:
-    """Name of the general rule that applies: one of T1..T6."""
-    j = _check_node(g, j)
+def _pick_general(g: "StabilizerGraph | _Masks", gate: str, j: int) -> str:
+    # The general rule for gate at node j (checked), from j's fill and loop.
     if gate == "H":
         return "T1"
     hollow = g.hollow_mask >> j & 1
@@ -83,9 +92,8 @@ def classify_local(g: StabilizerGraph, gate: str, j: int) -> str:
     raise ValueError(f"not a single-node gate: {gate!r}")
 
 
-def classify_local_reduced(g: StabilizerGraph, gate: str, j: int) -> str:
-    """Name of the reduced rule that applies to a reduced graph."""
-    j = _check_node(g, j)
+def _pick_reduced(g: "StabilizerGraph | _Masks", gate: str, j: int) -> str:
+    # The reduced rule for gate at node j (checked) of a reduced graph.
     hollow = g.hollow_mask >> j & 1
     if gate == "S":
         return "T(vii)" if hollow else "T(vi)"
@@ -101,22 +109,35 @@ def classify_local_reduced(g: StabilizerGraph, gate: str, j: int) -> str:
     raise ValueError(f"not a single-node gate: {gate!r}")
 
 
-def classify_cz_reduced(g: StabilizerGraph, j: int, k: int) -> str:
-    """Name of the reduced CZ rule: T(viii), T(ix) or T(x)."""
-    j, k = _check_distinct(g, j, k, "CZ targets")
+def _pick_cz(g: "StabilizerGraph | _Masks", j: int, k: int) -> str:
+    # The reduced CZ rule for distinct nodes j, k (checked), by their fills.
     hollows = (g.hollow_mask >> j & 1) + (g.hollow_mask >> k & 1)
     return ("T(viii)", "T(ix)", "T(x)")[hollows]
 
 
-def _check_reduced(out: StabilizerGraph, rule: str) -> StabilizerGraph:
+def classify_local(g: StabilizerGraph, gate: str, j: int) -> str:
+    """Name of the general rule that applies: one of T1..T6."""
+    return _pick_general(g, gate, _check_node(g, j))
+
+
+def classify_local_reduced(g: StabilizerGraph, gate: str, j: int) -> str:
+    """Name of the reduced rule that applies to a reduced graph."""
+    return _pick_reduced(g, gate, _check_node(g, j))
+
+
+def classify_cz_reduced(g: StabilizerGraph, j: int, k: int) -> str:
+    """Name of the reduced CZ rule: T(viii), T(ix) or T(x)."""
+    return _pick_cz(g, *_check_distinct(g, j, k, "CZ targets"))
+
+
+def _check_reduced(g: "StabilizerGraph | _Masks", rule: str) -> None:
     # An explicit raise rather than an assert, so the check survives -O.
-    # The input passed the reduced pre-check, which left its suspect mask
-    # at 0, so the mask now holds just the nodes the rule wrote: this
+    # The input passed the reduced check, which left its suspect mask at 0,
+    # so after settle() the mask holds just the nodes the rule wrote: this
     # costs about their number, not n.  apply_sequence rescans its result
     # in full.
-    if not is_reduced(out):
+    if not is_reduced(g):
         raise InvariantError(f"rule {rule} broke the reduced invariant")
-    return out
 
 
 # --- rules -----------------------------------------------------------------
@@ -151,50 +172,12 @@ def _general(m: _Masks, rule: str, j: int) -> None:
         _t6(m, j)
 
 
-# The general rule that each reduced S or Z rule ends in; every H rule ends in T1.
-_GENERAL_OF = {"T(vi)": "T2", "T(vii)": "T3", "T5": "T5", "T6": "T6"}
-
-
-def apply_local(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
-    """Apply H, S or Z at node j of an arbitrary graph (rules T1-T6)."""
-    j = _check_node(g, j)
-    rule = classify_local(g, gate, j)
-    m = _scratch(g)
-    _general(m, rule, j)
-    return m.result(g)
-
-
-def apply_local_reduced(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
-    """Apply H, S or Z at node j of a reduced graph, staying reduced.
-
-    T(iii) and T(iv) consume j's lowest hollow neighbor.
-    """
-    if not is_reduced(g):
-        raise ValueError("graph is not reduced")
-    j = _check_node(g, j)
-    rule = classify_local_reduced(g, gate, j)
-    m = _scratch(g)
-    # The E-move prelude: T(ii) makes j hollow with E1, and T(iii) and
-    # T(iv) move the hollow marker of j's lowest hollow neighbor onto j.
-    if rule == "T(ii)":
-        _e1_core(m, j)
-    elif rule in ("T(iii)", "T(iv)"):
-        _swap(m, _lowest(m.adj[j] & m.hollow_mask), j)
-    _general(m, "T1" if gate == "H" else _GENERAL_OF[rule], j)
-    return _check_reduced(m.result(g), rule)
-
-
-def apply_cz_reduced(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
-    """Apply CZ to nodes j, k of a reduced graph, staying reduced."""
-    if not is_reduced(g):
-        raise ValueError("graph is not reduced")
-    j, k = _check_distinct(g, j, k, "CZ targets")
-    rule = classify_cz_reduced(g, j, k)
-    m = _scratch(g)
+def _cz(m: _Masks, rule: str, j: int, k: int) -> None:
+    """The body of reduced CZ rule ``rule`` (T(viii)..T(x)) at nodes j, k."""
     if rule == "T(viii)":
         m.toggle_edge(j, k)
     elif rule == "T(ix)":
-        solid, hollow = (j, k) if g.hollow_mask >> k & 1 else (k, j)
+        solid, hollow = (j, k) if m.hollow_mask >> k & 1 else (k, j)
         connected = (m.adj[solid] >> hollow) & 1
         hollow_neg = (m.neg_mask >> hollow) & 1
         # Per neighbor, not toggle_between: at the hollow degrees 0-4 of n=1024
@@ -212,15 +195,80 @@ def apply_cz_reduced(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
             m.neg_mask ^= b
         if m.neg_mask >> k & 1:
             m.neg_mask ^= a
-    return _check_reduced(m.result(g), rule)
+
+
+# The general rule that each reduced S or Z rule ends in; every H rule ends in T1.
+_GENERAL_OF = {"T(vi)": "T2", "T(vii)": "T3", "T5": "T5", "T6": "T6"}
+
+
+def _step(m: _Masks, reduced: bool, gate: str, j: int, k: int = -1) -> str:
+    """Apply one gate to ``m`` in place and return the tag of its rule.
+
+    The targets are trusted: node j for H, S or Z (any other name on one
+    target raises), nodes j and k for CZ.  With ``reduced`` the reduced
+    rules run, on an ``m`` that must be reduced; a general CZ first
+    reduces ``m`` in place with ``to_reduced``.  Nothing is settled or
+    checked here: that is the caller's.
+    """
+    if k < 0:
+        if not reduced:
+            rule = _pick_general(m, gate, j)
+            _general(m, rule, j)
+            return rule
+        rule = _pick_reduced(m, gate, j)
+        # The E-move prelude: T(ii) makes j hollow with E1, and T(iii) and
+        # T(iv) move the hollow marker of j's lowest hollow neighbor onto j.
+        if rule == "T(ii)":
+            _e1_core(m, j)
+        elif rule == "T(iii)" or rule == "T(iv)":
+            _swap(m, _lowest(m.adj[j] & m.hollow_mask), j)
+        _general(m, "T1" if gate == "H" else _GENERAL_OF[rule], j)
+        return rule
+    if not reduced:
+        to_reduced(m)
+    rule = _pick_cz(m, j, k)
+    _cz(m, rule, j, k)
+    return rule
+
+
+def _one_gate(g: StabilizerGraph, reduced: bool, gate: str, *targets: int) -> StabilizerGraph:
+    # A one-gate function past its boundary checks: the step on a fresh
+    # copy, frozen, and checked when the result must be reduced.
+    m = _Masks(g)
+    rule = _step(m, reduced, gate, *targets)
+    out = m.freeze()
+    if reduced or len(targets) == 2:
+        _check_reduced(out, rule)
+    return out
+
+
+def apply_local(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
+    """Apply H, S or Z at node j of an arbitrary graph (rules T1-T6)."""
+    return _one_gate(g, False, gate, _check_node(g, j))
+
+
+def apply_local_reduced(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
+    """Apply H, S or Z at node j of a reduced graph, staying reduced.
+
+    T(iii) and T(iv) consume j's lowest hollow neighbor.
+    """
+    if not is_reduced(g):
+        raise ValueError("graph is not reduced")
+    return _one_gate(g, True, gate, _check_node(g, j))
+
+
+def apply_cz_reduced(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
+    """Apply CZ to nodes j, k of a reduced graph, staying reduced."""
+    if not is_reduced(g):
+        raise ValueError("graph is not reduced")
+    return _one_gate(g, True, "CZ", *_check_distinct(g, j, k, "CZ targets"))
 
 
 def apply_cz(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
     """Apply CZ to an arbitrary graph: reduce first, then use the reduced
     rule.  The output is reduced; it describes exactly CZ times the input
     state."""
-    j, k = _check_distinct(g, j, k, "CZ targets")
-    return apply_cz_reduced(to_reduced(g), j, k)
+    return _one_gate(g, False, "CZ", *_check_distinct(g, j, k, "CZ targets"))
 
 
 def apply_sequence(
@@ -235,10 +283,16 @@ def apply_sequence(
     input must be reduced and the reduced rules are used throughout, so
     every intermediate graph is reduced too.
 
-    The word runs on one ``graph._Masks``: each gate goes through its
-    one-gate function, which rewrites that ``_Masks`` in place and adds
-    the nodes it wrote to the suspect mask, and the result is frozen once,
-    at the end.  It is then checked once on the rows the word wrote
+    The word runs on one ``graph._Masks``.  Each gate's targets are
+    checked once, as they come (``pauli._gate_targets`` when they are not
+    a tuple of in-range Python ints, to convert them or name the defect),
+    and a reduced word checks its input once, after gate 0's targets.
+    Each gate is then the one-gate functions' own ``_step`` on the word's
+    ``_Masks``, which is settled, so the suspect mask holds the nodes the
+    gate wrote; after every reduced-rule gate and every CZ, ``is_reduced``
+    on that mask must hold, else ``InvariantError`` names the rule (also
+    under -O).  The result is frozen once, at the end.
+    It is then checked once on the rows the word wrote
     (``graph._valid_rewrite``), which past one C-speed pass over the rows
     costs those rows, not all n; when that check fails, the full
     ``_validate()`` runs and raises its message.
@@ -247,15 +301,31 @@ def apply_sequence(
     returns ``g`` itself.
     """
     m = _Masks(g)
+    n = m.n
+    unchecked = reduced  # a reduced word checks its input after gate 0's targets
     count = 0
     for count, (gate, targets) in enumerate(gates, 1):
-        targets = _gate_targets(gate, targets, m.n)
-        if gate == "CZ":
-            apply = apply_cz_reduced if reduced else apply_cz
-            apply(m, *targets)
-        else:
-            apply = apply_local_reduced if reduced else apply_local
-            apply(m, gate, *targets)
+        if not (
+            type(targets) is tuple
+            and len(targets) == GATE_ARITY.get(gate)
+            and type(j := targets[0]) is int
+            and type(k := targets[-1]) is int
+            and 0 <= j < n
+            and 0 <= k < n
+            and (j != k or gate != "CZ")
+        ):
+            targets = _gate_targets(gate, targets, n)
+        if unchecked:
+            if not is_reduced(m):
+                raise ValueError("graph is not reduced")
+            unchecked = False
+        rule = _step(m, reduced, gate, *targets)
+        m.settle()
+        if reduced or gate == "CZ":
+            if m._suspect & m.hollow_mask:
+                _check_reduced(m, rule)
+            else:  # no hollow node written, so none can clash
+                m._suspect = 0
     if count:
         out = m.freeze()
         if not _valid_rewrite(out, g):

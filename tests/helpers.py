@@ -689,6 +689,41 @@ def sparse_graph(n: int, seed: int, p: float, *, reduced: bool = False) -> Stabi
     )
 
 
+def sparse_graph_by_edges(
+    n: int, seed: int, mean_degree: float, *, reduced: bool = False
+) -> StabilizerGraph:
+    """Decorations are fair coins, then round(n * mean_degree / 2) distinct
+    edges drawn uniformly, each draw costing O(1), not O(n) as the node
+    pairs of ``sparse_graph`` do.
+
+    With ``reduced=True`` hollow nodes get no loop and a drawn hollow-hollow
+    pair is drawn again, so the graph still has that many edges.
+    """
+    rng = random.Random(seed)
+    hollow = [rng.random() < 0.5 for _ in range(n)]
+    loops = [rng.random() < 0.5 and not (reduced and hollow[j]) for j in range(n)]
+    neg = [rng.random() < 0.5 for _ in range(n)]
+    free = n * (n - 1) // 2
+    if reduced:
+        h = sum(hollow)
+        free -= h * (h - 1) // 2
+    m = round(n * mean_degree / 2)
+    if m > free:
+        raise ValueError(f"{m} edges do not fit in {free} free node pairs")
+    edges = set()
+    while len(edges) < m:
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j and not (reduced and hollow[i] and hollow[j]):
+            edges.add((min(i, j), max(i, j)))
+    return StabilizerGraph.build(
+        n,
+        edges=sorted(edges),
+        hollow=[j for j in range(n) if hollow[j]],
+        loops=[j for j in range(n) if loops[j]],
+        neg=[j for j in range(n) if neg[j]],
+    )
+
+
 def _qubit_bit(n: int, q: int) -> np.ndarray:
     idx = np.arange(1 << n)
     return (idx >> (n - 1 - q)) & 1
@@ -1103,6 +1138,44 @@ def _int_token_reference(tok: str, col: int, lineno: int, what: str) -> int:
         return int(tok)
     except ValueError:  # more digits than int() converts
         raise ParseError(f"{what} has too many digits ({len(tok)})", lineno, col) from None
+
+
+# ASCII digits only, as in the engine: \d would also take digits such as '٣'.
+_SCRIPT_TOKEN_REFERENCE = re.compile(r"(?:(H|S|Z):([0-9]+)|CZ:([0-9]+),([0-9]+))\Z")
+
+
+def _script_qubit_reference(digits: str) -> int:
+    from stabgraph.cli import ScriptError
+
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ScriptError(f"qubit index has too many digits ({len(digits)})") from None
+
+
+def parse_script_reference(script: str, n: int) -> list:
+    """Reference for ``cli.parse_script``: every token matched by the token
+    regex and read through its groups, the walker the id table replaced."""
+    from stabgraph.cli import ScriptError
+
+    gates = []
+    for tok in script.split():
+        m = _SCRIPT_TOKEN_REFERENCE.match(tok)
+        if m is None:
+            raise ScriptError(f"bad script token {tok!r}")
+        if m.group(1):
+            j = _script_qubit_reference(m.group(2))
+            if j >= n:
+                raise ScriptError(f"token {tok!r}: qubit {j} out of range for n={n}")
+            gates.append((m.group(1), (j,)))
+        else:
+            i, j = _script_qubit_reference(m.group(3)), _script_qubit_reference(m.group(4))
+            if i >= n or j >= n:
+                raise ScriptError(f"token {tok!r}: qubit out of range for n={n}")
+            if i == j:
+                raise ScriptError(f"token {tok!r}: CZ qubits must differ")
+            gates.append(("CZ", (i, j)))
+    return gates
 
 
 def parse_graph_reference(text: str) -> StabilizerGraph:

@@ -26,6 +26,7 @@ from helpers import (
     run_reference,
     edges_reference,
     ei_reference,
+    every_graph,
     flag_mask_reference,
     format_graph_reference,
     graph_to_dot_reference,
@@ -154,6 +155,38 @@ class TestValidation:
                 StabilizerGraph(n, flags, flags, flags, tuple(adj))
             assert str(err.value) == want
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_row_walk_and_the_transpose_agree(self, monkeypatch, n):
+        # Below graph._WALK_BELOW rows the symmetry checks walk the rows;
+        # from it on they compare the transpose.  On every n <= 3 graph's
+        # rows, and those rows with each kind of defect, both routes give
+        # the same verdict, on the whole matrix and on each block of rows
+        # that _valid_rewrite checks, and _adjacency_error names the same
+        # first defect on each route, the reference's.
+        assert n < graph._WALK_BELOW
+        rng = random.Random(n)
+        matrices = {g.adj for g in every_graph(n)}
+        for adj in sorted(matrices):
+            cases = [list(adj)]
+            for kind in ("high", "negative", "diagonal", "one_sided"):
+                cases.append(list(adj))
+                _corrupt(cases[-1], n, rng, kind)
+            for rows in cases:
+                want = adjacency_error_reference(rows, n)
+                assert (graph._first_defect(range(n), rows, rows, n) is None) == (
+                    graph._symmetric_by_transpose(rows, n)
+                ) == (want is None)
+                for written in range(1, 1 << n):
+                    ids = _bits(written)
+                    block = [rows[j] & written for j in ids]
+                    assert (graph._first_defect(ids, block, rows, n) is None) == (
+                        graph._symmetric_block(ids, block, n)
+                    )
+                with monkeypatch.context() as patch:
+                    for cutoff in (n + 1, 0):
+                        patch.setattr(graph, "_WALK_BELOW", cutoff)
+                        assert graph._adjacency_error(rows, n) == want
+
     def test_every_kind_of_defect_is_reached(self):
         # The property above is only as strong as the errors it provokes.
         seen = set()
@@ -184,10 +217,12 @@ class TestValidation:
     def test_a_rejection_the_row_walk_cannot_name_is_an_invariant_error(
         self, monkeypatch, n
     ):
-        # The transpose check is the only verdict on a valid matrix; the
+        # On the transpose route, which the cutoff set to 0 takes at every
+        # n, the transpose check is the only verdict on a valid matrix; the
         # row walk runs only to name a defect, and finding none means the
         # two checks disagree.
         g = random_graph(n, n)
+        monkeypatch.setattr(graph, "_WALK_BELOW", 0)
         monkeypatch.setattr(graph, "_symmetric_by_transpose", lambda adj, n: False)
         with pytest.raises(InvariantError, match="transpose check"):
             StabilizerGraph(g.n, g.hollow, g.loop, g.neg, g.adj)

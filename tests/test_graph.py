@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import adjacency_masks
+from helpers import adjacency_masks, sparse_graph_by_edges
 from stabgraph import (
     GraphFormCircuit,
     StabilizerGraph,
@@ -190,6 +190,18 @@ class TestBuild:
         for edges in subsets(list(itertools.combinations(range(n), 2))):
             for hollow, loops, neg in itertools.product(subsets(list(range(n))), repeat=3):
                 _check_build(n, edges, hollow, loops, neg)
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_a_graph_drawn_by_edges_has_them_all(self, reduced):
+        # The test helper behind the wide CI smoke run: exactly
+        # round(n * mean_degree / 2) edges, seeded, reduced when asked.
+        g = sparse_graph_by_edges(300, 7, 3, reduced=reduced)
+        assert len(g.edges()) == 450
+        assert g == sparse_graph_by_edges(300, 7, 3, reduced=reduced)
+        if reduced:
+            assert is_reduced(g)
+        with pytest.raises(ValueError, match="do not fit"):
+            sparse_graph_by_edges(4, 0, 4, reduced=reduced)
 
     @pytest.mark.parametrize("n", [64, 1024])
     def test_seeded_graphs_match_the_public_constructor(self, n):

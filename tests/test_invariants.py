@@ -566,6 +566,32 @@ class TestInvariantError:
             transforms.apply_sequence(r, word, reduced=True)
         assert len(calls) == k + 1
 
+    @pytest.mark.parametrize("reduced", [True, False])
+    @pytest.mark.parametrize("k", [0, 1, 5, 13])
+    def test_word_post_check_names_the_cz_rule_at_gate_k(self, monkeypatch, k, reduced):
+        # The same for the CZ body at the word's k-th CZ: a reduced-rule
+        # CZ, and a general-rule one, which reduces the word's _Masks in
+        # place first, so its rule is that of the reduced state.
+        r = sparse_graph(12, 5, 0.3, reduced=True)
+        word = random_word(random.Random(k), 12, 60)
+        at = [i for i, (gate, _) in enumerate(word) if gate == "CZ"][k]
+        before = transforms.apply_sequence(r, word[:at], reduced=reduced)
+        _, (a, b) = word[at]
+        tag = classify_cz_reduced(before if reduced else to_reduced(before), a, b)
+        real, calls = transforms._cz, []
+
+        def broken(m, rule, j, k_):
+            real(m, rule, j, k_)
+            if len(calls) == k:  # the first target comes out hollow with a loop
+                m.hollow_mask |= 1 << j
+                m.loop_mask |= 1 << j
+            calls.append(j)
+
+        monkeypatch.setattr(transforms, "_cz", broken)
+        with pytest.raises(InvariantError, match=rf"^rule {re.escape(tag)} broke"):
+            transforms.apply_sequence(r, word, reduced=reduced)
+        assert len(calls) == k + 1
+
     def test_word_post_check_under_python_O(self):
         proc = run_under_python_O(
             """

@@ -42,6 +42,9 @@ from stabgraph import (
     StabilizerGraph,
     canonical_blocks,
     circuit_from_graph,
+    format_generator_matrix,
+    format_graph,
+    parse_generator_matrix,
     conjugate,
     generator_matrix_from_graph,
     generators_from_circuit,
@@ -51,7 +54,7 @@ from stabgraph import (
     random_graph,
     to_canonical_form,
 )
-from stabgraph import convert, pauli
+from stabgraph import cli, convert, pauli
 from stabgraph.graph import _bits
 
 
@@ -275,6 +278,26 @@ class TestPackedKernel:
         for n in (cut - 1, cut):
             pauli._canonical_rows(scrambled_matrix(n, 0, 0.5, False))
         assert ran == [(cut - 1, "_canonical_rows_by_products"), (cut, "_canonical_rows_packed")]
+
+    def test_a_convert_builds_the_commutation_parities_once(self, monkeypatch, tmp_path):
+        # The constructor keeps the C it checked, and the kernel reads it;
+        # only a _trusted matrix, which skips the constructor, builds its own.
+        mat = scrambled_matrix(256, 1, 0.5, False)
+        src, out = tmp_path / "in.mat", tmp_path / "out.graph"
+        src.write_text(format_generator_matrix(mat))
+        real, calls = pauli._commutation_parities, []
+        monkeypatch.setattr(
+            pauli, "_commutation_parities", lambda xs, zs, n: calls.append(n) or real(xs, zs, n)
+        )
+        argv = ["convert", "--from", "matrix", "--to", "graph", "-i", str(src), "-o", str(out)]
+        assert cli.main(argv) == 0
+        assert calls == [256]
+        trusted = GeneratorMatrix._trusted(mat.n, mat.rows, mat.qubit_of_column)
+        assert trusted._comm is None
+        assert pauli._canonical_rows(trusted) == pauli._canonical_rows(mat)
+        assert calls == [256, 256]
+        parsed = parse_generator_matrix(src.read_text())
+        assert out.read_text() == format_graph(graph_from_generator_matrix_reference(parsed))
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
     def test_parities_match_pairwise_bit_counts(self, n, monkeypatch):

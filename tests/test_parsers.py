@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import parse_circuit_reference, parse_graph_reference
+from helpers import parse_circuit_reference, parse_graph_reference, parse_script_reference
 from stabgraph import (
     InvariantError,
     ParseError,
@@ -38,7 +38,7 @@ from stabgraph import (
     parse_graph,
     random_graph,
 )
-from stabgraph import textio
+from stabgraph import cli, textio
 from stabgraph.cli import ScriptError, parse_script
 
 # Separators that split a line (str.isspace) and, for all but the tab, the
@@ -451,8 +451,33 @@ MATRIX_TEXT = st.one_of(
 )
 SCRIPT_TEXT = st.one_of(
     mutated(st.lists(_GATE, max_size=6).map(_format_script)),
-    _random_text(["H:", "CZ:", "0", "1", ",", ":", "H:0", "CZ:0,1"], ["", " ", "\t", "\u3000"]),
+    _random_text(
+        ["H:", "CZ:", "0", "1", "00", "4096", ",", ":", "H:0", "CZ:0,1", "١"],
+        ["", " ", "\t", "\u3000"],
+    ),
 )
+
+
+class TestScriptIdTable:
+    """``parse_script`` reads ids from a table of the names below
+    ``cli._NAMED_QUBITS`` and sends any other token to the token regex."""
+
+    @pytest.mark.parametrize("n", [1, 12, cli._NAMED_QUBITS, cli._NAMED_QUBITS + 2])
+    @pytest.mark.parametrize("text", [
+        "H:0", "S:00", "Z:011", "H:11", "H:12", "CZ:0,11", "CZ:11,0", "CZ:3,3", "CZ:03,3",
+        "CZ:0,12", "CZ:12,0", "CZ:1,2,3", "CZ:1", "CZ:,1", "CZ:1,", "H:1:2", "H:", "h:1",
+        "X:1", "CZ:", "H:+1", "H:-1", "H: 1", "H:١", "H:1٣", "H:" + "9" * 5000,
+        "H:4095", "H:4096", "H:4097", "H:04096", "CZ:4096,4095", "CZ:4097,4096",
+        "CZ:4096,4096", "S:0 CZ:0,1 Z:1 CZ:1,0",
+    ], ids=lambda t: t if len(t) < 40 else f"{t[:6]}...({len(t)} characters)")
+    def test_same_as_the_token_walker(self, text, n):
+        assert _outcome(lambda t: parse_script(t, n), text) == _outcome(
+            lambda t: parse_script_reference(t, n), text
+        )
+
+    def test_the_table_is_built_once(self):
+        assert cli._qubit_names() is cli._qubit_names()
+        assert len(cli._qubit_names()) == cli._NAMED_QUBITS
 
 
 class TestFuzzedParsers:
@@ -470,10 +495,13 @@ class TestFuzzedParsers:
     @settings(max_examples=200, deadline=None)
     @given(SCRIPT_TEXT, st.integers(1, 4))
     def test_script_parses_to_a_fixed_point_or_raises_script_error(self, text, n):
-        try:
-            gates = parse_script(text, n)
-        except ScriptError:
+        # Every text also reads as the regex token walker reads it: the
+        # same gates, or the same ScriptError message.
+        got = _outcome(lambda t: parse_script(t, n), text)
+        assert got == _outcome(lambda t: parse_script_reference(t, n), text)
+        if got[0] is ScriptError:
             return
+        gates = got[1]
         out = _format_script(gates)
         assert parse_script(out, n) == gates
         assert _format_script(parse_script(out, n)) == out

@@ -86,23 +86,21 @@ def test_seeded_words_at_n256(seed):
 def _tx_without_the_k_sign_flip(real):
     # T(x) flips j's neighbors when k is negative; neither target's row or
     # sign changes, so undoing that flip afterwards is the body without it.
-    def mutant(g, j, k):
-        both_hollow = g.hollow_mask >> j & g.hollow_mask >> k & 1
-        out = real(g, j, k)
-        if both_hollow and out.neg_mask >> k & 1:
-            out.neg_mask ^= out.adj[j]
-        return out
+    def mutant(m, rule, j, k):
+        both_hollow = m.hollow_mask >> j & m.hollow_mask >> k & 1
+        real(m, rule, j, k)
+        if both_hollow and m.neg_mask >> k & 1:
+            m.neg_mask ^= m.adj[j]
     return mutant
 
 
 def _tviii_with_a_stray_flip(real):
     # T(viii) toggles the edge and writes no sign, so any sign flip is stray.
-    def mutant(g, j, k):
-        both_solid = not (g.hollow_mask >> j & 1 or g.hollow_mask >> k & 1)
-        out = real(g, j, k)
+    def mutant(m, rule, j, k):
+        both_solid = not (m.hollow_mask >> j & 1 or m.hollow_mask >> k & 1)
+        real(m, rule, j, k)
         if both_solid:
-            out.neg_mask ^= 1 << j
-        return out
+            m.neg_mask ^= 1 << j
     return mutant
 
 
@@ -111,15 +109,14 @@ def _tix_without_the_solid_flip(real):
     # neighbors, which changes neither the pair's edge nor the hollow node's
     # sign, so the flip's condition reads the same before the body as within
     # it, and undoing the flip afterwards is the body without it.
-    def mutant(g, j, k):
-        hollow_mask = g.hollow_mask
+    def mutant(m, rule, j, k):
+        hollow_mask = m.hollow_mask
         solid, hollow = (j, k) if hollow_mask >> k & 1 else (k, j)
         one_hollow = (hollow_mask >> j & 1) != (hollow_mask >> k & 1)
-        flips = (g.adj[solid] >> hollow & 1) != (g.neg_mask >> hollow & 1)
-        out = real(g, j, k)
+        flips = (m.adj[solid] >> hollow & 1) != (m.neg_mask >> hollow & 1)
+        real(m, rule, j, k)
         if one_hollow and flips:
-            out.neg_mask ^= 1 << solid
-        return out
+            m.neg_mask ^= 1 << solid
     return mutant
 
 
@@ -158,16 +155,17 @@ BOTH_MODES = (True, False)
 
 
 @pytest.mark.parametrize("modules, name, mutate, modes", [
-    ((transforms,), "apply_cz_reduced", _tx_without_the_k_sign_flip, BOTH_MODES),
-    ((transforms,), "apply_cz_reduced", _tviii_with_a_stray_flip, BOTH_MODES),
-    ((transforms,), "apply_cz_reduced", _tix_without_the_solid_flip, BOTH_MODES),
+    ((transforms,), "_cz", _tx_without_the_k_sign_flip, BOTH_MODES),
+    ((transforms,), "_cz", _tviii_with_a_stray_flip, BOTH_MODES),
+    ((transforms,), "_cz", _tix_without_the_solid_flip, BOTH_MODES),
     ((equivalence,), "_e2_core", _e2_without_the_common_flip, BOTH_MODES),
     ((equivalence, transforms), "_t3", _t3_without_the_sign_flip, BOTH_MODES),
     ((equivalence, transforms), "_swap", _ei_with_a_stray_flip, (True,)),
 ], ids=["T(x)", "T(viii)", "T(ix)", "E2", "T3", "E(i)"])
 def test_mutants_are_caught_at_n64(monkeypatch, modules, name, mutate, modes):
     # Each mutant runs in words on the word's one _Masks, in the modes
-    # listed: the three CZ rules in every CZ of their fill pattern, E2 in
+    # listed: the three CZ rules in every CZ of their fill pattern (the
+    # body ``_cz``, which the word and the one-gate functions share), E2 in
     # the T(iii) prelude and in the general CZ's reduction, the T3 body,
     # which every module that binds it gets, in S on a hollow node and in
     # every E1, and the E(i) swap in the T(iv) prelude, which only reduced
