@@ -16,23 +16,21 @@ state-preserving step) and then applies the reduced CZ rule.
 
 Every rule writes one ``graph._Masks``: the graph's own flag masks beside
 its adjacency rows, so flipping the signs of a neighborhood is
-``neg_mask ^= adj[j]``.  One per-gate step, ``_step``, runs a gate on a
-``_Masks`` whose targets are already checked: it picks the rule
-(``_pick_general``, ``_pick_reduced`` or ``_pick_cz``), runs the E-move
-prelude and calls the body (``_general`` or ``_cz``); a general-mode CZ
-first reduces the ``_Masks`` in place with ``to_reduced``.  The pickers
-are the only code that maps a gate and decorations to a T tag: the public
-``classify_*`` functions are the pickers behind the boundary check of
-their node ids.
+``neg_mask ^= adj[j]``.  The four one-gate functions are the only
+per-gate step.  Each picks its rule with the public ``classify_*``
+function, the only code that maps a gate and decorations to a T tag,
+runs the E-move prelude and calls the body (``_general`` or ``_cz``).
+Given a graph, a one-gate function checks it (reduced, for the reduced
+rules) and its node ids, rewrites a fresh ``_Masks``, freezes it and,
+when the result must be reduced, checks that with ``is_reduced``.
 
-Validation happens at the boundary, once.  A one-gate function checks its
-graph (reduced, for the reduced rules) and its node ids, runs the step on
-a fresh ``_Masks``, freezes it and, when the result must be reduced,
-checks that with ``is_reduced``.  ``apply_sequence`` checks each gate's
-targets once, as it comes, and a reduced word its input once; it then
-runs the same step on the word's one ``_Masks``, settles it, so the nodes
-the gate wrote join the suspect mask, and after every reduced-rule gate
-and every CZ checks ``is_reduced`` on that mask.  The word is frozen
+``apply_sequence`` runs a word through the same functions, but not
+through all of their checks.  It checks each gate's targets once, as
+they come, and hands the one-gate function its one ``_Masks``, which is
+rewritten in place with those targets taken as checked.  The reduced
+check of the input then costs nothing after gate 0, because the check
+after the previous gate left the suspect mask empty, and the check of
+the result costs about the nodes the gate wrote.  The word is frozen
 once, at the end, and checked once more there.
 
 T1, T2, T3, T5, T6 and the three CZ rules have bodies of their own;
@@ -78,8 +76,9 @@ LOCAL_GATES = ("H", "S", "Z")
 GateApplication = Tuple[str, Tuple[int, ...]]
 
 
-def _pick_general(g: "StabilizerGraph | _Masks", gate: str, j: int) -> str:
-    # The general rule for gate at node j (checked), from j's fill and loop.
+def classify_local(g: StabilizerGraph, gate: str, j: int) -> str:
+    """Name of the general rule that applies: one of T1..T6."""
+    j = _check_node(g, j)
     if gate == "H":
         return "T1"
     hollow = g.hollow_mask >> j & 1
@@ -92,8 +91,9 @@ def _pick_general(g: "StabilizerGraph | _Masks", gate: str, j: int) -> str:
     raise ValueError(f"not a single-node gate: {gate!r}")
 
 
-def _pick_reduced(g: "StabilizerGraph | _Masks", gate: str, j: int) -> str:
-    # The reduced rule for gate at node j (checked) of a reduced graph.
+def classify_local_reduced(g: StabilizerGraph, gate: str, j: int) -> str:
+    """Name of the reduced rule that applies to a reduced graph."""
+    j = _check_node(g, j)
     hollow = g.hollow_mask >> j & 1
     if gate == "S":
         return "T(vii)" if hollow else "T(vi)"
@@ -109,35 +109,22 @@ def _pick_reduced(g: "StabilizerGraph | _Masks", gate: str, j: int) -> str:
     raise ValueError(f"not a single-node gate: {gate!r}")
 
 
-def _pick_cz(g: "StabilizerGraph | _Masks", j: int, k: int) -> str:
-    # The reduced CZ rule for distinct nodes j, k (checked), by their fills.
+def classify_cz_reduced(g: StabilizerGraph, j: int, k: int) -> str:
+    """Name of the reduced CZ rule: T(viii), T(ix) or T(x)."""
+    j, k = _check_distinct(g, j, k, "CZ targets")
     hollows = (g.hollow_mask >> j & 1) + (g.hollow_mask >> k & 1)
     return ("T(viii)", "T(ix)", "T(x)")[hollows]
 
 
-def classify_local(g: StabilizerGraph, gate: str, j: int) -> str:
-    """Name of the general rule that applies: one of T1..T6."""
-    return _pick_general(g, gate, _check_node(g, j))
-
-
-def classify_local_reduced(g: StabilizerGraph, gate: str, j: int) -> str:
-    """Name of the reduced rule that applies to a reduced graph."""
-    return _pick_reduced(g, gate, _check_node(g, j))
-
-
-def classify_cz_reduced(g: StabilizerGraph, j: int, k: int) -> str:
-    """Name of the reduced CZ rule: T(viii), T(ix) or T(x)."""
-    return _pick_cz(g, *_check_distinct(g, j, k, "CZ targets"))
-
-
-def _check_reduced(g: "StabilizerGraph | _Masks", rule: str) -> None:
+def _check_reduced(g: "StabilizerGraph | _Masks", rule: str) -> "StabilizerGraph | _Masks":
     # An explicit raise rather than an assert, so the check survives -O.
-    # The input passed the reduced check, which left its suspect mask at 0,
-    # so after settle() the mask holds just the nodes the rule wrote: this
-    # costs about their number, not n.  apply_sequence rescans its result
-    # in full.
+    # The input passed the reduced pre-check, which left its suspect mask
+    # at 0, so after settle() the mask holds just the nodes the rule wrote:
+    # this costs about their number, not n.  apply_sequence rescans its
+    # result in full.
     if not is_reduced(g):
         raise InvariantError(f"rule {rule} broke the reduced invariant")
+    return g
 
 
 # --- rules -----------------------------------------------------------------
@@ -201,50 +188,19 @@ def _cz(m: _Masks, rule: str, j: int, k: int) -> None:
 _GENERAL_OF = {"T(vi)": "T2", "T(vii)": "T3", "T5": "T5", "T6": "T6"}
 
 
-def _step(m: _Masks, reduced: bool, gate: str, j: int, k: int = -1) -> str:
-    """Apply one gate to ``m`` in place and return the tag of its rule.
-
-    The targets are trusted: node j for H, S or Z (any other name on one
-    target raises), nodes j and k for CZ.  With ``reduced`` the reduced
-    rules run, on an ``m`` that must be reduced; a general CZ first
-    reduces ``m`` in place with ``to_reduced``.  Nothing is settled or
-    checked here: that is the caller's.
-    """
-    if k < 0:
-        if not reduced:
-            rule = _pick_general(m, gate, j)
-            _general(m, rule, j)
-            return rule
-        rule = _pick_reduced(m, gate, j)
-        # The E-move prelude: T(ii) makes j hollow with E1, and T(iii) and
-        # T(iv) move the hollow marker of j's lowest hollow neighbor onto j.
-        if rule == "T(ii)":
-            _e1_core(m, j)
-        elif rule == "T(iii)" or rule == "T(iv)":
-            _swap(m, _lowest(m.adj[j] & m.hollow_mask), j)
-        _general(m, "T1" if gate == "H" else _GENERAL_OF[rule], j)
-        return rule
-    if not reduced:
-        to_reduced(m)
-    rule = _pick_cz(m, j, k)
-    _cz(m, rule, j, k)
-    return rule
-
-
-def _one_gate(g: StabilizerGraph, reduced: bool, gate: str, *targets: int) -> StabilizerGraph:
-    # A one-gate function past its boundary checks: the step on a fresh
-    # copy, frozen, and checked when the result must be reduced.
-    m = _Masks(g)
-    rule = _step(m, reduced, gate, *targets)
-    out = m.freeze()
-    if reduced or len(targets) == 2:
-        _check_reduced(out, rule)
-    return out
+# Given a word's _Masks (apply_sequence), a one-gate function rewrites it
+# in place and returns it, and takes its targets as checked; given a
+# graph, it checks them and rewrites a fresh copy.
 
 
 def apply_local(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
     """Apply H, S or Z at node j of an arbitrary graph (rules T1-T6)."""
-    return _one_gate(g, False, gate, _check_node(g, j))
+    if type(g) is _Masks:
+        m = g
+    else:
+        m, j = _Masks(g), _check_node(g, j)
+    _general(m, classify_local(g, gate, j), j)
+    return m.result(g)
 
 
 def apply_local_reduced(g: StabilizerGraph, gate: str, j: int) -> StabilizerGraph:
@@ -254,21 +210,41 @@ def apply_local_reduced(g: StabilizerGraph, gate: str, j: int) -> StabilizerGrap
     """
     if not is_reduced(g):
         raise ValueError("graph is not reduced")
-    return _one_gate(g, True, gate, _check_node(g, j))
+    if type(g) is _Masks:
+        m = g
+    else:
+        m, j = _Masks(g), _check_node(g, j)
+    rule = classify_local_reduced(g, gate, j)
+    # The E-move prelude: T(ii) makes j hollow with E1, and T(iii) and
+    # T(iv) move the hollow marker of j's lowest hollow neighbor onto j.
+    if rule == "T(ii)":
+        _e1_core(m, j)
+    elif rule == "T(iii)" or rule == "T(iv)":
+        _swap(m, _lowest(m.adj[j] & m.hollow_mask), j)
+    _general(m, "T1" if gate == "H" else _GENERAL_OF[rule], j)
+    return _check_reduced(m.result(g), rule)
 
 
 def apply_cz_reduced(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
     """Apply CZ to nodes j, k of a reduced graph, staying reduced."""
     if not is_reduced(g):
         raise ValueError("graph is not reduced")
-    return _one_gate(g, True, "CZ", *_check_distinct(g, j, k, "CZ targets"))
+    if type(g) is _Masks:
+        m = g
+    else:
+        m, (j, k) = _Masks(g), _check_distinct(g, j, k, "CZ targets")
+    rule = classify_cz_reduced(g, j, k)
+    _cz(m, rule, j, k)
+    return _check_reduced(m.result(g), rule)
 
 
 def apply_cz(g: StabilizerGraph, j: int, k: int) -> StabilizerGraph:
     """Apply CZ to an arbitrary graph: reduce first, then use the reduced
     rule.  The output is reduced; it describes exactly CZ times the input
     state."""
-    return _one_gate(g, False, "CZ", *_check_distinct(g, j, k, "CZ targets"))
+    if type(g) is not _Masks:
+        j, k = _check_distinct(g, j, k, "CZ targets")
+    return apply_cz_reduced(to_reduced(g), j, k)
 
 
 def apply_sequence(
@@ -285,13 +261,14 @@ def apply_sequence(
 
     The word runs on one ``graph._Masks``.  Each gate's targets are
     checked once, as they come (``pauli._gate_targets`` when they are not
-    a tuple of in-range Python ints, to convert them or name the defect),
-    and a reduced word checks its input once, after gate 0's targets.
-    Each gate is then the one-gate functions' own ``_step`` on the word's
-    ``_Masks``, which is settled, so the suspect mask holds the nodes the
-    gate wrote; after every reduced-rule gate and every CZ, ``is_reduced``
-    on that mask must hold, else ``InvariantError`` names the rule (also
-    under -O).  The result is frozen once, at the end.
+    a tuple of in-range Python ints, to convert them or name the defect).
+    The gate is then its one-gate function on the word's ``_Masks``,
+    which rewrites it in place: the same rule pickers, bodies and reduced
+    checks as a one-gate call, without checking the targets again.  So
+    the input of a reduced word is checked at gate 0, after that gate's
+    targets, and after every reduced-rule gate and every CZ the nodes it
+    wrote must leave no clash, else ``InvariantError`` names the rule
+    (also under -O).  The result is frozen once, at the end.
     It is then checked once on the rows the word wrote
     (``graph._valid_rewrite``), which past one C-speed pass over the rows
     costs those rows, not all n; when that check fails, the full
@@ -302,7 +279,7 @@ def apply_sequence(
     """
     m = _Masks(g)
     n = m.n
-    unchecked = reduced  # a reduced word checks its input after gate 0's targets
+    local, cz = (apply_local_reduced, apply_cz_reduced) if reduced else (apply_local, apply_cz)
     count = 0
     for count, (gate, targets) in enumerate(gates, 1):
         if not (
@@ -315,17 +292,11 @@ def apply_sequence(
             and (j != k or gate != "CZ")
         ):
             targets = _gate_targets(gate, targets, n)
-        if unchecked:
-            if not is_reduced(m):
-                raise ValueError("graph is not reduced")
-            unchecked = False
-        rule = _step(m, reduced, gate, *targets)
-        m.settle()
-        if reduced or gate == "CZ":
-            if m._suspect & m.hollow_mask:
-                _check_reduced(m, rule)
-            else:  # no hollow node written, so none can clash
-                m._suspect = 0
+            j, k = targets[0], targets[-1]
+        if gate == "CZ":
+            cz(m, j, k)
+        else:
+            local(m, gate, j)
     if count:
         out = m.freeze()
         if not _valid_rewrite(out, g):

@@ -542,52 +542,39 @@ class TestInvariantError:
         with pytest.raises(InvariantError, match=r"T\(vi\)"):
             apply_local_reduced(g, "S", 0)
 
-    @pytest.mark.parametrize("k", [0, 1, 5, 13])
-    def test_word_post_check_names_the_rule_at_gate_k(self, monkeypatch, k):
-        # The word runs in place on one _Masks; the per-gate post-check
-        # must still catch a body that breaks the invariant at gate k.
+    @pytest.mark.parametrize("k, cz, reduced", [
+        *(pytest.param(k, False, True, id=str(k)) for k in (0, 1, 5, 13)),
+        *(
+            pytest.param(k, True, reduced, id=f"CZ-{mode}-{k}")
+            for mode, reduced in (("reduced", True), ("general", False))
+            for k in (0, 1, 5, 13)
+        ),
+    ])
+    def test_word_post_check_names_the_rule_at_gate_k(self, monkeypatch, k, cz, reduced):
+        # The word runs in place on one _Masks; the post-check after every
+        # reduced-rule gate and every CZ must still catch a body (_general,
+        # or _cz at the k-th CZ) that breaks the invariant at gate k.  A
+        # general-rule CZ first reduces the word's _Masks in place, so its
+        # rule is that of the reduced state.
         r = sparse_graph(12, 5, 0.3, reduced=True)
-        word = random_word(random.Random(k), 12, 40)
-        at = [i for i, (gate, _) in enumerate(word) if gate != "CZ"][k]
-        before = transforms.apply_sequence(r, word[:at], reduced=True)
-        gate, (j,) = word[at]
-        tag = classify_local_reduced(before, gate, j)
-        real, calls = transforms._general, []
-
-        def broken(m, rule, node):
-            real(m, rule, node)
-            if len(calls) == k:  # the target comes out hollow with a loop
-                m.hollow_mask |= 1 << node
-                m.loop_mask |= 1 << node
-            calls.append(node)
-
-        monkeypatch.setattr(transforms, "_general", broken)
-        with pytest.raises(InvariantError, match=rf"^rule {re.escape(tag)} broke"):
-            transforms.apply_sequence(r, word, reduced=True)
-        assert len(calls) == k + 1
-
-    @pytest.mark.parametrize("reduced", [True, False])
-    @pytest.mark.parametrize("k", [0, 1, 5, 13])
-    def test_word_post_check_names_the_cz_rule_at_gate_k(self, monkeypatch, k, reduced):
-        # The same for the CZ body at the word's k-th CZ: a reduced-rule
-        # CZ, and a general-rule one, which reduces the word's _Masks in
-        # place first, so its rule is that of the reduced state.
-        r = sparse_graph(12, 5, 0.3, reduced=True)
-        word = random_word(random.Random(k), 12, 60)
-        at = [i for i, (gate, _) in enumerate(word) if gate == "CZ"][k]
+        word = random_word(random.Random(k), 12, 60 if cz else 40)
+        at = [i for i, (gate, _) in enumerate(word) if (gate == "CZ") == cz][k]
         before = transforms.apply_sequence(r, word[:at], reduced=reduced)
-        _, (a, b) = word[at]
-        tag = classify_cz_reduced(before if reduced else to_reduced(before), a, b)
-        real, calls = transforms._cz, []
+        gate, targets = word[at]
+        if cz:
+            seam, tag = "_cz", classify_cz_reduced(to_reduced(before), *targets)
+        else:
+            seam, tag = "_general", classify_local_reduced(before, gate, *targets)
+        real, calls = getattr(transforms, seam), []
 
-        def broken(m, rule, j, k_):
-            real(m, rule, j, k_)
-            if len(calls) == k:  # the first target comes out hollow with a loop
+        def broken(m, rule, j, *rest):
+            real(m, rule, j, *rest)
+            if len(calls) == k:  # the (first) target comes out hollow with a loop
                 m.hollow_mask |= 1 << j
                 m.loop_mask |= 1 << j
             calls.append(j)
 
-        monkeypatch.setattr(transforms, "_cz", broken)
+        monkeypatch.setattr(transforms, seam, broken)
         with pytest.raises(InvariantError, match=rf"^rule {re.escape(tag)} broke"):
             transforms.apply_sequence(r, word, reduced=reduced)
         assert len(calls) == k + 1

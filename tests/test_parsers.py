@@ -459,10 +459,12 @@ SCRIPT_TEXT = st.one_of(
 
 
 class TestScriptIdTable:
-    """``parse_script`` reads ids from a table of the names below
-    ``cli._NAMED_QUBITS`` and sends any other token to the token regex."""
+    """``parse_script`` reads ids from a shared table of the names
+    ``str(j)``, grown to the ids below n and below the script's length, and
+    sends any other token to the token regex."""
 
-    @pytest.mark.parametrize("n", [1, 12, cli._NAMED_QUBITS, cli._NAMED_QUBITS + 2])
+    @pytest.mark.parametrize("grown", [0, 5000], ids=["fresh", "grown"])
+    @pytest.mark.parametrize("n", [1, 12, 4096, 4098])
     @pytest.mark.parametrize("text", [
         "H:0", "S:00", "Z:011", "H:11", "H:12", "CZ:0,11", "CZ:11,0", "CZ:3,3", "CZ:03,3",
         "CZ:0,12", "CZ:12,0", "CZ:1,2,3", "CZ:1", "CZ:,1", "CZ:1,", "H:1:2", "H:", "h:1",
@@ -470,14 +472,24 @@ class TestScriptIdTable:
         "H:4095", "H:4096", "H:4097", "H:04096", "CZ:4096,4095", "CZ:4097,4096",
         "CZ:4096,4096", "S:0 CZ:0,1 Z:1 CZ:1,0",
     ], ids=lambda t: t if len(t) < 40 else f"{t[:6]}...({len(t)} characters)")
-    def test_same_as_the_token_walker(self, text, n):
+    def test_same_as_the_token_walker(self, monkeypatch, text, n, grown):
+        # A fresh table, or one that earlier calls grew past n.
+        monkeypatch.setattr(cli, "_QUBIT_NAMES", {})
+        cli._qubit_names(grown)
         assert _outcome(lambda t: parse_script(t, n), text) == _outcome(
             lambda t: parse_script_reference(t, n), text
         )
 
-    def test_the_table_is_built_once(self):
-        assert cli._qubit_names() is cli._qubit_names()
-        assert len(cli._qubit_names()) == cli._NAMED_QUBITS
+    def test_the_table_grows_to_the_ids_a_script_may_read(self, monkeypatch):
+        monkeypatch.setattr(cli, "_QUBIT_NAMES", {})
+        table = cli._QUBIT_NAMES
+        assert parse_script("H:0 H:6", 1000) == [("H", (0,)), ("H", (6,))]
+        assert len(table) == len("H:0 H:6")  # capped by the script's length
+        assert parse_script("H:0", 2) == [("H", (0,))]
+        assert len(table) == 7  # never shrinks
+        parse_script("H:0 " * 100, 50)  # capped by n
+        assert cli._QUBIT_NAMES is table
+        assert table == {str(j): j for j in range(50)}
 
 
 class TestFuzzedParsers:
