@@ -54,6 +54,7 @@ from .graph import InvariantError, StabilizerGraph
 from .oracle import MAX_QUBITS
 from .textio import (
     ParseError,
+    _node_names,
     format_circuit,
     format_generator_matrix,
     format_graph,
@@ -151,22 +152,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 # ASCII digits only: \d would also take digits such as '٣' that int() reads.
 _TOKEN_RE = re.compile(r"(?:(H|S|Z):([0-9]+)|CZ:([0-9]+),([0-9]+))\Z")
 
-# str(j) -> j for every j below its size, shared by every parse_script
-# call, each of which grows it to the ids it may read there, so each entry
-# is built once per process.  An entry took about 0.2 us to build and saves
-# about 0.3 us each time an id is read through it instead of _TOKEN_RE
-# (CZ tokens at n=1024, Python 3.11 on a shared 2-core Xeon).
-_QUBIT_NAMES: dict[str, int] = {}
-
-
-def _qubit_names(size: int) -> dict[str, int]:
-    """The shared id table, grown to hold every j below ``size``."""
-    have = len(_QUBIT_NAMES)
-    if have < size:
-        _QUBIT_NAMES.update(zip(map(str, range(have, size)), range(have, size)))
-    return _QUBIT_NAMES
-
-
 def _qubit(digits: str) -> int:
     try:
         return int(digits)
@@ -196,16 +181,16 @@ def parse_script(script: str, n: int) -> list[GateApplication]:
     """Parse whitespace-separated tokens H:<j>, S:<j>, Z:<j>, CZ:<i>,<j>.
 
     Each token is read in one pass: ``str.partition`` splits off the gate
-    name, and each id is looked up in a table of the names ``str(j)``
-    (as ``textio._ids`` reads node ids), then compared with n.  The table
-    is kept between calls and grown to the ids below n and below the
-    script's length, so a short script never builds a large one.  A token
-    that misses (an id with leading zeros, or above the table, or any
-    defect) is read by ``_TOKEN_RE`` instead, which accepts the same
-    tokens as the table and more (leading zeros, large ids) and names a
-    defect with its message.
+    name, and each id is looked up in ``textio``'s node-name table (the
+    names ``str(j)`` that graph texts read and write), then compared with
+    n, since the table may be longer.  Before reading, the table is grown
+    to the ids below n and below the script's length, so a short script
+    never builds a large one.  A token that misses (an id with leading
+    zeros, or above the table, or any defect) is read by ``_TOKEN_RE``
+    instead, which accepts the same tokens as the table and more (leading
+    zeros, large ids) and names a defect with its message.
     """
-    names = _qubit_names(min(n, len(script)))
+    names = _node_names(min(n, len(script)))[1]
     gates: list[GateApplication] = []
     for tok in script.split():
         gate, _, ids = tok.partition(":")

@@ -29,11 +29,12 @@ lengths, the adjacency range, the zero diagonal and symmetry, and raises
 as it reads it; its own checks give every property the constructor
 checks, so it builds with ``_trusted``.  Node ids passed to ``has_edge``
 and the rewrites are checked the same way and used as Python ints.
-The adjacency is checked by comparing its edge list with its transpose at
-C speed (``_symmetric_by_transpose``); only rows that fail that check are
-walked one by one (``_first_defect``), and the first defective row names
-the error.  Below ``_WALK_BELOW`` rows the walk alone answers, since it
-is then faster than the transpose's fixed numpy cost.
+The adjacency is checked by ``_symmetric_block``, which picks its route
+from the number of rows: below ``_WALK_BELOW`` rows it walks them one by
+one (``_first_defect``), from there on it compares the edge list with its
+transpose at C speed, since the walk is then slower than the transpose's
+fixed numpy cost.  Only rows that fail that check are walked, and the
+first defective row names the error.
 Rewrites of an already-valid graph build their results with the
 unchecked ``StabilizerGraph._trusted`` constructor, so a gate costs about
 the degree of its target rather than a full symmetry check.
@@ -161,28 +162,27 @@ def _index_rows(adj: Iterable[object]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-# Below this many rows, a symmetry check walks the rows one by one
-# (``_first_defect``); from it on, the transpose is compared at C speed
-# (``_symmetric_block``), whose numpy calls cost a fixed 10-15 us.  The
-# measured crossover, on a 2-core Xeon: at 24 rows the walk took 11-68 us
-# and the transpose 21-70 us, from mean degree 2 to edge density 0.7; at
-# 32 rows the transpose was faster on the dense rows.
+# Below this many rows, ``_symmetric_block`` walks the rows one by one
+# (``_first_defect``); from it on, it compares the transpose at C speed,
+# whose numpy calls cost a fixed 10-15 us.  The measured crossover, on a
+# 2-core Xeon: at 24 rows the walk took 11-68 us and the transpose 21-70
+# us, from mean degree 2 to edge density 0.7; at 32 rows the transpose
+# was faster on the dense rows.
 _WALK_BELOW = 32
 
 
 def _adjacency_error(adj: Sequence[int], n: int) -> Optional[str]:
     """Why the n rows ``adj`` are no adjacency matrix, or None if they are.
 
-    Below ``_WALK_BELOW`` rows the row walk ``_first_defect`` answers.
-    From it on, a valid matrix is recognised by ``_symmetric_by_transpose``
-    at C speed, and only a rejected one is walked, to name its first
-    defect; a rejected matrix in which the walk finds no defect means the
-    two checks disagree, which raises ``InvariantError``.
+    A valid matrix is recognised by ``_symmetric_block``, and only a
+    rejected one is walked by ``_first_defect``, to name its first defect;
+    a rejected matrix in which the walk finds no defect means the two
+    checks disagree, which raises ``InvariantError``.
     """
-    if n >= _WALK_BELOW and _symmetric_by_transpose(adj, n):
+    if _symmetric_block(range(n), adj, adj, n):
         return None
     message = _first_defect(range(n), adj, adj, n)
-    if message is None and n >= _WALK_BELOW:
+    if message is None:
         raise InvariantError("transpose check rejected rows the row walk accepts")
     return message
 
@@ -205,25 +205,21 @@ def _first_defect(
     return None
 
 
-def _symmetric_by_transpose(adj: Sequence[int], n: int) -> bool:
-    """True when the n rows ``adj`` are in range, have a zero diagonal and
-    equal their transpose."""
-    full = (1 << n) - 1
-    if not (min(adj) >= 0 and max(adj) <= full):
-        return False
-    return _symmetric_block(np.arange(n, dtype=np.int64), adj, n)
+def _symmetric_block(ids, rows: Sequence[int], adj: Sequence[int], n: int) -> bool:
+    """True when ``rows``, the rows of the nodes ``ids`` (ascending) of the
+    n-node rows ``adj``, with bits among those nodes only, are in range,
+    have a zero diagonal and equal their transpose.
 
-
-def _symmetric_block(ids, rows: Sequence[int], n: int) -> bool:
-    """True when ``rows``, the rows of the nodes ``ids`` (ascending) with
-    bits among those nodes only, have a zero diagonal and equal their
-    transpose.
-
-    Set bit k of row j is coded j*n + k; the rows equal their transpose
-    when the codes k*n + j of the transposed pairs, sorted, are the same
-    array.  This costs O(len(ids)) Python steps and C-speed work per edge,
-    in memory that grows with the edges, not with n**2.
+    Below ``_WALK_BELOW`` rows the row walk ``_first_defect`` answers.
+    From it on, set bit k of row j is coded j*n + k; the rows equal their
+    transpose when the codes k*n + j of the transposed pairs, sorted, are
+    the same array.  This costs O(len(ids)) Python steps and C-speed work
+    per edge, in memory that grows with the edges, not with n**2.
     """
+    if len(rows) < _WALK_BELOW:
+        return _first_defect(ids, rows, adj, n) is None
+    if not (min(rows) >= 0 and max(rows) < 1 << n):
+        return False
     nbrs = list(map(_bits, rows))
     src = np.repeat(np.asarray(ids, np.int64), list(map(len, nbrs)))
     dst = np.fromiter(chain.from_iterable(nbrs), np.int64, len(src))
@@ -241,9 +237,8 @@ def _valid_rewrite(out: "StabilizerGraph", g: "StabilizerGraph") -> bool:
     is valid exactly when its flag masks lie in [0, 2**n), each row in W
     keeps its bits outside W (a row out of range, or negative, changes
     bits outside W too), and the W x W block is symmetric with a zero
-    diagonal: walked row by row below ``_WALK_BELOW`` rows in W, else
-    ``_symmetric_block``.  Past one C-speed pass over the n rows, this
-    costs the rows in W.
+    diagonal (``_symmetric_block``).  Past one C-speed pass over the n
+    rows, this costs the rows in W.
     """
     n = g.n
     if len(out.adj) != n or (out.hollow_mask | out.loop_mask | out.neg_mask) >> n:
@@ -255,9 +250,7 @@ def _valid_rewrite(out: "StabilizerGraph", g: "StabilizerGraph") -> bool:
     if any((new ^ old) & outside for new, old in zip(rows, map(g.adj.__getitem__, ids))):
         return False
     block = [row & written for row in rows]
-    if len(ids) < _WALK_BELOW:
-        return _first_defect(ids, block, out.adj, n) is None
-    return _symmetric_block(ids, block, n)
+    return _symmetric_block(ids, block, out.adj, n)
 
 
 @dataclass(frozen=True, init=False, repr=False)

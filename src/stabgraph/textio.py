@@ -38,14 +38,17 @@ scanned again to find the offending token's column.
 ``parse_graph`` checks a graph's lines in bulk, with builtins that each
 run over a batch of lines at C speed (``_graph_in_bulk``): it sorts them
 into node and edge lines, looks up each node line's fill and flags in one
-table and each id in a table of the names 0 to n-1 (ids with leading
+table and each id in the node-name table (``_node_names``: the names
+``str(j)``, kept between calls and shared with ``format_graph`` and
+``cli.parse_script``, which read and write the same ids; ids with leading
 zeros get one ``isdigit`` and ``int()`` pass instead), checks that the
-ids and the edges are distinct and that each edge has i < j, and builds
-rows only then.  Only a text those checks reject is read again line by
-line (``_walk_graph``), to name its first defect; a text the walker then
-accepts means the two disagree, which raises ``InvariantError``.
-``format_graph`` writes the node lines from a table of eight suffixes,
-indexed by a code per node that it computes from the three flag masks.
+ids are below n and distinct, that the edges are distinct and that each edge has i < j,
+and builds rows only then.  Only a text those checks reject is read again
+line by line (``_walk_graph``), to name its first defect; a text the
+walker then accepts means the two disagree, which raises
+``InvariantError``.  ``format_graph`` writes the ids from the node-name
+table and the node lines' endings from a table of eight suffixes, indexed
+by a code per node that it computes from the three flag masks.
 
 Malformed text raises ``ParseError`` with 1-based line/column positions.
 Semantic problems (anticommuting rows, wrong row count and so on) raise
@@ -198,12 +201,28 @@ _CODE_BITS = [bytes(code >> b & 1 for code in range(256)) for b in range(3)]
 # lines, and parsed it no faster than batches of 1024 lines.
 _BATCH_LINES = 1024
 
+# The node-name table: ``str(j)`` for every j below its size, and the map
+# from each name back to j.  Only ``_node_names`` grows it, by binding a
+# new pair, so a reader never sees a half-grown one.
+_NODE_NAMES: tuple[list[str], dict[str, int]] = ([], {})
+
+
+def _node_names(size: int) -> tuple[list[str], dict[str, int]]:
+    """The node-name table, grown to hold every j below ``size``; it may
+    hold more, so a reader checks the ids it reads against its own n."""
+    global _NODE_NAMES
+    table = _NODE_NAMES
+    if len(table[0]) < size:
+        names = table[0] + list(map(str, range(len(table[0]), size)))
+        table = _NODE_NAMES = names, dict(zip(names, range(size)))
+    return table
+
 
 def parse_graph(text: str) -> StabilizerGraph:
     text_lines = text.splitlines()
     lines, n, lineno, raw = _header(text_lines, "nodes", "graph")
-    # Each node needs a line of its own: reject a count above the number of
-    # lines (bounded from above without splitting) before allocating n slots.
+    # Each node needs a line of its own: reject a count above one plus the
+    # number of line breaks, a bound on the lines, before allocating n slots.
     if n > 1 + sum(map(text.count, _LINE_BREAKS)):
         raise ParseError(
             f"node count {n} is larger than the number of lines", lineno, _column(raw, 1)
@@ -225,10 +244,10 @@ def _graph_in_bulk(text_lines: list[str], start: int, n: int) -> Optional[Stabil
     distinct and the edges distinct, each with i < j.  Only then are rows
     built, so every shift is below n.
     """
-    names = dict(zip(map(str, range(n)), range(n)))
+    names = _node_names(n)[1]
     code_of, lo, hi, node_lines = {}, [], [], 0
     for k in range(start, len(text_lines), _BATCH_LINES):
-        batch = _batch_in_bulk(text_lines[k : k + _BATCH_LINES], names)
+        batch = _batch_in_bulk(text_lines[k : k + _BATCH_LINES], names, n)
         if batch is None:
             return None
         ids, codes, i, j = batch
@@ -258,7 +277,7 @@ def _graph_in_bulk(text_lines: list[str], start: int, n: int) -> Optional[Stabil
     return StabilizerGraph._trusted(n, *masks, tuple(adj))
 
 
-def _batch_in_bulk(lines: list[str], names: dict):
+def _batch_in_bulk(lines: list[str], names: dict, n: int):
     """(node ids, node codes, edge starts, edge ends) of a batch of graph
     lines, or None when one of them is malformed.
 
@@ -278,7 +297,7 @@ def _batch_in_bulk(lines: list[str], names: dict):
     if None in codes or set(map(len, edges)) - {3}:
         return None
     ids, lo, hi = (
-        _ids(list(map(itemgetter(k), part)), names)
+        _ids(list(map(itemgetter(k), part)), names, n)
         for part, k in ((nodes, 1), (edges, 1), (edges, 2))
     )
     if ids is None or lo is None or hi is None:
@@ -286,27 +305,26 @@ def _batch_in_bulk(lines: list[str], names: dict):
     return ids, codes, lo, hi
 
 
-def _ids(tokens: list[str], names: dict) -> Optional[list[int]]:
+def _ids(tokens: list[str], names: dict, n: int) -> Optional[list[int]]:
     """The node ids ``tokens`` spell, or None unless each is ASCII digits
-    for a number below n; ``names`` maps ``str(j)`` to j for each j < n.
+    for a number below n; ``names`` maps ``str(j)`` to j, also for j >= n.
 
     A token spelled as ``str`` spells its id costs one lookup.  Only when
-    some token is not (leading zeros, or a defect) are all of them checked
-    as digits in one ``isdigit`` and read by ``int()``.
+    some token is not (leading zeros, ids past the table, or a defect) are
+    all of them checked as digits in one ``isdigit`` and read by ``int()``.
     """
     try:
-        return list(map(names.__getitem__, tokens))
+        ids = list(map(names.__getitem__, tokens))
     except KeyError:
-        pass
-    digits = "".join(tokens)
-    # isdigit alone admits characters such as '²' that int() rejects.
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    try:
-        ids = list(map(int, tokens))
-    except ValueError:  # more digits than int() converts
-        return None
-    return ids if max(ids) < len(names) else None
+        digits = "".join(tokens)
+        # isdigit alone admits characters such as '²' that int() rejects.
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        try:
+            ids = list(map(int, tokens))
+        except ValueError:  # more digits than int() converts
+            return None
+    return ids if max(ids, default=0) < n else None
 
 
 def _walk_graph(lines, n: int) -> None:
@@ -367,7 +385,7 @@ def _walk_graph(lines, n: int) -> None:
 
 def format_graph(g: StabilizerGraph) -> str:
     n = g.n
-    names = list(map(str, range(n)))
+    names = _node_names(n)[0]
     # Node j's code (bit 0 hollow, bit 1 loop, bit 2 neg) is byte j of
     # the three masks' flag bytes summed with weights 1, 2 and 4, so the
     # node lines are one join over a table of eight suffixes.
@@ -379,7 +397,7 @@ def format_graph(g: StabilizerGraph) -> str:
     suffixes = map(_NODE_SUFFIXES.__getitem__, code.to_bytes(n, "little"))
     out = [f"nodes {n}\nnode " + "\nnode ".join(map(add, names, suffixes))]
     # One string per row: "edge i j" for each neighbor j > i, from the
-    # table of the node ids, so a dense graph costs C-speed joins, not one
+    # node-name table, so a dense graph costs C-speed joins, not one
     # f-string per edge.
     for i, row in enumerate(g.adj):
         if row >> (i + 1):

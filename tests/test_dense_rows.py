@@ -157,8 +157,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_the_row_walk_and_the_transpose_agree(self, monkeypatch, n):
-        # Below graph._WALK_BELOW rows the symmetry checks walk the rows;
-        # from it on they compare the transpose.  On every n <= 3 graph's
+        # Below graph._WALK_BELOW rows _symmetric_block walks the rows;
+        # from it on it compares the transpose.  On every n <= 3 graph's
         # rows, and those rows with each kind of defect, both routes give
         # the same verdict, on the whole matrix and on each block of rows
         # that _valid_rewrite checks, and _adjacency_error names the same
@@ -173,19 +173,20 @@ class TestValidation:
                 _corrupt(cases[-1], n, rng, kind)
             for rows in cases:
                 want = adjacency_error_reference(rows, n)
-                assert (graph._first_defect(range(n), rows, rows, n) is None) == (
-                    graph._symmetric_by_transpose(rows, n)
-                ) == (want is None)
+                blocks = [(range(n), rows)]
                 for written in range(1, 1 << n):
                     ids = _bits(written)
-                    block = [rows[j] & written for j in ids]
-                    assert (graph._first_defect(ids, block, rows, n) is None) == (
-                        graph._symmetric_block(ids, block, n)
-                    )
+                    blocks.append((ids, [rows[j] & written for j in ids]))
+                verdicts = []
                 with monkeypatch.context() as patch:
-                    for cutoff in (n + 1, 0):
+                    for cutoff in (n + 1, 0):  # the walk, then the transpose
                         patch.setattr(graph, "_WALK_BELOW", cutoff)
+                        verdicts.append(
+                            [graph._symmetric_block(ids, block, rows, n) for ids, block in blocks]
+                        )
                         assert graph._adjacency_error(rows, n) == want
+                assert verdicts[0] == verdicts[1]
+                assert verdicts[0][0] == (want is None)
 
     def test_every_kind_of_defect_is_reached(self):
         # The property above is only as strong as the errors it provokes.
@@ -220,10 +221,19 @@ class TestValidation:
         # On the transpose route, which the cutoff set to 0 takes at every
         # n, the transpose check is the only verdict on a valid matrix; the
         # row walk runs only to name a defect, and finding none means the
-        # two checks disagree.
+        # two checks disagree.  Here the transpose route rejects every
+        # matrix: on the walk route, which the cutoff above n takes, the
+        # same graph builds.
         g = random_graph(n, n)
+        walk_or_reject = graph._symmetric_block
+
+        def transpose_rejects(ids, rows, adj, n):
+            return len(rows) < graph._WALK_BELOW and walk_or_reject(ids, rows, adj, n)
+
+        monkeypatch.setattr(graph, "_symmetric_block", transpose_rejects)
+        monkeypatch.setattr(graph, "_WALK_BELOW", n + 1)
+        assert StabilizerGraph(g.n, g.hollow, g.loop, g.neg, g.adj) == g
         monkeypatch.setattr(graph, "_WALK_BELOW", 0)
-        monkeypatch.setattr(graph, "_symmetric_by_transpose", lambda adj, n: False)
         with pytest.raises(InvariantError, match="transpose check"):
             StabilizerGraph(g.n, g.hollow, g.loop, g.neg, g.adj)
 

@@ -14,6 +14,8 @@ raises one of its documented errors.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import random
 import re
 import sys
@@ -38,7 +40,7 @@ from stabgraph import (
     parse_graph,
     random_graph,
 )
-from stabgraph import cli, textio
+from stabgraph import textio
 from stabgraph.cli import ScriptError, parse_script
 
 # Separators that split a line (str.isspace) and, for all but the tab, the
@@ -54,6 +56,27 @@ def _outcome(parse, text):
         return "ok", parse(text)
     except Exception as exc:  # compared, never swallowed: any class must match
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+# A node-name table grown past every n the graph-text tests use but one
+# (3000 nodes), whose out-of-range ids it then holds.
+GROWN = 5000
+
+
+@functools.cache
+def _grown_table(size):
+    """The node-name table as it is after growing from empty to ``size``;
+    ``_node_names`` never changes a table it returned, so it can be shared."""
+    with mock.patch.object(textio, "_NODE_NAMES", ([], {})):
+        return textio._node_names(size)
+
+
+@contextlib.contextmanager
+def node_names(grown):
+    """Run the block with a fresh node-name table (``grown`` 0), or with
+    one that earlier calls grew to ``grown`` names."""
+    with mock.patch.object(textio, "_NODE_NAMES", _grown_table(grown)):
+        yield
 
 
 # --- mutations of formatter output -----------------------------------------
@@ -183,7 +206,10 @@ class TestAgainstRegexTokenParsers:
     @settings(max_examples=400, deadline=None)
     @given(GRAPH_TEXT)
     def test_parse_graph(self, text):
-        assert _outcome(parse_graph, text) == _outcome(parse_graph_reference, text)
+        # Once with a fresh node-name table, and once with one grown past n.
+        for grown in (0, GROWN):
+            with node_names(grown):
+                assert _outcome(parse_graph, text) == _outcome(parse_graph_reference, text)
 
     @settings(max_examples=400, deadline=None)
     @given(CIRCUIT_TEXT)
@@ -364,17 +390,19 @@ class TestBulkGraphChecks:
     @pytest.mark.parametrize("name", list(PINNED_GRAPH_TEXTS))
     def test_pinned_texts(self, name):
         text, want = PINNED_GRAPH_TEXTS[name]
-        calls, spy = _walker_spy()
-        with spy:
-            got = _outcome(parse_graph, text)
-        assert got == _outcome(parse_graph_reference, text)
-        if isinstance(want, StabilizerGraph):
-            assert got == ("ok", want)
-            assert not calls
-        else:
-            assert got[:2] == (ParseError, want)
-            # A bad header is named before the body is read at all.
-            assert len(calls) == (name != "a header with an extra token")
+        # Once with a fresh node-name table, and once with one grown past n.
+        for grown in (0, GROWN):
+            calls, spy = _walker_spy()
+            with spy, node_names(grown):
+                got = _outcome(parse_graph, text)
+            assert got == _outcome(parse_graph_reference, text)
+            if isinstance(want, StabilizerGraph):
+                assert got == ("ok", want)
+                assert not calls
+            else:
+                assert got[:2] == (ParseError, want)
+                # A bad header is named before the body is read at all.
+                assert len(calls) == (name != "a header with an extra token")
 
     @settings(max_examples=300, deadline=None)
     @given(GRAPH_TEXT)
@@ -411,12 +439,16 @@ class TestBulkGraphChecks:
         elif defect == "node id out of range":
             lines.append(f"edge 0 {n}")
         text = "\n".join(lines) + "\n"
-        calls, spy = _walker_spy()
-        with spy:
-            got = _outcome(parse_graph, text)
-        assert got == _outcome(parse_graph_reference, text)
-        assert (got == ("ok", g)) == (defect in (None, "shuffled"))
-        assert len(calls) == (got[0] != "ok")
+        want = _outcome(parse_graph_reference, text)
+        # Once with a fresh node-name table, and once with one grown past
+        # n, which holds the out-of-range id.
+        for grown in (0, GROWN):
+            calls, spy = _walker_spy()
+            with spy, node_names(grown):
+                got = _outcome(parse_graph, text)
+            assert got == want
+            assert (got == ("ok", g)) == (defect in (None, "shuffled"))
+            assert len(calls) == (got[0] != "ok")
 
     def test_a_text_only_the_bulk_checks_reject_is_an_invariant_error(self):
         text = format_graph(random_graph(5, 2))
@@ -459,11 +491,11 @@ SCRIPT_TEXT = st.one_of(
 
 
 class TestScriptIdTable:
-    """``parse_script`` reads ids from a shared table of the names
-    ``str(j)``, grown to the ids below n and below the script's length, and
-    sends any other token to the token regex."""
+    """``parse_script`` reads ids from ``textio``'s node-name table of the
+    names ``str(j)``, grown to the ids below n and below the script's
+    length, and sends any other token to the token regex."""
 
-    @pytest.mark.parametrize("grown", [0, 5000], ids=["fresh", "grown"])
+    @pytest.mark.parametrize("grown", [0, GROWN], ids=["fresh", "grown"])
     @pytest.mark.parametrize("n", [1, 12, 4096, 4098])
     @pytest.mark.parametrize("text", [
         "H:0", "S:00", "Z:011", "H:11", "H:12", "CZ:0,11", "CZ:11,0", "CZ:3,3", "CZ:03,3",
@@ -472,24 +504,25 @@ class TestScriptIdTable:
         "H:4095", "H:4096", "H:4097", "H:04096", "CZ:4096,4095", "CZ:4097,4096",
         "CZ:4096,4096", "S:0 CZ:0,1 Z:1 CZ:1,0",
     ], ids=lambda t: t if len(t) < 40 else f"{t[:6]}...({len(t)} characters)")
-    def test_same_as_the_token_walker(self, monkeypatch, text, n, grown):
+    def test_same_as_the_token_walker(self, text, n, grown):
         # A fresh table, or one that earlier calls grew past n.
-        monkeypatch.setattr(cli, "_QUBIT_NAMES", {})
-        cli._qubit_names(grown)
-        assert _outcome(lambda t: parse_script(t, n), text) == _outcome(
-            lambda t: parse_script_reference(t, n), text
-        )
+        with node_names(grown):
+            assert _outcome(lambda t: parse_script(t, n), text) == _outcome(
+                lambda t: parse_script_reference(t, n), text
+            )
 
     def test_the_table_grows_to_the_ids_a_script_may_read(self, monkeypatch):
-        monkeypatch.setattr(cli, "_QUBIT_NAMES", {})
-        table = cli._QUBIT_NAMES
+        monkeypatch.setattr(textio, "_NODE_NAMES", ([], {}))
         assert parse_script("H:0 H:6", 1000) == [("H", (0,)), ("H", (6,))]
-        assert len(table) == len("H:0 H:6")  # capped by the script's length
+        table = textio._NODE_NAMES
+        names, ids = table
+        assert len(names) == len(ids) == len("H:0 H:6")  # capped by the script's length
         assert parse_script("H:0", 2) == [("H", (0,))]
-        assert len(table) == 7  # never shrinks
+        assert textio._NODE_NAMES is table  # never shrinks
         parse_script("H:0 " * 100, 50)  # capped by n
-        assert cli._QUBIT_NAMES is table
-        assert table == {str(j): j for j in range(50)}
+        # Growing binds a new pair and leaves the one a reader holds whole.
+        assert len(names) == len(ids) == 7
+        assert textio._NODE_NAMES == ([str(j) for j in range(50)], {str(j): j for j in range(50)})
 
 
 class TestFuzzedParsers:
