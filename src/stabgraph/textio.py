@@ -42,8 +42,8 @@ table and each id in the node-name table (``_node_names``: the names
 ``str(j)``, kept between calls and shared with ``format_graph`` and
 ``cli.parse_script``, which read and write the same ids; ids with leading
 zeros get one ``isdigit`` and ``int()`` pass instead), checks that the
-ids are below n and distinct, that the edges are distinct and that each edge has i < j,
-and builds rows only then.  Only a text those checks reject is read again
+ids are below n and distinct, that the edges are distinct and that each
+edge has i < j, and builds rows only then.  Only a text those checks reject is read again
 line by line (``_walk_graph``), to name its first defect; a text the
 walker then accepts means the two disagree, which raises
 ``InvariantError``.  ``format_graph`` writes the ids from the node-name

@@ -58,8 +58,8 @@ def _outcome(parse, text):
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
 
 
-# A node-name table grown past every n the graph-text tests use but one
-# (3000 nodes), whose out-of-range ids it then holds.
+# The size of a node-name table grown past every n these tests use (at
+# most 4098), so that it holds their out-of-range ids.
 GROWN = 5000
 
 
